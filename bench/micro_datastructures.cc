@@ -12,6 +12,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <optional>
+
 #include "mem/address_space.h"
 #include "objgraph/proto_codec.h"
 #include "objgraph/separated_image.h"
@@ -82,9 +84,16 @@ BM_SeparatedReconstruct(benchmark::State &state)
     const auto graph = objgraph::ObjectGraph::synthesize(
         rng, objgraph::GraphSpec::scaledTo(
                  static_cast<std::size_t>(state.range(0))));
-    const auto image = objgraph::SeparatedImage::build(graph);
+    // reconstruct() memoizes its decode, so every iteration times a
+    // first decode of a freshly built image; building it and dropping
+    // the previous one stay outside the timed region.
+    std::optional<objgraph::SeparatedImage> image;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(image.reconstruct());
+        state.PauseTiming();
+        image.reset();
+        image.emplace(objgraph::SeparatedImage::build(graph));
+        state.ResumeTiming();
+        benchmark::DoNotOptimize(image->reconstruct());
     }
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }

@@ -187,10 +187,9 @@ runChain()
     for (int round = 0; round < 2; ++round) {
         e2e += engine.run(workflow::pipelineAnalytics(3, 128)).e2e;
         ++runs;
-        e2e += engine
-                   .run(workflow::shoppingCartSession(
-                       2, 32, "s" + std::to_string(round)))
-                   .e2e;
+        std::string session = "s";
+        session += std::to_string(round);
+        e2e += engine.run(workflow::shoppingCartSession(2, 32, session)).e2e;
         ++runs;
     }
     // One locality-blind run scatters its stages, so the export also

@@ -49,6 +49,36 @@ GraphSpec::scaledTo(std::size_t objects)
     return out;
 }
 
+namespace {
+
+/** The DAG rule: an object may only reference strictly earlier ids. */
+void
+checkBackwardRefs(std::uint64_t id, const std::vector<std::uint64_t> &refs)
+{
+    for (std::uint64_t ref : refs) {
+        if (ref >= id)
+            sim::panic("ObjectGraph: object %llu has forward/self ref %llu",
+                       static_cast<unsigned long long>(id),
+                       static_cast<unsigned long long>(ref));
+    }
+}
+
+} // namespace
+
+ObjectGraph::ObjectGraph(std::vector<MetaObject> objects)
+{
+    for (std::size_t i = 0; i < objects.size(); ++i) {
+        const MetaObject &obj = objects[i];
+        if (obj.id != i + 1)
+            sim::panic("ObjectGraph: object %zu has id %llu", i + 1,
+                       static_cast<unsigned long long>(obj.id));
+        checkBackwardRefs(obj.id, obj.refs);
+    }
+    if (!objects.empty())
+        objects_ =
+            std::make_shared<std::vector<MetaObject>>(std::move(objects));
+}
+
 void
 ObjectGraph::detach()
 {
@@ -70,11 +100,7 @@ ObjectGraph::addObject(ObjectKind kind, std::uint32_t payload_bytes,
                        std::vector<std::uint64_t> refs)
 {
     const std::uint64_t id = objectCount() + 1;
-    for (std::uint64_t ref : refs) {
-        if (ref >= id)
-            sim::panic("ObjectGraph::addObject: forward/self ref %llu",
-                       static_cast<unsigned long long>(ref));
-    }
+    checkBackwardRefs(id, refs);
     detach();
     objects_->push_back(
         MetaObject{id, kind, payload_bytes, std::move(refs)});
@@ -156,7 +182,6 @@ ObjectGraph::operator==(const ObjectGraph &other) const
 ObjectGraph
 ObjectGraph::synthesize(sim::Rng &rng, const GraphSpec &spec)
 {
-    ObjectGraph graph;
     struct Batch
     {
         ObjectKind kind;
@@ -172,23 +197,27 @@ ObjectGraph::synthesize(sim::Rng &rng, const GraphSpec &spec)
         {ObjectKind::MemoryRegion, spec.memoryRegions},
         {ObjectKind::Misc, spec.miscObjects},
     };
+    std::vector<MetaObject> objects;
+    objects.reserve(spec.totalObjects());
     for (const auto &batch : batches) {
         for (std::size_t i = 0; i < batch.count; ++i) {
             const auto payload = static_cast<std::uint32_t>(
                 std::max(16.0, rng.exponential(spec.meanPayloadBytes)));
             std::vector<std::uint64_t> refs;
-            const std::uint64_t next_id = graph.objectCount() + 1;
+            const std::uint64_t next_id = objects.size() + 1;
             if (next_id > 1 && rng.chance(spec.pointerBearingFraction)) {
                 const auto nrefs = static_cast<std::size_t>(
                     1 + rng.uniformInt(static_cast<std::uint64_t>(
                             std::max(1.0, spec.meanRefsPerObject * 2 - 1))));
+                refs.reserve(nrefs);
                 for (std::size_t r = 0; r < nrefs; ++r)
                     refs.push_back(1 + rng.uniformInt(next_id - 1));
             }
-            graph.addObject(batch.kind, payload, std::move(refs));
+            objects.push_back(
+                MetaObject{next_id, batch.kind, payload, std::move(refs)});
         }
     }
-    return graph;
+    return ObjectGraph(std::move(objects));
 }
 
 } // namespace catalyzer::objgraph

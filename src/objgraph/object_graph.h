@@ -93,6 +93,15 @@ struct GraphSpec
 class ObjectGraph
 {
   public:
+    ObjectGraph() = default;
+
+    /**
+     * Adopt a whole object table at once. Ids must be 1..n in vector
+     * order and refs must name earlier ids or 0 (the addObject() rule,
+     * checked in one pass).
+     */
+    explicit ObjectGraph(std::vector<MetaObject> objects);
+
     /** Add an object; returns its id. Refs must name existing ids or 0. */
     std::uint64_t addObject(ObjectKind kind, std::uint32_t payload_bytes,
                             std::vector<std::uint64_t> refs);

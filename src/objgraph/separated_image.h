@@ -55,11 +55,16 @@ class SeparatedImage
      * checkpointed graph.
      *
      * The arena itself is immutable and shared — stage-2 never copies
-     * it. Patched pointer slots are read through the relation table as
-     * an overlay (the per-instance COW pages of the real system), and
-     * because the decode is a pure function of the arena, its result is
-     * computed once and handed out as a shared copy-on-write graph on
-     * every later boot.
+     * it. Patched pointer slots are read through the relation table,
+     * which is kept in slot order, as an overlay (the per-instance COW
+     * pages of the real system). Because the decode is a pure function
+     * of the arena, its result is computed once, in one forward scan
+     * of the arena and the table, and handed out as a shared
+     * copy-on-write graph on every later boot.
+     *
+     * The first decode verifies every header (id in 1..n and unique,
+     * kind in range, extent inside the arena) and every payload byte,
+     * and panics with a "corruption" message on any mismatch.
      *
      * With an enabled @p trace, emits "arena-map", "relation-fixup" and
      * "arena-decode" child spans annotated with object/reloc counts
@@ -68,7 +73,7 @@ class SeparatedImage
      */
     ObjectGraph reconstruct(trace::TraceContext trace = {}) const;
 
-    std::size_t objectCount() const { return stored_.size(); }
+    std::size_t objectCount() const { return object_count_; }
     std::size_t relocCount() const { return relocs_.size(); }
 
     /** Arena extent. */
@@ -92,6 +97,7 @@ class SeparatedImage
         return relocs_.size() * kRelocEntryBytes;
     }
 
+    /** The relation table, strictly ascending in slotOffset. */
     const std::vector<Reloc> &relocs() const { return relocs_; }
 
     /** Raw arena bytes (the image's metadata section contents). */
@@ -112,20 +118,16 @@ class SeparatedImage
     }
 
   private:
-    struct StoredObject
-    {
-        std::uint64_t id; // original id (order preserved for identity)
-        ObjectKind kind;
-        std::uint32_t payloadBytes;
-        std::uint64_t arenaOffset;
-        /** Slot count; contents zeroed, patched via the relation table. */
-        std::uint16_t slots;
-    };
+    /** The first-boot decode behind reconstruct()'s memo. */
+    ObjectGraph decode() const;
 
-    std::vector<StoredObject> stored_;            // id order
+    std::size_t object_count_ = 0;
+    /**
+     * The relation table. build() emits it in ascending slot order —
+     * pointer-bearing objects are laid out first, in id order — so it
+     * doubles as the stage-2 patch overlay a decode reads forward.
+     */
     std::vector<Reloc> relocs_;
-    /** relocs_ re-sorted by slot offset: the stage-2 patch overlay. */
-    std::vector<Reloc> overlay_;
     /** (arena offset, object id), sorted by offset. */
     std::vector<std::pair<std::uint64_t, std::uint64_t>> offset_to_id_;
     /** Sorted distinct arena pages containing patched slots. */

@@ -91,8 +91,10 @@ WorkingSetManifest::deserialize(const std::string &blob)
 {
     std::istringstream is(blob);
     std::string magic, version;
+    std::string expected_version = "v";
+    expected_version += std::to_string(kFormatVersion);
     if (!(is >> magic >> version) || magic != kMagic ||
-        version != "v" + std::to_string(kFormatVersion))
+        version != expected_version)
         return nullptr;
 
     std::string key, function_name;

@@ -88,8 +88,9 @@ TEST(ChunkStoreTest, CutLengthsRespectTheConfiguredBounds)
     for (std::size_t i = 0; i < chunks.size(); ++i) {
         EXPECT_LE(chunks[i].pages, costs.chunkMaxPages);
         // Only the tail chunk may come up short of the minimum.
-        if (i + 1 < chunks.size())
+        if (i + 1 < chunks.size()) {
             EXPECT_GE(chunks[i].pages, costs.chunkMinPages);
+        }
     }
 }
 

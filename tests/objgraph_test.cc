@@ -31,6 +31,9 @@ TEST(ObjectGraphTest, ForwardRefPanics)
 {
     ObjectGraph graph;
     EXPECT_DEATH(graph.addObject(ObjectKind::Task, 64, {1}), "ref");
+    // The bulk constructor applies the same rule.
+    EXPECT_DEATH(ObjectGraph({MetaObject{1, ObjectKind::Task, 64, {1}}}),
+                 "ref");
 }
 
 TEST(ObjectGraphTest, BadIdPanics)
@@ -74,6 +77,24 @@ TEST(GraphSpecTest, SynthesizeMatchesSpecCounts)
     EXPECT_NEAR(frac, spec.pointerBearingFraction, 0.03);
 }
 
+/**
+ * A hand-built graph with null slots: objects whose refs are all null
+ * (laid out with the pointer-free tail), mixed null/non-null slots, and
+ * a pointer to the object at arena offset 0.
+ */
+ObjectGraph
+graphWithNullSlots()
+{
+    ObjectGraph graph;
+    const auto root = graph.addObject(ObjectKind::Task, 40, {});
+    const auto hub = graph.addObject(ObjectKind::Mount, 300, {0, root});
+    graph.addObject(ObjectKind::Timer, 24, {0, 0, 0});
+    graph.addObject(ObjectKind::FdTableEntry, 700, {hub, 0, root, 0});
+    graph.addObject(ObjectKind::Misc, 16, {0});
+    graph.addObject(ObjectKind::SessionList, 64, {hub, hub});
+    return graph;
+}
+
 TEST(ProtoImageTest, RoundTripIsIdentity)
 {
     sim::Rng rng(7);
@@ -93,6 +114,9 @@ TEST(SeparatedImageTest, RoundTripIsIdentity)
     const SeparatedImage image = SeparatedImage::build(graph);
     EXPECT_EQ(image.objectCount(), graph.objectCount());
     EXPECT_TRUE(image.reconstruct() == graph);
+
+    const ObjectGraph nulls = graphWithNullSlots();
+    EXPECT_TRUE(SeparatedImage::build(nulls).reconstruct() == nulls);
 }
 
 TEST(SeparatedImageTest, RelocCountMatchesPointerCount)
@@ -160,11 +184,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1u, 2u, 3u, 5u, 8u, 13u),
                        ::testing::Values(50u, 500u, 5000u)));
 
-TEST(SeparatedImageTest, ArenaIsRealBytes)
+/** Checks every separated image of @p graph must pass. */
+void
+expectArenaIsRealBytes(const ObjectGraph &graph)
 {
-    sim::Rng rng(3);
-    const ObjectGraph graph =
-        ObjectGraph::synthesize(rng, GraphSpec::scaledTo(300));
     const SeparatedImage image = SeparatedImage::build(graph);
     // The arena is materialized, byte for byte.
     EXPECT_EQ(image.arena().size(), image.arenaBytes());
@@ -176,6 +199,23 @@ TEST(SeparatedImageTest, ArenaIsRealBytes)
             EXPECT_EQ(image.arena()[reloc.slotOffset + i], 0u);
         }
     }
+    // One relation table serves as the slot-ordered patch overlay.
+    const auto &relocs = image.relocs();
+    for (std::size_t i = 1; i < relocs.size(); ++i)
+        EXPECT_LT(relocs[i - 1].slotOffset, relocs[i].slotOffset);
+    const auto pages = image.pointerPageList();
+    for (std::size_t i = 1; i < pages.size(); ++i)
+        EXPECT_LT(pages[i - 1], pages[i]);
+    EXPECT_EQ(image.relocCount(), graph.pointerCount());
+    EXPECT_TRUE(image.reconstruct() == graph);
+}
+
+TEST(SeparatedImageTest, ArenaIsRealBytes)
+{
+    sim::Rng rng(3);
+    expectArenaIsRealBytes(
+        ObjectGraph::synthesize(rng, GraphSpec::scaledTo(300)));
+    expectArenaIsRealBytes(graphWithNullSlots());
 }
 
 TEST(SeparatedImageTest, ByteCorruptionIsDetected)
@@ -187,6 +227,39 @@ TEST(SeparatedImageTest, ByteCorruptionIsDetected)
     // Flip a payload byte (headers start each object; payload follows).
     image.corruptByteForTesting(SeparatedImage::kObjectHeaderBytes + 1);
     EXPECT_DEATH(image.reconstruct(), "corruption");
+}
+
+TEST(SeparatedImageTest, HeaderCorruptionIsDetected)
+{
+    sim::Rng rng(5);
+    const ObjectGraph graph =
+        ObjectGraph::synthesize(rng, GraphSpec::scaledTo(200));
+    const SeparatedImage pristine = SeparatedImage::build(graph);
+    // Kind byte of the first object: the kind leaves the enum's range.
+    {
+        SeparatedImage image = pristine;
+        image.corruptByteForTesting(8);
+        EXPECT_DEATH(image.reconstruct(), "corruption.*kind");
+    }
+    // High byte of the first object's id: the id leaves 1..n.
+    {
+        SeparatedImage image = pristine;
+        image.corruptByteForTesting(7);
+        EXPECT_DEATH(image.reconstruct(), "corruption.*outside");
+    }
+    // Flipping the low id byte of object 1 (at arena offset 0) turns it
+    // into 254, which object 254 then claims again. Payloads are empty,
+    // so no payload check can fire first.
+    {
+        ObjectGraph flat;
+        for (int i = 0; i < 254; ++i)
+            flat.addObject(ObjectKind::Misc, 0, {});
+        SeparatedImage image = SeparatedImage::build(flat);
+        image.corruptByteForTesting(0);
+        EXPECT_DEATH(image.reconstruct(), "corruption.*duplicate");
+    }
+    // The untouched image still decodes.
+    EXPECT_TRUE(pristine.reconstruct() == graph);
 }
 
 TEST(ObjectKindTest, NamesAreStable)

@@ -31,6 +31,16 @@ using sandbox::Machine;
 using sim::SimTime;
 using namespace sim::time_literals;
 
+/** "s<i>", built by append: GCC 12 flags `"s" + std::to_string(i)`
+ *  with a -Wrestrict false positive at -O2. */
+std::string
+spanName(int i)
+{
+    std::string name = "s";
+    name += std::to_string(i);
+    return name;
+}
+
 //
 // A deliberately small recursive-descent JSON reader, just enough to
 // prove the exporter's output is parseable and to walk its structure.
@@ -446,7 +456,7 @@ TEST(TracerTest, CapacityRingEvictsOldestFirst)
     sim::VirtualClock clock;
     tracer.setCapacity(3);
     for (int i = 0; i < 5; ++i) {
-        tracer.begin("s" + std::to_string(i), clock.now());
+        tracer.begin(spanName(i), clock.now());
         clock.advance(1_ms);
     }
     EXPECT_EQ(tracer.spanCount(), 3u);
@@ -472,7 +482,7 @@ TEST(TracerTest, SpanCountAndRecentUnderWraparound)
     sim::VirtualClock clock;
     tracer.setCapacity(4);
     for (int i = 0; i < 10; ++i)
-        tracer.begin("s" + std::to_string(i), clock.now());
+        tracer.begin(spanName(i), clock.now());
     EXPECT_EQ(tracer.spanCount(), 4u);
     const auto tail = tracer.recent(2);
     ASSERT_EQ(tail.size(), 2u);
