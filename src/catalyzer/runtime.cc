@@ -14,7 +14,6 @@
 namespace catalyzer::core {
 
 using sandbox::BootKind;
-using sandbox::BootReport;
 using sandbox::BootResult;
 using sandbox::FunctionArtifacts;
 using sandbox::SandboxInstance;
@@ -189,127 +188,187 @@ CatalyzerRuntime::ensureWorkingSet(FunctionArtifacts &fn,
     return fn.workingSet;
 }
 
+/**
+ * One Catalyzer boot in flight: its span and report, the stopwatch that
+ * times each stage since the previous one booked, and what earlier
+ * stages hand to later ones.
+ */
+struct CatalyzerRuntime::Boot
+{
+    Boot(sim::SimContext &ctx, FunctionArtifacts &fn,
+         trace::TraceContext trace, const char *tier)
+        : fn(fn), app(fn.app()),
+          span(trace, std::string("boot/Catalyzer-") + tier),
+          tctx(span.context()), watch(ctx.clock())
+    {
+        sim::StatRegistry::incrGlobal("bench.boots");
+        span.attr("function", app.name);
+        result.report.bindTrace(tctx);
+    }
+
+    /** Name the boot's sandbox <prefix><next boot number>. */
+    void
+    number(std::uint64_t &seq, const char *prefix)
+    {
+        tag = prefix;
+        tag += std::to_string(seq++);
+    }
+
+    SandboxInstance &inst() { return *result.instance; }
+    mem::PageIndex heapVa() const
+    {
+        return baseVa + image->memorySectionStart();
+    }
+
+    /** Book the time since the previous stage. The stage function has
+     *  usually opened a richer span already, hence no span by default. */
+    void
+    sandboxStage(const char *name, bool emit_span = false)
+    {
+        result.report.addSandboxStage(name, watch.elapsed(), emit_span);
+        watch.restart();
+    }
+    void
+    appStage(const char *name, bool emit_span = false)
+    {
+        result.report.addAppStage(name, watch.elapsed(), emit_span);
+        watch.restart();
+    }
+
+    FunctionArtifacts &fn;
+    const apps::AppProfile &app;
+    trace::ScopedSpan span;
+    const trace::TraceContext tctx;
+    std::string tag;
+    BootResult result;
+    sim::Stopwatch watch;
+    std::shared_ptr<snapshot::FuncImage> image;
+    mem::PageIndex binaryVa = 0;
+    mem::PageIndex baseVa = 0;
+};
+
 BootResult
 CatalyzerRuntime::bootRestore(FunctionArtifacts &fn, bool warm,
                               trace::TraceContext trace)
 {
+    const char *tier = warm ? "warm" : "cold";
+    Boot b(machine_.ctx(), fn, trace, tier);
+
+    // Offline build / remote fetch / integrity check as configured. A
+    // failed fetch throws before the boot takes a number.
+    b.image = acquireImage(fn, b.tctx);
+    b.watch.restart();
+    b.number(boot_seq_, tier);
+
+    // Warm boots specialize a Zygote; cold boots construct the sandbox
+    // on the path (with the tuned host: PML off, kvcalloc cache on),
+    // matching the paper's Catalyzer-restore.
+    const bool cold_cache = !warm && !fn.firstRestoreDone;
+    acquireSandbox(b, warm ? BootKind::WarmRestore : BootKind::ColdRestore,
+                   warm && options_.useZygote);
+    specialize(b);
+    mapImage(b, warm, cold_cache);
+    prefetchWorkingSet(b);
+    recoverKernel(b, cold_cache);
+    reconnectIo(b, warm ? IoCache::Use : IoCache::Record);
+    finishRestore(b);
+
+    fn.firstRestoreDone = true;
+    machine_.ctx().stats().incr(warm ? "catalyzer.warm_boots"
+                                     : "catalyzer.cold_boots");
+    sim::debugLog("boot Catalyzer-%s/%s: %.3f ms", tier,
+                  fn.app().name.c_str(), b.result.report.total().toMs());
+    return std::move(b.result);
+}
+
+void
+CatalyzerRuntime::acquireSandbox(Boot &b, BootKind kind, bool zygote)
+{
+    {
+        trace::ScopedSpan span(b.tctx, "sandbox-acquire");
+        span.attr("mechanism", zygote ? "zygote" : "construct");
+        if (zygote) {
+            Zygote z = zygotes_.acquire(span.context());
+            b.result.instance = std::make_unique<SandboxInstance>(
+                machine_, b.fn, b.app.name + "-" + b.tag, *z.proc, kind);
+            b.inst().setGuest(std::move(z.guest));
+        } else {
+            machine_.ctx().charge(machine_.ctx().costs().parseConfig);
+            b.result.instance =
+                sandbox::makeBareInstance(b.fn, kind, b.tag.c_str());
+            sandbox::constructGVisorSandbox(
+                b.inst(), ZygotePool::kvmConfig(), span.context());
+        }
+    }
+    b.sandboxStage(zygote ? "zygote-acquire" : "construct-sandbox");
+}
+
+void
+CatalyzerRuntime::specialize(Boot &b)
+{
+    // Append the function config, import its binaries and mount the
+    // function rootfs over the base.
     auto &ctx = machine_.ctx();
     const auto &costs = ctx.costs();
-    const apps::AppProfile &app = fn.app();
-
-    sim::StatRegistry::incrGlobal("bench.boots");
-    trace::ScopedSpan boot_span(
-        trace, std::string("boot/Catalyzer-") + (warm ? "warm" : "cold"));
-    boot_span.attr("function", app.name);
-    const trace::TraceContext tctx = boot_span.context();
-
-    // Offline build / remote fetch / integrity check as configured.
-    auto image = acquireImage(fn, tctx);
-
-    BootResult result;
-    result.report.bindTrace(tctx);
-    sim::Stopwatch watch(ctx.clock());
-    const std::string tag =
-        (warm ? "warm" : "cold") + std::to_string(boot_seq_++);
-
-    //
-    // Sandbox acquisition. Warm boots specialize a Zygote; cold boots
-    // construct the sandbox on the path (with the tuned host: PML off,
-    // kvcalloc cache on), matching the paper's Catalyzer-restore.
-    //
-    std::unique_ptr<SandboxInstance> inst;
-    if (warm && options_.useZygote) {
-        {
-            trace::ScopedSpan span(tctx, "sandbox-acquire");
-            span.attr("mechanism", "zygote");
-            Zygote z = zygotes_.acquire(span.context());
-            inst = std::make_unique<SandboxInstance>(
-                machine_, fn, app.name + "-" + tag, *z.proc,
-                BootKind::WarmRestore);
-            inst->setGuest(std::move(z.guest));
-        }
-        result.report.addSandboxStage("zygote-acquire", watch.elapsed(),
-                                      /*emit_span=*/false);
-    } else {
-        {
-            trace::ScopedSpan span(tctx, "sandbox-acquire");
-            span.attr("mechanism", "construct");
-            ctx.charge(costs.parseConfig);
-            inst = sandbox::makeBareInstance(
-                fn, warm ? BootKind::WarmRestore : BootKind::ColdRestore,
-                tag.c_str());
-            sandbox::constructGVisorSandbox(*inst, ZygotePool::kvmConfig(),
-                                            span.context());
-        }
-        result.report.addSandboxStage("construct-sandbox",
-                                      watch.elapsed(),
-                                      /*emit_span=*/false);
-    }
-    watch.restart();
-
-    //
-    // Specialize: append the function config, import its binaries and
-    // mount the function rootfs over the base.
-    //
     ctx.charge(costs.zygoteAppendConfig);
     const std::size_t binary_mib =
-        mem::bytesForPages(app.binaryPages) >> 20;
+        mem::bytesForPages(b.app.binaryPages) >> 20;
     ctx.charge(costs.zygoteImportPerMiB *
                static_cast<std::int64_t>(std::max<std::size_t>(
                    binary_mib, 1)));
-    const mem::PageIndex binary_va = inst->space().mapFile(
-        fn.binary(), 0, app.binaryPages, mem::MapKind::FilePrivate,
+    b.binaryVa = b.inst().space().mapFile(
+        b.fn.binary(), 0, b.app.binaryPages, mem::MapKind::FilePrivate,
         false, "binary");
-    inst->guest().mountRootfs(1);
-    inst->setRootfs(std::make_unique<vfs::OverlayRootfs>(
-        ctx, fn.fsServer()));
-    result.report.addSandboxStage("specialize", watch.elapsed());
-    watch.restart();
+    b.inst().guest().mountRootfs(1);
+    b.inst().setRootfs(std::make_unique<vfs::OverlayRootfs>(
+        ctx, b.fn.fsServer()));
+    b.sandboxStage("specialize", /*emit_span=*/true);
+}
 
-    //
+void
+CatalyzerRuntime::mapImage(Boot &b, bool warm, bool cold_cache)
+{
     // Overlay memory: map the func-image (cold) or share the live
     // Base-EPT (warm).
-    //
-    const bool cold_cache = !warm && !fn.firstRestoreDone;
-    mem::PageIndex base_va = 0;
+    auto &ctx = machine_.ctx();
+    snapshot::FuncImage &image = *b.image;
     {
-        trace::ScopedSpan span(tctx, "overlay-map");
+        trace::ScopedSpan span(b.tctx, "overlay-map");
         span.attr("mechanism", warm ? "share-base-ept" : "map-image");
         span.attr("image_pages",
-                  static_cast<std::int64_t>(image->totalPages()));
-        if (!fn.sharedBase) {
-            ctx.charge(costs.imageManifestParse);
-            fn.sharedBase = std::make_shared<mem::BaseMapping>(
-                machine_.frames(), image->file(), 0, image->totalPages(),
-                app.name + "-base");
+                  static_cast<std::int64_t>(image.totalPages()));
+        if (!b.fn.sharedBase) {
+            ctx.charge(ctx.costs().imageManifestParse);
+            b.fn.sharedBase = std::make_shared<mem::BaseMapping>(
+                machine_.frames(), image.file(), 0, image.totalPages(),
+                b.app.name + "-base");
         } else if (!warm) {
-            ctx.charge(costs.imageManifestParse);
+            ctx.charge(ctx.costs().imageManifestParse);
         }
-        base_va = inst->space().attachBase(fn.sharedBase);
+        b.baseVa = b.inst().space().attachBase(b.fn.sharedBase);
     }
-    const mem::PageIndex heap_va = base_va + image->memorySectionStart();
-    const std::size_t heap_pages = image->state().memoryPages;
     if (!options_.overlayMemory) {
         // Ablation: eagerly fault and copy the whole memory section.
-        inst->space().touchRange(heap_va, heap_pages, /*write=*/true,
-                                 cold_cache);
+        b.inst().space().touchRange(b.heapVa(), image.state().memoryPages,
+                                    /*write=*/true, cold_cache);
     }
-    result.report.addAppStage(warm ? "share-mapping" : "map-image",
-                              watch.elapsed(), /*emit_span=*/false);
-    watch.restart();
+    b.appStage(warm ? "share-mapping" : "map-image");
+}
 
+void
+CatalyzerRuntime::prefetchWorkingSet(Boot &b)
+{
     //
     // Working-set prefetch (REAP-style): load the recorded stable set
     // into the just-established Base-EPT in large batched reads, so the
-    // first request demand-pages only what the manifest missed. The
-    // recording window for refining the manifest is armed further down,
-    // once the instance is assembled.
+    // first request demand-pages only what the manifest missed.
     //
+    auto &ctx = machine_.ctx();
     std::shared_ptr<prefetch::WorkingSetManifest> manifest =
-        ensureWorkingSet(fn, *image);
+        ensureWorkingSet(b.fn, *b.image);
     std::vector<mem::PageIndex> prefetched_set;
     if (options_.prefetchWorkingSet) {
-        trace::ScopedSpan span(tctx, "prefetch");
+        trace::ScopedSpan span(b.tctx, "prefetch");
         if (manifest && manifest->usable()) {
             ctx.stats().incr("prefetch.manifest_hits");
             std::vector<mem::PageIndex> stable = manifest->stableSet();
@@ -317,7 +376,7 @@ CatalyzerRuntime::bootRestore(FunctionArtifacts &fn, bool warm,
                       static_cast<std::int64_t>(stable.size()));
             span.attr("traces",
                       static_cast<std::int64_t>(manifest->traceCount()));
-            prefetch::prefetchIntoBase(ctx, *fn.sharedBase, stable,
+            prefetch::prefetchIntoBase(ctx, *b.fn.sharedBase, stable,
                                        options_.prefetchBatchPages,
                                        span.context());
             prefetched_set = std::move(stable);
@@ -327,9 +386,7 @@ CatalyzerRuntime::bootRestore(FunctionArtifacts &fn, bool warm,
             span.attr("skipped", manifest ? "manifest-empty"
                                           : "manifest-missing");
         }
-        result.report.addAppStage("prefetch", watch.elapsed(),
-                                  /*emit_span=*/false);
-        watch.restart();
+        b.appStage("prefetch");
     }
 
     //
@@ -342,52 +399,140 @@ CatalyzerRuntime::bootRestore(FunctionArtifacts &fn, bool warm,
         manifest && options_.recordWorkingSet && !manifest->frozen();
     if (record_trace || !prefetched_set.empty()) {
         auto recorder = std::make_unique<prefetch::FaultRecorder>(
-            base_va, image->totalPages());
+            b.baseVa, b.image->totalPages());
         if (record_trace)
             recorder->enableRecording(manifest);
         if (!prefetched_set.empty())
             recorder->enableAudit(std::move(prefetched_set));
-        inst->armWorkingSetRecorder(std::move(recorder));
+        b.inst().armWorkingSetRecorder(std::move(recorder));
     }
+}
 
+void
+CatalyzerRuntime::mapRemoteOverlay(Boot &b, const RemoteForkSource &src)
+{
+    //
+    // Remote overlay: a Base-EPT over a *local mirror* of the lender's
+    // image, starting empty. Creating it (first borrow, or a lender
+    // image rebuild) streams the metadata section — the arena and
+    // relation table the fixup walks — in one batched transfer;
+    // everything else arrives later, pulled on demand.
+    //
+    auto &ctx = machine_.ctx();
+    FunctionArtifacts &fn = b.fn;
+    const snapshot::FuncImage &image = *b.image;
+    if (fn.remoteBase && fn.remoteGeneration != image.generation()) {
+        fn.remoteBase.reset();
+        fn.remoteMirror.reset();
+        ctx.stats().incr("remote.mirror_invalidated");
+    }
+    {
+        trace::ScopedSpan span(b.tctx, "remote-overlay");
+        span.attr("image_pages",
+                  static_cast<std::int64_t>(image.totalPages()));
+        if (!fn.remoteBase) {
+            ctx.charge(ctx.costs().imageManifestParse);
+            fn.remoteMirror = std::make_unique<mem::BackingFile>(
+                machine_.frames(), b.app.name + "-remote-mirror",
+                image.totalPages());
+            fn.remoteBase = std::make_shared<mem::BaseMapping>(
+                machine_.frames(), *fn.remoteMirror, 0,
+                image.totalPages(), b.app.name + "-remote-base");
+            fn.remoteGeneration = image.generation();
+            const std::size_t meta_pages = image.metadataSectionPages();
+            src.fabric->transfer(ctx, src.peer, src.self,
+                                 mem::bytesForPages(meta_pages),
+                                 "image-metadata", span.context());
+            for (std::size_t i = 0; i < meta_pages; ++i)
+                fn.remoteBase->populatePrefetched(
+                    ctx, image.metadataSectionStart() + i);
+            span.attr("metadata_pages",
+                      static_cast<std::int64_t>(meta_pages));
+        }
+        b.baseVa = b.inst().space().attachBase(fn.remoteBase);
+    }
+    b.appStage("map-remote-image");
+}
+
+void
+CatalyzerRuntime::prefetchRemote(Boot &b, const RemoteForkSource &src)
+{
+    //
+    // Working-set pull: the lender's manifest tells us which pages the
+    // first request will need; stream the stable set in one batched
+    // transfer instead of faulting it page by page over the fabric.
+    //
+    const snapshot::FuncImage &image = *b.image;
+    if (!src.manifest || !src.manifest->usable() ||
+        !src.manifest->matches(image.generation()))
+        return;
+    auto &ctx = machine_.ctx();
+    mem::BaseMapping &base = *b.fn.remoteBase;
+    trace::ScopedSpan span(b.tctx, "remote-prefetch");
+    std::vector<mem::PageIndex> stable = src.manifest->stableSet();
+    std::size_t pulled = 0;
+    for (mem::PageIndex page : stable) {
+        if (page >= image.totalPages() || base.lookup(page))
+            continue;
+        ++pulled;
+    }
+    span.attr("stable_pages", static_cast<std::int64_t>(stable.size()));
+    span.attr("pulled_pages", static_cast<std::int64_t>(pulled));
+    if (pulled > 0) {
+        src.fabric->transfer(ctx, src.peer, src.self,
+                             mem::bytesForPages(pulled), "working-set",
+                             span.context());
+        for (mem::PageIndex page : stable) {
+            if (page >= image.totalPages() || base.lookup(page))
+                continue;
+            base.populatePrefetched(ctx, page);
+        }
+        ctx.stats().incr("remote.prefetch_pages",
+                         static_cast<std::int64_t>(pulled));
+    }
+    b.appStage("remote-prefetch");
+}
+
+void
+CatalyzerRuntime::recoverKernel(Boot &b, bool cold_cache)
+{
     //
     // Separated state recovery: stage-1 map + stage-2 parallel fix-up,
     // then establish non-I/O kernel state.
     //
+    auto &ctx = machine_.ctx();
+    const auto &costs = ctx.costs();
+    const objgraph::SeparatedImage &separated = b.image->separated();
     {
-        trace::ScopedSpan span(tctx, "separated-state-fixup");
+        trace::ScopedSpan span(b.tctx, "separated-state-fixup");
         span.attr("separated",
                   options_.separatedState ? "true" : "false");
-        span.attr("objects", static_cast<std::int64_t>(
-                                 image->separated().objectCount()));
-        span.attr("relocs", static_cast<std::int64_t>(
-                                image->separated().relocCount()));
-        const trace::TraceContext fctx = span.context();
-        objgraph::ObjectGraph graph = options_.separatedState
-            ? image->separated().reconstruct(fctx)
-            : [&] {
-                  // Ablation: one-by-one deserialization on the path.
-                  const auto n = static_cast<std::int64_t>(
-                      image->separated().objectCount());
-                  ctx.chargeCounted("restore.deserialized_objects",
-                                    costs.deserializeObject * n, n);
-                  return image->separated().reconstruct(fctx);
-              }();
+        span.attr("objects",
+                  static_cast<std::int64_t>(separated.objectCount()));
+        span.attr("relocs",
+                  static_cast<std::int64_t>(separated.relocCount()));
+        if (!options_.separatedState) {
+            // Ablation: one-by-one deserialization on the path.
+            const auto n =
+                static_cast<std::int64_t>(separated.objectCount());
+            ctx.chargeCounted("restore.deserialized_objects",
+                              costs.deserializeObject * n, n);
+        }
+        objgraph::ObjectGraph graph = separated.reconstruct(span.context());
         const auto nobjects =
             static_cast<std::int64_t>(graph.objectCount());
         if (options_.separatedState) {
-            const auto nrelocs = static_cast<std::int64_t>(
-                image->separated().relocCount());
+            const auto nrelocs =
+                static_cast<std::int64_t>(separated.relocCount());
             ctx.chargeParallel(costs.relationFixupPerPointer, nrelocs);
             ctx.stats().incr("catalyzer.pointer_fixups", nrelocs);
             // Stage-2 dirties the pointer-bearing arena pages: real COW
             // faults against the shared image mapping (Table 3's cost).
             const mem::PageIndex arena_va =
-                base_va + image->metadataSectionStart();
-            for (std::uint64_t rel :
-                 image->separated().pointerPageList())
-                inst->space().touch(arena_va + rel, /*write=*/true,
-                                    cold_cache);
+                b.baseVa + b.image->metadataSectionStart();
+            for (std::uint64_t rel : separated.pointerPageList())
+                b.inst().space().touch(arena_va + rel, /*write=*/true,
+                                       cold_cache);
             ctx.chargeParallel(costs.redoObject, nobjects);
             ctx.charge(costs.redoObjectSequentialPart * nobjects);
         } else {
@@ -395,44 +540,48 @@ CatalyzerRuntime::bootRestore(FunctionArtifacts &fn, bool warm,
                         costs.redoObjectSequentialPart) *
                        nobjects);
         }
-        inst->guest().setState(std::move(graph));
-        for (int i = 0; i < app.blockingThreads; ++i)
-            inst->guest().threads().addBlockingThread();
+        b.inst().guest().setState(std::move(graph));
+        for (int i = 0; i < b.app.blockingThreads; ++i)
+            b.inst().guest().threads().addBlockingThread();
     }
-    result.report.addAppStage("recover-kernel", watch.elapsed(),
-                              /*emit_span=*/false);
-    watch.restart();
+    b.appStage("recover-kernel");
+}
 
+void
+CatalyzerRuntime::reconnectIo(Boot &b, IoCache cache)
+{
     //
     // I/O: copy the checkpointed connection table; reconnect lazily
     // (guided by the I/O cache on warm boots) or eagerly (ablation).
     //
+    auto &ctx = machine_.ctx();
+    FunctionArtifacts &fn = b.fn;
+    vfs::IoConnectionTable &io = b.inst().guest().io();
     {
-        trace::ScopedSpan span(tctx, "io-reconnect");
+        trace::ScopedSpan span(b.tctx, "io-reconnect");
         span.attr("lazy",
                   options_.lazyIoReconnection ? "true" : "false");
         span.attr("connections",
-                  static_cast<std::int64_t>(image->ioTable().size()));
+                  static_cast<std::int64_t>(b.image->ioTable().size()));
         const trace::TraceContext ictx = span.context();
-        inst->guest().io().cloneFrom(image->ioTable());
-        inst->guest().io().dropAll();
+        io.cloneFrom(b.image->ioTable());
+        io.dropAll();
         if (!options_.lazyIoReconnection) {
             // Eager ablation: a connection whose retries all fail stays
             // down and re-establishes lazily at the first request.
-            for (auto &conn : inst->guest().io().all())
+            for (auto &conn : io.all())
                 snapshot::reconnectWithRetry(ctx, conn, &fn.fsServer(),
                                              &injector_, ictx);
         } else {
             // Deferring is not free: each fd is tagged not-reopened and
             // the async re-establishment is queued.
-            ctx.charge(costs.ioLazyMarkPerConn *
-                       static_cast<std::int64_t>(
-                           inst->guest().io().count()));
-            if (warm && !fn.ioCache.empty()) {
+            ctx.charge(ctx.costs().ioLazyMarkPerConn *
+                       static_cast<std::int64_t>(io.count()));
+            if (cache == IoCache::Use && !fn.ioCache.empty()) {
                 // The cache tells us which connections the function
                 // uses right after boot; re-establish exactly those on
                 // the path.
-                for (auto &conn : inst->guest().io().all()) {
+                for (auto &conn : io.all()) {
                     if (!conn.usedAtStartup)
                         continue;
                     if (!snapshot::reconnectWithRetry(
@@ -457,67 +606,59 @@ CatalyzerRuntime::bootRestore(FunctionArtifacts &fn, bool warm,
                 ctx.stats().incr("catalyzer.io_cache_hits");
             }
         }
-        if (!warm && options_.lazyIoReconnection && fn.ioCache.empty()) {
+        if (cache == IoCache::Record && options_.lazyIoReconnection &&
+            fn.ioCache.empty()) {
             // First cold boot records the deterministic startup set.
-            for (const auto &conn : inst->guest().io().all()) {
+            for (const auto &conn : io.all()) {
                 if (conn.usedAtStartup)
                     fn.ioCache.push_back(conn);
             }
         }
-        inst->guest().syncFdTable();
+        b.inst().guest().syncFdTable();
     }
-    result.report.addAppStage("reconnect-io", watch.elapsed(),
-                              /*emit_span=*/false);
-
-    inst->setMemoryLayout(binary_va, heap_va, heap_pages,
-                          /*heap_on_base=*/true);
-    // A warmed image (user-guided pre-initialization) carries the
-    // handler's preparation work; restored instances skip it.
-    inst->setPrepFraction(image->state().warmedPrepFraction);
-    inst->proc().setThreadCount(inst->guest().threads().totalThreads());
-    inst->setBootLatency(result.report.total());
-    fn.firstRestoreDone = true;
-    ctx.stats().incr(warm ? "catalyzer.warm_boots"
-                          : "catalyzer.cold_boots");
-    sim::debugLog("boot Catalyzer-%s/%s: %.3f ms",
-                  warm ? "warm" : "cold", app.name.c_str(),
-                  result.report.total().toMs());
-    result.instance = std::move(inst);
-    return result;
+    b.appStage("reconnect-io");
 }
 
-std::unique_ptr<SandboxInstance>
-CatalyzerRuntime::sforkFrom(SandboxInstance &tmpl, FunctionArtifacts &fn,
-                            BootReport &report, const char *tag,
-                            trace::TraceContext trace)
+void
+CatalyzerRuntime::finishRestore(Boot &b)
+{
+    SandboxInstance &inst = b.inst();
+    inst.setMemoryLayout(b.binaryVa, b.heapVa(),
+                         b.image->state().memoryPages,
+                         /*heap_on_base=*/true);
+    // A warmed image (user-guided pre-initialization) carries the
+    // handler's preparation work; restored instances skip it.
+    inst.setPrepFraction(b.image->state().warmedPrepFraction);
+    inst.proc().setThreadCount(inst.guest().threads().totalThreads());
+    inst.setBootLatency(b.result.report.total());
+}
+
+void
+CatalyzerRuntime::sfork(Boot &b, SandboxInstance &tmpl)
 {
     auto &ctx = machine_.ctx();
     const auto &costs = ctx.costs();
-    sim::Stopwatch watch(ctx.clock());
 
     // Injected sfork failures fail before the child exists; retries are
     // cheap, and exhaustion fails the fork tier (degrades to warm).
     injector_.checkWithRetry(ctx, faults::FaultSite::Sfork);
 
     hostos::SforkOptions opts;
-    opts.childName = fn.app().name + "-" + tag;
+    opts.childName = b.app.name + "-" + b.tag;
     opts.rerandomizeAslr = options_.aslrRerandomizeOnSfork;
-    std::unique_ptr<SandboxInstance> inst;
     {
-        trace::ScopedSpan span(trace, "sfork");
+        trace::ScopedSpan span(b.tctx, "sfork");
         span.attr("template", tmpl.name());
         span.attr("rerandomize_aslr",
                   opts.rerandomizeAslr ? "true" : "false");
         hostos::HostProcess &child =
             machine_.host().sfork(tmpl.proc(), opts);
-        inst = std::make_unique<SandboxInstance>(
-            machine_, fn, opts.childName, child, BootKind::ForkBoot);
+        b.result.instance = std::make_unique<SandboxInstance>(
+            machine_, b.fn, opts.childName, child, BootKind::ForkBoot);
     }
-    report.addSandboxStage("sfork", watch.elapsed(),
-                           /*emit_span=*/false);
-    watch.restart();
+    b.sandboxStage("sfork");
 
-    trace::ScopedSpan expand_span(trace, "expand");
+    trace::ScopedSpan expand_span(b.tctx, "expand");
 
     // Guest state: the object graph and fd tables live in COWed memory;
     // the child re-expands its threads from the saved contexts and fixes
@@ -539,17 +680,16 @@ CatalyzerRuntime::sforkFrom(SandboxInstance &tmpl, FunctionArtifacts &fn,
         guest::countSyscallsWithClass(guest::SyscallClass::Handled));
     ctx.charge(costs.syscallBase * handled);
 
-    inst->setGuest(std::move(guest));
+    SandboxInstance &inst = b.inst();
+    inst.setGuest(std::move(guest));
     if (tmpl.rootfs())
-        inst->setRootfs(tmpl.rootfs()->clone());
-    inst->setMemoryLayout(0, tmpl.heapVa(), tmpl.heapPages(),
-                          tmpl.heapOnBase());
-    inst->setPrepFraction(tmpl.prepFraction());
-    inst->proc().setThreadCount(inst->guest().threads().totalThreads());
-    report.addSandboxStage("expand", watch.elapsed(),
-                           /*emit_span=*/false);
+        inst.setRootfs(tmpl.rootfs()->clone());
+    inst.setMemoryLayout(0, tmpl.heapVa(), tmpl.heapPages(),
+                         tmpl.heapOnBase());
+    inst.setPrepFraction(tmpl.prepFraction());
+    inst.proc().setThreadCount(inst.guest().threads().totalThreads());
+    b.sandboxStage("expand");
     ctx.stats().incr("catalyzer.fork_boots");
-    return inst;
 }
 
 BootResult
@@ -567,19 +707,13 @@ CatalyzerRuntime::bootFork(FunctionArtifacts &fn,
         throw faults::FaultError(faults::FaultSite::TemplateDeath,
                                  fn.app().name + " template died");
     }
-    sim::StatRegistry::incrGlobal("bench.boots");
-    trace::ScopedSpan boot_span(trace, "boot/Catalyzer-sfork");
-    boot_span.attr("function", fn.app().name);
-    BootResult result;
-    result.report.bindTrace(boot_span.context());
-    result.instance = sforkFrom(
-        tmpl, fn, result.report,
-        ("fork" + std::to_string(boot_seq_++)).c_str(),
-        boot_span.context());
-    result.instance->setBootLatency(result.report.total());
+    Boot b(machine_.ctx(), fn, trace, "sfork");
+    b.number(boot_seq_, "fork");
+    sfork(b, tmpl);
+    b.inst().setBootLatency(b.result.report.total());
     machine_.ctx().stats().observe("boot.latency.Catalyzer-sfork",
-                                   result.report.total());
-    return result;
+                                   b.result.report.total());
+    return std::move(b.result);
 }
 
 BootResult
@@ -588,9 +722,6 @@ CatalyzerRuntime::bootRemoteFork(FunctionArtifacts &fn,
                                  trace::TraceContext trace)
 {
     auto &ctx = machine_.ctx();
-    const auto &costs = ctx.costs();
-    const apps::AppProfile &app = fn.app();
-    std::shared_ptr<snapshot::FuncImage> image = src.image;
 
     // The lender may be gone by the time the fork request arrives; like
     // template death, no retry makes sense — fail the tier now so the
@@ -599,21 +730,15 @@ CatalyzerRuntime::bootRemoteFork(FunctionArtifacts &fn,
                              ctx.stats())) {
         ctx.stats().incr("remote.peer_lost");
         throw faults::FaultError(faults::FaultSite::RemotePeerDeath,
-                                 app.name + " fork peer " +
+                                 fn.app().name + " fork peer " +
                                      std::to_string(src.peer) +
                                      " unreachable");
     }
 
-    sim::StatRegistry::incrGlobal("bench.boots");
-    trace::ScopedSpan boot_span(trace, "boot/Catalyzer-remote-sfork");
-    boot_span.attr("function", app.name);
-    boot_span.attr("peer", static_cast<std::int64_t>(src.peer));
-    const trace::TraceContext tctx = boot_span.context();
-
-    BootResult result;
-    result.report.bindTrace(tctx);
-    sim::Stopwatch watch(ctx.clock());
-    const std::string tag = "rfork" + std::to_string(boot_seq_++);
+    Boot b(ctx, fn, trace, "remote-sfork");
+    b.span.attr("peer", static_cast<std::int64_t>(src.peer));
+    b.number(boot_seq_, "rfork");
+    b.image = src.image;
 
     //
     // Lender-side half of the stitched trace: a "lend-template" span in
@@ -623,11 +748,11 @@ CatalyzerRuntime::bootRemoteFork(FunctionArtifacts &fn,
     //
     trace::TraceContext peer_ctx;
     if (src.peerTracer != nullptr && src.peerClock != nullptr &&
-        tctx.enabled())
-        peer_ctx = tctx.withTracer(*src.peerTracer, *src.peerClock);
+        b.tctx.enabled())
+        peer_ctx = b.tctx.withTracer(*src.peerTracer, *src.peerClock);
     trace::ScopedSpan lend_span(peer_ctx, "lend-template");
     if (lend_span.id() != 0) {
-        lend_span.attr("function", app.name);
+        lend_span.attr("function", fn.app().name);
         lend_span.attr("borrower", static_cast<std::int64_t>(src.self));
     }
 
@@ -637,204 +762,23 @@ CatalyzerRuntime::bootRemoteFork(FunctionArtifacts &fn,
     // the lender. The memory itself stays remote.
     //
     {
-        trace::ScopedSpan span(tctx, "remote-handshake");
+        trace::ScopedSpan span(b.tctx, "remote-handshake");
         span.attr("peer", static_cast<std::int64_t>(src.peer));
         src.fabric->transfer(ctx, src.peer, src.self, 4096,
                              "fork-descriptor", span.context());
     }
-    result.report.addSandboxStage("remote-handshake", watch.elapsed(),
-                                  /*emit_span=*/false);
-    watch.restart();
+    b.sandboxStage("remote-handshake");
 
-    //
-    // Sandbox acquisition: the borrowed state lands in a local sandbox —
-    // a specialized Zygote when available, else one built on the path.
-    //
-    std::unique_ptr<SandboxInstance> inst;
-    if (options_.useZygote) {
-        {
-            trace::ScopedSpan span(tctx, "sandbox-acquire");
-            span.attr("mechanism", "zygote");
-            Zygote z = zygotes_.acquire(span.context());
-            inst = std::make_unique<SandboxInstance>(
-                machine_, fn, app.name + "-" + tag, *z.proc,
-                BootKind::ForkBoot);
-            inst->setGuest(std::move(z.guest));
-        }
-        result.report.addSandboxStage("zygote-acquire", watch.elapsed(),
-                                      /*emit_span=*/false);
-    } else {
-        {
-            trace::ScopedSpan span(tctx, "sandbox-acquire");
-            span.attr("mechanism", "construct");
-            ctx.charge(costs.parseConfig);
-            inst = sandbox::makeBareInstance(fn, BootKind::ForkBoot,
-                                             tag.c_str());
-            sandbox::constructGVisorSandbox(*inst, ZygotePool::kvmConfig(),
-                                            span.context());
-        }
-        result.report.addSandboxStage("construct-sandbox",
-                                      watch.elapsed(),
-                                      /*emit_span=*/false);
-    }
-    watch.restart();
-
-    //
-    // Specialize, exactly as a local restore would.
-    //
-    ctx.charge(costs.zygoteAppendConfig);
-    const std::size_t binary_mib =
-        mem::bytesForPages(app.binaryPages) >> 20;
-    ctx.charge(costs.zygoteImportPerMiB *
-               static_cast<std::int64_t>(std::max<std::size_t>(
-                   binary_mib, 1)));
-    const mem::PageIndex binary_va = inst->space().mapFile(
-        fn.binary(), 0, app.binaryPages, mem::MapKind::FilePrivate,
-        false, "binary");
-    inst->guest().mountRootfs(1);
-    inst->setRootfs(std::make_unique<vfs::OverlayRootfs>(
-        ctx, fn.fsServer()));
-    result.report.addSandboxStage("specialize", watch.elapsed());
-    watch.restart();
-
-    //
-    // Remote overlay: a Base-EPT over a *local mirror* of the lender's
-    // image, starting empty. Creating it (first borrow, or a lender
-    // image rebuild) streams the metadata section — the arena and
-    // relation table the fixup below walks — in one batched transfer;
-    // everything else arrives later, pulled on demand.
-    //
-    if (fn.remoteBase && fn.remoteGeneration != image->generation()) {
-        fn.remoteBase.reset();
-        fn.remoteMirror.reset();
-        ctx.stats().incr("remote.mirror_invalidated");
-    }
-    mem::PageIndex base_va = 0;
-    {
-        trace::ScopedSpan span(tctx, "remote-overlay");
-        span.attr("image_pages",
-                  static_cast<std::int64_t>(image->totalPages()));
-        if (!fn.remoteBase) {
-            ctx.charge(costs.imageManifestParse);
-            fn.remoteMirror = std::make_unique<mem::BackingFile>(
-                machine_.frames(), app.name + "-remote-mirror",
-                image->totalPages());
-            fn.remoteBase = std::make_shared<mem::BaseMapping>(
-                machine_.frames(), *fn.remoteMirror, 0,
-                image->totalPages(), app.name + "-remote-base");
-            fn.remoteGeneration = image->generation();
-            const std::size_t meta_pages = image->metadataSectionPages();
-            src.fabric->transfer(ctx, src.peer, src.self,
-                                 mem::bytesForPages(meta_pages),
-                                 "image-metadata", span.context());
-            for (std::size_t i = 0; i < meta_pages; ++i)
-                fn.remoteBase->populatePrefetched(
-                    ctx, image->metadataSectionStart() + i);
-            span.attr("metadata_pages",
-                      static_cast<std::int64_t>(meta_pages));
-        }
-        base_va = inst->space().attachBase(fn.remoteBase);
-    }
-    const mem::PageIndex heap_va = base_va + image->memorySectionStart();
-    const std::size_t heap_pages = image->state().memoryPages;
-    result.report.addAppStage("map-remote-image", watch.elapsed(),
-                              /*emit_span=*/false);
-    watch.restart();
-
-    //
-    // Working-set pull: the lender's manifest tells us which pages the
-    // first request will need; stream the stable set in one batched
-    // transfer instead of faulting it page by page over the fabric.
-    //
-    if (src.manifest && src.manifest->usable() &&
-        src.manifest->matches(image->generation())) {
-        trace::ScopedSpan span(tctx, "remote-prefetch");
-        std::vector<mem::PageIndex> stable = src.manifest->stableSet();
-        std::size_t pulled = 0;
-        for (mem::PageIndex page : stable) {
-            if (page >= image->totalPages() ||
-                fn.remoteBase->lookup(page))
-                continue;
-            ++pulled;
-        }
-        span.attr("stable_pages",
-                  static_cast<std::int64_t>(stable.size()));
-        span.attr("pulled_pages", static_cast<std::int64_t>(pulled));
-        if (pulled > 0) {
-            src.fabric->transfer(ctx, src.peer, src.self,
-                                 mem::bytesForPages(pulled),
-                                 "working-set", span.context());
-            for (mem::PageIndex page : stable) {
-                if (page >= image->totalPages() ||
-                    fn.remoteBase->lookup(page))
-                    continue;
-                fn.remoteBase->populatePrefetched(ctx, page);
-            }
-            ctx.stats().incr("remote.prefetch_pages",
-                             static_cast<std::int64_t>(pulled));
-        }
-        result.report.addAppStage("remote-prefetch", watch.elapsed(),
-                                  /*emit_span=*/false);
-        watch.restart();
-    }
-
-    //
-    // Separated state recovery against the mirrored metadata (already
-    // local, so the fixup runs at memory speed like a local restore).
-    //
-    {
-        trace::ScopedSpan span(tctx, "separated-state-fixup");
-        span.attr("separated",
-                  options_.separatedState ? "true" : "false");
-        span.attr("objects", static_cast<std::int64_t>(
-                                 image->separated().objectCount()));
-        const trace::TraceContext fctx = span.context();
-        objgraph::ObjectGraph graph = image->separated().reconstruct(fctx);
-        const auto nobjects =
-            static_cast<std::int64_t>(graph.objectCount());
-        const auto nrelocs = static_cast<std::int64_t>(
-            image->separated().relocCount());
-        ctx.chargeParallel(costs.relationFixupPerPointer, nrelocs);
-        ctx.stats().incr("catalyzer.pointer_fixups", nrelocs);
-        const mem::PageIndex arena_va =
-            base_va + image->metadataSectionStart();
-        for (std::uint64_t rel : image->separated().pointerPageList())
-            inst->space().touch(arena_va + rel, /*write=*/true);
-        ctx.chargeParallel(costs.redoObject, nobjects);
-        ctx.charge(costs.redoObjectSequentialPart * nobjects);
-        inst->guest().setState(std::move(graph));
-        for (int i = 0; i < app.blockingThreads; ++i)
-            inst->guest().threads().addBlockingThread();
-    }
-    result.report.addAppStage("recover-kernel", watch.elapsed(),
-                              /*emit_span=*/false);
-    watch.restart();
-
-    //
-    // I/O: connections never survive a machine boundary — everything
-    // reconnects on this machine (lazily unless ablated).
-    //
-    {
-        trace::ScopedSpan span(tctx, "io-reconnect");
-        span.attr("lazy",
-                  options_.lazyIoReconnection ? "true" : "false");
-        span.attr("connections",
-                  static_cast<std::int64_t>(image->ioTable().size()));
-        inst->guest().io().cloneFrom(image->ioTable());
-        inst->guest().io().dropAll();
-        if (!options_.lazyIoReconnection) {
-            for (auto &conn : inst->guest().io().all())
-                snapshot::reconnectWithRetry(ctx, conn, &fn.fsServer(),
-                                             &injector_, span.context());
-        } else {
-            ctx.charge(costs.ioLazyMarkPerConn *
-                       static_cast<std::int64_t>(
-                           inst->guest().io().count()));
-        }
-        inst->guest().syncFdTable();
-    }
-    result.report.addAppStage("reconnect-io", watch.elapsed(),
-                              /*emit_span=*/false);
+    // The borrowed state lands in a local sandbox, specialized exactly as
+    // a local restore would. The mirrored metadata is already local, so
+    // the fix-up runs at memory speed. Connections never survive a
+    // machine boundary, and the lender owns the I/O cache.
+    acquireSandbox(b, BootKind::ForkBoot, options_.useZygote);
+    specialize(b);
+    mapRemoteOverlay(b, src);
+    prefetchRemote(b, src);
+    recoverKernel(b, /*cold_cache=*/false);
+    reconnectIo(b, IoCache::None);
 
     //
     // Everything the boot did not pull stays remote: install the pager
@@ -844,25 +788,20 @@ CatalyzerRuntime::bootRemoteFork(FunctionArtifacts &fn,
     // instances — the lender owns the manifest.
     //
     lend_span.finish();
-    inst->setLifetimePager(std::make_unique<net::RemotePager>(
-        ctx, *src.fabric, src.self, src.peer, base_va,
-        image->totalPages(), &injector_, options_.remotePullBatchPages,
-        tctx, peer_ctx));
+    b.inst().setLifetimePager(std::make_unique<net::RemotePager>(
+        ctx, *src.fabric, src.self, src.peer, b.baseVa,
+        b.image->totalPages(), &injector_, options_.remotePullBatchPages,
+        b.tctx, peer_ctx));
+    finishRestore(b);
 
-    inst->setMemoryLayout(binary_va, heap_va, heap_pages,
-                          /*heap_on_base=*/true);
-    inst->setPrepFraction(image->state().warmedPrepFraction);
-    inst->proc().setThreadCount(inst->guest().threads().totalThreads());
-    inst->setBootLatency(result.report.total());
     ctx.stats().incr("catalyzer.remote_fork_boots");
     ctx.stats().incr("remote.fork_hits");
     ctx.stats().observe("boot.latency.Catalyzer-remote-sfork",
-                        result.report.total());
+                        b.result.report.total());
     sim::debugLog("boot Catalyzer-remote-sfork/%s from node %u: %.3f ms",
-                  app.name.c_str(), src.peer,
-                  result.report.total().toMs());
-    result.instance = std::move(inst);
-    return result;
+                  fn.app().name.c_str(), src.peer,
+                  b.result.report.total().toMs());
+    return std::move(b.result);
 }
 
 BootResult
@@ -874,18 +813,11 @@ CatalyzerRuntime::bootFromLanguageTemplate(FunctionArtifacts &fn,
     const apps::AppProfile &app = fn.app();
     SandboxInstance &tmpl = ensureLanguageTemplate(app.language);
 
-    sim::StatRegistry::incrGlobal("bench.boots");
-    trace::ScopedSpan boot_span(trace, "boot/Catalyzer-lang-template");
-    boot_span.attr("function", app.name);
-    boot_span.attr("language", apps::languageName(app.language));
-    BootResult result;
-    result.report.bindTrace(boot_span.context());
-    result.instance = sforkFrom(
-        tmpl, fn, result.report,
-        ("lang" + std::to_string(boot_seq_++)).c_str(),
-        boot_span.context());
-    SandboxInstance &inst = *result.instance;
-    sim::Stopwatch watch(ctx.clock());
+    Boot b(ctx, fn, trace, "lang-template");
+    b.span.attr("language", apps::languageName(app.language));
+    b.number(boot_seq_, "lang");
+    sfork(b, tmpl);
+    SandboxInstance &inst = b.inst();
 
     //
     // Load the function on demand: its own classes/modules beyond the
@@ -937,39 +869,45 @@ CatalyzerRuntime::bootFromLanguageTemplate(FunctionArtifacts &fn,
     }
     inst.guest().setState(objgraph::ObjectGraph::synthesize(
         ctx.rng(), app.graphSpec()));
-    result.report.addAppStage("load-function", watch.elapsed());
+    b.appStage("load-function", /*emit_span=*/true);
 
-    inst.setBootLatency(result.report.total());
+    inst.setBootLatency(b.result.report.total());
     ctx.stats().observe("boot.latency.Catalyzer-lang-template",
-                        result.report.total());
+                        b.result.report.total());
     ctx.stats().incr("catalyzer.lang_template_boots");
-    return result;
+    return std::move(b.result);
+}
+
+std::unique_ptr<SandboxInstance>
+CatalyzerRuntime::buildTemplate(FunctionArtifacts &fn, const char *counter)
+{
+    // Offline template initialization: restore an instance to the
+    // func-entry point. The template is a *running* sandbox, so its I/O
+    // connections come up (offline) before it collapses into the
+    // transient single-thread state for sforking. Offline bring-up
+    // tolerates reconnect faults: a connection whose retries fail stays
+    // down and children reconnect it lazily.
+    std::unique_ptr<SandboxInstance> tmpl =
+        bootRestore(fn, /*warm=*/false).instance;
+    for (auto &conn : tmpl->guest().io().all())
+        snapshot::reconnectWithRetry(machine_.ctx(), conn, &fn.fsServer(),
+                                     &injector_);
+    tmpl->guest().threads().enterTransientSingleThread();
+    tmpl->proc().setThreadCount(1);
+    machine_.ctx().stats().incr(counter);
+    return tmpl;
 }
 
 SandboxInstance &
 CatalyzerRuntime::ensureTemplate(FunctionArtifacts &fn)
 {
     auto it = templates_.find(fn.app().name);
-    if (it != templates_.end())
-        return *it->second;
-
-    // Offline template initialization: restore an instance to the
-    // func-entry point. The template is a *running* sandbox, so its I/O
-    // connections come up (offline) before it collapses into the
-    // transient single-thread state for sforking.
-    BootResult boot = bootRestore(fn, /*warm=*/false);
-    std::unique_ptr<SandboxInstance> tmpl = std::move(boot.instance);
-    // Offline bring-up tolerates reconnect faults: a connection whose
-    // retries fail stays down and children reconnect it lazily.
-    for (auto &conn : tmpl->guest().io().all())
-        snapshot::reconnectWithRetry(machine_.ctx(), conn,
-                                     &fn.fsServer(), &injector_);
-    tmpl->guest().threads().enterTransientSingleThread();
-    tmpl->proc().setThreadCount(1);
-    machine_.ctx().stats().incr("catalyzer.templates_built");
-    auto &ref = *tmpl;
-    templates_.emplace(fn.app().name, std::move(tmpl));
-    return ref;
+    if (it == templates_.end())
+        it = templates_
+                 .emplace(fn.app().name,
+                          buildTemplate(fn, "catalyzer.templates_built"))
+                 .first;
+    return *it->second;
 }
 
 SandboxInstance &
@@ -987,21 +925,14 @@ CatalyzerRuntime::ensureLanguageTemplate(apps::Language lang)
         {apps::Language::Ruby, "ruby-hello"},
         {apps::Language::NodeJs, "nodejs-hello"},
     };
-    const apps::AppProfile &base = apps::appByName(kBaseApp.at(lang));
-    FunctionArtifacts &base_fn = lang_registry_.artifactsFor(base);
-
-    BootResult boot = bootRestore(base_fn, /*warm=*/false);
-    std::unique_ptr<SandboxInstance> tmpl = std::move(boot.instance);
-    for (auto &conn : tmpl->guest().io().all())
-        snapshot::reconnectWithRetry(machine_.ctx(), conn,
-                                     &base_fn.fsServer(), &injector_);
-    tmpl->guest().threads().enterTransientSingleThread();
-    tmpl->proc().setThreadCount(1);
-    machine_.ctx().stats().incr("catalyzer.lang_templates_built");
-    auto &ref = *tmpl;
-    lang_templates_.emplace(lang, std::move(tmpl));
-    return ref;
+    FunctionArtifacts &base_fn =
+        lang_registry_.artifactsFor(apps::appByName(kBaseApp.at(lang)));
+    return *lang_templates_
+                .emplace(lang, buildTemplate(base_fn,
+                                             "catalyzer.lang_templates_built"))
+                .first->second;
 }
+
 
 void
 CatalyzerRuntime::prepareTemplate(FunctionArtifacts &fn)

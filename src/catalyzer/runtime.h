@@ -205,9 +205,31 @@ class CatalyzerRuntime
     std::size_t templateMemoryBytes() const;
 
   private:
+    /** One boot in flight, threaded through the stages below. */
+    struct Boot;
+    /** What a restore does with the function's I/O cache: use it (warm
+     *  local), record it (cold local), or leave it to the lender. */
+    enum class IoCache { Use, Record, None };
+
     sandbox::BootResult bootRestore(sandbox::FunctionArtifacts &fn,
                                     bool warm,
                                     trace::TraceContext trace = {});
+
+    /**
+     * Boot stages (DESIGN.md §7). Each opens its span, does its work and
+     * books its BootReport stage; a boot tier is a list of them.
+     */
+    void acquireSandbox(Boot &b, sandbox::BootKind kind, bool zygote);
+    void specialize(Boot &b);
+    void mapImage(Boot &b, bool warm, bool cold_cache);
+    void prefetchWorkingSet(Boot &b);
+    void mapRemoteOverlay(Boot &b, const RemoteForkSource &src);
+    void prefetchRemote(Boot &b, const RemoteForkSource &src);
+    void recoverKernel(Boot &b, bool cold_cache);
+    void reconnectIo(Boot &b, IoCache cache);
+    void finishRestore(Boot &b);
+    void sfork(Boot &b, sandbox::SandboxInstance &tmpl);
+
     /**
      * Resolve the function's working-set manifest for this boot: fetch
      * it from the image store if the function has none yet, drop it if
@@ -229,10 +251,13 @@ class CatalyzerRuntime
     std::shared_ptr<snapshot::FuncImage>
     fetchRemoteImage(sandbox::FunctionArtifacts &fn,
                      trace::TraceContext trace = {});
+    /**
+     * Offline template bring-up: restore @p fn, reconnect its I/O and
+     * collapse it into the transient single-thread state for sforking;
+     * bumps @p counter.
+     */
     std::unique_ptr<sandbox::SandboxInstance>
-    sforkFrom(sandbox::SandboxInstance &tmpl,
-              sandbox::FunctionArtifacts &fn, sandbox::BootReport &report,
-              const char *tag, trace::TraceContext trace = {});
+    buildTemplate(sandbox::FunctionArtifacts &fn, const char *counter);
     sandbox::SandboxInstance &ensureTemplate(sandbox::FunctionArtifacts &fn);
     sandbox::SandboxInstance &
     ensureLanguageTemplate(apps::Language lang);

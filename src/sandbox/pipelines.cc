@@ -38,6 +38,25 @@ makeBareInstance(FunctionArtifacts &fn, BootKind kind, const char *tag)
     return inst;
 }
 
+namespace {
+
+/** Bring up the Sentry: the guest kernel, its mounts, the Go runtime and
+ *  its own working memory. */
+void
+initSentry(SandboxInstance &inst)
+{
+    const auto &costs = inst.machine().ctx().costs();
+    inst.guest().initializeFresh();
+    inst.guest().mountRootfs(costs.guestMounts);
+    inst.guest().startGoRuntime();
+    const auto self_pages = static_cast<std::size_t>(costs.sentrySelfPages);
+    const mem::PageIndex va =
+        inst.space().mapAnon(self_pages, true, "sentry-self");
+    inst.space().touchRange(va, self_pages, /*write=*/true);
+}
+
+} // namespace
+
 void
 constructGVisorSandbox(SandboxInstance &inst,
                        const hostos::KvmConfig &kvm_config,
@@ -58,15 +77,7 @@ constructGVisorSandbox(SandboxInstance &inst,
     }
 
     trace::ScopedSpan sentry_span(trace, "sentry-init");
-    inst.guest().initializeFresh();
-    inst.guest().mountRootfs(costs.guestMounts);
-    inst.guest().startGoRuntime();
-
-    // The Sentry's own working memory.
-    const auto self_pages = static_cast<std::size_t>(costs.sentrySelfPages);
-    const mem::PageIndex va =
-        inst.space().mapAnon(self_pages, true, "sentry-self");
-    inst.space().touchRange(va, self_pages, /*write=*/true);
+    initSentry(inst);
 }
 
 void
@@ -162,6 +173,47 @@ runApplicationInit(SandboxInstance &inst, BootReport &report,
 
 namespace {
 
+/**
+ * The runsc sandbox bring-up shared by the gVisor boots: parse the
+ * config, start the sandbox process, create the kernel (on KVM, or on
+ * ptrace with no KVM setup at all) and finish runc's bookkeeping.
+ */
+std::unique_ptr<SandboxInstance>
+bootRunsc(SandboxSystem system, FunctionArtifacts &fn, BootReport &report)
+{
+    auto &ctx = fn.machine().ctx();
+    const auto &costs = ctx.costs();
+    sim::Stopwatch watch(ctx.clock());
+
+    ctx.charge(costs.parseConfig);
+    report.addSandboxStage("parse-config", watch.elapsed());
+    watch.restart();
+    const bool ptrace = system == SandboxSystem::GVisorPtrace;
+    const bool restore = system == SandboxSystem::GVisorRestore;
+    auto inst = makeBareInstance(
+        fn, restore ? BootKind::ColdRestore : BootKind::ColdFresh,
+        restore ? "gvr" : ptrace ? "gvpt" : "gvisor");
+    report.addSandboxStage("boot-sandbox-process", watch.elapsed());
+    watch.restart();
+    if (ptrace) {
+        initSentry(*inst);
+        report.addSandboxStage("create-kernel", watch.elapsed());
+    } else {
+        {
+            trace::ScopedSpan create_span(report.trace(),
+                                          "create-kernel-platform");
+            constructGVisorSandbox(*inst, hostos::KvmConfig{},
+                                   create_span.context());
+        }
+        report.addSandboxStage("create-kernel-platform", watch.elapsed(),
+                               /*emit_span=*/false);
+    }
+    watch.restart();
+    ctx.charge(costs.gvisorRuncMisc);
+    report.addSandboxStage("runc-misc", watch.elapsed());
+    return inst;
+}
+
 /** Boot pipelines for the fresh-boot systems. */
 BootResult
 bootFresh(SandboxSystem system, FunctionArtifacts &fn,
@@ -226,55 +278,16 @@ bootFresh(SandboxSystem system, FunctionArtifacts &fn,
         app_factor = costs.firecrackerAppInitFactor;
         break;
       }
-      case SandboxSystem::GVisor: {
-        ctx.charge(costs.parseConfig);
-        result.report.addSandboxStage("parse-config", watch.elapsed());
-        watch.restart();
-        auto inst = makeBareInstance(fn, BootKind::ColdFresh, "gvisor");
-        result.report.addSandboxStage("boot-sandbox-process",
-                                      watch.elapsed());
-        watch.restart();
-        {
-            trace::ScopedSpan create_span(tctx, "create-kernel-platform");
-            constructGVisorSandbox(*inst, hostos::KvmConfig{},
-                                   create_span.context());
-        }
-        result.report.addSandboxStage("create-kernel-platform",
-                                      watch.elapsed(),
-                                      /*emit_span=*/false);
-        watch.restart();
-        ctx.charge(costs.gvisorRuncMisc);
-        result.report.addSandboxStage("runc-misc", watch.elapsed());
-        result.instance = std::move(inst);
+      case SandboxSystem::GVisor:
+        result.instance = bootRunsc(system, fn, result.report);
         app_factor = costs.gvisorAppInitFactor;
         break;
-      }
-      case SandboxSystem::GVisorPtrace: {
+      case SandboxSystem::GVisorPtrace:
         // The ptrace platform skips all KVM setup but pays heavier
         // syscall interception during application init.
-        ctx.charge(costs.parseConfig);
-        result.report.addSandboxStage("parse-config", watch.elapsed());
-        watch.restart();
-        auto inst = makeBareInstance(fn, BootKind::ColdFresh, "gvpt");
-        result.report.addSandboxStage("boot-sandbox-process",
-                                      watch.elapsed());
-        watch.restart();
-        inst->guest().initializeFresh();
-        inst->guest().mountRootfs(costs.guestMounts);
-        inst->guest().startGoRuntime();
-        const auto self_pages =
-            static_cast<std::size_t>(costs.sentrySelfPages);
-        const mem::PageIndex va =
-            inst->space().mapAnon(self_pages, true, "sentry-self");
-        inst->space().touchRange(va, self_pages, /*write=*/true);
-        result.report.addSandboxStage("create-kernel", watch.elapsed());
-        watch.restart();
-        ctx.charge(costs.gvisorRuncMisc);
-        result.report.addSandboxStage("runc-misc", watch.elapsed());
-        result.instance = std::move(inst);
+        result.instance = bootRunsc(system, fn, result.report);
         app_factor = costs.gvisorPtraceAppInitFactor;
         break;
-      }
       case SandboxSystem::GVisorRestore:
         sim::panic("bootFresh called for GVisorRestore");
     }
@@ -294,9 +307,7 @@ bootFresh(SandboxSystem system, FunctionArtifacts &fn,
 BootResult
 bootGVisorRestoreImpl(FunctionArtifacts &fn, trace::TraceContext trace)
 {
-    Machine &m = fn.machine();
-    auto &ctx = m.ctx();
-    const auto &costs = ctx.costs();
+    auto &ctx = fn.machine().ctx();
 
     // Offline: make sure the compressed checkpoint exists.
     auto image = ensureProtoImage(fn);
@@ -306,24 +317,8 @@ bootGVisorRestoreImpl(FunctionArtifacts &fn, trace::TraceContext trace)
     boot_span.attr("function", fn.app().name);
     const trace::TraceContext tctx = boot_span.context();
     result.report.bindTrace(tctx);
-    sim::Stopwatch watch(ctx.clock());
-
-    ctx.charge(costs.parseConfig);
-    result.report.addSandboxStage("parse-config", watch.elapsed());
-    watch.restart();
-    auto inst = makeBareInstance(fn, BootKind::ColdRestore, "gvr");
-    result.report.addSandboxStage("boot-sandbox-process", watch.elapsed());
-    watch.restart();
-    {
-        trace::ScopedSpan create_span(tctx, "create-kernel-platform");
-        constructGVisorSandbox(*inst, hostos::KvmConfig{},
-                               create_span.context());
-    }
-    result.report.addSandboxStage("create-kernel-platform",
-                                  watch.elapsed(), /*emit_span=*/false);
-    watch.restart();
-    ctx.charge(costs.gvisorRuncMisc);
-    result.report.addSandboxStage("runc-misc", watch.elapsed());
+    std::unique_ptr<SandboxInstance> inst =
+        bootRunsc(SandboxSystem::GVisorRestore, fn, result.report);
 
     // The restore engine emits its own (richer) spans for these stages.
     snapshot::EagerRestoreEngine engine(ctx);

@@ -65,10 +65,32 @@ TEST(TemplateRegistryTest, ReplicaDirectory)
     EXPECT_EQ(registry.nearestReplica("img", 0), 7u);
 }
 
-TEST(RemoteForkTest, BorrowerForksFromPeerTemplate)
+/** A Catalyzer option set the remote-sfork boot is exercised under. */
+struct RemoteForkOptions
+{
+    const char *name;
+    bool useZygote = true;
+    bool lazyIoReconnection = true;
+
+    core::CatalyzerOptions
+    options() const
+    {
+        core::CatalyzerOptions options;
+        options.useZygote = useZygote;
+        options.lazyIoReconnection = lazyIoReconnection;
+        return options;
+    }
+};
+
+/**
+ * A borrower with no local template, base or image boots by remote
+ * sfork from the peer that prepared one, under @p options.
+ */
+void
+expectBorrowerForksFromPeerTemplate(const core::CatalyzerOptions &options)
 {
     Cluster cluster(2, PlacementPolicy::RoundRobin,
-                    PlatformConfig{BootStrategy::CatalyzerAuto}, {},
+                    PlatformConfig{BootStrategy::CatalyzerAuto}, options,
                     sim::CostModel{}, 42, remoteForkFabric());
     const apps::AppProfile &app = apps::appByName("python-django");
     cluster.deploy(app);
@@ -93,6 +115,75 @@ TEST(RemoteForkTest, BorrowerForksFromPeerTemplate)
     // The lender machine was never charged.
     EXPECT_EQ(cluster.machine(0).ctx().stats().value("net.transfers"),
               0);
+
+    // Without Zygotes the borrowed state lands in a sandbox constructed
+    // on the path. Eager reconnection re-establishes the connections at
+    // boot, so the first request finds none left to reconnect.
+    if (!options.useZygote) {
+        EXPECT_EQ(stats.value("catalyzer.zygote_hits") +
+                      stats.value("catalyzer.zygote_misses"),
+                  0);
+    }
+    if (!options.lazyIoReconnection) {
+        EXPECT_GT(stats.value("snapshot.io_reconnects"), 0);
+        EXPECT_EQ(stats.value("exec.startup_reconnects") +
+                      stats.value("exec.lazy_reconnects"),
+                  0);
+    }
+}
+
+TEST(RemoteForkTest, BorrowerForksFromPeerTemplate)
+{
+    expectBorrowerForksFromPeerTemplate(core::CatalyzerOptions{});
+}
+
+/** Names the option set in test output and in the discovered test name. */
+void
+PrintTo(const RemoteForkOptions &options, std::ostream *os)
+{
+    *os << options.name;
+}
+
+class RemoteForkOptionsTest
+    : public ::testing::TestWithParam<RemoteForkOptions>
+{};
+
+TEST_P(RemoteForkOptionsTest, BorrowerForksFromPeerTemplate)
+{
+    expectBorrowerForksFromPeerTemplate(GetParam().options());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    OptionSets, RemoteForkOptionsTest,
+    ::testing::Values(RemoteForkOptions{"NoZygote", /*useZygote=*/false},
+                      RemoteForkOptions{"EagerIo", true,
+                                        /*lazyIoReconnection=*/false}));
+
+TEST(RemoteForkTest, SeparatedStateAblationApplies)
+{
+    // The borrower's fix-up honours the separated-state ablation like a
+    // local restore: one-by-one deserialization on the boot path.
+    const apps::AppProfile &app = apps::appByName("python-django");
+    auto borrow = [&](const core::CatalyzerOptions &options) {
+        Cluster cluster(2, PlacementPolicy::RoundRobin,
+                        PlatformConfig{BootStrategy::CatalyzerAuto},
+                        options, sim::CostModel{}, 42, remoteForkFabric());
+        cluster.deploy(app);
+        cluster.platform(0).prepare(app);
+        auto record = cluster.platform(1).invoke(app.name);
+        EXPECT_EQ(record.tierServed, "remote-sfork");
+        return std::make_pair(
+            record.endToEnd(),
+            cluster.machine(1).ctx().stats().value(
+                "restore.deserialized_objects"));
+    };
+    core::CatalyzerOptions ablated;
+    ablated.separatedState = false;
+    const auto [full_latency, full_objects] = borrow({});
+    const auto [ablated_latency, ablated_objects] = borrow(ablated);
+    EXPECT_EQ(full_objects, 0);
+    EXPECT_GT(ablated_objects, 0);
+    EXPECT_GT(ablated_latency, full_latency);
 }
 
 TEST(RemoteForkTest, DemandPullsCrossTheFabric)

@@ -1,0 +1,108 @@
+#!/usr/bin/env bash
+#
+# Byte-compare the simulator's result surfaces between a git revision and
+# the working tree.
+#
+#   tools/compare_artifacts.sh <rev>
+#
+# Builds <rev> (in a temporary git worktree) and the working tree, both
+# Release, then runs every surface below on each build, each run in its
+# own fresh directory, and cmp's every file the runs leave behind:
+#
+#   scorecard                 stdout, host "wall-clock:" footer stripped
+#   trace_report              stdout + trace/metrics JSON
+#   trace_report --fleet      stdout + fleet trace/metrics/timeseries JSON
+#   trace_report --chain      stdout + chain trace/metrics/timeseries JSON
+#   fig_remote_fork           stdout
+#   fig_fault_matrix          stdout
+#   fig_fleet_slo             stdout + JSON, at CI's reduced fleet size
+#
+# Prints every differing file and exits 1 if any differs, 0 otherwise.
+# JOBS sets the build parallelism (default: nproc). TMPDIR picks where the
+# worktree, builds and runs go; they are removed on exit.
+
+set -euo pipefail
+
+if [[ $# -ne 1 ]]; then
+    echo "usage: $0 <rev>" >&2
+    exit 2
+fi
+rev=$1
+repo=$(git -C "$(dirname "$0")/.." rev-parse --show-toplevel)
+git -C "$repo" rev-parse --verify --quiet "$rev^{commit}" >/dev/null || {
+    echo "compare_artifacts: unknown revision '$rev'" >&2
+    exit 2
+}
+jobs=${JOBS:-$(nproc)}
+work=$(mktemp -d)
+cleanup() {
+    git -C "$repo" worktree remove --force "$work/src-old" 2>/dev/null || true
+    git -C "$repo" worktree prune
+    rm -rf "$work"
+}
+trap cleanup EXIT
+
+targets=(scorecard trace_report fig_remote_fork fig_fault_matrix
+         fig_fleet_slo)
+
+build() { # <source dir> <build dir>
+    cmake -S "$1" -B "$2" -DCMAKE_BUILD_TYPE=Release \
+        -DCATALYZER_BUILD_TESTS=OFF -DCATALYZER_BUILD_EXAMPLES=OFF \
+        >"$2.log" 2>&1
+    cmake --build "$2" -j"$jobs" --target "${targets[@]}" >>"$2.log" 2>&1 ||
+        { tail -n 30 "$2.log" >&2; exit 1; }
+}
+
+# run <out dir> <surface> <command...>: run one surface in a fresh
+# directory with stdout captured to stdout.txt, kept as <out dir>/<surface>.
+run() {
+    local out=$1 name=$2 dir
+    shift 2
+    dir=$(mktemp -d "$work/run.XXXXXX")
+    (cd "$dir" && "$@" >stdout.txt)
+    mv "$dir" "$out/$name"
+}
+
+surfaces() { # <bench dir> <out dir>
+    local b=$1 out=$2
+    mkdir -p "$out"
+    run "$out" scorecard "$b/scorecard"
+    sed -i '/^wall-clock:/d' "$out/scorecard/stdout.txt"
+    run "$out" trace_report "$b/trace_report"
+    run "$out" trace_report-fleet "$b/trace_report" --fleet
+    run "$out" trace_report-chain "$b/trace_report" --chain
+    run "$out" fig_remote_fork "$b/fig_remote_fork"
+    run "$out" fig_fault_matrix "$b/fig_fault_matrix"
+    run "$out" fig_fleet_slo env FLEET_FUNCTIONS=200 FLEET_TENANTS=16 \
+        FLEET_RPS=400 FLEET_DURATION_SEC=6 FLEET_MACHINES=4 \
+        "$b/fig_fleet_slo"
+}
+
+echo "compare_artifacts: building $rev and the working tree (Release)"
+git -C "$repo" worktree add --detach --quiet "$work/src-old" "$rev"
+build "$work/src-old" "$work/build-old"
+build "$repo" "$work/build-new"
+
+echo "compare_artifacts: running surfaces"
+surfaces "$work/build-old/bench" "$work/old"
+surfaces "$work/build-new/bench" "$work/new"
+
+status=0
+while IFS= read -r file; do
+    if [[ ! -f "$work/old/$file" ]]; then
+        echo "only in working tree: $file"
+        status=1
+    elif [[ ! -f "$work/new/$file" ]]; then
+        echo "only in $rev: $file"
+        status=1
+    elif ! cmp -s "$work/old/$file" "$work/new/$file"; then
+        echo "differs: $file"
+        status=1
+    fi
+done < <( (cd "$work/old" && find . -type f; cd "$work/new" && find . -type f) |
+          sed 's|^\./||' | sort -u)
+
+if [[ $status -eq 0 ]]; then
+    echo "compare_artifacts: all files byte-identical to $rev"
+fi
+exit $status
