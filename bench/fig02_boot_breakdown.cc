@@ -21,16 +21,16 @@ using namespace catalyzer;
 namespace {
 
 void
-printPath(const char *title, const sandbox::BootReport &report,
+printPath(const char *title, const trace::BootReport &report,
           const std::map<std::string, double> &paper)
 {
     sim::TextTable table(title);
     table.setHeader({"stage", "measured (ms)", "paper (ms)"});
     // The gateway RPC precedes every boot (Fig. 2 includes it).
     table.addRow({"send-rpc", "1.369", "1.369"});
-    for (const auto &[stage, t] : report.stages()) {
-        auto it = paper.find(stage);
-        table.addRow({stage, sim::fmtMs(t.toMs()),
+    for (const trace::BootStage &stage : report.stages()) {
+        auto it = paper.find(stage.name);
+        table.addRow({stage.name, sim::fmtMs(stage.time.toMs()),
                       it == paper.end() ? "-" : sim::fmtMs(it->second)});
     }
     table.addSeparator();

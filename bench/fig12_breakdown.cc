@@ -45,13 +45,13 @@ coldBoot(const char *app_name, bool overlay, bool separated, bool lazy)
     auto &fn = registry.artifactsFor(apps::appByName(app_name));
     const auto boot = runtime.bootCold(fn);
     Phases phases;
-    for (const auto &[name, t] : boot.report.stages()) {
-        if (name == "map-image" || name == "share-mapping")
-            phases.memory += t.toMs();
-        else if (name == "recover-kernel")
-            phases.kernel += t.toMs();
-        else if (name == "reconnect-io")
-            phases.io += t.toMs();
+    for (const trace::BootStage &stage : boot.report.stages()) {
+        if (stage.name == "map-image" || stage.name == "share-mapping")
+            phases.memory += stage.time.toMs();
+        else if (stage.name == "recover-kernel")
+            phases.kernel += stage.time.toMs();
+        else if (stage.name == "reconnect-io")
+            phases.io += stage.time.toMs();
     }
     phases.total = boot.report.total().toMs();
     return phases;
@@ -67,13 +67,13 @@ baseline(const char *app_name)
     const auto boot =
         sandbox::bootSandbox(sandbox::SandboxSystem::GVisorRestore, fn);
     Phases phases;
-    for (const auto &[name, t] : boot.report.stages()) {
-        if (name == "restore-app-memory")
-            phases.memory += t.toMs();
-        else if (name == "restore-kernel")
-            phases.kernel += t.toMs();
-        else if (name == "restore-reconnect-io")
-            phases.io += t.toMs();
+    for (const trace::BootStage &stage : boot.report.stages()) {
+        if (stage.name == "restore-app-memory")
+            phases.memory += stage.time.toMs();
+        else if (stage.name == "restore-kernel")
+            phases.kernel += stage.time.toMs();
+        else if (stage.name == "restore-reconnect-io")
+            phases.io += stage.time.toMs();
     }
     phases.total = boot.report.total().toMs();
     return phases;

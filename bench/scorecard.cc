@@ -93,13 +93,13 @@ main()
         const auto restore = sandbox::bootSandbox(
             sandbox::SandboxSystem::GVisorRestore, fn);
         double app_mem = 0, kernel = 0, io = 0;
-        for (const auto &[name, t] : restore.report.stages()) {
-            if (name == "restore-app-memory")
-                app_mem = t.toMs();
-            if (name == "restore-kernel")
-                kernel = t.toMs();
-            if (name == "restore-reconnect-io")
-                io = t.toMs();
+        for (const trace::BootStage &stage : restore.report.stages()) {
+            if (stage.name == "restore-app-memory")
+                app_mem = stage.time.toMs();
+            if (stage.name == "restore-kernel")
+                kernel = stage.time.toMs();
+            if (stage.name == "restore-reconnect-io")
+                io = stage.time.toMs();
         }
         check("Fig.2 load app memory (ms)", 128.805, app_mem, 1.3);
         check("Fig.2 recover kernel (ms)", 79.180, kernel, 1.3);
@@ -165,9 +165,9 @@ main()
             core::CatalyzerRuntime runtime(machine, options);
             const auto boot = runtime.bootCold(registry.artifactsFor(
                 apps::appByName("java-specjbb")));
-            for (const auto &[name, t] : boot.report.stages()) {
-                if (name == "recover-kernel")
-                    return t.toMs();
+            for (const trace::BootStage &stage : boot.report.stages()) {
+                if (stage.name == "recover-kernel")
+                    return stage.time.toMs();
             }
             return 0.0;
         };

@@ -64,8 +64,9 @@ main()
 
     std::printf("\nstage breakdown of one warm boot:\n");
     const auto warm = runtime.bootWarm(fn);
-    for (const auto &[stage, t] : warm.report.stages())
-        std::printf("  %-18s %s\n", stage.c_str(), t.toString().c_str());
+    for (const trace::BootStage &stage : warm.report.stages())
+        std::printf("  %-18s %s\n", stage.name.c_str(),
+                    stage.time.toString().c_str());
 
     std::printf("\nvirtual time elapsed on this machine: %s\n",
                 machine.ctx().now().toString().c_str());

@@ -7,7 +7,6 @@
 #include "net/remote_pager.h"
 #include "prefetch/fault_recorder.h"
 #include "prefetch/prefetcher.h"
-#include "sim/clock.h"
 #include "sim/logging.h"
 #include "snapshot/io_reconnect.h"
 
@@ -189,9 +188,8 @@ CatalyzerRuntime::ensureWorkingSet(FunctionArtifacts &fn,
 }
 
 /**
- * One Catalyzer boot in flight: its span and report, the stopwatch that
- * times each stage since the previous one booked, and what earlier
- * stages hand to later ones.
+ * One Catalyzer boot in flight: its span and report (whose stage mark
+ * starts at construction), and what earlier stages hand to later ones.
  */
 struct CatalyzerRuntime::Boot
 {
@@ -199,11 +197,11 @@ struct CatalyzerRuntime::Boot
          trace::TraceContext trace, const char *tier)
         : fn(fn), app(fn.app()),
           span(trace, std::string("boot/Catalyzer-") + tier),
-          tctx(span.context()), watch(ctx.clock())
+          tctx(span.context())
     {
         sim::StatRegistry::incrGlobal("bench.boots");
         span.attr("function", app.name);
-        result.report.bindTrace(tctx);
+        report().start(ctx.clock());
     }
 
     /** Name the boot's sandbox <prefix><next boot number>. */
@@ -215,24 +213,10 @@ struct CatalyzerRuntime::Boot
     }
 
     SandboxInstance &inst() { return *result.instance; }
+    trace::BootReport &report() { return result.report; }
     mem::PageIndex heapVa() const
     {
         return baseVa + image->memorySectionStart();
-    }
-
-    /** Book the time since the previous stage. The stage function has
-     *  usually opened a richer span already, hence no span by default. */
-    void
-    sandboxStage(const char *name, bool emit_span = false)
-    {
-        result.report.addSandboxStage(name, watch.elapsed(), emit_span);
-        watch.restart();
-    }
-    void
-    appStage(const char *name, bool emit_span = false)
-    {
-        result.report.addAppStage(name, watch.elapsed(), emit_span);
-        watch.restart();
     }
 
     FunctionArtifacts &fn;
@@ -241,7 +225,6 @@ struct CatalyzerRuntime::Boot
     const trace::TraceContext tctx;
     std::string tag;
     BootResult result;
-    sim::Stopwatch watch;
     std::shared_ptr<snapshot::FuncImage> image;
     mem::PageIndex binaryVa = 0;
     mem::PageIndex baseVa = 0;
@@ -257,7 +240,7 @@ CatalyzerRuntime::bootRestore(FunctionArtifacts &fn, bool warm,
     // Offline build / remote fetch / integrity check as configured. A
     // failed fetch throws before the boot takes a number.
     b.image = acquireImage(fn, b.tctx);
-    b.watch.restart();
+    b.report().start(machine_.ctx().clock());
     b.number(boot_seq_, tier);
 
     // Warm boots specialize a Zygote; cold boots construct the sandbox
@@ -284,23 +267,20 @@ CatalyzerRuntime::bootRestore(FunctionArtifacts &fn, bool warm,
 void
 CatalyzerRuntime::acquireSandbox(Boot &b, BootKind kind, bool zygote)
 {
-    {
-        trace::ScopedSpan span(b.tctx, "sandbox-acquire");
-        span.attr("mechanism", zygote ? "zygote" : "construct");
-        if (zygote) {
-            Zygote z = zygotes_.acquire(span.context());
-            b.result.instance = std::make_unique<SandboxInstance>(
-                machine_, b.fn, b.app.name + "-" + b.tag, *z.proc, kind);
-            b.inst().setGuest(std::move(z.guest));
-        } else {
-            machine_.ctx().charge(machine_.ctx().costs().parseConfig);
-            b.result.instance =
-                sandbox::makeBareInstance(b.fn, kind, b.tag.c_str());
-            sandbox::constructGVisorSandbox(
-                b.inst(), ZygotePool::kvmConfig(), span.context());
-        }
+    auto stage = b.report().sandboxStage(
+        b.tctx, zygote ? "zygote-acquire" : "construct-sandbox");
+    if (zygote) {
+        Zygote z = zygotes_.acquire(stage.context());
+        b.result.instance = std::make_unique<SandboxInstance>(
+            machine_, b.fn, b.app.name + "-" + b.tag, *z.proc, kind);
+        b.inst().setGuest(std::move(z.guest));
+    } else {
+        machine_.ctx().charge(machine_.ctx().costs().parseConfig);
+        b.result.instance =
+            sandbox::makeBareInstance(b.fn, kind, b.tag.c_str());
+        sandbox::constructGVisorSandbox(b.inst(), ZygotePool::kvmConfig(),
+                                        stage.context());
     }
-    b.sandboxStage(zygote ? "zygote-acquire" : "construct-sandbox");
 }
 
 void
@@ -308,6 +288,7 @@ CatalyzerRuntime::specialize(Boot &b)
 {
     // Append the function config, import its binaries and mount the
     // function rootfs over the base.
+    auto stage = b.report().sandboxStage(b.tctx, "specialize");
     auto &ctx = machine_.ctx();
     const auto &costs = ctx.costs();
     ctx.charge(costs.zygoteAppendConfig);
@@ -322,7 +303,6 @@ CatalyzerRuntime::specialize(Boot &b)
     b.inst().guest().mountRootfs(1);
     b.inst().setRootfs(std::make_unique<vfs::OverlayRootfs>(
         ctx, b.fn.fsServer()));
-    b.sandboxStage("specialize", /*emit_span=*/true);
 }
 
 void
@@ -332,27 +312,23 @@ CatalyzerRuntime::mapImage(Boot &b, bool warm, bool cold_cache)
     // Base-EPT (warm).
     auto &ctx = machine_.ctx();
     snapshot::FuncImage &image = *b.image;
-    {
-        trace::ScopedSpan span(b.tctx, "overlay-map");
-        span.attr("mechanism", warm ? "share-base-ept" : "map-image");
-        span.attr("image_pages",
-                  static_cast<std::int64_t>(image.totalPages()));
-        if (!b.fn.sharedBase) {
-            ctx.charge(ctx.costs().imageManifestParse);
-            b.fn.sharedBase = std::make_shared<mem::BaseMapping>(
-                machine_.frames(), image.file(), 0, image.totalPages(),
-                b.app.name + "-base");
-        } else if (!warm) {
-            ctx.charge(ctx.costs().imageManifestParse);
-        }
-        b.baseVa = b.inst().space().attachBase(b.fn.sharedBase);
+    auto stage =
+        b.report().appStage(b.tctx, warm ? "share-mapping" : "map-image");
+    stage.attr("image_pages", static_cast<std::int64_t>(image.totalPages()));
+    if (!b.fn.sharedBase) {
+        ctx.charge(ctx.costs().imageManifestParse);
+        b.fn.sharedBase = std::make_shared<mem::BaseMapping>(
+            machine_.frames(), image.file(), 0, image.totalPages(),
+            b.app.name + "-base");
+    } else if (!warm) {
+        ctx.charge(ctx.costs().imageManifestParse);
     }
+    b.baseVa = b.inst().space().attachBase(b.fn.sharedBase);
     if (!options_.overlayMemory) {
         // Ablation: eagerly fault and copy the whole memory section.
         b.inst().space().touchRange(b.heapVa(), image.state().memoryPages,
                                     /*write=*/true, cold_cache);
     }
-    b.appStage(warm ? "share-mapping" : "map-image");
 }
 
 void
@@ -368,25 +344,24 @@ CatalyzerRuntime::prefetchWorkingSet(Boot &b)
         ensureWorkingSet(b.fn, *b.image);
     std::vector<mem::PageIndex> prefetched_set;
     if (options_.prefetchWorkingSet) {
-        trace::ScopedSpan span(b.tctx, "prefetch");
+        auto stage = b.report().appStage(b.tctx, "prefetch");
         if (manifest && manifest->usable()) {
             ctx.stats().incr("prefetch.manifest_hits");
             std::vector<mem::PageIndex> stable = manifest->stableSet();
-            span.attr("stable_pages",
-                      static_cast<std::int64_t>(stable.size()));
-            span.attr("traces",
-                      static_cast<std::int64_t>(manifest->traceCount()));
+            stage.attr("stable_pages",
+                       static_cast<std::int64_t>(stable.size()));
+            stage.attr("traces",
+                       static_cast<std::int64_t>(manifest->traceCount()));
             prefetch::prefetchIntoBase(ctx, *b.fn.sharedBase, stable,
                                        options_.prefetchBatchPages,
-                                       span.context());
+                                       stage.context());
             prefetched_set = std::move(stable);
         } else {
             // Missing or still-empty manifest: plain demand paging.
             ctx.stats().incr("prefetch.manifest_misses");
-            span.attr("skipped", manifest ? "manifest-empty"
-                                          : "manifest-missing");
+            stage.attr("skipped", manifest ? "manifest-empty"
+                                           : "manifest-missing");
         }
-        b.appStage("prefetch");
     }
 
     //
@@ -426,32 +401,27 @@ CatalyzerRuntime::mapRemoteOverlay(Boot &b, const RemoteForkSource &src)
         fn.remoteMirror.reset();
         ctx.stats().incr("remote.mirror_invalidated");
     }
-    {
-        trace::ScopedSpan span(b.tctx, "remote-overlay");
-        span.attr("image_pages",
-                  static_cast<std::int64_t>(image.totalPages()));
-        if (!fn.remoteBase) {
-            ctx.charge(ctx.costs().imageManifestParse);
-            fn.remoteMirror = std::make_unique<mem::BackingFile>(
-                machine_.frames(), b.app.name + "-remote-mirror",
-                image.totalPages());
-            fn.remoteBase = std::make_shared<mem::BaseMapping>(
-                machine_.frames(), *fn.remoteMirror, 0,
-                image.totalPages(), b.app.name + "-remote-base");
-            fn.remoteGeneration = image.generation();
-            const std::size_t meta_pages = image.metadataSectionPages();
-            src.fabric->transfer(ctx, src.peer, src.self,
-                                 mem::bytesForPages(meta_pages),
-                                 "image-metadata", span.context());
-            for (std::size_t i = 0; i < meta_pages; ++i)
-                fn.remoteBase->populatePrefetched(
-                    ctx, image.metadataSectionStart() + i);
-            span.attr("metadata_pages",
-                      static_cast<std::int64_t>(meta_pages));
-        }
-        b.baseVa = b.inst().space().attachBase(fn.remoteBase);
+    auto stage = b.report().appStage(b.tctx, "map-remote-image");
+    stage.attr("image_pages", static_cast<std::int64_t>(image.totalPages()));
+    if (!fn.remoteBase) {
+        ctx.charge(ctx.costs().imageManifestParse);
+        fn.remoteMirror = std::make_unique<mem::BackingFile>(
+            machine_.frames(), b.app.name + "-remote-mirror",
+            image.totalPages());
+        fn.remoteBase = std::make_shared<mem::BaseMapping>(
+            machine_.frames(), *fn.remoteMirror, 0, image.totalPages(),
+            b.app.name + "-remote-base");
+        fn.remoteGeneration = image.generation();
+        const std::size_t meta_pages = image.metadataSectionPages();
+        src.fabric->transfer(ctx, src.peer, src.self,
+                             mem::bytesForPages(meta_pages),
+                             "image-metadata", stage.context());
+        for (std::size_t i = 0; i < meta_pages; ++i)
+            fn.remoteBase->populatePrefetched(
+                ctx, image.metadataSectionStart() + i);
+        stage.attr("metadata_pages", static_cast<std::int64_t>(meta_pages));
     }
-    b.appStage("map-remote-image");
+    b.baseVa = b.inst().space().attachBase(fn.remoteBase);
 }
 
 void
@@ -468,7 +438,7 @@ CatalyzerRuntime::prefetchRemote(Boot &b, const RemoteForkSource &src)
         return;
     auto &ctx = machine_.ctx();
     mem::BaseMapping &base = *b.fn.remoteBase;
-    trace::ScopedSpan span(b.tctx, "remote-prefetch");
+    auto stage = b.report().appStage(b.tctx, "remote-prefetch");
     std::vector<mem::PageIndex> stable = src.manifest->stableSet();
     std::size_t pulled = 0;
     for (mem::PageIndex page : stable) {
@@ -476,12 +446,12 @@ CatalyzerRuntime::prefetchRemote(Boot &b, const RemoteForkSource &src)
             continue;
         ++pulled;
     }
-    span.attr("stable_pages", static_cast<std::int64_t>(stable.size()));
-    span.attr("pulled_pages", static_cast<std::int64_t>(pulled));
+    stage.attr("stable_pages", static_cast<std::int64_t>(stable.size()));
+    stage.attr("pulled_pages", static_cast<std::int64_t>(pulled));
     if (pulled > 0) {
         src.fabric->transfer(ctx, src.peer, src.self,
                              mem::bytesForPages(pulled), "working-set",
-                             span.context());
+                             stage.context());
         for (mem::PageIndex page : stable) {
             if (page >= image.totalPages() || base.lookup(page))
                 continue;
@@ -490,7 +460,6 @@ CatalyzerRuntime::prefetchRemote(Boot &b, const RemoteForkSource &src)
         ctx.stats().incr("remote.prefetch_pages",
                          static_cast<std::int64_t>(pulled));
     }
-    b.appStage("remote-prefetch");
 }
 
 void
@@ -503,48 +472,39 @@ CatalyzerRuntime::recoverKernel(Boot &b, bool cold_cache)
     auto &ctx = machine_.ctx();
     const auto &costs = ctx.costs();
     const objgraph::SeparatedImage &separated = b.image->separated();
-    {
-        trace::ScopedSpan span(b.tctx, "separated-state-fixup");
-        span.attr("separated",
-                  options_.separatedState ? "true" : "false");
-        span.attr("objects",
-                  static_cast<std::int64_t>(separated.objectCount()));
-        span.attr("relocs",
-                  static_cast<std::int64_t>(separated.relocCount()));
-        if (!options_.separatedState) {
-            // Ablation: one-by-one deserialization on the path.
-            const auto n =
-                static_cast<std::int64_t>(separated.objectCount());
-            ctx.chargeCounted("restore.deserialized_objects",
-                              costs.deserializeObject * n, n);
-        }
-        objgraph::ObjectGraph graph = separated.reconstruct(span.context());
-        const auto nobjects =
-            static_cast<std::int64_t>(graph.objectCount());
-        if (options_.separatedState) {
-            const auto nrelocs =
-                static_cast<std::int64_t>(separated.relocCount());
-            ctx.chargeParallel(costs.relationFixupPerPointer, nrelocs);
-            ctx.stats().incr("catalyzer.pointer_fixups", nrelocs);
-            // Stage-2 dirties the pointer-bearing arena pages: real COW
-            // faults against the shared image mapping (Table 3's cost).
-            const mem::PageIndex arena_va =
-                b.baseVa + b.image->metadataSectionStart();
-            for (std::uint64_t rel : separated.pointerPageList())
-                b.inst().space().touch(arena_va + rel, /*write=*/true,
-                                       cold_cache);
-            ctx.chargeParallel(costs.redoObject, nobjects);
-            ctx.charge(costs.redoObjectSequentialPart * nobjects);
-        } else {
-            ctx.charge((costs.redoObject +
-                        costs.redoObjectSequentialPart) *
-                       nobjects);
-        }
-        b.inst().guest().setState(std::move(graph));
-        for (int i = 0; i < b.app.blockingThreads; ++i)
-            b.inst().guest().threads().addBlockingThread();
+    auto stage = b.report().appStage(b.tctx, "recover-kernel");
+    stage.attr("separated", options_.separatedState ? "true" : "false");
+    stage.attr("objects", static_cast<std::int64_t>(separated.objectCount()));
+    stage.attr("relocs", static_cast<std::int64_t>(separated.relocCount()));
+    if (!options_.separatedState) {
+        // Ablation: one-by-one deserialization on the path.
+        const auto n = static_cast<std::int64_t>(separated.objectCount());
+        ctx.chargeCounted("restore.deserialized_objects",
+                          costs.deserializeObject * n, n);
     }
-    b.appStage("recover-kernel");
+    objgraph::ObjectGraph graph = separated.reconstruct(stage.context());
+    const auto nobjects = static_cast<std::int64_t>(graph.objectCount());
+    if (options_.separatedState) {
+        const auto nrelocs =
+            static_cast<std::int64_t>(separated.relocCount());
+        ctx.chargeParallel(costs.relationFixupPerPointer, nrelocs);
+        ctx.stats().incr("catalyzer.pointer_fixups", nrelocs);
+        // Stage-2 dirties the pointer-bearing arena pages: real COW
+        // faults against the shared image mapping (Table 3's cost).
+        const mem::PageIndex arena_va =
+            b.baseVa + b.image->metadataSectionStart();
+        for (std::uint64_t rel : separated.pointerPageList())
+            b.inst().space().touch(arena_va + rel, /*write=*/true,
+                                   cold_cache);
+        ctx.chargeParallel(costs.redoObject, nobjects);
+        ctx.charge(costs.redoObjectSequentialPart * nobjects);
+    } else {
+        ctx.charge((costs.redoObject + costs.redoObjectSequentialPart) *
+                   nobjects);
+    }
+    b.inst().guest().setState(std::move(graph));
+    for (int i = 0; i < b.app.blockingThreads; ++i)
+        b.inst().guest().threads().addBlockingThread();
 }
 
 void
@@ -557,66 +517,58 @@ CatalyzerRuntime::reconnectIo(Boot &b, IoCache cache)
     auto &ctx = machine_.ctx();
     FunctionArtifacts &fn = b.fn;
     vfs::IoConnectionTable &io = b.inst().guest().io();
-    {
-        trace::ScopedSpan span(b.tctx, "io-reconnect");
-        span.attr("lazy",
-                  options_.lazyIoReconnection ? "true" : "false");
-        span.attr("connections",
-                  static_cast<std::int64_t>(b.image->ioTable().size()));
-        const trace::TraceContext ictx = span.context();
-        io.cloneFrom(b.image->ioTable());
-        io.dropAll();
-        if (!options_.lazyIoReconnection) {
-            // Eager ablation: a connection whose retries all fail stays
-            // down and re-establishes lazily at the first request.
-            for (auto &conn : io.all())
-                snapshot::reconnectWithRetry(ctx, conn, &fn.fsServer(),
-                                             &injector_, ictx);
-        } else {
-            // Deferring is not free: each fd is tagged not-reopened and
-            // the async re-establishment is queued.
-            ctx.charge(ctx.costs().ioLazyMarkPerConn *
-                       static_cast<std::int64_t>(io.count()));
-            if (cache == IoCache::Use && !fn.ioCache.empty()) {
-                // The cache tells us which connections the function
-                // uses right after boot; re-establish exactly those on
-                // the path.
-                for (auto &conn : io.all()) {
-                    if (!conn.usedAtStartup)
-                        continue;
-                    if (!snapshot::reconnectWithRetry(
-                            ctx, conn, &fn.fsServer(), &injector_,
-                            ictx)) {
-                        // Repeatedly failing entry: invalidate it so
-                        // later boots stop reconnecting it eagerly;
-                        // this boot degrades it to a lazy reconnect at
-                        // the first request.
-                        std::erase_if(
-                            fn.ioCache,
-                            [&](const vfs::IoConnection &cached) {
-                                return cached.path == conn.path;
-                            });
-                        ctx.stats().incr(
-                            "catalyzer.io_cache_invalidated");
-                        ctx.stats().incr(
-                            "boot.fallback.io_eager_lazy");
-                    }
+    auto stage = b.report().appStage(b.tctx, "reconnect-io");
+    stage.attr("lazy", options_.lazyIoReconnection ? "true" : "false");
+    stage.attr("connections",
+               static_cast<std::int64_t>(b.image->ioTable().size()));
+    const trace::TraceContext ictx = stage.context();
+    io.cloneFrom(b.image->ioTable());
+    io.dropAll();
+    if (!options_.lazyIoReconnection) {
+        // Eager ablation: a connection whose retries all fail stays
+        // down and re-establishes lazily at the first request.
+        for (auto &conn : io.all())
+            snapshot::reconnectWithRetry(ctx, conn, &fn.fsServer(),
+                                         &injector_, ictx);
+    } else {
+        // Deferring is not free: each fd is tagged not-reopened and
+        // the async re-establishment is queued.
+        ctx.charge(ctx.costs().ioLazyMarkPerConn *
+                   static_cast<std::int64_t>(io.count()));
+        if (cache == IoCache::Use && !fn.ioCache.empty()) {
+            // The cache tells us which connections the function
+            // uses right after boot; re-establish exactly those on
+            // the path.
+            for (auto &conn : io.all()) {
+                if (!conn.usedAtStartup)
+                    continue;
+                if (!snapshot::reconnectWithRetry(ctx, conn, &fn.fsServer(),
+                                                  &injector_, ictx)) {
+                    // Repeatedly failing entry: invalidate it so
+                    // later boots stop reconnecting it eagerly;
+                    // this boot degrades it to a lazy reconnect at
+                    // the first request.
+                    std::erase_if(fn.ioCache,
+                                  [&](const vfs::IoConnection &cached) {
+                                      return cached.path == conn.path;
+                                  });
+                    ctx.stats().incr("catalyzer.io_cache_invalidated");
+                    ctx.stats().incr("boot.fallback.io_eager_lazy");
                 }
-                span.attr("cache_hit", "true");
-                ctx.stats().incr("catalyzer.io_cache_hits");
             }
+            stage.attr("cache_hit", "true");
+            ctx.stats().incr("catalyzer.io_cache_hits");
         }
-        if (cache == IoCache::Record && options_.lazyIoReconnection &&
-            fn.ioCache.empty()) {
-            // First cold boot records the deterministic startup set.
-            for (const auto &conn : io.all()) {
-                if (conn.usedAtStartup)
-                    fn.ioCache.push_back(conn);
-            }
-        }
-        b.inst().guest().syncFdTable();
     }
-    b.appStage("reconnect-io");
+    if (cache == IoCache::Record && options_.lazyIoReconnection &&
+        fn.ioCache.empty()) {
+        // First cold boot records the deterministic startup set.
+        for (const auto &conn : io.all()) {
+            if (conn.usedAtStartup)
+                fn.ioCache.push_back(conn);
+        }
+    }
+    b.inst().guest().syncFdTable();
 }
 
 void
@@ -640,25 +592,25 @@ CatalyzerRuntime::sfork(Boot &b, SandboxInstance &tmpl)
     const auto &costs = ctx.costs();
 
     // Injected sfork failures fail before the child exists; retries are
-    // cheap, and exhaustion fails the fork tier (degrades to warm).
+    // cheap, and exhaustion fails the fork tier (degrades to warm). The
+    // sfork stage opens at the stage mark, so it covers the retries.
     injector_.checkWithRetry(ctx, faults::FaultSite::Sfork);
 
     hostos::SforkOptions opts;
     opts.childName = b.app.name + "-" + b.tag;
     opts.rerandomizeAslr = options_.aslrRerandomizeOnSfork;
     {
-        trace::ScopedSpan span(b.tctx, "sfork");
-        span.attr("template", tmpl.name());
-        span.attr("rerandomize_aslr",
-                  opts.rerandomizeAslr ? "true" : "false");
+        auto stage = b.report().sandboxStage(b.tctx, "sfork");
+        stage.attr("template", tmpl.name());
+        stage.attr("rerandomize_aslr",
+                   opts.rerandomizeAslr ? "true" : "false");
         hostos::HostProcess &child =
             machine_.host().sfork(tmpl.proc(), opts);
         b.result.instance = std::make_unique<SandboxInstance>(
             machine_, b.fn, opts.childName, child, BootKind::ForkBoot);
     }
-    b.sandboxStage("sfork");
 
-    trace::ScopedSpan expand_span(b.tctx, "expand");
+    auto stage = b.report().sandboxStage(b.tctx, "expand");
 
     // Guest state: the object graph and fd tables live in COWed memory;
     // the child re-expands its threads from the saved contexts and fixes
@@ -688,7 +640,6 @@ CatalyzerRuntime::sfork(Boot &b, SandboxInstance &tmpl)
                          tmpl.heapOnBase());
     inst.setPrepFraction(tmpl.prepFraction());
     inst.proc().setThreadCount(inst.guest().threads().totalThreads());
-    b.sandboxStage("expand");
     ctx.stats().incr("catalyzer.fork_boots");
 }
 
@@ -762,12 +713,11 @@ CatalyzerRuntime::bootRemoteFork(FunctionArtifacts &fn,
     // the lender. The memory itself stays remote.
     //
     {
-        trace::ScopedSpan span(b.tctx, "remote-handshake");
-        span.attr("peer", static_cast<std::int64_t>(src.peer));
+        auto stage = b.report().sandboxStage(b.tctx, "remote-handshake");
+        stage.attr("peer", static_cast<std::int64_t>(src.peer));
         src.fabric->transfer(ctx, src.peer, src.self, 4096,
-                             "fork-descriptor", span.context());
+                             "fork-descriptor", stage.context());
     }
-    b.sandboxStage("remote-handshake");
 
     // The borrowed state lands in a local sandbox, specialized exactly as
     // a local restore would. The mirrored metadata is already local, so
@@ -818,58 +768,60 @@ CatalyzerRuntime::bootFromLanguageTemplate(FunctionArtifacts &fn,
     b.number(boot_seq_, "lang");
     sfork(b, tmpl);
     SandboxInstance &inst = b.inst();
+    {
+        auto stage = b.report().appStage(b.tctx, "load-function");
 
-    //
-    // Load the function on demand: its own classes/modules beyond the
-    // runtime core the template preloaded, its binary, and any heap it
-    // needs beyond the template's.
-    //
-    const apps::AppProfile &base =
-        tmpl.artifacts().app(); // the language's hello app
-    const auto core = static_cast<std::size_t>(
-        options_.languageTemplateCoreFraction *
-        static_cast<double>(base.modulesLoaded));
-    const std::size_t extra_modules =
-        app.modulesLoaded > core ? app.modulesLoaded - core : 0;
-    ctx.charge(app.perModuleCost *
-               static_cast<std::int64_t>(extra_modules) *
-               costs.gvisorAppInitFactor);
+        //
+        // Load the function on demand: its own classes/modules beyond the
+        // runtime core the template preloaded, its binary, and any heap it
+        // needs beyond the template's.
+        //
+        const apps::AppProfile &base =
+            tmpl.artifacts().app(); // the language's hello app
+        const auto core = static_cast<std::size_t>(
+            options_.languageTemplateCoreFraction *
+            static_cast<double>(base.modulesLoaded));
+        const std::size_t extra_modules =
+            app.modulesLoaded > core ? app.modulesLoaded - core : 0;
+        ctx.charge(app.perModuleCost *
+                   static_cast<std::int64_t>(extra_modules) *
+                   costs.gvisorAppInitFactor);
 
-    const mem::PageIndex binary_va = inst.space().mapFile(
-        fn.binary(), 0, app.binaryPages, mem::MapKind::FilePrivate,
-        false, "fn-binary");
-    inst.space().touchRange(binary_va, app.binaryPages / 4,
-                            /*write=*/false, !fn.firstBootDone);
+        const mem::PageIndex binary_va = inst.space().mapFile(
+            fn.binary(), 0, app.binaryPages, mem::MapKind::FilePrivate,
+            false, "fn-binary");
+        inst.space().touchRange(binary_va, app.binaryPages / 4,
+                                /*write=*/false, !fn.firstBootDone);
 
-    if (app.heapPages() > tmpl.heapPages()) {
-        const std::size_t extra = app.heapPages() - tmpl.heapPages();
-        const mem::PageIndex extra_va =
-            inst.space().mapAnon(extra, true, "fn-heap");
-        inst.space().touchRange(extra_va, extra, /*write=*/true);
-    }
-
-    // The function's own I/O connections are opened as it initializes,
-    // beyond the ones inherited from the language template.
-    const std::size_t inherited = inst.guest().io().count();
-    for (std::size_t i = inherited; i < app.ioConnections; ++i) {
-        const bool socket = i % 4 == 1;
-        if (socket) {
-            ctx.charge(costs.openSocket);
-            inst.guest().io().add(vfs::ConnKind::Socket,
-                                  "tcp://backend:" + std::to_string(i),
-                                  i < app.ioConnections / 4, i % 2 == 0);
-        } else {
-            vfs::FdEntry entry;
-            const std::string path =
-                "/app/data/conn" + std::to_string(i);
-            fn.fsServer().openReadOnly(path, &entry);
-            inst.guest().io().add(vfs::ConnKind::File, path,
-                                  i < app.ioConnections / 4, i % 2 == 0);
+        if (app.heapPages() > tmpl.heapPages()) {
+            const std::size_t extra = app.heapPages() - tmpl.heapPages();
+            const mem::PageIndex extra_va =
+                inst.space().mapAnon(extra, true, "fn-heap");
+            inst.space().touchRange(extra_va, extra, /*write=*/true);
         }
+
+        // The function's own I/O connections are opened as it initializes,
+        // beyond the ones inherited from the language template.
+        const std::size_t inherited = inst.guest().io().count();
+        for (std::size_t i = inherited; i < app.ioConnections; ++i) {
+            const bool socket = i % 4 == 1;
+            if (socket) {
+                ctx.charge(costs.openSocket);
+                inst.guest().io().add(vfs::ConnKind::Socket,
+                                      "tcp://backend:" + std::to_string(i),
+                                      i < app.ioConnections / 4, i % 2 == 0);
+            } else {
+                vfs::FdEntry entry;
+                const std::string path =
+                    "/app/data/conn" + std::to_string(i);
+                fn.fsServer().openReadOnly(path, &entry);
+                inst.guest().io().add(vfs::ConnKind::File, path,
+                                      i < app.ioConnections / 4, i % 2 == 0);
+            }
+        }
+        inst.guest().setState(objgraph::ObjectGraph::synthesize(
+            ctx.rng(), app.graphSpec()));
     }
-    inst.guest().setState(objgraph::ObjectGraph::synthesize(
-        ctx.rng(), app.graphSpec()));
-    b.appStage("load-function", /*emit_span=*/true);
 
     inst.setBootLatency(b.result.report.total());
     ctx.stats().observe("boot.latency.Catalyzer-lang-template",

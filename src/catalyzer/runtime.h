@@ -125,10 +125,11 @@ class CatalyzerRuntime
      * Cold boot: full on-demand restore, sandbox built on the path.
      *
      * All boot paths accept a TraceContext; when enabled, the boot
-     * emits a "boot/Catalyzer-*" span tree covering every stage down
-     * to function entry (overlay-map, separated-state-fixup,
-     * io-reconnect, ...), and the boot latency is observed into the
-     * machine's "boot.latency.Catalyzer-*" histogram either way.
+     * emits a "boot/Catalyzer-*" span tree whose phase-tagged children
+     * are the report's stages down to function entry (map-image,
+     * recover-kernel, reconnect-io, ...), and the boot latency is
+     * observed into the machine's "boot.latency.Catalyzer-*" histogram
+     * either way.
      */
     sandbox::BootResult bootCold(sandbox::FunctionArtifacts &fn,
                                  trace::TraceContext trace = {});
@@ -216,8 +217,9 @@ class CatalyzerRuntime
                                     trace::TraceContext trace = {});
 
     /**
-     * Boot stages (DESIGN.md §7). Each opens its span, does its work and
-     * books its BootReport stage; a boot tier is a list of them.
+     * Boot stages (DESIGN.md §7). Each opens its BootReport stage (one
+     * span, one booked duration), does its work and closes it; a boot
+     * tier is a list of them.
      */
     void acquireSandbox(Boot &b, sandbox::BootKind kind, bool zygote);
     void specialize(Boot &b);

@@ -5,7 +5,6 @@
 
 #include "sandbox/compiler.h"
 
-#include "sim/clock.h"
 #include "sim/logging.h"
 #include "snapshot/restore_baseline.h"
 
@@ -81,45 +80,47 @@ constructGVisorSandbox(SandboxInstance &inst,
 }
 
 void
-runApplicationInit(SandboxInstance &inst, BootReport &report,
-                   double slowdown)
+runApplicationInit(SandboxInstance &inst, trace::BootReport &report,
+                   trace::TraceContext trace, double slowdown)
 {
     Machine &m = inst.machine();
     auto &ctx = m.ctx();
     FunctionArtifacts &fn = inst.artifacts();
     const apps::AppProfile &app = fn.app();
     const bool cold = !fn.firstBootDone;
-    sim::Stopwatch watch(ctx.clock());
 
-    // Map and fault in the program text and libraries.
-    const mem::PageIndex binary_va = inst.space().mapFile(
-        fn.binary(), 0, app.binaryPages, mem::MapKind::FilePrivate,
-        false, "binary");
-    inst.space().touchRange(binary_va, app.binaryPages, /*write=*/false,
-                            cold);
-    report.addAppStage("load-binary", watch.elapsed());
-    watch.restart();
-
-    // Language runtime boot (JVM / CPython / V8 / loader).
-    ctx.charge(app.runtimeBootCost * slowdown);
-    report.addAppStage("runtime-boot", watch.elapsed());
-    watch.restart();
-
-    // Class / module loading.
-    ctx.charge(app.perModuleCost *
-               static_cast<std::int64_t>(app.modulesLoaded) * slowdown);
-    report.addAppStage("load-modules", watch.elapsed());
-    watch.restart();
-
-    // Build the runtime + application heap.
+    mem::PageIndex binary_va = 0;
+    {
+        // Map and fault in the program text and libraries.
+        auto stage = report.appStage(trace, "load-binary");
+        binary_va = inst.space().mapFile(fn.binary(), 0, app.binaryPages,
+                                         mem::MapKind::FilePrivate, false,
+                                         "binary");
+        inst.space().touchRange(binary_va, app.binaryPages,
+                                /*write=*/false, cold);
+    }
+    {
+        // Language runtime boot (JVM / CPython / V8 / loader).
+        auto stage = report.appStage(trace, "runtime-boot");
+        ctx.charge(app.runtimeBootCost * slowdown);
+    }
+    {
+        // Class / module loading.
+        auto stage = report.appStage(trace, "load-modules");
+        ctx.charge(app.perModuleCost *
+                   static_cast<std::int64_t>(app.modulesLoaded) * slowdown);
+    }
     const std::size_t heap_pages = app.heapPages();
-    const mem::PageIndex heap_va =
-        inst.space().mapAnon(heap_pages, true, "heap");
-    inst.space().touchRange(heap_va, heap_pages, /*write=*/true);
-    report.addAppStage("build-heap", watch.elapsed());
-    watch.restart();
+    mem::PageIndex heap_va = 0;
+    {
+        // Build the runtime + application heap.
+        auto stage = report.appStage(trace, "build-heap");
+        heap_va = inst.space().mapAnon(heap_pages, true, "heap");
+        inst.space().touchRange(heap_va, heap_pages, /*write=*/true);
+    }
 
     // Application-specific setup.
+    auto stage = report.appStage(trace, "app-setup");
     ctx.charge(app.appSetupCost * slowdown);
 
     // Open the function's I/O connections.
@@ -164,7 +165,6 @@ runApplicationInit(SandboxInstance &inst, BootReport &report,
 
     // The wrapper reaches the func-entry point.
     inst.guest().reachFuncEntryPoint();
-    report.addAppStage("app-setup", watch.elapsed());
 
     inst.setMemoryLayout(binary_va, heap_va, heap_pages,
                          /*heap_on_base=*/false);
@@ -179,38 +179,34 @@ namespace {
  * ptrace with no KVM setup at all) and finish runc's bookkeeping.
  */
 std::unique_ptr<SandboxInstance>
-bootRunsc(SandboxSystem system, FunctionArtifacts &fn, BootReport &report)
+bootRunsc(SandboxSystem system, FunctionArtifacts &fn,
+          trace::BootReport &report, trace::TraceContext trace)
 {
     auto &ctx = fn.machine().ctx();
     const auto &costs = ctx.costs();
-    sim::Stopwatch watch(ctx.clock());
-
-    ctx.charge(costs.parseConfig);
-    report.addSandboxStage("parse-config", watch.elapsed());
-    watch.restart();
     const bool ptrace = system == SandboxSystem::GVisorPtrace;
     const bool restore = system == SandboxSystem::GVisorRestore;
-    auto inst = makeBareInstance(
-        fn, restore ? BootKind::ColdRestore : BootKind::ColdFresh,
-        restore ? "gvr" : ptrace ? "gvpt" : "gvisor");
-    report.addSandboxStage("boot-sandbox-process", watch.elapsed());
-    watch.restart();
-    if (ptrace) {
-        initSentry(*inst);
-        report.addSandboxStage("create-kernel", watch.elapsed());
-    } else {
-        {
-            trace::ScopedSpan create_span(report.trace(),
-                                          "create-kernel-platform");
-            constructGVisorSandbox(*inst, hostos::KvmConfig{},
-                                   create_span.context());
-        }
-        report.addSandboxStage("create-kernel-platform", watch.elapsed(),
-                               /*emit_span=*/false);
+
+    {
+        auto stage = report.sandboxStage(trace, "parse-config");
+        ctx.charge(costs.parseConfig);
     }
-    watch.restart();
+    std::unique_ptr<SandboxInstance> inst;
+    {
+        auto stage = report.sandboxStage(trace, "boot-sandbox-process");
+        inst = makeBareInstance(
+            fn, restore ? BootKind::ColdRestore : BootKind::ColdFresh,
+            restore ? "gvr" : ptrace ? "gvpt" : "gvisor");
+    }
+    if (ptrace) {
+        auto stage = report.sandboxStage(trace, "create-kernel");
+        initSentry(*inst);
+    } else {
+        auto stage = report.sandboxStage(trace, "create-kernel-platform");
+        constructGVisorSandbox(*inst, hostos::KvmConfig{}, stage.context());
+    }
+    auto stage = report.sandboxStage(trace, "runc-misc");
     ctx.charge(costs.gvisorRuncMisc);
-    report.addSandboxStage("runc-misc", watch.elapsed());
     return inst;
 }
 
@@ -223,84 +219,72 @@ bootFresh(SandboxSystem system, FunctionArtifacts &fn,
     auto &ctx = m.ctx();
     const auto &costs = ctx.costs();
     BootResult result;
+    trace::BootReport &report = result.report;
     trace::ScopedSpan boot_span(
         trace, std::string("boot/") + sandboxSystemName(system));
     boot_span.attr("function", fn.app().name);
     const trace::TraceContext tctx = boot_span.context();
-    result.report.bindTrace(tctx);
-    sim::Stopwatch watch(ctx.clock());
+    report.start(ctx.clock());
 
     double app_factor = 1.0;
     switch (system) {
       case SandboxSystem::Native: {
-        auto inst = makeBareInstance(fn, BootKind::Native, "native");
-        result.report.addSandboxStage("spawn-process", watch.elapsed());
-        result.instance = std::move(inst);
-        app_factor = 1.0;
+        auto stage = report.sandboxStage(tctx, "spawn-process");
+        result.instance = makeBareInstance(fn, BootKind::Native, "native");
         break;
       }
       case SandboxSystem::Docker: {
+        auto stage = report.sandboxStage(tctx, "container-setup");
         ctx.charge(costs.parseConfig);
-        auto inst = makeBareInstance(fn, BootKind::ColdFresh, "docker");
+        result.instance = makeBareInstance(fn, BootKind::ColdFresh, "docker");
         ctx.charge(costs.dockerSetupFixed);
-        result.report.addSandboxStage("container-setup", watch.elapsed());
-        result.instance = std::move(inst);
         app_factor = costs.dockerAppInitFactor;
         break;
       }
       case SandboxSystem::HyperContainer: {
+        auto stage = report.sandboxStage(tctx, "hypervm-setup");
         ctx.charge(costs.parseConfig);
-        auto inst = makeBareInstance(fn, BootKind::ColdFresh, "hyper");
+        result.instance = makeBareInstance(fn, BootKind::ColdFresh, "hyper");
         ctx.charge(costs.hyperSetupFixed);
         hostos::KvmVm vm(ctx, hostos::KvmConfig{});
         vm.createVm();
         vm.createVcpu();
         vm.setUserMemoryRegions(8);
-        result.report.addSandboxStage("hypervm-setup", watch.elapsed());
-        result.instance = std::move(inst);
         app_factor = costs.hyperAppInitFactor;
         break;
       }
       case SandboxSystem::FireCracker: {
-        ctx.charge(costs.parseConfig);
-        auto inst = makeBareInstance(fn, BootKind::ColdFresh, "fc");
-        ctx.charge(costs.firecrackerVmmInit);
-        hostos::KvmVm vm(ctx, hostos::KvmConfig{});
-        vm.createVm();
-        vm.createVcpu();
-        vm.setUserMemoryRegions(6);
-        result.report.addSandboxStage("vmm-init", watch.elapsed());
-        watch.restart();
+        {
+            auto stage = report.sandboxStage(tctx, "vmm-init");
+            ctx.charge(costs.parseConfig);
+            result.instance = makeBareInstance(fn, BootKind::ColdFresh, "fc");
+            ctx.charge(costs.firecrackerVmmInit);
+            hostos::KvmVm vm(ctx, hostos::KvmConfig{});
+            vm.createVm();
+            vm.createVcpu();
+            vm.setUserMemoryRegions(6);
+        }
+        auto stage = report.sandboxStage(tctx, "guest-kernel-boot");
         ctx.charge(costs.firecrackerKernelBoot);
-        result.report.addSandboxStage("guest-kernel-boot",
-                                      watch.elapsed());
-        result.instance = std::move(inst);
         app_factor = costs.firecrackerAppInitFactor;
         break;
       }
       case SandboxSystem::GVisor:
-        result.instance = bootRunsc(system, fn, result.report);
+        result.instance = bootRunsc(system, fn, report, tctx);
         app_factor = costs.gvisorAppInitFactor;
         break;
       case SandboxSystem::GVisorPtrace:
         // The ptrace platform skips all KVM setup but pays heavier
         // syscall interception during application init.
-        result.instance = bootRunsc(system, fn, result.report);
+        result.instance = bootRunsc(system, fn, report, tctx);
         app_factor = costs.gvisorPtraceAppInitFactor;
         break;
       case SandboxSystem::GVisorRestore:
         sim::panic("bootFresh called for GVisorRestore");
     }
 
-    {
-        trace::ScopedSpan app_span(tctx, "application-init");
-        BootReport &report = result.report;
-        const trace::TraceContext outer = report.trace();
-        report.bindTrace(app_span.context());
-        runApplicationInit(*result.instance, report, app_factor);
-        report.bindTrace(outer);
-    }
-    result.instance->setBootLatency(result.report.total());
+    runApplicationInit(*result.instance, report, tctx, app_factor);
+    result.instance->setBootLatency(report.total());
     return result;
 }
 
@@ -313,30 +297,22 @@ bootGVisorRestoreImpl(FunctionArtifacts &fn, trace::TraceContext trace)
     auto image = ensureProtoImage(fn);
 
     BootResult result;
+    trace::BootReport &report = result.report;
     trace::ScopedSpan boot_span(trace, "boot/gVisor-restore");
     boot_span.attr("function", fn.app().name);
     const trace::TraceContext tctx = boot_span.context();
-    result.report.bindTrace(tctx);
+    report.start(ctx.clock());
     std::unique_ptr<SandboxInstance> inst =
-        bootRunsc(SandboxSystem::GVisorRestore, fn, result.report);
+        bootRunsc(SandboxSystem::GVisorRestore, fn, report, tctx);
 
-    // The restore engine emits its own (richer) spans for these stages.
     snapshot::EagerRestoreEngine engine(ctx);
-    snapshot::RestoreBreakdown breakdown = engine.restore(
-        *image, inst->guest(), inst->space(), &fn.fsServer(), tctx);
-    result.report.addAppStage("restore-app-memory", breakdown.appMemory,
-                              /*emit_span=*/false);
-    result.report.addAppStage("restore-kernel", breakdown.kernelMeta,
-                              /*emit_span=*/false);
-    result.report.addAppStage("restore-reconnect-io",
-                              breakdown.ioReconnect,
-                              /*emit_span=*/false);
+    const mem::PageIndex heap_va = engine.restore(
+        *image, inst->guest(), inst->space(), &fn.fsServer(), report, tctx);
 
-    inst->setMemoryLayout(0, breakdown.heapVa,
-                          image->state().memoryPages,
+    inst->setMemoryLayout(0, heap_va, image->state().memoryPages,
                           /*heap_on_base=*/false);
     inst->proc().setThreadCount(inst->guest().threads().totalThreads());
-    inst->setBootLatency(result.report.total());
+    inst->setBootLatency(report.total());
     result.instance = std::move(inst);
     return result;
 }

@@ -14,10 +14,9 @@
 #include <memory>
 
 #include "hostos/kvm.h"
-#include "sandbox/boot_report.h"
 #include "sandbox/function_artifacts.h"
 #include "sandbox/instance.h"
-#include "trace/trace.h"
+#include "trace/boot_report.h"
 
 namespace catalyzer::sandbox {
 
@@ -40,7 +39,7 @@ const char *sandboxSystemName(SandboxSystem system);
 struct BootResult
 {
     std::unique_ptr<SandboxInstance> instance;
-    BootReport report;
+    trace::BootReport report;
 };
 
 /**
@@ -49,9 +48,10 @@ struct BootResult
  * fresh boot to capture the state); that preparation is not part of the
  * report.
  *
- * With an enabled @p trace the boot emits a "boot/<system>" span with
- * one child span per report stage, and the boot latency is observed
- * into the machine's "boot.latency.<system>" histogram either way.
+ * With an enabled @p trace the boot emits a "boot/<system>" span whose
+ * phase-tagged children are the report's stages, and the boot latency
+ * is observed into the machine's "boot.latency.<system>" histogram
+ * either way.
  */
 BootResult bootSandbox(SandboxSystem system, FunctionArtifacts &fn,
                        trace::TraceContext trace = {});
@@ -59,12 +59,13 @@ BootResult bootSandbox(SandboxSystem system, FunctionArtifacts &fn,
 /**
  * Shared application-initialization phase: map and fault the binary,
  * boot the language runtime, load classes/modules, build the heap, open
- * the function's I/O connections and synthesize its kernel state.
+ * the function's I/O connections and synthesize its kernel state. Books
+ * one app-init stage per step, their spans under @p trace.
  *
  * @param slowdown  per-system app-init factor (CostModel).
  */
-void runApplicationInit(SandboxInstance &inst, BootReport &report,
-                        double slowdown);
+void runApplicationInit(SandboxInstance &inst, trace::BootReport &report,
+                        trace::TraceContext trace, double slowdown);
 
 /**
  * Build (once) the stock compressed func-image for @p fn by booting a

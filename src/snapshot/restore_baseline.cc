@@ -1,22 +1,19 @@
 #include "snapshot/restore_baseline.h"
 
-#include "sim/clock.h"
 #include "sim/logging.h"
 #include "snapshot/io_reconnect.h"
 
 namespace catalyzer::snapshot {
 
-RestoreBreakdown
+mem::PageIndex
 EagerRestoreEngine::restore(FuncImage &image, guest::GuestKernel &guest,
                             mem::AddressSpace &space,
-                            vfs::FsServer *server,
+                            vfs::FsServer *server, trace::BootReport &report,
                             trace::TraceContext trace)
 {
     if (image.format() != ImageFormat::CompressedProto)
         sim::panic("EagerRestoreEngine needs a CompressedProto image");
     const auto &costs = ctx_.costs();
-    RestoreBreakdown breakdown;
-    sim::Stopwatch watch(ctx_.clock());
 
     //
     // Load application memory: decompress the memory section and copy
@@ -24,29 +21,26 @@ EagerRestoreEngine::restore(FuncImage &image, guest::GuestKernel &guest,
     //
     const auto &state = image.state();
     const auto mem_pages = static_cast<std::int64_t>(state.memoryPages);
+    mem::PageIndex heap = 0;
     {
-        trace::ScopedSpan span(trace, "restore-app-memory");
-        span.attr("pages", mem_pages);
+        auto stage = report.appStage(trace, "restore-app-memory");
+        stage.attr("pages", mem_pages);
         ctx_.chargeCounted("restore.decompressed_pages",
                            costs.decompressPerPage * mem_pages, mem_pages);
-        const mem::PageIndex heap =
-            space.mapAnon(state.memoryPages, true, "restored-heap");
+        heap = space.mapAnon(state.memoryPages, true, "restored-heap");
         space.touchRange(heap, state.memoryPages, /*write=*/true,
                          /*cold=*/true);
-        breakdown.heapVa = heap;
     }
-    breakdown.appMemory = watch.elapsed();
-    watch.restart();
 
     //
     // Recover kernel metadata: deserialize objects one by one, then
     // re-do non-I/O kernel state (thread contexts, timers, mounts...).
     //
     {
-        trace::ScopedSpan span(trace, "restore-kernel");
+        auto stage = report.appStage(trace, "restore-kernel");
         const auto nobjects =
             static_cast<std::int64_t>(image.proto().objectCount());
-        span.attr("objects", nobjects);
+        stage.attr("objects", nobjects);
         ctx_.chargeCounted("restore.deserialized_objects",
                            costs.deserializeObject * nobjects, nobjects);
         objgraph::ObjectGraph graph = image.proto().reconstruct();
@@ -58,27 +52,24 @@ EagerRestoreEngine::restore(FuncImage &image, guest::GuestKernel &guest,
         for (int i = 0; i < state.app->blockingThreads; ++i)
             guest.threads().addBlockingThread();
     }
-    breakdown.kernelMeta = watch.elapsed();
-    watch.restart();
 
     //
     // Reconnect every checkpointed I/O connection, eagerly.
     //
     {
-        trace::ScopedSpan span(trace, "restore-reconnect-io");
-        span.attr("connections",
-                  static_cast<std::int64_t>(image.ioTable().size()));
+        auto stage = report.appStage(trace, "restore-reconnect-io");
+        stage.attr("connections",
+                   static_cast<std::int64_t>(image.ioTable().size()));
         guest.io().cloneFrom(image.ioTable());
         for (vfs::IoConnection &conn : guest.io().all()) {
             conn.established = false;
-            reconnectConnection(ctx_, conn, server, span.context());
+            reconnectConnection(ctx_, conn, server, stage.context());
         }
         guest.syncFdTable();
     }
-    breakdown.ioReconnect = watch.elapsed();
 
     ctx_.stats().incr("restore.eager_restores");
-    return breakdown;
+    return heap;
 }
 
 } // namespace catalyzer::snapshot

@@ -13,26 +13,10 @@
 #include "guest/guest_kernel.h"
 #include "mem/address_space.h"
 #include "snapshot/func_image.h"
-#include "trace/trace.h"
+#include "trace/boot_report.h"
 #include "vfs/fs_server.h"
 
 namespace catalyzer::snapshot {
-
-/** Per-phase latency of one restore (Fig. 2 / Fig. 12 rows). */
-struct RestoreBreakdown
-{
-    sim::SimTime appMemory;   ///< "Load App memory"
-    sim::SimTime kernelMeta;  ///< "Recover Kernel" (non-I/O system state)
-    sim::SimTime ioReconnect; ///< "Reconnect I/O"
-    /** Where the restored heap landed in the sandbox's address space. */
-    mem::PageIndex heapVa = 0;
-
-    sim::SimTime
-    total() const
-    {
-        return appMemory + kernelMeta + ioReconnect;
-    }
-};
 
 /**
  * The stock checkpoint/restore path. Requires a CompressedProto image.
@@ -45,14 +29,16 @@ class EagerRestoreEngine
     /**
      * Restore @p image into a fresh guest: loads memory into @p space,
      * rebuilds @p guest's object graph and thread census, reconnects all
-     * I/O through @p server. Emits one span per restore phase (with
-     * per-connection children under the reconnect phase) when @p trace
-     * is enabled.
+     * I/O through @p server. Books one app-init stage per restore phase
+     * into @p report (the Fig. 2 / Fig. 12 rows "restore-app-memory",
+     * "restore-kernel", "restore-reconnect-io"), their spans under
+     * @p trace with per-connection children under the reconnect phase.
+     * Returns where the restored heap landed in @p space.
      */
-    RestoreBreakdown restore(FuncImage &image, guest::GuestKernel &guest,
-                             mem::AddressSpace &space,
-                             vfs::FsServer *server,
-                             trace::TraceContext trace = {});
+    mem::PageIndex restore(FuncImage &image, guest::GuestKernel &guest,
+                           mem::AddressSpace &space, vfs::FsServer *server,
+                           trace::BootReport &report,
+                           trace::TraceContext trace = {});
 
   private:
     sim::SimContext &ctx_;

@@ -150,7 +150,9 @@ TraceContext::completedSpan(const std::string &name,
     return id;
 }
 
-ScopedSpan::ScopedSpan(TraceContext ctx, std::string name) : ctx_(ctx)
+ScopedSpan::ScopedSpan(TraceContext ctx, std::string name,
+                       sim::SimTime start)
+    : ctx_(ctx)
 {
     if (!ctx_.enabled())
         return;
@@ -158,7 +160,7 @@ ScopedSpan::ScopedSpan(TraceContext ctx, std::string name) : ctx_(ctx)
     // distributed trace; children inherit the id through context().
     if (ctx_.traceId() == 0)
         ctx_ = ctx_.withTrace(nextTraceId());
-    id_ = ctx_.tracer()->begin(std::move(name), ctx_.now(), ctx_.parent(),
+    id_ = ctx_.tracer()->begin(std::move(name), start, ctx_.parent(),
                                ctx_.traceId());
 }
 

@@ -202,8 +202,8 @@ class TraceContext
 
     /**
      * Record an already-elapsed interval [now - duration, now] as a
-     * completed child span (retroactive stage measurement; this is what
-     * BootReport uses).
+     * completed child span (retroactive measurement of work that ran
+     * without a span, e.g. the platform gateway hop).
      */
     SpanId completedSpan(const std::string &name,
                          sim::SimTime duration) const;
@@ -224,7 +224,12 @@ class TraceContext
 class ScopedSpan
 {
   public:
-    ScopedSpan(TraceContext ctx, std::string name);
+    ScopedSpan(TraceContext ctx, std::string name)
+        : ScopedSpan(ctx, std::move(name), ctx.now())
+    {}
+
+    /** Open at @p start (not after now) instead of at now. */
+    ScopedSpan(TraceContext ctx, std::string name, sim::SimTime start);
 
     ScopedSpan(const ScopedSpan &) = delete;
     ScopedSpan &operator=(const ScopedSpan &) = delete;

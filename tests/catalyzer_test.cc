@@ -252,9 +252,9 @@ TEST_F(CatalyzerTest, AblationSeparatedState)
         rt2.bootCold(reg2.artifactsFor(apps::appByName("python-django")));
 
     auto kernel_ms = [](const BootResult &r) {
-        for (const auto &[name, t] : r.report.stages()) {
-            if (name == "recover-kernel")
-                return t.toMs();
+        for (const trace::BootStage &stage : r.report.stages()) {
+            if (stage.name == "recover-kernel")
+                return stage.time.toMs();
         }
         return 0.0;
     };
@@ -275,9 +275,9 @@ TEST_F(CatalyzerTest, AblationLazyIoReconnection)
         rt2.bootCold(reg2.artifactsFor(apps::appByName("java-specjbb")));
 
     auto io_ms = [](const BootResult &r) {
-        for (const auto &[name, t] : r.report.stages()) {
-            if (name == "reconnect-io")
-                return t.toMs();
+        for (const trace::BootStage &stage : r.report.stages()) {
+            if (stage.name == "reconnect-io")
+                return stage.time.toMs();
         }
         return 0.0;
     };

@@ -121,13 +121,13 @@ TEST_F(PipelineTest, RestoreBreakdownMatchesFig2)
     BootResult r = bootSandbox(SandboxSystem::GVisorRestore,
                                fn("java-specjbb"));
     double app_mem = 0, kernel = 0, io = 0;
-    for (const auto &[name, t] : r.report.stages()) {
-        if (name == "restore-app-memory")
-            app_mem = t.toMs();
-        else if (name == "restore-kernel")
-            kernel = t.toMs();
-        else if (name == "restore-reconnect-io")
-            io = t.toMs();
+    for (const trace::BootStage &stage : r.report.stages()) {
+        if (stage.name == "restore-app-memory")
+            app_mem = stage.time.toMs();
+        else if (stage.name == "restore-kernel")
+            kernel = stage.time.toMs();
+        else if (stage.name == "restore-reconnect-io")
+            io = stage.time.toMs();
     }
     EXPECT_NEAR(app_mem, 128.8, 30.0); // paper: 128.805 ms
     EXPECT_NEAR(kernel, 79.2, 20.0);   // paper: 79.180 ms
@@ -190,13 +190,33 @@ TEST_F(PipelineTest, InstanceDestructionReleasesMemory)
 
 TEST(BootReportTest, StageAccounting)
 {
-    BootReport report;
-    report.addSandboxStage("a", sim::SimTime::milliseconds(2));
-    report.addAppStage("b", sim::SimTime::milliseconds(3));
+    using sim::SimTime;
+    sim::VirtualClock clock;
+    clock.advance(SimTime::milliseconds(7)); // before start(): not booked
+    trace::BootReport report;
+    report.start(clock);
+    {
+        auto stage = report.sandboxStage({}, "a");
+        clock.advance(SimTime::milliseconds(2));
+    }
+    {
+        auto stage = report.appStage({}, "b");
+        clock.advance(SimTime::milliseconds(3));
+    }
     EXPECT_DOUBLE_EQ(report.sandboxInit().toMs(), 2.0);
     EXPECT_DOUBLE_EQ(report.appInit().toMs(), 3.0);
     EXPECT_DOUBLE_EQ(report.total().toMs(), 5.0);
-    EXPECT_EQ(report.stages().size(), 2u);
+    ASSERT_EQ(report.stages().size(), 2u);
+    EXPECT_EQ(report.stages()[0].name, "a");
+    EXPECT_EQ(report.stages()[0].phase, trace::BootPhase::SandboxInit);
+    EXPECT_EQ(report.stages()[1].name, "b");
+    EXPECT_DOUBLE_EQ(report.stages()[1].time.toMs(), 3.0);
+    EXPECT_EQ(report.stages()[1].phase, trace::BootPhase::AppInit);
+
+    // Like sim::Stopwatch, a stage refuses a clock moved behind its mark.
+    clock.reset();
+    EXPECT_DEATH({ auto stage = report.appStage({}, "c"); },
+                 "behind the stage mark");
 }
 
 } // namespace

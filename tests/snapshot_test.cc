@@ -93,8 +93,9 @@ TEST_F(SnapshotTest, EagerRestoreRebuildsEverything)
     guest::GuestKernel guest(ctx, "restored");
     mem::AddressSpace space(ctx, frames, "restored");
     EagerRestoreEngine restorer(ctx);
-    const RestoreBreakdown breakdown =
-        restorer.restore(*image, guest, space, nullptr);
+    trace::BootReport report;
+    report.start(ctx.clock());
+    restorer.restore(*image, guest, space, nullptr, report);
 
     // The guest state is a faithful copy.
     EXPECT_TRUE(guest.state() == state.kernelGraph);
@@ -103,13 +104,18 @@ TEST_F(SnapshotTest, EagerRestoreRebuildsEverything)
     EXPECT_EQ(guest.io().establishedCount(), state.ioConns.size());
     // All memory loaded eagerly.
     EXPECT_EQ(space.privatePages(), state.memoryPages);
-    // Every phase took time.
-    EXPECT_GT(breakdown.appMemory.toNs(), 0);
-    EXPECT_GT(breakdown.kernelMeta.toNs(), 0);
-    EXPECT_GT(breakdown.ioReconnect.toNs(), 0);
-    EXPECT_EQ(breakdown.total().toNs(),
-              (breakdown.appMemory + breakdown.kernelMeta +
-               breakdown.ioReconnect).toNs());
+    // Every phase took time, booked as one app-init stage each.
+    const auto &stages = report.stages();
+    ASSERT_EQ(stages.size(), 3u);
+    EXPECT_EQ(stages[0].name, "restore-app-memory");
+    EXPECT_EQ(stages[1].name, "restore-kernel");
+    EXPECT_EQ(stages[2].name, "restore-reconnect-io");
+    for (const trace::BootStage &stage : stages) {
+        EXPECT_GT(stage.time.toNs(), 0) << stage.name;
+        EXPECT_EQ(stage.phase, trace::BootPhase::AppInit) << stage.name;
+    }
+    EXPECT_EQ(report.total().toNs(),
+              (stages[0].time + stages[1].time + stages[2].time).toNs());
     // Threads are back.
     EXPECT_GT(guest.threads().totalThreads(), 0);
 }
@@ -123,7 +129,9 @@ TEST_F(SnapshotTest, EagerRestoreRejectsSeparatedImages)
     guest::GuestKernel guest(ctx, "g");
     mem::AddressSpace space(ctx, frames, "s");
     EagerRestoreEngine restorer(ctx);
-    EXPECT_DEATH(restorer.restore(*image, guest, space, nullptr),
+    trace::BootReport report;
+    report.start(ctx.clock());
+    EXPECT_DEATH(restorer.restore(*image, guest, space, nullptr, report),
                  "CompressedProto");
 }
 

@@ -2,13 +2,15 @@
  * @file
  * Tests for the boot tracing layer: span buffering and nesting,
  * out-of-order finishes, the Chrome trace_event and text exporters
- * (including attribute escaping and JSON well-formedness), BootReport
- * span emission, log-level parsing, and the end-to-end span tree of a
- * Catalyzer cold boot.
+ * (including attribute escaping and JSON well-formedness), log-level
+ * parsing, the end-to-end span tree of a Catalyzer cold boot, and, for
+ * every boot path, the stage spans against the BootReport stages.
  */
 
 #include <cctype>
 #include <cstddef>
+#include <memory>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -16,9 +18,9 @@
 #include <gtest/gtest.h>
 
 #include "catalyzer/runtime.h"
-#include "sandbox/boot_report.h"
 #include "sandbox/pipelines.h"
 #include "sim/logging.h"
+#include "trace/boot_report.h"
 #include "trace/export.h"
 #include "trace/trace.h"
 
@@ -581,31 +583,6 @@ TEST(TextExportTest, RendersHierarchy)
     EXPECT_NE(text.find("pages=4"), std::string::npos);
 }
 
-TEST(BootReportTest, EmitsStageSpansWhenBound)
-{
-    Tracer tracer;
-    sim::VirtualClock clock;
-    clock.advance(20_ms);
-
-    sandbox::BootReport report;
-    report.bindTrace(TraceContext(tracer, clock));
-    report.addSandboxStage("construct", 2_ms);
-    report.addAppStage("restore", 3_ms);
-    report.addAppStage("silent", 1_ms, /*emit_span=*/false);
-
-    EXPECT_EQ(report.total(), 6_ms);
-    const auto spans = tracer.snapshot();
-    ASSERT_EQ(spans.size(), 2u);
-    const Span *construct = findSpan(spans, "construct");
-    ASSERT_NE(construct, nullptr);
-    ASSERT_FALSE(construct->attributes.empty());
-    EXPECT_EQ(construct->attributes[0].second, "sandbox-init");
-    const Span *restore = findSpan(spans, "restore");
-    ASSERT_NE(restore, nullptr);
-    EXPECT_EQ(restore->attributes[0].second, "app-init");
-    EXPECT_EQ(findSpan(spans, "silent"), nullptr);
-}
-
 TEST(LogLevelTest, ParseLogLevel)
 {
     using sim::LogLevel;
@@ -639,16 +616,16 @@ TEST(TraceIntegrationTest, CatalyzerColdBootSpanTree)
     EXPECT_TRUE(boot->finished);
 
     // The acceptance stages are distinct children of the boot span.
-    for (const char *stage :
-         {"overlay-map", "separated-state-fixup", "io-reconnect",
-          "sandbox-acquire", "specialize"}) {
+    for (const char *stage : {"map-image", "recover-kernel",
+                              "reconnect-io", "construct-sandbox",
+                              "specialize"}) {
         const Span *s = findSpan(spans, stage);
         ASSERT_NE(s, nullptr) << "missing span " << stage;
         EXPECT_EQ(s->parent, boot->id) << stage;
         EXPECT_TRUE(s->finished) << stage;
     }
     // The separated-state fix-up has its own structure below it.
-    const Span *fixup = findSpan(spans, "separated-state-fixup");
+    const Span *fixup = findSpan(spans, "recover-kernel");
     const Span *relation = findSpan(spans, "relation-fixup");
     ASSERT_NE(relation, nullptr);
     EXPECT_EQ(relation->parent, fixup->id);
@@ -696,7 +673,14 @@ TEST(TraceIntegrationTest, FreshBootPipelineSpanTree)
     const Span *kvm = findSpan(spans, "kvm-setup");
     ASSERT_NE(kvm, nullptr);
     EXPECT_EQ(kvm->parent, create->id);
-    ASSERT_NE(findSpan(spans, "application-init"), nullptr);
+    // Application initialization is its app-init stages, directly under
+    // the boot span.
+    const Span *app = findSpan(spans, "load-binary");
+    ASSERT_NE(app, nullptr);
+    EXPECT_EQ(app->parent, boot->id);
+    ASSERT_FALSE(app->attributes.empty());
+    EXPECT_EQ(app->attributes.back().first, "phase");
+    EXPECT_EQ(app->attributes.back().second, "app-init");
 
     const sim::LatencySeries *h =
         machine.ctx().stats().findHistogram("boot.latency.gVisor");
@@ -717,6 +701,207 @@ TEST(TraceIntegrationTest, UntracedBootStillObservesHistograms)
     ASSERT_NE(h, nullptr);
     EXPECT_EQ(h->count(), 1u);
 }
+
+//
+// Every boot path books each stage exactly once: the phase-tagged
+// children of its boot span are its BootReport stages.
+//
+
+enum class BootPath { Sandbox, Cold, Warm, Sfork, LangTemplate, RemoteSfork };
+
+struct BootCase
+{
+    const char *name;
+    BootPath path;
+    sandbox::SandboxSystem system = sandbox::SandboxSystem::Native;
+    core::CatalyzerOptions options = {};
+    /** Untraced cold boots (each invoked once) before the traced one. */
+    int primingBoots = 0;
+    /** Fail the first sfork attempt, so the boot pays one retry. */
+    bool failSforkOnce = false;
+};
+
+void
+PrintTo(const BootCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
+core::CatalyzerOptions
+withOptions(void (*set)(core::CatalyzerOptions &))
+{
+    core::CatalyzerOptions options;
+    set(options);
+    return options;
+}
+
+/** A peer machine holding the template a remote-sfork boot borrows. */
+struct Lender
+{
+    explicit Lender(const core::CatalyzerOptions &options)
+        : machine(43), registry(machine), runtime(machine, options),
+          fabric([] {
+              net::FabricConfig config;
+              config.modelTransfers = true;
+              config.remoteFork = true;
+              return config;
+          }())
+    {}
+
+    core::RemoteForkSource
+    source(const apps::AppProfile &app)
+    {
+        FunctionArtifacts &fn = registry.artifactsFor(app);
+        runtime.prepareTemplate(fn);
+        core::RemoteForkSource src;
+        src.templateInstance = runtime.templateFor(app.name);
+        src.image = fn.separatedImage;
+        src.manifest = fn.workingSet;
+        src.fabric = &fabric;
+        src.self = 1;
+        src.peer = 0;
+        return src;
+    }
+
+    Machine machine;
+    FunctionRegistry registry;
+    core::CatalyzerRuntime runtime;
+    net::Fabric fabric;
+};
+
+class BootStageSpansTest : public ::testing::TestWithParam<BootCase>
+{};
+
+TEST_P(BootStageSpansTest, PhaseChildrenAreTheReportStages)
+{
+    const BootCase &c = GetParam();
+    const apps::AppProfile &app = apps::appByName("python-django");
+    Machine machine(42);
+    FunctionRegistry registry(machine);
+    core::CatalyzerRuntime runtime(machine, c.options);
+    FunctionArtifacts &fn = registry.artifactsFor(app);
+    std::unique_ptr<Lender> lender;
+    for (int i = 0; i < c.primingBoots; ++i)
+        runtime.bootCold(fn).instance->invoke();
+    if (c.failSforkOnce)
+        runtime.faults().failNext(faults::FaultSite::Sfork);
+
+    Tracer tracer;
+    const TraceContext root(tracer, machine.ctx().clock());
+    sandbox::BootResult boot;
+    switch (c.path) {
+      case BootPath::Sandbox:
+        boot = sandbox::bootSandbox(c.system, fn, root);
+        break;
+      case BootPath::Cold:
+        boot = runtime.bootCold(fn, root);
+        break;
+      case BootPath::Warm:
+        boot = runtime.bootWarm(fn, root);
+        break;
+      case BootPath::Sfork:
+        boot = runtime.bootFork(fn, root);
+        break;
+      case BootPath::LangTemplate:
+        boot = runtime.bootFromLanguageTemplate(fn, root);
+        break;
+      case BootPath::RemoteSfork:
+        lender = std::make_unique<Lender>(c.options);
+        boot = runtime.bootRemoteFork(fn, lender->source(app), root);
+        break;
+    }
+    if (c.failSforkOnce) {
+        EXPECT_EQ(machine.ctx().stats().value("faults.injected.sfork"), 1);
+    }
+
+    const std::vector<Span> spans = tracer.snapshot();
+    const Span *root_span = nullptr;
+    for (const Span &s : spans) {
+        if (s.parent == 0 && s.name.rfind("boot/", 0) == 0)
+            root_span = &s;
+    }
+    ASSERT_NE(root_span, nullptr);
+    std::vector<const Span *> stage_spans;
+    for (const Span &s : spans) {
+        for (const auto &[key, value] : s.attributes) {
+            if (key != "phase")
+                continue;
+            EXPECT_EQ(s.parent, root_span->id) << s.name;
+            stage_spans.push_back(&s);
+        }
+    }
+
+    const std::vector<BootStage> &stages = boot.report.stages();
+    ASSERT_FALSE(stages.empty());
+    ASSERT_EQ(stage_spans.size(), stages.size());
+    SimTime sum;
+    for (std::size_t i = 0; i < stages.size(); ++i) {
+        const Span &span = *stage_spans[i];
+        EXPECT_EQ(span.name, stages[i].name) << i;
+        EXPECT_TRUE(span.finished) << span.name;
+        EXPECT_EQ(span.duration(), stages[i].time) << span.name;
+        EXPECT_EQ(span.attributes.back().second,
+                  bootPhaseName(stages[i].phase))
+            << span.name;
+        if (i > 0) {
+            EXPECT_EQ(span.start, stage_spans[i - 1]->end) << span.name;
+        }
+        EXPECT_GE(span.start, root_span->start) << span.name;
+        EXPECT_LE(span.end, root_span->end) << span.name;
+        sum += span.duration();
+    }
+    EXPECT_EQ(sum, boot.report.total());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BootPaths, BootStageSpansTest,
+    ::testing::Values(
+        BootCase{"Native", BootPath::Sandbox,
+                 sandbox::SandboxSystem::Native},
+        BootCase{"Docker", BootPath::Sandbox,
+                 sandbox::SandboxSystem::Docker},
+        BootCase{"HyperContainer", BootPath::Sandbox,
+                 sandbox::SandboxSystem::HyperContainer},
+        BootCase{"FireCracker", BootPath::Sandbox,
+                 sandbox::SandboxSystem::FireCracker},
+        BootCase{"GVisor", BootPath::Sandbox,
+                 sandbox::SandboxSystem::GVisor},
+        BootCase{"GVisorPtrace", BootPath::Sandbox,
+                 sandbox::SandboxSystem::GVisorPtrace},
+        BootCase{"GVisorRestore", BootPath::Sandbox,
+                 sandbox::SandboxSystem::GVisorRestore},
+        BootCase{"CatalyzerCold", BootPath::Cold},
+        BootCase{"CatalyzerWarm", BootPath::Warm},
+        BootCase{"CatalyzerSfork", BootPath::Sfork},
+        BootCase{"CatalyzerSforkRetry", BootPath::Sfork,
+                 sandbox::SandboxSystem::Native, {}, 0,
+                 /*failSforkOnce=*/true},
+        BootCase{"CatalyzerLangTemplate", BootPath::LangTemplate},
+        BootCase{"CatalyzerRemoteSfork", BootPath::RemoteSfork},
+        BootCase{"NoOverlayMemory", BootPath::Cold,
+                 sandbox::SandboxSystem::Native,
+                 withOptions([](core::CatalyzerOptions &o) {
+                     o.overlayMemory = false;
+                 })},
+        BootCase{"NoSeparatedState", BootPath::Cold,
+                 sandbox::SandboxSystem::Native,
+                 withOptions([](core::CatalyzerOptions &o) {
+                     o.separatedState = false;
+                 })},
+        BootCase{"EagerIoReconnection", BootPath::Cold,
+                 sandbox::SandboxSystem::Native,
+                 withOptions([](core::CatalyzerOptions &o) {
+                     o.lazyIoReconnection = false;
+                 })},
+        BootCase{"PrefetchWorkingSet", BootPath::Cold,
+                 sandbox::SandboxSystem::Native,
+                 withOptions([](core::CatalyzerOptions &o) {
+                     o.prefetchWorkingSet = true;
+                 }),
+                 /*primingBoots=*/3}),
+    [](const ::testing::TestParamInfo<BootCase> &info) {
+        return std::string(info.param.name);
+    });
 
 } // namespace
 } // namespace catalyzer::trace

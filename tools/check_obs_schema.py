@@ -8,7 +8,8 @@ observability layer produces, run by CI right after the smoke benches:
                    (StatRegistry::writeTimeSeriesJson)
   slo=FILE         SLO evaluation report (obs::writeSloJson)
   trace=FILE       Chrome trace_event document (exportChromeTrace /
-                   Cluster::exportFleetTrace)
+                   Cluster::exportFleetTrace); a boot stage's "phase"
+                   arg must be sandbox-init or app-init
   fleet=FILE       fleet SLO/cost sweep (bench/fig_fleet_slo)
   imagededup=FILE  chunk-dedup + tier-ladder report
                    (bench/fig_image_dedup)
@@ -133,6 +134,10 @@ def check_slo(path, doc):
                        f"{where}: window missing numeric 'burn_rate'")
 
 
+# The two halves of a boot (paper Fig. 4) a stage span's "phase" names.
+BOOT_PHASES = {"sandbox-init", "app-init"}
+
+
 def check_trace(path, doc):
     if not expect(isinstance(doc, dict), path, "root is not an object"):
         return
@@ -159,6 +164,11 @@ def check_trace(path, doc):
             expect(e.get("pid") in machines, path,
                    f"X event {e.get('name')!r} in pid lane "
                    f"{e.get('pid')} with no process_name metadata")
+            args = e.get("args")
+            phase = args.get("phase") if isinstance(args, dict) else None
+            expect(phase is None or phase in BOOT_PHASES, path,
+                   f"X event {e.get('name')!r} has boot phase {phase!r} "
+                   f"(want one of {sorted(BOOT_PHASES)})")
 
 
 def check_fleet(path, doc):
