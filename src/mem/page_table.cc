@@ -35,13 +35,33 @@ PageTable::findRun(PageIndex page)
     return runs_.end();
 }
 
+PageTable::RunMap::const_iterator
+PageTable::upperBound(PageIndex page) const
+{
+    // A jump past more runs than this walks from the root instead, so
+    // a far probe costs a few steps more than a plain tree walk.
+    constexpr int kCursorSteps = 8;
+    if (cursor_.valid && page >= cursor_.page) {
+        auto it = cursor_.next;
+        for (int step = 0; step < kCursorSteps; ++step, ++it) {
+            if (it == runs_.end() || it->first > page)
+                return it;
+        }
+    }
+    return runs_.upper_bound(page);
+}
+
 bool
 PageTable::lookupSlow(PageIndex page, Pte *out) const
 {
-    // One tree walk primes both caches with the run/gap pair around
+    // One lookup primes both caches with the run/gap pair around
     // @p page, so an ascending probe stream (strided touch loops)
-    // alternating between present pages and holes stays inline.
-    auto next = runs_.upper_bound(page);
+    // alternating between present pages and holes stays inline; the
+    // cursor then steps it on to the next pair.
+    auto next = upperBound(page);
+    cursor_.next = next;
+    cursor_.page = page;
+    cursor_.valid = true;
     PageIndex gap_lo = 0;
     if (next != runs_.begin()) {
         auto prev = std::prev(next);

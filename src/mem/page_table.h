@@ -55,7 +55,8 @@ class PageTable
     /**
      * Look up @p page. Returns true and fills @p out (when non-null)
      * with a snapshot of the entry if present. The hit/miss caches
-     * resolve streaming lookups inline, without a tree walk.
+     * resolve streaming lookups inline, without a tree walk, and the
+     * probe cursor steps an ascending stream past them.
      */
     bool
     lookup(PageIndex page, Pte *out = nullptr) const
@@ -183,8 +184,14 @@ class PageTable
   private:
     using RunMap = std::map<PageIndex, Run>;
 
-    /** Tree-walking tail of lookup(); refreshes the caches. */
+    /** Out-of-line tail of lookup(); refreshes caches and cursor. */
     bool lookupSlow(PageIndex page, Pte *out) const;
+
+    /**
+     * runs_.upper_bound(@p page): stepped forward from the cursor when
+     * @p page lies a few runs past it, a walk from the root otherwise.
+     */
+    RunMap::const_iterator upperBound(PageIndex page) const;
 
     /** Iterator to the run containing @p page, or end(). */
     RunMap::iterator findRun(PageIndex page);
@@ -198,13 +205,35 @@ class PageTable
     /** Merge @p it with its neighbors when contiguous and flag-equal. */
     RunMap::iterator coalesce(RunMap::iterator it);
 
-    /** Drop the last-hit/last-miss lookup caches (any mutation). */
+    /** Drop the lookup caches and the cursor (any mutation). */
     void
     invalidateCache() const
     {
         cache_run_.npages = 0;
         miss_valid_ = false;
+        cursor_.valid = false;
     }
+
+    /**
+     * Probe cursor: next == runs_.upper_bound(page) as of the last slow
+     * lookup. It holds an iterator into runs_, so a copied or moved
+     * table starts without one.
+     */
+    struct Cursor
+    {
+        RunMap::const_iterator next;
+        PageIndex page = 0;
+        bool valid = false;
+
+        Cursor() = default;
+        Cursor(const Cursor &) {}
+        Cursor &
+        operator=(const Cursor &)
+        {
+            valid = false;
+            return *this;
+        }
+    };
 
     RunMap runs_;
     std::size_t present_ = 0;
@@ -223,6 +252,7 @@ class PageTable
     mutable PageIndex miss_lo_ = 0;
     mutable PageIndex miss_hi_ = 0;
     mutable bool miss_valid_ = false;
+    mutable Cursor cursor_;
 };
 
 } // namespace catalyzer::mem

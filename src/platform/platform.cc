@@ -316,6 +316,7 @@ ServerlessPlatform::invoke(const std::string &function_name,
         // ones age toward the keep-alive TTL.
         inst = std::move(idle.back().instance);
         idle.pop_back();
+        --instances_;
         record.reusedInstance = true;
         record.bootKind = inst->bootKind();
         record.tierServed = "reused";
@@ -341,11 +342,14 @@ ServerlessPlatform::invoke(const std::string &function_name,
     }
 
     // Park the instance.
-    if (config_.reuseIdleInstances)
+    if (config_.reuseIdleInstances) {
         idle_[function_name].push_back(
             IdleEntry{std::move(inst), ctx.now()});
-    else if (config_.retainInstances)
+        ++instances_;
+    } else if (config_.retainInstances) {
         running_[function_name].push_back(std::move(inst));
+        ++instances_;
+    }
     // else: destroyed here, releasing its memory.
 
     ctx.stats().incr("platform.invocations");
@@ -401,17 +405,6 @@ ServerlessPlatform::runningCount(const std::string &function_name) const
 }
 
 std::size_t
-ServerlessPlatform::totalInstances() const
-{
-    std::size_t n = 0;
-    for (const auto &[name, list] : running_)
-        n += list.size();
-    for (const auto &[name, list] : idle_)
-        n += list.size();
-    return n;
-}
-
-std::size_t
 ServerlessPlatform::expireIdle(sim::SimTime ttl)
 {
     const sim::SimTime now = machine_.ctx().now();
@@ -423,6 +416,7 @@ ServerlessPlatform::expireIdle(sim::SimTime ttl)
             ++reclaimed;
         }
     }
+    instances_ -= reclaimed;
     if (reclaimed > 0)
         machine_.ctx().stats().incr("platform.idle_expired",
                                     static_cast<std::int64_t>(reclaimed));
@@ -461,6 +455,7 @@ ServerlessPlatform::residentBytes() const
 void
 ServerlessPlatform::teardown(const std::string &function_name)
 {
+    instances_ -= runningCount(function_name);
     running_.erase(function_name);
     idle_.erase(function_name);
 }

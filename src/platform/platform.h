@@ -113,7 +113,8 @@ class ServerlessPlatform
     instancesOf(const std::string &function_name);
 
     std::size_t runningCount(const std::string &function_name) const;
-    std::size_t totalInstances() const;
+    /** Live instances across all functions (running + idle), O(1). */
+    std::size_t totalInstances() const { return instances_; }
 
     /** Destroy all instances of a function. */
     void teardown(const std::string &function_name);
@@ -215,6 +216,11 @@ class ServerlessPlatform
     std::map<std::string,
              std::vector<std::unique_ptr<sandbox::SandboxInstance>>>
         running_;
+    /**
+     * Instances in running_ and idle_, kept current by every site that
+     * adds or removes one: cluster routing reads it per request.
+     */
+    std::size_t instances_ = 0;
     std::optional<remote::RemoteBootEnv> remote_env_;
 };
 

@@ -183,39 +183,50 @@ TieredChunkCache::touch(ChunkId id)
     auto it = entries_.find(id);
     if (it == entries_.end())
         return;
-    it->second.prev = it->second.last;
-    it->second.last = ++access_seq_;
+    Entry &e = it->second;
+    auto &index = order(e.tier);
+    auto node = index.extract(keyOf(id, e));
+    e.prev = e.last;
+    e.last = ++access_seq_;
+    node.value() = keyOf(id, e);
+    index.insert(std::move(node));
 }
 
 ChunkId
-TieredChunkCache::victim(ChunkTier tier) const
+TieredChunkCache::victim(ChunkTier tier)
 {
-    ChunkId best = 0;
-    bool found = false;
-    std::uint64_t best_prev = 0, best_last = 0;
-    for (const auto &[id, e] : entries_) {
-        if (e.tier != tier)
-            continue;
-        // LRU-2: oldest second-to-last access first, last access as
-        // the tie-break; map order settles exact ties.
-        if (!found || e.prev < best_prev ||
-            (e.prev == best_prev && e.last < best_last)) {
-            best = id;
-            best_prev = e.prev;
-            best_last = e.last;
-            found = true;
-        }
-    }
-    if (!found)
+    // LRU-2: oldest second-to-last access first, last access as the
+    // tie-break, the id settling exact ties — the index's key order.
+    const auto &index = order(tier);
+    if (index.empty())
         sim::panic("TieredChunkCache: no victim in tier");
-    return best;
+    return std::get<2>(*index.begin());
 }
 
 void
-TieredChunkCache::dropFromSsd(ChunkId id, Result &result)
+TieredChunkCache::add(ChunkId id, std::size_t bytes, ChunkTier tier)
+{
+    Entry &e = entries_[id];
+    e = Entry{.bytes = bytes, .tier = tier, .last = ++access_seq_};
+    order(tier).insert(keyOf(id, e));
+    bytesIn(tier) += bytes;
+}
+
+void
+TieredChunkCache::retier(ChunkId id, Entry &e, ChunkTier tier)
+{
+    order(tier).insert(order(e.tier).extract(keyOf(id, e)));
+    bytesIn(e.tier) -= e.bytes;
+    bytesIn(tier) += e.bytes;
+    e.tier = tier;
+}
+
+void
+TieredChunkCache::drop(ChunkId id, Result &result)
 {
     auto it = entries_.find(id);
-    ssd_bytes_ -= it->second.bytes;
+    bytesIn(it->second.tier) -= it->second.bytes;
+    order(it->second.tier).erase(keyOf(id, it->second));
     entries_.erase(it);
     result.dropped.push_back(id);
 }
@@ -224,15 +235,11 @@ void
 TieredChunkCache::demote(ChunkId id, Result &result)
 {
     Entry &e = entries_.at(id);
-    const std::size_t bytes = e.bytes;
-    ram_bytes_ -= bytes;
-    if (bytes > ssd_budget_) {
-        entries_.erase(id);
-        result.dropped.push_back(id);
+    if (e.bytes > ssd_budget_) {
+        drop(id, result);
         return;
     }
-    e.tier = ChunkTier::Ssd;
-    ssd_bytes_ += bytes;
+    retier(id, e, ChunkTier::Ssd);
     ++result.demotions;
     makeRoom(ChunkTier::Ssd, 0, result);
 }
@@ -246,7 +253,7 @@ TieredChunkCache::makeRoom(ChunkTier tier, std::size_t bytes,
             demote(victim(ChunkTier::Ram), result);
     } else {
         while (ssd_bytes_ + bytes > ssd_budget_ && ssd_bytes_ > 0)
-            dropFromSsd(victim(ChunkTier::Ssd), result);
+            drop(victim(ChunkTier::Ssd), result);
     }
 }
 
@@ -260,34 +267,27 @@ TieredChunkCache::insert(ChunkId id, std::size_t bytes)
         return result;
     }
     if (bytes > ram_budget_) {
-        // Never fits in RAM: cache on SSD directly.
-        if (it == entries_.end()) {
-            makeRoom(ChunkTier::Ssd, bytes, result);
-            if (bytes <= ssd_budget_) {
-                entries_[id] = Entry{bytes, ChunkTier::Ssd, 0, 0};
-                ssd_bytes_ += bytes;
-                touch(id);
-            } else {
-                result.dropped.push_back(id);
-            }
-        } else {
+        // Never fits in RAM: cache on SSD directly. A chunk that fits
+        // no tier is dropped without disturbing the SSD residents.
+        if (it != entries_.end()) {
             touch(id);
+        } else if (bytes <= ssd_budget_) {
+            makeRoom(ChunkTier::Ssd, bytes, result);
+            add(id, bytes, ChunkTier::Ssd);
+        } else {
+            result.dropped.push_back(id);
         }
         return result;
     }
     if (it != entries_.end()) {
         // Promote SSD -> RAM.
-        ssd_bytes_ -= it->second.bytes;
-        it->second.tier = ChunkTier::Ram;
-        ram_bytes_ += it->second.bytes;
+        retier(id, it->second, ChunkTier::Ram);
         touch(id);
         makeRoom(ChunkTier::Ram, 0, result);
         return result;
     }
     makeRoom(ChunkTier::Ram, bytes, result);
-    entries_[id] = Entry{bytes, ChunkTier::Ram, 0, 0};
-    ram_bytes_ += bytes;
-    touch(id);
+    add(id, bytes, ChunkTier::Ram);
     return result;
 }
 

@@ -33,6 +33,8 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
+#include <tuple>
 #include <vector>
 
 #include "net/fabric.h"
@@ -94,7 +96,8 @@ enum class ChunkTier { None, Ram, Ssd };
  * victim is the chunk with the oldest second-to-last access, and RAM
  * eviction demotes to SSD; only SSD eviction drops a chunk, and the
  * caller is told so it can unadvertise the chunk from the cluster
- * directory.
+ * directory. Each tier keeps its chunks ordered by LRU-2 key, so a
+ * victim is the index's first element and an eviction costs O(log n).
  */
 class TieredChunkCache
 {
@@ -143,10 +146,34 @@ class TieredChunkCache
         std::uint64_t prev = 0;
     };
 
+    /** LRU-2 order within a tier: (prev, last, id), oldest first. */
+    using Lru2Key = std::tuple<std::uint64_t, std::uint64_t, ChunkId>;
+
+    static Lru2Key
+    keyOf(ChunkId id, const Entry &e)
+    {
+        return {e.prev, e.last, id};
+    }
+    std::set<Lru2Key> &
+    order(ChunkTier tier)
+    {
+        return order_[tier == ChunkTier::Ram ? 0 : 1];
+    }
+    std::size_t &
+    bytesIn(ChunkTier tier)
+    {
+        return tier == ChunkTier::Ram ? ram_bytes_ : ssd_bytes_;
+    }
+
     /** LRU-2 victim in @p tier: oldest prev, then oldest last. */
-    ChunkId victim(ChunkTier tier) const;
+    ChunkId victim(ChunkTier tier);
+    /** Cache a new chunk in @p tier as its most recent access. */
+    void add(ChunkId id, std::size_t bytes, ChunkTier tier);
+    /** Move resident @p id from its tier to @p tier, index included. */
+    void retier(ChunkId id, Entry &e, ChunkTier tier);
     void demote(ChunkId id, Result &result);
-    void dropFromSsd(ChunkId id, Result &result);
+    /** Remove @p id from the machine and report it dropped. */
+    void drop(ChunkId id, Result &result);
     /** Make @p bytes of headroom in @p tier. */
     void makeRoom(ChunkTier tier, std::size_t bytes, Result &result);
 
@@ -156,6 +183,8 @@ class TieredChunkCache
     std::size_t ssd_bytes_ = 0;
     std::uint64_t access_seq_ = 0;
     std::map<ChunkId, Entry> entries_;
+    /** Per-tier LRU-2 index over entries_ (RAM, then SSD). */
+    std::set<Lru2Key> order_[2];
 };
 
 } // namespace catalyzer::snapshot

@@ -8,8 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
+#include <random>
 #include <set>
+#include <vector>
 
 #include "net/fabric.h"
 #include "remote/template_registry.h"
@@ -174,6 +177,216 @@ TEST(ChunkStoreTest, SsdOverflowDropsColdChunks)
     EXPECT_EQ(cache.tierOf(3), ChunkTier::Ssd);
     EXPECT_EQ(cache.tierOf(4), ChunkTier::Ram);
     EXPECT_LE(cache.ssdBytes(), 2 * kChunk);
+}
+
+TEST(ChunkStoreTest, ChunkLargerThanEveryTierLeavesSsdResidentsAlone)
+{
+    TieredChunkCache cache;
+    const std::size_t kMiB = 1u << 20;
+    cache.configure(/*ram=*/kMiB, /*ssd=*/2 * kMiB);
+
+    cache.insert(1, kMiB);
+    cache.insert(2, kMiB); // 1 demoted to SSD
+    ASSERT_EQ(cache.tierOf(1), ChunkTier::Ssd);
+
+    // 3 MiB fits neither tier: only the newcomer is dropped.
+    const auto oversized = cache.insert(3, 3 * kMiB);
+    EXPECT_EQ(oversized.dropped, std::vector<ChunkId>{3});
+    EXPECT_EQ(oversized.demotions, 0u);
+    EXPECT_EQ(cache.tierOf(1), ChunkTier::Ssd);
+    EXPECT_EQ(cache.tierOf(2), ChunkTier::Ram);
+    EXPECT_EQ(cache.tierOf(3), ChunkTier::None);
+    EXPECT_EQ(cache.ssdBytes(), kMiB);
+    EXPECT_EQ(cache.ramBytes(), kMiB);
+}
+
+/**
+ * The LRU-2 cache as a linear scan: the specification the indexed
+ * TieredChunkCache must reproduce step for step.
+ */
+class ScanLru2Cache
+{
+  public:
+    ScanLru2Cache(std::size_t ram_budget, std::size_t ssd_budget)
+        : ram_budget_(ram_budget), ssd_budget_(ssd_budget)
+    {
+    }
+
+    ChunkTier
+    tierOf(ChunkId id) const
+    {
+        auto it = entries_.find(id);
+        return it == entries_.end() ? ChunkTier::None : it->second.tier;
+    }
+
+    void
+    touch(ChunkId id)
+    {
+        auto it = entries_.find(id);
+        if (it == entries_.end())
+            return;
+        it->second.prev = it->second.last;
+        it->second.last = ++seq_;
+    }
+
+    TieredChunkCache::Result
+    insert(ChunkId id, std::size_t bytes)
+    {
+        TieredChunkCache::Result r;
+        auto it = entries_.find(id);
+        if (it != entries_.end() && it->second.tier == ChunkTier::Ram) {
+            touch(id);
+            return r;
+        }
+        if (bytes > ram_budget_) {
+            if (it != entries_.end()) {
+                touch(id);
+            } else if (bytes <= ssd_budget_) {
+                makeRoom(ChunkTier::Ssd, bytes, r);
+                entries_[id] = Entry{bytes, ChunkTier::Ssd, 0, 0};
+                ssd_bytes_ += bytes;
+                touch(id);
+            } else {
+                r.dropped.push_back(id);
+            }
+            return r;
+        }
+        if (it != entries_.end()) {
+            ssd_bytes_ -= it->second.bytes;
+            ram_bytes_ += it->second.bytes;
+            it->second.tier = ChunkTier::Ram;
+            touch(id);
+            makeRoom(ChunkTier::Ram, 0, r);
+            return r;
+        }
+        makeRoom(ChunkTier::Ram, bytes, r);
+        entries_[id] = Entry{bytes, ChunkTier::Ram, 0, 0};
+        ram_bytes_ += bytes;
+        touch(id);
+        return r;
+    }
+
+    TieredChunkCache::Result
+    demoteAll()
+    {
+        TieredChunkCache::Result r;
+        std::vector<ChunkId> ram_ids;
+        for (const auto &[id, e] : entries_)
+            if (e.tier == ChunkTier::Ram)
+                ram_ids.push_back(id);
+        for (ChunkId id : ram_ids)
+            demote(id, r);
+        return r;
+    }
+
+    std::size_t ramBytes() const { return ram_bytes_; }
+    std::size_t ssdBytes() const { return ssd_bytes_; }
+
+  private:
+    struct Entry
+    {
+        std::size_t bytes;
+        ChunkTier tier;
+        std::uint64_t prev;
+        std::uint64_t last;
+    };
+
+    ChunkId
+    victim(ChunkTier tier) const
+    {
+        const Entry *best = nullptr;
+        ChunkId best_id = 0;
+        for (const auto &[id, e] : entries_) {
+            if (e.tier != tier)
+                continue;
+            if (best == nullptr || e.prev < best->prev ||
+                (e.prev == best->prev && e.last < best->last)) {
+                best = &e;
+                best_id = id;
+            }
+        }
+        return best_id;
+    }
+
+    void
+    demote(ChunkId id, TieredChunkCache::Result &r)
+    {
+        Entry &e = entries_.at(id);
+        ram_bytes_ -= e.bytes;
+        if (e.bytes > ssd_budget_) {
+            entries_.erase(id);
+            r.dropped.push_back(id);
+            return;
+        }
+        e.tier = ChunkTier::Ssd;
+        ssd_bytes_ += e.bytes;
+        ++r.demotions;
+        makeRoom(ChunkTier::Ssd, 0, r);
+    }
+
+    void
+    makeRoom(ChunkTier tier, std::size_t bytes, TieredChunkCache::Result &r)
+    {
+        if (tier == ChunkTier::Ram) {
+            while (ram_bytes_ + bytes > ram_budget_ && ram_bytes_ > 0)
+                demote(victim(ChunkTier::Ram), r);
+            return;
+        }
+        while (ssd_bytes_ + bytes > ssd_budget_ && ssd_bytes_ > 0) {
+            const ChunkId id = victim(ChunkTier::Ssd);
+            ssd_bytes_ -= entries_.at(id).bytes;
+            entries_.erase(id);
+            r.dropped.push_back(id);
+        }
+    }
+
+    std::size_t ram_budget_;
+    std::size_t ssd_budget_;
+    std::size_t ram_bytes_ = 0;
+    std::size_t ssd_bytes_ = 0;
+    std::uint64_t seq_ = 0;
+    std::map<ChunkId, Entry> entries_;
+};
+
+TEST(ChunkStoreTest, IndexedLru2MatchesLinearScanReference)
+{
+    const std::size_t kUnit = 4096;
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        std::mt19937_64 rng(seed);
+        // Small budgets (a few chunks per tier) keep eviction busy.
+        const std::size_t ram = kUnit * (2 + rng() % 6);
+        const std::size_t ssd = kUnit * (2 + rng() % 10);
+        TieredChunkCache cache;
+        cache.configure(ram, ssd);
+        ScanLru2Cache reference(ram, ssd);
+        const ChunkId kIds = 24;
+        for (int step = 0; step < 600; ++step) {
+            const ChunkId id = 1 + rng() % kIds;
+            // Sizes from a fraction of a unit up to past the SSD budget.
+            const std::size_t bytes = kUnit / 2 + rng() % (ssd + kUnit);
+            const unsigned op = static_cast<unsigned>(rng() % 16);
+            TieredChunkCache::Result got, want;
+            if (op < 10) {
+                got = cache.insert(id, bytes);
+                want = reference.insert(id, bytes);
+            } else if (op < 15) {
+                cache.touch(id);
+                reference.touch(id);
+            } else {
+                got = cache.demoteAll();
+                want = reference.demoteAll();
+            }
+            SCOPED_TRACE(testing::Message()
+                         << "seed " << seed << " step " << step);
+            ASSERT_EQ(got.dropped, want.dropped);
+            ASSERT_EQ(got.demotions, want.demotions);
+            ASSERT_EQ(cache.ramBytes(), reference.ramBytes());
+            ASSERT_EQ(cache.ssdBytes(), reference.ssdBytes());
+            for (ChunkId c = 1; c <= kIds; ++c)
+                ASSERT_EQ(cache.tierOf(c), reference.tierOf(c))
+                    << "chunk " << c;
+        }
+    }
 }
 
 TEST(ChunkStoreTest, EvictedChunksLeaveTheClusterDirectory)

@@ -303,6 +303,33 @@ TEST(FleetDriverTest, AccountingInvariantsAndKeepAliveExpiry)
     EXPECT_GE(report.peakResidentMiB, report.avgResidentMiB);
 }
 
+TEST(FleetDriverTest, InstanceLoadsMatchPerMachinePoolSums)
+{
+    const Population pop = makePopulation(12, 30.0);
+    TrafficSpec traffic;
+    traffic.durationSec = 3.0;
+    FleetRunConfig config;
+    config.policy.keepAliveTtl = 200_ms;
+
+    platform::Cluster cluster = makeCluster(3);
+    const FleetReport report =
+        FleetDriver(cluster, pop).run(traffic, config);
+    ASSERT_GT(report.requests, 0u);
+
+    const std::vector<std::size_t> loads = cluster.instanceLoads();
+    ASSERT_EQ(loads.size(), cluster.machineCount());
+    std::size_t total = 0;
+    for (std::size_t m = 0; m < cluster.machineCount(); ++m) {
+        std::size_t sum = 0;
+        for (const FleetFunction &fn : pop.functions())
+            sum += cluster.platform(m).runningCount(fn.name);
+        EXPECT_EQ(loads[m], sum) << "machine " << m;
+        total += sum;
+    }
+    EXPECT_GT(total, 0u); // keep-alive instances are still parked
+    EXPECT_EQ(cluster.totalInstances(), total);
+}
+
 TEST(FleetDriverTest, PureKeepAliveNeverForksButAutoscalerDoes)
 {
     const Population pop = makePopulation(8, 60.0);

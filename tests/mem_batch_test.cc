@@ -9,10 +9,16 @@
  * mirrored layouts) are driven through the same access script; world A
  * touches page by page, world B uses touchRange. Every observable must
  * match bit-for-bit.
+ *
+ * A second property pins PageTable::lookup against a per-page model
+ * while ascending strided probe streams (the cursor's fast path) run
+ * interleaved with every kind of table mutation and table copies.
  */
 
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <random>
 #include <tuple>
 #include <vector>
 
@@ -22,6 +28,7 @@
 #include "mem/backing_file.h"
 #include "mem/base_mapping.h"
 #include "mem/frame_store.h"
+#include "mem/page_table.h"
 #include "sim/context.h"
 
 namespace catalyzer::mem {
@@ -246,6 +253,191 @@ TEST(MemBatchProperty, ForkCowLockstep)
     }
     EXPECT_EQ(parent_faults_a, b.space.touchRange(b.anon_va, 64, true));
     expectWorldsEqual(a, b, "post-cow");
+}
+
+/** Per-page model of a PageTable: what every lookup must return. */
+using PageModel = std::map<PageIndex, Pte>;
+
+void
+expectLookup(const PageTable &table, const PageModel &model, PageIndex page,
+             const char *which)
+{
+    Pte got;
+    const bool present = table.lookup(page, &got);
+    const auto it = model.find(page);
+    ASSERT_EQ(present, it != model.end()) << which << " page " << page;
+    if (present) {
+        EXPECT_EQ(got.frame, it->second.frame) << which << " page " << page;
+        EXPECT_EQ(got.writable, it->second.writable)
+            << which << " page " << page;
+        EXPECT_EQ(got.cow, it->second.cow) << which << " page " << page;
+    }
+}
+
+/** Shape of a fragmented table under test. */
+enum class TableShape
+{
+    /** Private-EPT: scattered frames, mixed writable/COW/read-only. */
+    Private,
+    /** Base-EPT: read-only, frame = base + page, holes in clusters. */
+    Base,
+};
+
+constexpr PageIndex kProbeSpan = 2048;
+constexpr FrameId kBaseFrame0 = 50000;
+
+Pte
+randomPte(TableShape shape, PageIndex page, std::mt19937_64 &rng)
+{
+    if (shape == TableShape::Base)
+        return Pte{kBaseFrame0 + page, false, false};
+    // Mostly contiguous frames so neighbours coalesce into runs.
+    const FrameId frame = rng() % 4 != 0 ? 1000 + page : 1 + rng() % 100000;
+    switch (rng() % 3) {
+      case 0: return Pte{frame, true, false};
+      case 1: return Pte{frame, false, true};
+      default: return Pte{frame, false, false};
+    }
+}
+
+void
+buildFragmented(PageTable &table, PageModel &model, TableShape shape,
+                std::mt19937_64 &rng)
+{
+    PageIndex p = 0;
+    while (p < kProbeSpan) {
+        const std::size_t run = 1 + rng() % 12;
+        const std::size_t gap = rng() % 7;
+        for (std::size_t k = 0; k < run && p + k < kProbeSpan; ++k) {
+            const Pte pte = randomPte(shape, p + k, rng);
+            table.install(p + k, pte);
+            model[p + k] = pte;
+        }
+        p += run + gap;
+    }
+}
+
+/** Apply one random mutation to @p table and mirror it in @p model. */
+void
+mutate(PageTable &table, PageModel &model, TableShape shape,
+       std::mt19937_64 &rng)
+{
+    const PageIndex start = rng() % kProbeSpan;
+    const std::size_t n = 1 + rng() % 24;
+    const PageIndex end = start + n;
+    switch (rng() % 4) {
+      case 0: {
+        const Pte pte = randomPte(shape, start, rng);
+        table.install(start, pte);
+        model[start] = pte;
+        break;
+      }
+      case 1:
+        table.eraseRange(start, n);
+        model.erase(model.lower_bound(start), model.lower_bound(end));
+        break;
+      case 2:
+        table.markCowRange(start, n);
+        for (auto it = model.lower_bound(start);
+             it != model.end() && it->first < end; ++it) {
+            if (it->second.writable) {
+                it->second.writable = false;
+                it->second.cow = true;
+            }
+        }
+        break;
+      default: {
+        // setFlagsRange needs a fully present range: the present
+        // stretch starting at the first page at or after start.
+        const auto it = model.lower_bound(start);
+        if (it == model.end())
+            break;
+        const PageIndex s0 = it->first;
+        std::size_t len = 0;
+        while (len < n && model.contains(s0 + len))
+            ++len;
+        const bool writable = rng() % 2 == 0;
+        const bool cow = !writable && rng() % 2 == 0;
+        table.setFlagsRange(s0, len, writable, cow);
+        for (std::size_t k = 0; k < len; ++k) {
+            model[s0 + k].writable = writable;
+            model[s0 + k].cow = cow;
+        }
+        break;
+      }
+    }
+}
+
+TEST(PageTableCursor, StridedProbesMatchPerPageModel)
+{
+    for (TableShape shape : {TableShape::Private, TableShape::Base}) {
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+            std::mt19937_64 rng(seed * 7919 +
+                                (shape == TableShape::Base ? 1 : 0));
+            PageTable table;
+            PageModel model;
+            buildFragmented(table, model, shape, rng);
+            for (PageIndex stride = 1; stride <= 7; ++stride) {
+                SCOPED_TRACE(testing::Message()
+                             << "shape " << static_cast<int>(shape)
+                             << " seed " << seed << " stride " << stride);
+                for (PageIndex p = rng() % 8; p < kProbeSpan + 16;
+                     p += stride) {
+                    expectLookup(table, model, p, "table");
+                    if (rng() % 24 == 0)
+                        mutate(table, model, shape, rng);
+                    if (rng() % 32 == 0) // a backward or far probe
+                        expectLookup(table, model, rng() % kProbeSpan,
+                                     "table");
+                }
+                ASSERT_EQ(table.presentPages(), model.size());
+            }
+        }
+    }
+}
+
+TEST(PageTableCursor, CopiedTableNeverInheritsTheCursor)
+{
+    for (TableShape shape : {TableShape::Private, TableShape::Base}) {
+        for (PageIndex stride = 1; stride <= 7; ++stride) {
+            SCOPED_TRACE(testing::Message()
+                         << "shape " << static_cast<int>(shape)
+                         << " stride " << stride);
+            std::mt19937_64 rng(stride * 131 +
+                                (shape == TableShape::Base ? 1 : 0));
+            PageTable table;
+            PageModel model;
+            buildFragmented(table, model, shape, rng);
+            PageIndex p = 0;
+            for (; p < kProbeSpan / 2; p += stride)
+                expectLookup(table, model, p, "source");
+
+            // Copy mid-stream, as forkCow assigns the child's table,
+            // and copy-construct a twin; then rewrite the source ahead
+            // of the stream so any inherited iterator would be stale.
+            PageTable child;
+            child = table;
+            const PageTable twin(table);
+            const PageModel snapshot = model;
+            table.eraseRange(p, kProbeSpan - p);
+            model.erase(model.lower_bound(p), model.end());
+            for (PageIndex q = p; q < kProbeSpan; q += 3) {
+                const Pte pte = randomPte(shape, q, rng);
+                table.install(q, pte);
+                model[q] = pte;
+            }
+            PageModel child_model = snapshot;
+            for (; p < kProbeSpan + 16; p += stride) {
+                expectLookup(table, model, p, "source");
+                expectLookup(child, child_model, p, "child");
+                expectLookup(twin, snapshot, p, "twin");
+                if (rng() % 16 == 0)
+                    mutate(table, model, shape, rng);
+                if (rng() % 16 == 0)
+                    mutate(child, child_model, shape, rng);
+            }
+        }
+    }
 }
 
 } // namespace

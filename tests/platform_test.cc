@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "platform/platform.h"
 
 namespace catalyzer::platform {
@@ -109,6 +112,65 @@ TEST(PlatformTest, RetainDisabledDropsInstances)
     platform.prepare(apps::appByName("ds-text"));
     platform.invoke("ds-text");
     EXPECT_EQ(platform.totalInstances(), 0u);
+}
+
+TEST(PlatformTest, InstanceCountTracksEveryPoolChange)
+{
+    const std::vector<std::string> fns = {"c-hello", "ds-text",
+                                          "python-hello"};
+    struct Mode
+    {
+        bool reuse;
+        bool retain;
+    };
+    for (const Mode mode : {Mode{true, true}, Mode{false, true},
+                            Mode{true, false}, Mode{false, false}}) {
+        SCOPED_TRACE(testing::Message() << "reuse " << mode.reuse
+                                        << " retain " << mode.retain);
+        Machine machine(42);
+        PlatformConfig config;
+        config.strategy = BootStrategy::CatalyzerAuto;
+        config.reuseIdleInstances = mode.reuse;
+        config.retainInstances = mode.retain;
+        ServerlessPlatform platform(machine, config);
+        for (const std::string &fn : fns)
+            platform.deploy(apps::appByName(fn));
+
+        int step = 0;
+        const auto expectInvariant = [&] {
+            std::size_t sum = 0;
+            for (const std::string &fn : fns)
+                sum += platform.runningCount(fn);
+            EXPECT_EQ(platform.totalInstances(), sum) << "step " << step;
+            ++step;
+        };
+        // Invokes (first boots, keep-alive reuses, interleaved
+        // functions), expiry, teardown of one function, then a refill.
+        for (int i = 0; i < 6; ++i) {
+            platform.invoke(fns[static_cast<std::size_t>(i) % 2]);
+            expectInvariant();
+        }
+        platform.invoke("python-hello");
+        expectInvariant();
+        platform.expireIdle(sim::SimTime::zero());
+        expectInvariant();
+        platform.invoke("ds-text");
+        expectInvariant();
+        platform.teardown("ds-text");
+        expectInvariant();
+        platform.teardown("ds-text"); // already gone
+        expectInvariant();
+        for (int i = 0; i < 3; ++i) {
+            platform.invoke(fns[static_cast<std::size_t>(i)]);
+            expectInvariant();
+        }
+        platform.expireIdle(sim::SimTime::zero());
+        expectInvariant();
+        for (const std::string &fn : fns)
+            platform.teardown(fn);
+        expectInvariant();
+        EXPECT_EQ(platform.totalInstances(), 0u);
+    }
 }
 
 TEST(PlatformTest, StrategyNames)
