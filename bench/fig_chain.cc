@@ -46,6 +46,7 @@
 #include "load/driver.h"
 #include "mem/types.h"
 #include "sim/json.h"
+#include "sim/metric_catalog.h"
 #include "sim/table.h"
 #include "workflow/scenarios.h"
 
@@ -214,23 +215,19 @@ runMix(platform::Cluster &cluster, bool aware, std::size_t runs,
     return out;
 }
 
+/** The catalog's chain-artifact counters, in its order, zero when the
+ *  run never touched one. */
 void
 writeCounters(std::ostream &os, const platform::Cluster &cluster)
 {
     sim::StatRegistry fleet;
     cluster.mergeStats(fleet);
-    const char *names[] = {
-        "chain.workflows",       "chain.hops_local",
-        "chain.hops_remote",     "state.regions_resident",
-        "state.attaches",        "state.publishes",
-        "state.transfers",       "state.transfer_bytes",
-        "state.cow_faults",      "state.read_faults",
-    };
     os << "{";
     bool first = true;
-    for (const char *name : names) {
+    for (sim::CounterHandle counter : metrics::kChainArtifactCounters) {
+        const std::string_view name = metrics::catalog()[counter.slot].name;
         os << (first ? "" : ", ") << "\"" << name
-           << "\": " << fleet.value(name);
+           << "\": " << fleet.value(counter);
         first = false;
     }
     os << "}";

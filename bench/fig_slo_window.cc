@@ -131,7 +131,7 @@ main()
         if (name.rfind(prefix, 0) != 0)
             continue;
         for (const auto &w : series.windows()) {
-            tiers.addRow({name.substr(prefix.size()),
+            tiers.addRow({std::string(name.substr(prefix.size())),
                           std::to_string(w.index),
                           sim::fmtMs(series.windowStart(w.index).toMs()),
                           std::to_string(w.series.count()),

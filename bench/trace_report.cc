@@ -23,6 +23,10 @@
  * boot-latency summary table. `trace_report --fleet` skips the
  * single-machine sweep and produces only the fleet artifacts.
  *
+ * `trace_report --list-metrics` prints the metric catalog
+ * (sim/metric_catalog.h) as JSON on stdout and exits; the artifact
+ * schema check reads its metric names from that dump.
+ *
  * `trace_report --chain` drives the two canned stateful workflows
  * (pipeline analytics + shopping-cart session) on a locality-aware
  * cluster and exports the chain view:
@@ -48,6 +52,7 @@
 #include "catalyzer/runtime.h"
 #include "platform/cluster.h"
 #include "sandbox/pipelines.h"
+#include "sim/metric_catalog.h"
 #include "sim/table.h"
 #include "trace/export.h"
 #include "trace/trace.h"
@@ -266,6 +271,10 @@ runChain()
 int
 main(int argc, char **argv)
 {
+    if (argc > 1 && std::strcmp(argv[1], "--list-metrics") == 0) {
+        metrics::writeCatalogJson(std::cout);
+        return 0;
+    }
     const bool fleet_only =
         argc > 1 && std::strcmp(argv[1], "--fleet") == 0;
     const bool chain_only =
@@ -403,7 +412,7 @@ main(int argc, char **argv)
         const std::string prefix = "boot.latency.";
         if (name.rfind(prefix, 0) != 0)
             continue;
-        table.addRow({name.substr(prefix.size()),
+        table.addRow({std::string(name.substr(prefix.size())),
                       std::to_string(series.count()),
                       sim::fmtMs(series.percentile(50)),
                       sim::fmtMs(series.percentile(90)),

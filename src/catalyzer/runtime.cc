@@ -8,6 +8,7 @@
 #include "prefetch/fault_recorder.h"
 #include "prefetch/prefetcher.h"
 #include "sim/logging.h"
+#include "sim/metric_catalog.h"
 #include "snapshot/io_reconnect.h"
 
 namespace catalyzer::core {
@@ -36,7 +37,7 @@ CatalyzerRuntime::bootCold(FunctionArtifacts &fn,
                            trace::TraceContext trace)
 {
     BootResult result = bootRestore(fn, /*warm=*/false, trace);
-    machine_.ctx().stats().observe("boot.latency.Catalyzer-cold",
+    machine_.ctx().stats().observe(metrics::kBootLatencyCatalyzerCold,
                                    result.report.total());
     return result;
 }
@@ -54,7 +55,7 @@ CatalyzerRuntime::bootWarm(FunctionArtifacts &fn,
         bootRestore(fn, /*warm=*/false);
     }
     BootResult result = bootRestore(fn, /*warm=*/true, trace);
-    machine_.ctx().stats().observe("boot.latency.Catalyzer-warm",
+    machine_.ctx().stats().observe(metrics::kBootLatencyCatalyzerWarm,
                                    result.report.total());
     return result;
 }
@@ -82,7 +83,7 @@ CatalyzerRuntime::fetchRemoteImage(FunctionArtifacts &fn,
                 faults::FaultSite::ImageFetch,
                 "remote fetch of " + fn.app().name + " failed after " +
                     std::to_string(max_attempts) + " attempts");
-        ctx.stats().incr("catalyzer.image_fetch_retries");
+        ctx.stats().incr(metrics::kCatalyzerImageFetchRetries);
         ctx.charge(retry.backoff(attempt, injector_.rng()));
     }
 }
@@ -93,7 +94,7 @@ CatalyzerRuntime::acquireImage(FunctionArtifacts &fn,
 {
     auto &ctx = machine_.ctx();
     trace::ScopedSpan span(trace, "image-acquire");
-    span.attr("remote", options_.remoteImages ? "true" : "false");
+    span.attr("remote", trace::boolName(options_.remoteImages));
     const bool was_built = static_cast<bool>(fn.separatedImage);
     auto image = sandbox::ensureSeparatedImage(fn);
 
@@ -127,7 +128,7 @@ CatalyzerRuntime::acquireImage(FunctionArtifacts &fn,
             // Corrupted image: rebuild from a fresh checkpoint
             // (offline) and republish, then continue with the clean
             // copy.
-            ctx.stats().incr("catalyzer.image_rebuilds");
+            ctx.stats().incr(metrics::kCatalyzerImageRebuilds);
             fn.separatedImage.reset();
             // Any Base-EPT over the bad image must not serve new boots;
             // live instances keep their shared_ptr until they exit.
@@ -145,7 +146,7 @@ CatalyzerRuntime::acquireImage(FunctionArtifacts &fn,
                     snapshot::ImageFormat::SeparatedWellFormed);
                 image = fetchRemoteImage(fn, span.context());
                 ctx.stats().incr(
-                    "catalyzer.image_refetch_after_rebuild");
+                    metrics::kCatalyzerImageRefetchAfterRebuild);
             }
         }
     }
@@ -167,7 +168,7 @@ CatalyzerRuntime::ensureWorkingSet(FunctionArtifacts &fn,
         // The image was rebuilt (warming, corruption repair): the
         // recorded pages describe the old layout. Drop the manifest and
         // fall back to demand paging while a fresh one is recorded.
-        ctx.stats().incr("prefetch.manifest_stale");
+        ctx.stats().incr(metrics::kPrefetchManifestStale);
         fn.workingSet.reset();
         images_.dropManifest(fn.app().name);
     }
@@ -194,12 +195,11 @@ CatalyzerRuntime::ensureWorkingSet(FunctionArtifacts &fn,
 struct CatalyzerRuntime::Boot
 {
     Boot(sim::SimContext &ctx, FunctionArtifacts &fn,
-         trace::TraceContext trace, const char *tier)
-        : fn(fn), app(fn.app()),
-          span(trace, std::string("boot/Catalyzer-") + tier),
+         trace::TraceContext trace, trace::Name span_name)
+        : fn(fn), app(fn.app()), span(trace, span_name),
           tctx(span.context())
     {
-        sim::StatRegistry::incrGlobal("bench.boots");
+        sim::StatRegistry::incrGlobal(metrics::kBenchBoots);
         span.attr("function", app.name);
         report().start(ctx.clock());
     }
@@ -235,7 +235,9 @@ CatalyzerRuntime::bootRestore(FunctionArtifacts &fn, bool warm,
                               trace::TraceContext trace)
 {
     const char *tier = warm ? "warm" : "cold";
-    Boot b(machine_.ctx(), fn, trace, tier);
+    Boot b(machine_.ctx(), fn, trace,
+           warm ? trace::Name("boot/Catalyzer-warm")
+                : trace::Name("boot/Catalyzer-cold"));
 
     // Offline build / remote fetch / integrity check as configured. A
     // failed fetch throws before the boot takes a number.
@@ -257,8 +259,8 @@ CatalyzerRuntime::bootRestore(FunctionArtifacts &fn, bool warm,
     finishRestore(b);
 
     fn.firstRestoreDone = true;
-    machine_.ctx().stats().incr(warm ? "catalyzer.warm_boots"
-                                     : "catalyzer.cold_boots");
+    machine_.ctx().stats().incr(warm ? metrics::kCatalyzerWarmBoots
+                                     : metrics::kCatalyzerColdBoots);
     sim::debugLog("boot Catalyzer-%s/%s: %.3f ms", tier,
                   fn.app().name.c_str(), b.result.report.total().toMs());
     return std::move(b.result);
@@ -268,7 +270,8 @@ void
 CatalyzerRuntime::acquireSandbox(Boot &b, BootKind kind, bool zygote)
 {
     auto stage = b.report().sandboxStage(
-        b.tctx, zygote ? "zygote-acquire" : "construct-sandbox");
+        b.tctx, zygote ? trace::Name("zygote-acquire")
+                       : trace::Name("construct-sandbox"));
     if (zygote) {
         Zygote z = zygotes_.acquire(stage.context());
         b.result.instance = std::make_unique<SandboxInstance>(
@@ -313,7 +316,8 @@ CatalyzerRuntime::mapImage(Boot &b, bool warm, bool cold_cache)
     auto &ctx = machine_.ctx();
     snapshot::FuncImage &image = *b.image;
     auto stage =
-        b.report().appStage(b.tctx, warm ? "share-mapping" : "map-image");
+        b.report().appStage(b.tctx, warm ? trace::Name("share-mapping")
+                                         : trace::Name("map-image"));
     stage.attr("image_pages", static_cast<std::int64_t>(image.totalPages()));
     if (!b.fn.sharedBase) {
         ctx.charge(ctx.costs().imageManifestParse);
@@ -346,7 +350,7 @@ CatalyzerRuntime::prefetchWorkingSet(Boot &b)
     if (options_.prefetchWorkingSet) {
         auto stage = b.report().appStage(b.tctx, "prefetch");
         if (manifest && manifest->usable()) {
-            ctx.stats().incr("prefetch.manifest_hits");
+            ctx.stats().incr(metrics::kPrefetchManifestHits);
             std::vector<mem::PageIndex> stable = manifest->stableSet();
             stage.attr("stable_pages",
                        static_cast<std::int64_t>(stable.size()));
@@ -358,7 +362,7 @@ CatalyzerRuntime::prefetchWorkingSet(Boot &b)
             prefetched_set = std::move(stable);
         } else {
             // Missing or still-empty manifest: plain demand paging.
-            ctx.stats().incr("prefetch.manifest_misses");
+            ctx.stats().incr(metrics::kPrefetchManifestMisses);
             stage.attr("skipped", manifest ? "manifest-empty"
                                            : "manifest-missing");
         }
@@ -399,7 +403,7 @@ CatalyzerRuntime::mapRemoteOverlay(Boot &b, const RemoteForkSource &src)
     if (fn.remoteBase && fn.remoteGeneration != image.generation()) {
         fn.remoteBase.reset();
         fn.remoteMirror.reset();
-        ctx.stats().incr("remote.mirror_invalidated");
+        ctx.stats().incr(metrics::kRemoteMirrorInvalidated);
     }
     auto stage = b.report().appStage(b.tctx, "map-remote-image");
     stage.attr("image_pages", static_cast<std::int64_t>(image.totalPages()));
@@ -457,7 +461,7 @@ CatalyzerRuntime::prefetchRemote(Boot &b, const RemoteForkSource &src)
                 continue;
             base.populatePrefetched(ctx, page);
         }
-        ctx.stats().incr("remote.prefetch_pages",
+        ctx.stats().incr(metrics::kRemotePrefetchPages,
                          static_cast<std::int64_t>(pulled));
     }
 }
@@ -473,13 +477,13 @@ CatalyzerRuntime::recoverKernel(Boot &b, bool cold_cache)
     const auto &costs = ctx.costs();
     const objgraph::SeparatedImage &separated = b.image->separated();
     auto stage = b.report().appStage(b.tctx, "recover-kernel");
-    stage.attr("separated", options_.separatedState ? "true" : "false");
+    stage.attr("separated", trace::boolName(options_.separatedState));
     stage.attr("objects", static_cast<std::int64_t>(separated.objectCount()));
     stage.attr("relocs", static_cast<std::int64_t>(separated.relocCount()));
     if (!options_.separatedState) {
         // Ablation: one-by-one deserialization on the path.
         const auto n = static_cast<std::int64_t>(separated.objectCount());
-        ctx.chargeCounted("restore.deserialized_objects",
+        ctx.chargeCounted(metrics::kRestoreDeserializedObjects,
                           costs.deserializeObject * n, n);
     }
     objgraph::ObjectGraph graph = separated.reconstruct(stage.context());
@@ -488,7 +492,7 @@ CatalyzerRuntime::recoverKernel(Boot &b, bool cold_cache)
         const auto nrelocs =
             static_cast<std::int64_t>(separated.relocCount());
         ctx.chargeParallel(costs.relationFixupPerPointer, nrelocs);
-        ctx.stats().incr("catalyzer.pointer_fixups", nrelocs);
+        ctx.stats().incr(metrics::kCatalyzerPointerFixups, nrelocs);
         // Stage-2 dirties the pointer-bearing arena pages: real COW
         // faults against the shared image mapping (Table 3's cost).
         const mem::PageIndex arena_va =
@@ -518,7 +522,7 @@ CatalyzerRuntime::reconnectIo(Boot &b, IoCache cache)
     FunctionArtifacts &fn = b.fn;
     vfs::IoConnectionTable &io = b.inst().guest().io();
     auto stage = b.report().appStage(b.tctx, "reconnect-io");
-    stage.attr("lazy", options_.lazyIoReconnection ? "true" : "false");
+    stage.attr("lazy", trace::boolName(options_.lazyIoReconnection));
     stage.attr("connections",
                static_cast<std::int64_t>(b.image->ioTable().size()));
     const trace::TraceContext ictx = stage.context();
@@ -552,12 +556,12 @@ CatalyzerRuntime::reconnectIo(Boot &b, IoCache cache)
                                   [&](const vfs::IoConnection &cached) {
                                       return cached.path == conn.path;
                                   });
-                    ctx.stats().incr("catalyzer.io_cache_invalidated");
-                    ctx.stats().incr("boot.fallback.io_eager_lazy");
+                    ctx.stats().incr(metrics::kCatalyzerIoCacheInvalidated);
+                    ctx.stats().incr(metrics::kBootFallbackIoEagerLazy);
                 }
             }
             stage.attr("cache_hit", "true");
-            ctx.stats().incr("catalyzer.io_cache_hits");
+            ctx.stats().incr(metrics::kCatalyzerIoCacheHits);
         }
     }
     if (cache == IoCache::Record && options_.lazyIoReconnection &&
@@ -603,7 +607,7 @@ CatalyzerRuntime::sfork(Boot &b, SandboxInstance &tmpl)
         auto stage = b.report().sandboxStage(b.tctx, "sfork");
         stage.attr("template", tmpl.name());
         stage.attr("rerandomize_aslr",
-                   opts.rerandomizeAslr ? "true" : "false");
+                   trace::boolName(opts.rerandomizeAslr));
         hostos::HostProcess &child =
             machine_.host().sfork(tmpl.proc(), opts);
         b.result.instance = std::make_unique<SandboxInstance>(
@@ -640,7 +644,7 @@ CatalyzerRuntime::sfork(Boot &b, SandboxInstance &tmpl)
                          tmpl.heapOnBase());
     inst.setPrepFraction(tmpl.prepFraction());
     inst.proc().setThreadCount(inst.guest().threads().totalThreads());
-    ctx.stats().incr("catalyzer.fork_boots");
+    ctx.stats().incr(metrics::kCatalyzerForkBoots);
 }
 
 BootResult
@@ -654,15 +658,15 @@ CatalyzerRuntime::bootFork(FunctionArtifacts &fn,
         // sense — drop it so a later fork boot rebuilds it offline, and
         // fail the fork tier now (degrades to warm).
         dropTemplate(fn.app().name);
-        machine_.ctx().stats().incr("catalyzer.template_deaths");
+        machine_.ctx().stats().incr(metrics::kCatalyzerTemplateDeaths);
         throw faults::FaultError(faults::FaultSite::TemplateDeath,
                                  fn.app().name + " template died");
     }
-    Boot b(machine_.ctx(), fn, trace, "sfork");
+    Boot b(machine_.ctx(), fn, trace, "boot/Catalyzer-sfork");
     b.number(boot_seq_, "fork");
     sfork(b, tmpl);
     b.inst().setBootLatency(b.result.report.total());
-    machine_.ctx().stats().observe("boot.latency.Catalyzer-sfork",
+    machine_.ctx().stats().observe(metrics::kBootLatencyCatalyzerSfork,
                                    b.result.report.total());
     return std::move(b.result);
 }
@@ -679,14 +683,14 @@ CatalyzerRuntime::bootRemoteFork(FunctionArtifacts &fn,
     // platform degrades to the local chain.
     if (injector_.shouldFail(faults::FaultSite::RemotePeerDeath,
                              ctx.stats())) {
-        ctx.stats().incr("remote.peer_lost");
+        ctx.stats().incr(metrics::kRemotePeerLost);
         throw faults::FaultError(faults::FaultSite::RemotePeerDeath,
                                  fn.app().name + " fork peer " +
                                      std::to_string(src.peer) +
                                      " unreachable");
     }
 
-    Boot b(ctx, fn, trace, "remote-sfork");
+    Boot b(ctx, fn, trace, "boot/Catalyzer-remote-sfork");
     b.span.attr("peer", static_cast<std::int64_t>(src.peer));
     b.number(boot_seq_, "rfork");
     b.image = src.image;
@@ -744,9 +748,9 @@ CatalyzerRuntime::bootRemoteFork(FunctionArtifacts &fn,
         b.tctx, peer_ctx));
     finishRestore(b);
 
-    ctx.stats().incr("catalyzer.remote_fork_boots");
-    ctx.stats().incr("remote.fork_hits");
-    ctx.stats().observe("boot.latency.Catalyzer-remote-sfork",
+    ctx.stats().incr(metrics::kCatalyzerRemoteForkBoots);
+    ctx.stats().incr(metrics::kRemoteForkHits);
+    ctx.stats().observe(metrics::kBootLatencyCatalyzerRemoteSfork,
                         b.result.report.total());
     sim::debugLog("boot Catalyzer-remote-sfork/%s from node %u: %.3f ms",
                   fn.app().name.c_str(), src.peer,
@@ -763,7 +767,7 @@ CatalyzerRuntime::bootFromLanguageTemplate(FunctionArtifacts &fn,
     const apps::AppProfile &app = fn.app();
     SandboxInstance &tmpl = ensureLanguageTemplate(app.language);
 
-    Boot b(ctx, fn, trace, "lang-template");
+    Boot b(ctx, fn, trace, "boot/Catalyzer-lang-template");
     b.span.attr("language", apps::languageName(app.language));
     b.number(boot_seq_, "lang");
     sfork(b, tmpl);
@@ -824,14 +828,15 @@ CatalyzerRuntime::bootFromLanguageTemplate(FunctionArtifacts &fn,
     }
 
     inst.setBootLatency(b.result.report.total());
-    ctx.stats().observe("boot.latency.Catalyzer-lang-template",
+    ctx.stats().observe(metrics::kBootLatencyCatalyzerLangTemplate,
                         b.result.report.total());
-    ctx.stats().incr("catalyzer.lang_template_boots");
+    ctx.stats().incr(metrics::kCatalyzerLangTemplateBoots);
     return std::move(b.result);
 }
 
 std::unique_ptr<SandboxInstance>
-CatalyzerRuntime::buildTemplate(FunctionArtifacts &fn, const char *counter)
+CatalyzerRuntime::buildTemplate(FunctionArtifacts &fn,
+                                sim::CounterHandle counter)
 {
     // Offline template initialization: restore an instance to the
     // func-entry point. The template is a *running* sandbox, so its I/O
@@ -857,7 +862,7 @@ CatalyzerRuntime::ensureTemplate(FunctionArtifacts &fn)
     if (it == templates_.end())
         it = templates_
                  .emplace(fn.app().name,
-                          buildTemplate(fn, "catalyzer.templates_built"))
+                          buildTemplate(fn, metrics::kCatalyzerTemplatesBuilt))
                  .first;
     return *it->second;
 }
@@ -880,8 +885,9 @@ CatalyzerRuntime::ensureLanguageTemplate(apps::Language lang)
     FunctionArtifacts &base_fn =
         lang_registry_.artifactsFor(apps::appByName(kBaseApp.at(lang)));
     return *lang_templates_
-                .emplace(lang, buildTemplate(base_fn,
-                                             "catalyzer.lang_templates_built"))
+                .emplace(lang,
+                         buildTemplate(base_fn,
+                                       metrics::kCatalyzerLangTemplatesBuilt))
                 .first->second;
 }
 
@@ -919,7 +925,7 @@ CatalyzerRuntime::warmFuncImage(FunctionArtifacts &fn,
     fn.firstRestoreDone = false;
     if (options_.remoteImages)
         images_.publish(fn.separatedImage);
-    ctx.stats().incr("catalyzer.images_warmed");
+    ctx.stats().incr(metrics::kCatalyzerImagesWarmed);
 }
 
 void
@@ -929,7 +935,7 @@ CatalyzerRuntime::refreshTemplate(FunctionArtifacts &fn)
     // the layout shared by sforked children.
     dropTemplate(fn.app().name);
     ensureTemplate(fn);
-    machine_.ctx().stats().incr("catalyzer.template_refreshes");
+    machine_.ctx().stats().incr(metrics::kCatalyzerTemplateRefreshes);
 }
 
 void

@@ -259,7 +259,7 @@ class CatalyzerRuntime
      * bumps @p counter.
      */
     std::unique_ptr<sandbox::SandboxInstance>
-    buildTemplate(sandbox::FunctionArtifacts &fn, const char *counter);
+    buildTemplate(sandbox::FunctionArtifacts &fn, sim::CounterHandle counter);
     sandbox::SandboxInstance &ensureTemplate(sandbox::FunctionArtifacts &fn);
     sandbox::SandboxInstance &
     ensureLanguageTemplate(apps::Language lang);

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "sim/logging.h"
+#include "sim/metric_catalog.h"
 
 namespace catalyzer::core {
 
@@ -55,7 +56,7 @@ ZygotePool::build(trace::TraceContext trace)
 
     z.proc->setThreadCount(z.guest->threads().totalThreads());
     ++built_;
-    ctx.stats().incr("catalyzer.zygotes_built");
+    ctx.stats().incr(metrics::kCatalyzerZygotesBuilt);
     return z;
 }
 
@@ -70,7 +71,7 @@ ZygotePool::prewarm(std::size_t n)
             // The offline builder hit a persistent fault; stop this
             // round — replenish() after later requests tops the pool
             // back up once the fault clears.
-            machine_.ctx().stats().incr("catalyzer.zygote_build_aborts");
+            machine_.ctx().stats().incr(metrics::kCatalyzerZygoteBuildAborts);
             break;
         }
     }
@@ -83,7 +84,7 @@ ZygotePool::replenish()
         try {
             pool_.push_back(build());
         } catch (const faults::FaultError &) {
-            machine_.ctx().stats().incr("catalyzer.zygote_build_aborts");
+            machine_.ctx().stats().incr(metrics::kCatalyzerZygoteBuildAborts);
             break;
         }
     }
@@ -95,10 +96,10 @@ ZygotePool::acquire(trace::TraceContext trace)
     if (!pool_.empty()) {
         Zygote z = std::move(pool_.back());
         pool_.pop_back();
-        machine_.ctx().stats().incr("catalyzer.zygote_hits");
+        machine_.ctx().stats().incr(metrics::kCatalyzerZygoteHits);
         return z;
     }
-    machine_.ctx().stats().incr("catalyzer.zygote_misses");
+    machine_.ctx().stats().incr(metrics::kCatalyzerZygoteMisses);
     return build(trace);
 }
 

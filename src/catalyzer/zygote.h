@@ -21,6 +21,7 @@
 #include "hostos/kvm.h"
 #include "hostos/process.h"
 #include "sandbox/machine.h"
+#include "sim/metric_catalog.h"
 #include "trace/trace.h"
 
 namespace catalyzer::core {
@@ -84,7 +85,7 @@ class ZygotePool
     std::size_t misses() const
     {
         return static_cast<std::size_t>(
-            machine_.ctx().stats().value("catalyzer.zygote_misses"));
+            machine_.ctx().stats().value(metrics::kCatalyzerZygoteMisses));
     }
 
   private:

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "sim/logging.h"
+#include "sim/metric_catalog.h"
 
 namespace catalyzer::faults {
 
@@ -77,7 +78,7 @@ void
 FaultInjector::record(FaultSite site, sim::StatRegistry &stats)
 {
     ++injected_[static_cast<std::size_t>(site)];
-    stats.incr(std::string("faults.injected.") + faultSiteName(site));
+    stats.incr(metrics::kFaultsInjected.member(faultSiteName(site)));
     sim::debugLog("fault injected at %s (#%llu)", faultSiteName(site),
                   static_cast<unsigned long long>(
                       injected_[static_cast<std::size_t>(site)]));
@@ -126,8 +127,8 @@ FaultInjector::checkWithRetry(sim::SimContext &ctx, FaultSite site)
                                  " failed after " +
                                  std::to_string(max_attempts) +
                                  " attempts");
-        ctx.stats().incr(std::string("faults.retries.") +
-                         faultSiteName(site));
+        ctx.stats().incr(
+            metrics::kFaultsRetries.member(faultSiteName(site)));
         ctx.charge(config_.retry.backoff(attempt, rng_));
     }
 }

@@ -1,6 +1,7 @@
 #include "guest/go_runtime.h"
 
 #include "sim/logging.h"
+#include "sim/metric_catalog.h"
 
 namespace catalyzer::guest {
 
@@ -19,7 +20,7 @@ GoRuntimeModel::start(int runtime_threads, int scheduling_threads)
     census_.scheduling = scheduling_threads;
     census_.blocking = 0;
     const auto &costs = ctx_.costs();
-    ctx_.chargeCounted("guest.go_runtime_starts", costs.goRuntimeStart);
+    ctx_.chargeCounted(metrics::kGuestGoRuntimeStarts, costs.goRuntimeStart);
     ctx_.charge(costs.threadCreate *
                 static_cast<std::int64_t>(census_.total()));
 }
@@ -30,7 +31,8 @@ GoRuntimeModel::addBlockingThread()
     if (transient_)
         sim::panic("GoRuntimeModel: blocking syscall while transient");
     ++census_.blocking;
-    ctx_.chargeCounted("guest.blocking_threads", ctx_.costs().threadCreate);
+    ctx_.chargeCounted(metrics::kGuestBlockingThreads,
+                       ctx_.costs().threadCreate);
 }
 
 void
@@ -65,7 +67,7 @@ GoRuntimeModel::enterTransientSingleThread()
         ctx_.charge(costs.threadMerge *
                     static_cast<std::int64_t>(census_.blocking));
     }
-    ctx_.stats().incr("guest.transient_entries");
+    ctx_.stats().incr(metrics::kGuestTransientEntries);
 
     census_ = ThreadCensus{0, 1, 0}; // only m0
     transient_ = true;
@@ -79,7 +81,7 @@ GoRuntimeModel::expandFromTransient()
     const auto &costs = ctx_.costs();
     const int recreate = saved_.total() - 1; // m0 already exists
     ctx_.charge(costs.threadExpand * static_cast<std::int64_t>(recreate));
-    ctx_.stats().incr("guest.transient_expands");
+    ctx_.stats().incr(metrics::kGuestTransientExpands);
     census_ = saved_;
     transient_ = false;
 }

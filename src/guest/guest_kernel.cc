@@ -1,6 +1,7 @@
 #include "guest/guest_kernel.h"
 
 #include "sim/logging.h"
+#include "sim/metric_catalog.h"
 
 namespace catalyzer::guest {
 
@@ -15,7 +16,8 @@ GuestKernel::initializeFresh()
     if (initialized_)
         sim::panic("GuestKernel %s: double init", name_.c_str());
     initialized_ = true;
-    ctx_.chargeCounted("guest.sentry_inits", ctx_.costs().sentryInitFixed);
+    ctx_.chargeCounted(metrics::kGuestSentryInits,
+                       ctx_.costs().sentryInitFixed);
 }
 
 void
@@ -28,7 +30,7 @@ void
 GuestKernel::mountRootfs(int count)
 {
     mounts_ += count;
-    ctx_.chargeCounted("guest.mounts",
+    ctx_.chargeCounted(metrics::kGuestMounts,
                        ctx_.costs().mountFs *
                            static_cast<std::int64_t>(count),
                        count);
@@ -39,13 +41,13 @@ GuestKernel::syscall(const std::string &name)
 {
     switch (classifySyscall(name)) {
       case SyscallClass::Denied:
-        ctx_.stats().incr("guest.denied_syscalls");
+        ctx_.stats().incr(metrics::kGuestDeniedSyscalls);
         return false;
       case SyscallClass::Handled:
-        ctx_.stats().incr("guest.handled_syscalls");
+        ctx_.stats().incr(metrics::kGuestHandledSyscalls);
         break;
       case SyscallClass::Allowed:
-        ctx_.stats().incr("guest.allowed_syscalls");
+        ctx_.stats().incr(metrics::kGuestAllowedSyscalls);
         break;
     }
     ctx_.charge(ctx_.costs().syscallBase);
@@ -85,7 +87,7 @@ GuestKernel::reachFuncEntryPoint()
     at_entry_point_ = true;
     // The Gen-Func-Image trap itself is one guest syscall.
     ctx_.charge(ctx_.costs().syscallBase);
-    ctx_.stats().incr("guest.func_entry_traps");
+    ctx_.stats().incr(metrics::kGuestFuncEntryTraps);
 }
 
 } // namespace catalyzer::guest

@@ -1,6 +1,7 @@
 #include "hostos/host_kernel.h"
 
 #include "sim/logging.h"
+#include "sim/metric_catalog.h"
 #include "vfs/dup_model.h"
 
 namespace catalyzer::hostos {
@@ -17,7 +18,7 @@ HostKernel::spawnProcess(const std::string &name)
     proc->setAslrSalt(ctx_.rng().next64());
     auto &ref = *proc;
     procs_.emplace(pid, std::move(proc));
-    ctx_.chargeCounted("host.spawns", ctx_.costs().bootSandboxProcess);
+    ctx_.chargeCounted(metrics::kHostSpawns, ctx_.costs().bootSandboxProcess);
     return ref;
 }
 
@@ -38,7 +39,7 @@ HostKernel::fork(HostProcess &parent, const std::string &child_name)
     child->setAslrSalt(parent.aslrSalt()); // fork preserves the layout
     auto &ref = *child;
     procs_.emplace(pid, std::move(child));
-    ctx_.chargeCounted("host.forks", ctx_.costs().sforkSyscallBase);
+    ctx_.chargeCounted(metrics::kHostForks, ctx_.costs().sforkSyscallBase);
     return ref;
 }
 
@@ -50,7 +51,7 @@ HostKernel::sfork(HostProcess &parent, const SforkOptions &opts)
                    "must enter the transient single-thread state first",
                    parent.name().c_str(), parent.threadCount());
     const auto &costs = ctx_.costs();
-    ctx_.chargeCounted("host.sforks", costs.sforkSyscallBase);
+    ctx_.chargeCounted(metrics::kHostSforks, costs.sforkSyscallBase);
 
     const Pid pid = next_pid_++;
     auto space = parent.space().forkCow(opts.childName,
@@ -62,14 +63,15 @@ HostKernel::sfork(HostProcess &parent, const SforkOptions &opts)
                                     ? freshNamespace()
                                     : parent.userNamespace();
     if (opts.newPidNamespace || opts.newUserNamespace)
-        ctx_.chargeCounted("host.namespace_setups", costs.namespaceSetup);
+        ctx_.chargeCounted(metrics::kHostNamespaceSetups, costs.namespaceSetup);
 
     auto child = std::make_unique<HostProcess>(
         pid, opts.childName, std::move(space), pid_ns, user_ns);
     child->fds_ = parent.fds().clone();
     if (opts.rerandomizeAslr) {
         child->setAslrSalt(ctx_.rng().next64());
-        ctx_.chargeCounted("host.aslr_rerandomize", costs.aslrRerandomize);
+        ctx_.chargeCounted(metrics::kHostAslrRerandomize,
+                           costs.aslrRerandomize);
     } else {
         child->setAslrSalt(parent.aslrSalt());
     }

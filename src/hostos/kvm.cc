@@ -1,6 +1,7 @@
 #include "hostos/kvm.h"
 
 #include "sim/logging.h"
+#include "sim/metric_catalog.h"
 
 namespace catalyzer::hostos {
 
@@ -16,12 +17,12 @@ KvmVm::createVm()
         sim::panic("KvmVm::createVm: already created");
     created_ = true;
     const auto &costs = ctx_.costs();
-    ctx_.chargeCounted("kvm.create_vm", costs.kvmCreateVm);
+    ctx_.chargeCounted(metrics::kKvmCreateVm, costs.kvmCreateVm);
     const sim::SimTime alloc = config_.kvcallocCacheEnabled
                                    ? costs.kvmKvcallocCached
                                    : costs.kvmKvcalloc;
     for (int i = 0; i < costs.kvmKvcallocCalls; ++i)
-        ctx_.chargeCounted("kvm.kvcalloc", alloc);
+        ctx_.chargeCounted(metrics::kKvmKvcalloc, alloc);
 }
 
 void
@@ -30,7 +31,7 @@ KvmVm::createVcpu()
     if (!created_)
         sim::panic("KvmVm::createVcpu before createVm");
     ++vcpus_;
-    ctx_.chargeCounted("kvm.create_vcpu", ctx_.costs().kvmCreateVcpu);
+    ctx_.chargeCounted(metrics::kKvmCreateVcpu, ctx_.costs().kvmCreateVcpu);
 }
 
 sim::SimTime
@@ -49,7 +50,7 @@ KvmVm::setUserMemoryRegion()
              static_cast<std::int64_t>(std::max(vcpus_, 1));
     }
     ++regions_;
-    ctx_.chargeCounted("kvm.set_memory_region", t);
+    ctx_.chargeCounted(metrics::kKvmSetMemoryRegion, t);
     return t;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "sim/logging.h"
+#include "sim/metric_catalog.h"
 
 namespace catalyzer::mem {
 
@@ -45,7 +46,7 @@ AddressSpace::mapAnon(std::size_t npages, bool writable, std::string name)
     next_va_ += npages + 1; // one-page guard gap
     vmas_.push_back(Vma{start, npages, MapKind::Anon, writable, true,
                         nullptr, 0, std::move(name)});
-    ctx_.chargeCounted("mem.mmap_calls", ctx_.costs().mmapRegion);
+    ctx_.chargeCounted(metrics::kMemMmapCalls, ctx_.costs().mmapRegion);
     return start;
 }
 
@@ -62,7 +63,7 @@ AddressSpace::mapFile(BackingFile &file, PageIndex file_start,
     next_va_ += npages + 1;
     vmas_.push_back(Vma{start, npages, kind, writable, true, &file,
                         file_start, std::move(name)});
-    ctx_.chargeCounted("mem.mmap_calls", ctx_.costs().mmapRegion);
+    ctx_.chargeCounted(metrics::kMemMmapCalls, ctx_.costs().mmapRegion);
     return start;
 }
 
@@ -78,7 +79,7 @@ AddressSpace::attachBase(std::shared_ptr<BaseMapping> base)
     // Sharing the mapping is one mmap of the already-open image: the
     // whole point of the share-mapping operation is that no file loading
     // happens here.
-    ctx_.chargeCounted("mem.base_attach", ctx_.costs().mmapRegion);
+    ctx_.chargeCounted(metrics::kMemBaseAttach, ctx_.costs().mmapRegion);
     return base_va_start_;
 }
 
@@ -98,7 +99,7 @@ AddressSpace::unmap(PageIndex start)
     table_.eraseRange(it->start, it->npages);
     vmas_.erase(it);
     vma_cache_ = static_cast<std::size_t>(-1);
-    ctx_.chargeCounted("mem.munmap_calls", ctx_.costs().mmapRegion);
+    ctx_.chargeCounted(metrics::kMemMunmapCalls, ctx_.costs().mmapRegion);
 }
 
 const Vma *
@@ -153,7 +154,7 @@ AddressSpace::resolveBaseAccess(PageIndex page, bool write, bool cold)
         return filled ? FaultResult::BaseFill : FaultResult::BaseHit;
     }
     // Write: copy the base page into the Private-EPT.
-    ctx_.chargeCounted("mem.cow_faults", ctx_.costs().cowFault);
+    ctx_.chargeCounted(metrics::kMemCowFaults, ctx_.costs().cowFault);
     installCowCopy(page, bpte.frame);
     return FaultResult::BaseCow;
 }
@@ -185,10 +186,11 @@ AddressSpace::resolveTouch(PageIndex page, bool write, bool cold)
         if (refs == 1 && !cache_backed) {
             // Sole owner: reuse in place, no copy.
             table_.setFlags(page, true, false);
-            ctx_.chargeCounted("mem.cow_reuse", ctx_.costs().demandFaultAnon);
+            ctx_.chargeCounted(metrics::kMemCowReuse,
+                               ctx_.costs().demandFaultAnon);
             return FaultResult::CowReuse;
         }
-        ctx_.chargeCounted("mem.cow_faults", ctx_.costs().cowFault);
+        ctx_.chargeCounted(metrics::kMemCowFaults, ctx_.costs().cowFault);
         installCowCopy(page, pte.frame);
         store_.unref(pte.frame);
         return FaultResult::Cow;
@@ -209,20 +211,20 @@ AddressSpace::resolveTouch(PageIndex page, bool write, bool cold)
 
     switch (vma->kind) {
       case MapKind::Anon: {
-        ctx_.chargeCounted("mem.minor_faults_anon",
+        ctx_.chargeCounted(metrics::kMemMinorFaultsAnon,
                            ctx_.costs().demandFaultAnon);
         const FrameId frame = store_.allocate(FrameSource::Anonymous);
         table_.install(page, Pte{frame, vma->writable, false});
         return FaultResult::MinorAnon;
       }
       case MapKind::FilePrivate: {
-        ctx_.chargeCounted("mem.minor_faults_file",
+        ctx_.chargeCounted(metrics::kMemMinorFaultsFile,
                            ctx_.costs().demandFaultFile);
         const PageIndex fpage = vma->fileStart + (page - vma->start);
         const FrameId frame = vma->file->frameFor(ctx_, fpage, cold);
         if (write) {
             // Fill and immediately COW.
-            ctx_.chargeCounted("mem.cow_faults", ctx_.costs().cowFault);
+            ctx_.chargeCounted(metrics::kMemCowFaults, ctx_.costs().cowFault);
             installCowCopy(page, frame);
             return FaultResult::Cow;
         }
@@ -231,7 +233,7 @@ AddressSpace::resolveTouch(PageIndex page, bool write, bool cold)
         return FaultResult::MinorFile;
       }
       case MapKind::FileShared: {
-        ctx_.chargeCounted("mem.minor_faults_file",
+        ctx_.chargeCounted(metrics::kMemMinorFaultsFile,
                            ctx_.costs().demandFaultFile);
         const PageIndex fpage = vma->fileStart + (page - vma->start);
         const FrameId frame = vma->file->frameFor(ctx_, fpage, cold);
@@ -266,13 +268,13 @@ AddressSpace::resolvePresentRange(PageIndex start, std::size_t npages,
             const FrameId f0 = frame0 + (page - start);
             if (refs == 1 && src != FrameSource::PageCache) {
                 table_.setFlagsRange(page, m, true, false);
-                ctx_.chargeCounted("mem.cow_reuse",
+                ctx_.chargeCounted(metrics::kMemCowReuse,
                                    ctx_.costs().demandFaultAnon *
                                        static_cast<double>(n),
                                    n);
                 notifyRange(page, m, true, FaultResult::CowReuse);
             } else {
-                ctx_.chargeCounted("mem.cow_faults",
+                ctx_.chargeCounted(metrics::kMemCowFaults,
                                    ctx_.costs().cowFault *
                                        static_cast<double>(n),
                                    n);
@@ -315,7 +317,7 @@ AddressSpace::faultVmaGap(const Vma &vma, PageIndex start,
     const auto n = static_cast<std::int64_t>(npages);
     switch (vma.kind) {
       case MapKind::Anon: {
-        ctx_.chargeCounted("mem.minor_faults_anon",
+        ctx_.chargeCounted(metrics::kMemMinorFaultsAnon,
                            ctx_.costs().demandFaultAnon *
                                static_cast<double>(n),
                            n);
@@ -326,7 +328,7 @@ AddressSpace::faultVmaGap(const Vma &vma, PageIndex start,
         return npages;
       }
       case MapKind::FilePrivate: {
-        ctx_.chargeCounted("mem.minor_faults_file",
+        ctx_.chargeCounted(metrics::kMemMinorFaultsFile,
                            ctx_.costs().demandFaultFile *
                                static_cast<double>(n),
                            n);
@@ -336,7 +338,7 @@ AddressSpace::faultVmaGap(const Vma &vma, PageIndex start,
             // RNG draws identical to the per-page loop), then COW.
             for (std::size_t k = 0; k < npages; ++k)
                 vma.file->frameFor(ctx_, fpage0 + k, cold);
-            ctx_.chargeCounted("mem.cow_faults",
+            ctx_.chargeCounted(metrics::kMemCowFaults,
                                ctx_.costs().cowFault *
                                    static_cast<double>(n),
                                n);
@@ -355,7 +357,7 @@ AddressSpace::faultVmaGap(const Vma &vma, PageIndex start,
         return npages;
       }
       case MapKind::FileShared: {
-        ctx_.chargeCounted("mem.minor_faults_file",
+        ctx_.chargeCounted(metrics::kMemMinorFaultsFile,
                            ctx_.costs().demandFaultFile *
                                static_cast<double>(n),
                            n);
@@ -453,7 +455,7 @@ AddressSpace::touchBaseRange(PageIndex start, std::size_t npages,
                 base_->populateRange(ctx_, bseg.rel, bseg.npages, cold);
             if (write) {
                 const auto n = static_cast<std::int64_t>(bseg.npages);
-                ctx_.chargeCounted("mem.cow_faults",
+                ctx_.chargeCounted(metrics::kMemCowFaults,
                                    ctx_.costs().cowFault *
                                        static_cast<double>(n),
                                    n);
@@ -535,7 +537,7 @@ AddressSpace::forkCow(std::string child_name, bool honor_cow_flag)
         store_.refRange(run.frame0, run.npages);
     });
     child->table_ = table_;
-    ctx_.stats().incr("mem.fork_cow_pages",
+    ctx_.stats().incr(metrics::kMemForkCowPages,
                       static_cast<std::int64_t>(table_.presentPages()));
 
     if (base_) {

@@ -1,6 +1,7 @@
 #include "mem/backing_file.h"
 
 #include "sim/logging.h"
+#include "sim/metric_catalog.h"
 
 namespace catalyzer::mem {
 
@@ -25,16 +26,16 @@ BackingFile::frameFor(sim::SimContext &ctx, PageIndex page,
                    npages_);
     auto it = cache_.find(page);
     if (it != cache_.end()) {
-        ctx.stats().incr("mem.page_cache_hits");
+        ctx.stats().incr(metrics::kMemPageCacheHits);
         return it->second;
     }
     // Page-cache fill. On a cold boot some of these go to storage.
     const auto &costs = ctx.costs();
     if (assume_cold && ctx.rng().chance(costs.pageCacheMissColdBoot)) {
-        ctx.chargeCounted("mem.page_cache_storage_reads",
+        ctx.chargeCounted(metrics::kMemPageCacheStorageReads,
                           costs.demandFaultFileCold);
     } else {
-        ctx.stats().incr("mem.page_cache_fills");
+        ctx.stats().incr(metrics::kMemPageCacheFills);
     }
     const FrameId frame = store_.allocate(FrameSource::PageCache);
     cache_.emplace(page, frame);
@@ -54,12 +55,12 @@ BackingFile::prefetchFrame(sim::SimContext &ctx, PageIndex page,
     if (it != cache_.end()) {
         if (from_cache)
             *from_cache = true;
-        ctx.stats().incr("mem.page_cache_hits");
+        ctx.stats().incr(metrics::kMemPageCacheHits);
         return it->second;
     }
     if (from_cache)
         *from_cache = false;
-    ctx.stats().incr("mem.page_cache_prefetch_fills");
+    ctx.stats().incr(metrics::kMemPageCachePrefetchFills);
     const FrameId frame = store_.allocate(FrameSource::PageCache);
     cache_.emplace(page, frame);
     return frame;

@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "sim/logging.h"
+#include "sim/metric_catalog.h"
 
 namespace catalyzer::mem {
 
@@ -36,7 +37,7 @@ BaseMapping::populate(sim::SimContext &ctx, PageIndex page, bool cold)
     if (table_.lookup(page, &pte))
         return pte.frame;
 
-    ctx.chargeCounted("mem.base_fills", ctx.costs().demandFaultFile);
+    ctx.chargeCounted(metrics::kMemBaseFills, ctx.costs().demandFaultFile);
     const FrameId frame = file_.frameFor(ctx, file_start_ + page, cold);
     store_.ref(frame);
     table_.install(page, Pte{frame, false, false});
@@ -66,7 +67,7 @@ BaseMapping::populateRange(sim::SimContext &ctx, PageIndex start,
         });
     std::vector<FrameId> frames;
     for (const Gap &gap : gaps) {
-        ctx.chargeCounted("mem.base_fills",
+        ctx.chargeCounted(metrics::kMemBaseFills,
                           ctx.costs().demandFaultFile *
                               static_cast<double>(gap.npages),
                           static_cast<std::int64_t>(gap.npages));
@@ -99,7 +100,7 @@ BaseMapping::populatePrefetched(sim::SimContext &ctx, PageIndex page)
     if (table_.lookup(page))
         return PrefetchFill::AlreadyResident;
 
-    ctx.stats().incr("mem.base_prefetch_fills");
+    ctx.stats().incr(metrics::kMemBasePrefetchFills);
     bool from_cache = false;
     const FrameId frame =
         file_.prefetchFrame(ctx, file_start_ + page, &from_cache);

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "sim/logging.h"
+#include "sim/metric_catalog.h"
 
 namespace catalyzer::net {
 
@@ -95,19 +96,20 @@ Fabric::transfer(sim::SimContext &ctx, NodeId src, NodeId dst,
     trace::ScopedSpan span(trace, "net-transfer");
     span.attr("what", what);
     span.attr("bytes", static_cast<std::int64_t>(bytes));
-    span.attr("src", src == kOriginStorage
-                         ? std::string("origin")
-                         : std::to_string(src));
-    span.attr("dst", std::to_string(dst));
-    span.attr("cross_rack", t.crossRack ? "true" : "false");
+    if (src == kOriginStorage)
+        span.attr("src", "origin");
+    else
+        span.attr("src", static_cast<std::int64_t>(src));
+    span.attr("dst", static_cast<std::int64_t>(dst));
+    span.attr("cross_rack", trace::boolName(t.crossRack));
 
     ctx.charge(t.total);
-    ctx.stats().incr("net.transfers");
-    ctx.stats().incr("net.bytes", static_cast<std::int64_t>(bytes));
-    ctx.stats().observeWindowed("win.net.bytes", ctx.now(),
+    ctx.stats().incr(metrics::kNetTransfers);
+    ctx.stats().incr(metrics::kNetBytes, static_cast<std::int64_t>(bytes));
+    ctx.stats().observeWindowed(metrics::kWinNetBytes, ctx.now(),
                                 static_cast<double>(bytes));
     if (t.crossRack)
-        ctx.stats().incr("net.cross_rack_transfers");
+        ctx.stats().incr(metrics::kNetCrossRackTransfers);
     return t;
 }
 

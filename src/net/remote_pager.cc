@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "sim/clock.h"
+#include "sim/metric_catalog.h"
 
 namespace catalyzer::net {
 
@@ -60,19 +61,19 @@ RemotePager::openBatch()
             // every later pull streams from origin storage instead of
             // failing the running instance.
             ctx_.charge(injector_->retry().attemptTimeout);
-            ctx_.stats().incr("remote.peer_lost");
+            ctx_.stats().incr(metrics::kRemotePeerLost);
             source_ = kOriginStorage;
         }
         if (injector_->shouldFail(faults::FaultSite::NetLink,
                                   ctx_.stats())) {
             // One dropped request; the retry goes through.
             ctx_.charge(injector_->retry().attemptTimeout);
-            ctx_.stats().incr("net.link_retries");
+            ctx_.stats().incr(metrics::kNetLinkRetries);
         }
     }
     ctx_.charge(fabric_.rtt(self_, source_, costs) +
                 costs.netPagePullBatchSetup);
-    ctx_.stats().incr("remote.pull_batches");
+    ctx_.stats().incr(metrics::kRemotePullBatches);
     ++batches_;
     batch_left_ = batch_pages_;
     // Stitch the pull into the boot's distributed trace: a borrower
@@ -82,16 +83,17 @@ RemotePager::openBatch()
     if (borrow_trace_.enabled()) {
         const trace::SpanId id = borrow_trace_.completedSpan(
             "remote-pull-batch", watch.elapsed());
-        borrow_trace_.tracer()->attribute(
-            id, "source",
-            source_ == kOriginStorage ? "origin"
-                                      : std::to_string(source_));
+        if (source_ == kOriginStorage)
+            borrow_trace_.tracer()->attribute(id, "source", "origin");
+        else
+            borrow_trace_.tracer()->attribute(
+                id, "source", static_cast<std::int64_t>(source_));
     }
     if (source_ == peer_ && lend_trace_.enabled()) {
         const trace::SpanId id = lend_trace_.completedSpan(
             "serve-pull-batch", sim::SimTime::zero());
         lend_trace_.tracer()->attribute(id, "borrower",
-                                        std::to_string(self_));
+                                        static_cast<std::int64_t>(self_));
     }
 }
 
@@ -115,7 +117,7 @@ RemotePager::pull(std::size_t npages)
         left -= take;
     }
     pages_pulled_ += npages;
-    ctx_.stats().incr("remote.page_pulls",
+    ctx_.stats().incr(metrics::kRemotePagePulls,
                       static_cast<std::int64_t>(npages));
 }
 

@@ -361,17 +361,8 @@ Cluster::mergeStats(sim::StatRegistry &out) const
     // Counters sum, histogram samples concatenate, windowed series
     // merge per window (machine order, then sample order, so the
     // output is deterministic).
-    for (const auto &node : nodes_) {
-        const sim::StatRegistry &stats = node.machine->ctx().stats();
-        for (const auto &[name, value] : stats.all())
-            out.incr(name, value);
-        for (const auto &[name, series] : stats.histograms()) {
-            for (double ms : series.raw())
-                out.observeMs(name, ms);
-        }
-        for (const auto &[name, series] : stats.windowedSeries())
-            out.windowed(name).merge(series);
-    }
+    for (const auto &node : nodes_)
+        out.merge(node.machine->ctx().stats());
 }
 
 void

@@ -6,6 +6,7 @@
 #include "faults/fault_injector.h"
 #include "sim/clock.h"
 #include "sim/logging.h"
+#include "sim/metric_catalog.h"
 
 namespace catalyzer::platform {
 
@@ -94,6 +95,34 @@ ServerlessPlatform::ServerlessPlatform(sandbox::Machine &machine,
         recorder_.setDumpDirectory(dir);
 }
 
+const ServerlessPlatform::FunctionKeys &
+ServerlessPlatform::functionKeys(const std::string &function_name)
+{
+    auto it = function_keys_.find(function_name);
+    if (it == function_keys_.end()) {
+        std::string span = "invoke/";
+        span += function_name;
+        it = function_keys_
+                 .emplace(function_name,
+                          FunctionKeys{
+                              trace::Name::intern(span),
+                              metrics::kWinBootMsFn.member(function_name)})
+                 .first;
+    }
+    return it->second;
+}
+
+sim::WindowedHandle
+ServerlessPlatform::tierWindow(const std::string &tier)
+{
+    auto it = tier_windows_.find(tier);
+    if (it == tier_windows_.end())
+        it = tier_windows_
+                 .emplace(tier, metrics::kWinBootMsTier.member(tier))
+                 .first;
+    return it->second;
+}
+
 FunctionArtifacts &
 ServerlessPlatform::deploy(const apps::AppProfile &app)
 {
@@ -120,7 +149,7 @@ ServerlessPlatform::prepare(const apps::AppProfile &app)
             // Offline preparation hit a persistent fault; serve
             // degraded (warm/cold) until a later fork boot rebuilds
             // the template.
-            machine_.ctx().stats().incr("platform.prepare_failures");
+            machine_.ctx().stats().incr(metrics::kPlatformPrepareFailures);
             sim::warn("prepare(%s) failed: %s", app.name.c_str(),
                       err.what());
         }
@@ -207,8 +236,8 @@ ServerlessPlatform::bootChain(FunctionArtifacts &fn, int tier,
             }
             record.tierServed = bootTierName(std::min(
                 tier, static_cast<int>(kTierFresh)));
-            stats.observeMs("boot.tier_served", tierServedValue(tier));
-            stats.observeWindowed("win.tier_served",
+            stats.observeMs(metrics::kBootTierServed, tierServedValue(tier));
+            stats.observeWindowed(metrics::kWinTierServed,
                                   machine_.ctx().now(),
                                   tierServedValue(tier));
             return result;
@@ -219,7 +248,7 @@ ServerlessPlatform::bootChain(FunctionArtifacts &fn, int tier,
                 ++next;
             const std::string from = bootTierName(tier);
             const std::string to = bootTierName(next);
-            stats.incr("boot.fallback." + from + "_" + to);
+            stats.incr(metrics::kBootFallback.member(from + "_" + to));
             recorder_.record("tier-fallback",
                              faults::faultSiteName(err.site()),
                              from + " -> " + to + ": " + err.what(),
@@ -293,7 +322,8 @@ ServerlessPlatform::invoke(const std::string &function_name,
     if (!trace.enabled())
         trace = trace::TraceContext(machine_.tracer(), ctx.clock());
 
-    trace::ScopedSpan invoke_span(trace, "invoke/" + function_name);
+    const FunctionKeys &keys = functionKeys(function_name);
+    trace::ScopedSpan invoke_span(trace, keys.invokeSpan);
     invoke_span.attr("strategy", bootStrategyName(config_.strategy));
     const trace::TraceContext tctx = invoke_span.context();
     current_trace_ = tctx.traceId();
@@ -321,13 +351,13 @@ ServerlessPlatform::invoke(const std::string &function_name,
         record.bootKind = inst->bootKind();
         record.tierServed = "reused";
         invoke_span.attr("reused", "true");
-        ctx.stats().incr("platform.instance_reuses");
+        ctx.stats().incr(metrics::kPlatformInstanceReuses);
     } else {
         BootResult boot = bootNew(fn, record, tctx);
         inst = std::move(boot.instance);
         record.bootKind = inst->bootKind();
         record.bootLatency = inst->bootLatency();
-        ctx.stats().incr("platform.boots");
+        ctx.stats().incr(metrics::kPlatformBoots);
         // The boot may have built (or dropped) the local template;
         // publish its state so peers can remote-sfork from it. A no-op
         // outside a cluster with remote fork enabled.
@@ -352,19 +382,19 @@ ServerlessPlatform::invoke(const std::string &function_name,
     }
     // else: destroyed here, releasing its memory.
 
-    ctx.stats().incr("platform.invocations");
-    ctx.stats().observe("invoke.latency", record.endToEnd());
+    ctx.stats().incr(metrics::kPlatformInvocations);
+    ctx.stats().observe(metrics::kInvokeLatency, record.endToEnd());
     // Windowed time series: what the SLO engine evaluates. Boot latency
     // per serving tier and per function, plus end-to-end latency, keyed
     // to the window containing this request's completion time.
     {
         const sim::SimTime now = ctx.now();
         auto &stats = ctx.stats();
-        stats.observeWindowed("win.boot_ms.tier." + record.tierServed,
-                              now, record.bootLatency.toMs());
-        stats.observeWindowed("win.boot_ms.fn." + function_name, now,
+        stats.observeWindowed(tierWindow(record.tierServed), now,
                               record.bootLatency.toMs());
-        stats.observeWindowed("win.e2e_ms", now,
+        stats.observeWindowed(keys.bootWindow, now,
+                              record.bootLatency.toMs());
+        stats.observeWindowed(metrics::kWinE2eMs, now,
                               record.endToEnd().toMs());
     }
     current_trace_ = 0;
@@ -418,7 +448,7 @@ ServerlessPlatform::expireIdle(sim::SimTime ttl)
     }
     instances_ -= reclaimed;
     if (reclaimed > 0)
-        machine_.ctx().stats().incr("platform.idle_expired",
+        machine_.ctx().stats().incr(metrics::kPlatformIdleExpired,
                                     static_cast<std::int64_t>(reclaimed));
     return reclaimed;
 }
@@ -488,7 +518,7 @@ ServerlessPlatform::reclaimFunctionMemory(const std::string &function_name)
         fn->firstRestoreDone = false;
     }
     if (bytes > 0)
-        machine_.ctx().stats().incr("platform.base_reclaims");
+        machine_.ctx().stats().incr(metrics::kPlatformBaseReclaims);
     return bytes;
 }
 

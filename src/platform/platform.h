@@ -12,6 +12,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "catalyzer/runtime.h"
@@ -205,6 +206,19 @@ class ServerlessPlatform
         sim::SimTime parkedAt;
     };
 
+    /** Observability keys of one function, resolved on its first
+     *  request and reused by every later one. */
+    struct FunctionKeys
+    {
+        /** "invoke/<fn>" */
+        trace::Name invokeSpan;
+        /** win.boot_ms.fn.<fn> */
+        sim::WindowedHandle bootWindow;
+    };
+    const FunctionKeys &functionKeys(const std::string &function_name);
+    /** win.boot_ms.tier.<tier>, resolved on the tier's first use. */
+    sim::WindowedHandle tierWindow(const std::string &tier);
+
     sandbox::Machine &machine_;
     PlatformConfig config_;
     sandbox::FunctionRegistry registry_;
@@ -222,6 +236,8 @@ class ServerlessPlatform
      */
     std::size_t instances_ = 0;
     std::optional<remote::RemoteBootEnv> remote_env_;
+    std::unordered_map<std::string, FunctionKeys> function_keys_;
+    std::unordered_map<std::string, sim::WindowedHandle> tier_windows_;
 };
 
 } // namespace catalyzer::platform

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "sim/logging.h"
+#include "sim/metric_catalog.h"
 
 namespace catalyzer::platform {
 
@@ -172,11 +173,11 @@ BootPolicyManager::rebalance()
     }
     auto &stats = platform_.machine().ctx().stats();
     const sim::SimTime now = platform_.machine().ctx().clock().now();
-    stats.observeWindowed("win.policy.hot_set", now,
+    stats.observeWindowed(metrics::kWinPolicyHotSet, now,
                           static_cast<double>(hot_set));
-    stats.observeWindowed("win.policy.template_builds", now,
+    stats.observeWindowed(metrics::kWinPolicyTemplateBuilds, now,
                           static_cast<double>(builds));
-    stats.observeWindowed("win.policy.template_drops", now,
+    stats.observeWindowed(metrics::kWinPolicyTemplateDrops, now,
                           static_cast<double>(drops));
     return actions;
 }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "sim/metric_catalog.h"
+
 namespace catalyzer::prefetch {
 
 FaultRecorder::FaultRecorder(mem::PageIndex window_start,
@@ -46,7 +48,7 @@ FaultRecorder::finish(sim::StatRegistry &stats)
 
     if (manifest_ && !manifest_->frozen()) {
         manifest_->addTrace(order_);
-        stats.incr("prefetch.traces_recorded");
+        stats.incr(metrics::kPrefetchTracesRecorded);
     }
 
     if (audit_) {
@@ -57,15 +59,15 @@ FaultRecorder::finish(sim::StatRegistry &stats)
                 ++avoided;
         }
         const std::size_t wasted = prefetched_.size() - avoided;
-        stats.incr("prefetch.demand_faults_avoided",
+        stats.incr(metrics::kPrefetchDemandFaultsAvoided,
                    static_cast<std::int64_t>(avoided));
-        stats.incr("prefetch.wasted_pages",
+        stats.incr(metrics::kPrefetchWastedPages,
                    static_cast<std::int64_t>(wasted));
         const double hit_rate =
             order_.empty() ? 1.0
                            : static_cast<double>(avoided) /
                                  static_cast<double>(order_.size());
-        stats.observeMs("prefetch.manifest_hit_rate", hit_rate);
+        stats.observeMs(metrics::kPrefetchManifestHitRate, hit_rate);
     }
 }
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "sim/metric_catalog.h"
+
 namespace catalyzer::prefetch {
 
 PrefetchReport
@@ -61,13 +63,13 @@ prefetchIntoBase(sim::SimContext &ctx, mem::BaseMapping &base,
                        mem::kPtesPerTable));
     }
 
-    ctx.stats().incr("prefetch.pages_prefetched",
+    ctx.stats().incr(metrics::kPrefetchPagesPrefetched,
                      static_cast<std::int64_t>(report.prefetchedPages));
-    ctx.stats().incr("prefetch.pages_already_resident",
+    ctx.stats().incr(metrics::kPrefetchPagesAlreadyResident,
                      static_cast<std::int64_t>(report.alreadyResident));
-    ctx.stats().incr("prefetch.storage_reads",
+    ctx.stats().incr(metrics::kPrefetchStorageReads,
                      static_cast<std::int64_t>(report.storageReads));
-    ctx.stats().incr("prefetch.batches",
+    ctx.stats().incr(metrics::kPrefetchBatches,
                      static_cast<std::int64_t>(report.batches));
 
     span.attr("pages", static_cast<std::int64_t>(report.prefetchedPages));

@@ -2,6 +2,7 @@
 
 #include "sandbox/pipelines.h"
 #include "sim/logging.h"
+#include "sim/metric_catalog.h"
 
 namespace catalyzer::sandbox {
 
@@ -42,7 +43,7 @@ FuncImageCompiler::compile(FunctionArtifacts &fn,
         fn.protoImage = image;
     else
         fn.separatedImage = image;
-    machine_.ctx().stats().incr("snapshot.images_compiled");
+    machine_.ctx().stats().incr(metrics::kSnapshotImagesCompiled);
     return image;
 }
 

@@ -4,6 +4,7 @@
 
 #include "sim/clock.h"
 #include "sim/logging.h"
+#include "sim/metric_catalog.h"
 #include "snapshot/io_reconnect.h"
 
 namespace catalyzer::sandbox {
@@ -99,7 +100,7 @@ SandboxInstance::invoke()
         ++used;
         if (!conn.established) {
             snapshot::reconnectConnection(ctx, conn, &fn_.fsServer());
-            ctx.stats().incr("exec.lazy_reconnects");
+            ctx.stats().incr(metrics::kExecLazyReconnects);
         }
         // The handler's actual I/O goes through the guest syscall
         // policy (Table 1): reads for files, recvmsg for sockets.
@@ -113,7 +114,7 @@ SandboxInstance::invoke()
         for (auto &conn : conns) {
             if (conn.usedAtStartup && !conn.established) {
                 snapshot::reconnectConnection(ctx, conn, &fn_.fsServer());
-                ctx.stats().incr("exec.startup_reconnects");
+                ctx.stats().incr(metrics::kExecStartupReconnects);
             }
         }
     }
@@ -129,7 +130,7 @@ SandboxInstance::invoke()
     // The handler's own compute (minus any work the fine-grained entry
     // point moved into the checkpoint).
     ctx.charge(app.execComputeCost * (1.0 - prep_fraction_));
-    ctx.stats().incr("exec.invocations");
+    ctx.stats().incr(metrics::kExecInvocations);
 
     // First response: the restore-to-first-response recording window
     // (working-set prefetch) closes here.

@@ -6,6 +6,7 @@
 #include "sandbox/compiler.h"
 
 #include "sim/logging.h"
+#include "sim/metric_catalog.h"
 #include "snapshot/restore_baseline.h"
 
 namespace catalyzer::sandbox {
@@ -39,6 +40,34 @@ makeBareInstance(FunctionArtifacts &fn, BootKind kind, const char *tag)
 
 namespace {
 
+/** Names resolved once per sandbox system. */
+struct SystemKeys
+{
+    /** boot.latency.<system> */
+    sim::HistogramHandle latency;
+    /** "boot/<system>": the fresh-boot root span. */
+    trace::Name span;
+};
+
+const SystemKeys &
+systemKeys(SandboxSystem system)
+{
+    static const std::vector<SystemKeys> keys = [] {
+        std::vector<SystemKeys> out;
+        for (int s = 0; s <= static_cast<int>(SandboxSystem::GVisorRestore);
+             ++s) {
+            const char *name =
+                sandboxSystemName(static_cast<SandboxSystem>(s));
+            std::string span = "boot/";
+            span += name;
+            out.push_back({metrics::kBootLatency.member(name),
+                           trace::Name::intern(span)});
+        }
+        return out;
+    }();
+    return keys[static_cast<std::size_t>(system)];
+}
+
 /** Bring up the Sentry: the guest kernel, its mounts, the Go runtime and
  *  its own working memory. */
 void
@@ -67,7 +96,8 @@ constructGVisorSandbox(SandboxInstance &inst,
 
     {
         trace::ScopedSpan kvm_span(trace, "kvm-setup");
-        kvm_span.attr("pml", kvm_config.pmlEnabled ? "on" : "off");
+        kvm_span.attr("pml", kvm_config.pmlEnabled ? trace::Name("on")
+                                                     : trace::Name("off"));
         hostos::KvmVm vm(ctx, kvm_config);
         vm.createVm();
         for (int i = 0; i < 4; ++i)
@@ -220,8 +250,7 @@ bootFresh(SandboxSystem system, FunctionArtifacts &fn,
     const auto &costs = ctx.costs();
     BootResult result;
     trace::BootReport &report = result.report;
-    trace::ScopedSpan boot_span(
-        trace, std::string("boot/") + sandboxSystemName(system));
+    trace::ScopedSpan boot_span(trace, systemKeys(system).span);
     boot_span.attr("function", fn.app().name);
     const trace::TraceContext tctx = boot_span.context();
     report.start(ctx.clock());
@@ -326,10 +355,9 @@ bootSandbox(SandboxSystem system, FunctionArtifacts &fn,
     BootResult result = system == SandboxSystem::GVisorRestore
                             ? bootGVisorRestoreImpl(fn, trace)
                             : bootFresh(system, fn, trace);
-    sim::StatRegistry::incrGlobal("bench.boots");
+    sim::StatRegistry::incrGlobal(metrics::kBenchBoots);
     fn.machine().ctx().stats().observe(
-        std::string("boot.latency.") + sandboxSystemName(system),
-        result.report.total());
+        systemKeys(system).latency, result.report.total());
     sim::debugLog("boot %s/%s: %.3f ms", sandboxSystemName(system),
                   fn.app().name.c_str(), result.report.total().toMs());
     return result;

@@ -57,8 +57,7 @@ class SimContext
 
     /** Charge and count in one step. */
     void
-    chargeCounted(const std::string &counter, SimTime t,
-                  std::int64_t n = 1)
+    chargeCounted(CounterHandle counter, SimTime t, std::int64_t n = 1)
     {
         stats_.incr(counter, n);
         clock_.advance(t);

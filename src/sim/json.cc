@@ -7,7 +7,7 @@
 namespace catalyzer::sim {
 
 std::string
-jsonEscape(const std::string &s)
+jsonEscape(std::string_view s)
 {
     std::string out;
     out.reserve(s.size() + 8);

@@ -14,11 +14,12 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 namespace catalyzer::sim {
 
 /** Escape @p s for use inside a double-quoted JSON string. */
-std::string jsonEscape(const std::string &s);
+std::string jsonEscape(std::string_view s);
 
 /** One JSON number; NaN/inf become null (JSON has no non-finite). */
 void writeJsonNumber(std::ostream &os, double v);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <limits>
 #include <mutex>
 #include <numeric>
@@ -9,6 +10,7 @@
 
 #include "sim/json.h"
 #include "sim/logging.h"
+#include "sim/metric_catalog.h"
 
 namespace catalyzer::sim {
 
@@ -16,64 +18,189 @@ namespace {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
+#define CATALYZER_METRIC_DEF(id, kind, name, unit, layer, help)              \
+    {name, MetricKind::kind, unit, layer, help, false},
+#define CATALYZER_METRIC_FAMILY_DEF(id, kind, name, unit, layer, help)       \
+    {name, MetricKind::kind, unit, layer, help, true},
+constexpr MetricDef kCatalog[] = {
+    CATALYZER_METRICS(CATALYZER_METRIC_DEF, CATALYZER_METRIC_FAMILY_DEF)};
+#undef CATALYZER_METRIC_DEF
+#undef CATALYZER_METRIC_FAMILY_DEF
+static_assert(std::size(kCatalog) == metrics::detail::kCatalogSize);
+
+/**
+ * The process-wide metric name table: catalog names hold slots
+ * 0..kCatalogSize-1, names first seen at run time (undeclared front-door
+ * names, family members) take the next free slot. Keys view storage
+ * that never moves: catalog literals and the deque of run-time names.
+ */
+class MetricNames
+{
+  public:
+    static MetricNames &
+    instance()
+    {
+        static MetricNames names;
+        return names;
+    }
+
+    std::uint32_t
+    intern(std::string_view name)
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        auto it = slots_.find(name);
+        if (it != slots_.end())
+            return it->second;
+        const std::string &stored = extra_.emplace_back(name);
+        const auto slot = static_cast<std::uint32_t>(
+            metrics::detail::kCatalogSize + extra_.size() - 1);
+        slots_.emplace(stored, slot);
+        return slot;
+    }
+
+    std::optional<std::uint32_t>
+    find(std::string_view name) const
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        auto it = slots_.find(name);
+        if (it == slots_.end())
+            return std::nullopt;
+        return it->second;
+    }
+
+    std::string_view
+    name(std::uint32_t slot) const
+    {
+        if (slot < metrics::detail::kCatalogSize)
+            return kCatalog[slot].name;
+        std::lock_guard<std::mutex> lock(mu_);
+        return extra_.at(slot - metrics::detail::kCatalogSize);
+    }
+
+  private:
+    MetricNames()
+    {
+        for (std::uint32_t slot = 0; slot < std::size(kCatalog); ++slot) {
+            if (!slots_.emplace(kCatalog[slot].name, slot).second)
+                panic("metric catalog: %s declared twice",
+                      std::string(kCatalog[slot].name).c_str());
+        }
+    }
+
+    mutable std::mutex mu_;
+    std::unordered_map<std::string_view, std::uint32_t> slots_;
+    std::deque<std::string> extra_;
+};
+
+/** (name, slot) of every slot @p touched accepts, in name order. */
+template <typename Touched>
+std::vector<std::pair<std::string_view, std::uint32_t>>
+sortedSlots(std::size_t nslots, Touched touched)
+{
+    std::vector<std::pair<std::string_view, std::uint32_t>> out;
+    for (std::uint32_t slot = 0; slot < nslots; ++slot) {
+        if (touched(slot))
+            out.emplace_back(metricName(slot), slot);
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
 } // namespace
 
-void
-StatRegistry::incr(const std::string &name, std::int64_t delta)
+const char *
+metricKindName(MetricKind kind)
 {
-    counters_[name] += delta;
+    switch (kind) {
+      case MetricKind::Counter: return "counter";
+      case MetricKind::Histogram: return "histogram";
+      case MetricKind::Windowed: return "windowed";
+    }
+    return "?";
+}
+
+std::uint32_t
+metricSlot(std::string_view name)
+{
+    return MetricNames::instance().intern(name);
+}
+
+std::string_view
+metricName(std::uint32_t slot)
+{
+    return MetricNames::instance().name(slot);
+}
+
+std::uint32_t
+metricFamilyMember(std::uint32_t family, std::string_view suffix)
+{
+    const MetricDef &def = kCatalog[family];
+    if (!def.family)
+        panic("metric %s is not a family",
+              std::string(def.name).c_str());
+    std::string name(def.name);
+    name += suffix;
+    return metricSlot(name);
+}
+
+std::uint32_t
+StatRegistry::slotFor(std::string_view name)
+{
+    auto it = slots_.find(name);
+    if (it != slots_.end())
+        return it->second;
+    const std::uint32_t slot = metricSlot(name);
+    slots_.emplace(std::string(name), slot);
+    return slot;
+}
+
+std::optional<std::uint32_t>
+StatRegistry::findSlot(std::string_view name) const
+{
+    auto it = slots_.find(name);
+    if (it != slots_.end())
+        return it->second;
+    return MetricNames::instance().find(name);
 }
 
 std::int64_t
-StatRegistry::value(const std::string &name) const
+StatRegistry::value(std::string_view name) const
 {
-    auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second;
+    const auto slot = findSlot(name);
+    return slot ? value(CounterHandle{*slot}) : 0;
 }
 
 void
-StatRegistry::observe(const std::string &name, SimTime t)
+StatRegistry::createHistogram(std::uint32_t slot)
 {
-    series_[name].add(t);
-}
-
-void
-StatRegistry::observeMs(const std::string &name, double ms)
-{
-    series_[name].addMs(ms);
-}
-
-LatencySeries &
-StatRegistry::histogram(const std::string &name)
-{
-    return series_[name];
+    if (slot >= series_.size())
+        series_.resize(slot + 1);
+    series_[slot] = std::make_unique<LatencySeries>();
 }
 
 const LatencySeries *
-StatRegistry::findHistogram(const std::string &name) const
+StatRegistry::findHistogram(std::string_view name) const
 {
-    auto it = series_.find(name);
-    return it == series_.end() ? nullptr : &it->second;
+    const auto slot = findSlot(name);
+    return slot && *slot < series_.size() ? series_[*slot].get() : nullptr;
 }
 
 void
-StatRegistry::observeWindowed(const std::string &name, SimTime now,
-                              double value)
+StatRegistry::createWindowed(std::uint32_t slot)
 {
-    windowed(name).record(now, value);
+    if (slot >= windowed_.size())
+        windowed_.resize(slot + 1);
+    windowed_[slot] = std::make_unique<WindowedHistogram>(window_length_);
+    if (window_origin_set_)
+        windowed_[slot]->setOrigin(window_origin_);
 }
 
-WindowedHistogram &
-StatRegistry::windowed(const std::string &name)
+const WindowedHistogram *
+StatRegistry::findWindowed(std::string_view name) const
 {
-    auto it = windowed_.find(name);
-    if (it == windowed_.end()) {
-        it = windowed_.emplace(name, WindowedHistogram(window_length_))
-                 .first;
-        if (window_origin_set_)
-            it->second.setOrigin(window_origin_);
-    }
-    return it->second;
+    const auto slot = findSlot(name);
+    return slot && *slot < windowed_.size() ? windowed_[*slot].get()
+                                            : nullptr;
 }
 
 void
@@ -84,13 +211,6 @@ StatRegistry::setWindowOrigin(SimTime origin)
     window_origin_set_ = true;
 }
 
-const WindowedHistogram *
-StatRegistry::findWindowed(const std::string &name) const
-{
-    auto it = windowed_.find(name);
-    return it == windowed_.end() ? nullptr : &it->second;
-}
-
 void
 StatRegistry::clear()
 {
@@ -99,19 +219,70 @@ StatRegistry::clear()
     windowed_.clear();
 }
 
+std::map<std::string, std::int64_t>
+StatRegistry::all() const
+{
+    std::map<std::string, std::int64_t> out;
+    for (std::uint32_t slot = 0; slot < counters_.size(); ++slot) {
+        if (counters_[slot].touched)
+            out.emplace(metricName(slot), counters_[slot].value);
+    }
+    return out;
+}
+
+std::vector<NamedMetric<LatencySeries>>
+StatRegistry::histograms() const
+{
+    std::vector<NamedMetric<LatencySeries>> out;
+    for (const auto &[name, slot] : sortedSlots(
+             series_.size(), [&](auto s) { return series_[s] != nullptr; }))
+        out.push_back({name, *series_[slot]});
+    return out;
+}
+
+std::vector<NamedMetric<WindowedHistogram>>
+StatRegistry::windowedSeries() const
+{
+    std::vector<NamedMetric<WindowedHistogram>> out;
+    for (const auto &[name, slot] :
+         sortedSlots(windowed_.size(),
+                     [&](auto s) { return windowed_[s] != nullptr; }))
+        out.push_back({name, *windowed_[slot]});
+    return out;
+}
+
+void
+StatRegistry::merge(const StatRegistry &other)
+{
+    for (const auto &[name, slot] :
+         sortedSlots(other.counters_.size(), [&](auto s) {
+             return other.counters_[s].touched;
+         }))
+        incr(CounterHandle{slot}, other.counters_[slot].value);
+    for (const auto &[name, series] : other.histograms()) {
+        LatencySeries &mine = histogram(HistogramHandle{metricSlot(name)});
+        for (double ms : series.raw())
+            mine.addMs(ms);
+    }
+    for (const auto &[name, series] : other.windowedSeries())
+        windowed(WindowedHandle{metricSlot(name)}).merge(series);
+}
+
 void
 StatRegistry::writeJson(std::ostream &os) const
 {
     os << "{\n  \"counters\": {";
     bool first = true;
-    for (const auto &[name, value] : counters_) {
+    for (const auto &[name, slot] :
+         sortedSlots(counters_.size(),
+                     [&](auto s) { return counters_[s].touched; })) {
         os << (first ? "\n" : ",\n") << "    \"" << jsonEscape(name)
-           << "\": " << value;
+           << "\": " << counters_[slot].value;
         first = false;
     }
     os << "\n  },\n  \"histograms\": {";
     first = true;
-    for (const auto &[name, series] : series_) {
+    for (const auto &[name, series] : histograms()) {
         os << (first ? "\n" : ",\n") << "    \"" << jsonEscape(name)
            << "\": {\"unit\": \"ms\", \"count\": " << series.count();
         const struct
@@ -141,7 +312,7 @@ StatRegistry::writeTimeSeriesJson(std::ostream &os) const
     writeJsonNumber(os, window_length_.toMs());
     os << ",\n  \"series\": {";
     bool first = true;
-    for (const auto &[name, hist] : windowed_) {
+    for (const auto &[name, hist] : windowedSeries()) {
         os << (first ? "\n" : ",\n") << "    \"" << jsonEscape(name)
            << "\": {\"window_ms\": ";
         writeJsonNumber(os, hist.windowLength().toMs());
@@ -180,34 +351,31 @@ StatRegistry::writeTimeSeriesJson(std::ostream &os) const
 void
 WindowedHistogram::record(SimTime now, double value)
 {
-    const std::int64_t index = indexFor(now);
-    // The common case appends to the latest window (single-machine
-    // virtual time never goes backwards).
-    if (windows_.empty() || windows_.back().index < index) {
-        windows_.push_back(Window{index, {}, 0.0});
-    } else if (windows_.back().index != index) {
-        // Out-of-order timestamp (merged fleets replaying): find or
-        // insert the window, keeping lazy sorting honest.
-        Window *hit = nullptr;
-        for (auto &w : windows_) {
-            if (w.index == index) {
-                hit = &w;
-                break;
-            }
-        }
-        if (hit == nullptr) {
-            windows_.push_back(Window{index, {}, 0.0});
-            sorted_valid_ = false;
-        } else {
-            hit->series.addMs(value);
-            hit->sum += value;
-            ++total_count_;
-            return;
-        }
-    }
-    windows_.back().series.addMs(value);
-    windows_.back().sum += value;
+    Window &w = windowAt(indexFor(now));
+    w.series.addMs(value);
+    w.sum += value;
     ++total_count_;
+}
+
+WindowedHistogram::Window &
+WindowedHistogram::windowAt(std::int64_t index)
+{
+    // The common cases: the newest window again, or a newer one
+    // (single-machine virtual time never goes backwards).
+    if (!windows_.empty() && windows_.back().index == index)
+        return windows_.back();
+    if (windows_.empty() || index > newest_) {
+        newest_ = index;
+        return windows_.emplace_back(Window{index, {}, 0.0});
+    }
+    // Out-of-order timestamp (merged fleets replaying): find or insert
+    // the window; an insertion breaks the index order until windows().
+    for (auto &w : windows_) {
+        if (w.index == index)
+            return w;
+    }
+    sorted_valid_ = false;
+    return windows_.emplace_back(Window{index, {}, 0.0});
 }
 
 const std::vector<WindowedHistogram::Window> &
@@ -252,21 +420,10 @@ WindowedHistogram::merge(const WindowedHistogram &other)
         panic("WindowedHistogram::merge: origin-aligned series merged "
               "with unaligned series (windows would misalign)");
     for (const auto &w : other.windows()) {
-        Window *hit = nullptr;
-        for (auto &mine : windows_) {
-            if (mine.index == w.index) {
-                hit = &mine;
-                break;
-            }
-        }
-        if (hit == nullptr) {
-            windows_.push_back(Window{w.index, {}, 0.0});
-            hit = &windows_.back();
-            sorted_valid_ = false;
-        }
+        Window &mine = windowAt(w.index);
         for (double v : w.series.raw()) {
-            hit->series.addMs(v);
-            hit->sum += v;
+            mine.series.addMs(v);
+            mine.sum += v;
             ++total_count_;
         }
     }
@@ -303,11 +460,11 @@ StatRegistry::global()
 }
 
 void
-StatRegistry::incrGlobal(const std::string &name, std::int64_t delta)
+StatRegistry::incrGlobal(CounterHandle counter, std::int64_t delta)
 {
     static std::mutex mu;
     std::lock_guard<std::mutex> lock(mu);
-    global().incr(name, delta);
+    global().incr(counter, delta);
 }
 
 double
@@ -382,3 +539,43 @@ LatencySeries::sorted() const
 }
 
 } // namespace catalyzer::sim
+
+namespace catalyzer::metrics {
+
+std::span<const sim::MetricDef>
+catalog()
+{
+    return sim::kCatalog;
+}
+
+void
+writeCatalogJson(std::ostream &os)
+{
+    std::vector<const sim::MetricDef *> defs;
+    for (const sim::MetricDef &def : sim::kCatalog)
+        defs.push_back(&def);
+    std::sort(defs.begin(), defs.end(),
+              [](const auto *a, const auto *b) { return a->name < b->name; });
+    os << "{\"metrics\": [";
+    bool first = true;
+    for (const sim::MetricDef *def : defs) {
+        os << (first ? "\n" : ",\n") << "  {\"name\": \""
+           << sim::jsonEscape(def->name) << "\", \"kind\": \""
+           << sim::metricKindName(def->kind) << "\", \"unit\": \""
+           << sim::jsonEscape(def->unit) << "\", \"layer\": \""
+           << sim::jsonEscape(def->layer) << "\", \"family\": "
+           << (def->family ? "true" : "false") << ", \"help\": \""
+           << sim::jsonEscape(def->help) << "\"}";
+        first = false;
+    }
+    os << "\n], \"chain_artifact_counters\": [";
+    first = true;
+    for (sim::CounterHandle counter : kChainArtifactCounters) {
+        os << (first ? "" : ", ") << "\""
+           << sim::jsonEscape(sim::kCatalog[counter.slot].name) << "\"";
+        first = false;
+    }
+    os << "]}\n";
+}
+
+} // namespace catalyzer::metrics

@@ -1,16 +1,22 @@
 /**
  * @file
  * Counters, latency series and the unified metrics registry for
- * experiment reporting.
+ * experiment reporting. The metrics themselves are declared in
+ * sim/metric_catalog.h.
  */
 
 #ifndef CATALYZER_SIM_STATS_H
 #define CATALYZER_SIM_STATS_H
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <map>
+#include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "sim/time.h"
@@ -169,6 +175,9 @@ class WindowedHistogram
   private:
     std::int64_t indexFor(SimTime now) const;
 
+    /** The window with @p index, appended if it does not exist yet. */
+    Window &windowAt(std::int64_t index);
+
     SimTime window_length_;
     /** Window 0 start when origin_set_; see setOrigin(). */
     SimTime origin_;
@@ -176,15 +185,102 @@ class WindowedHistogram
     /** Sparse, kept sorted by index lazily (see windows()). */
     mutable std::vector<Window> windows_;
     mutable bool sorted_valid_ = true;
+    /** Highest window index present (valid while windows_ is not
+     *  empty); windows_.back() is that window only while sorted. */
+    std::int64_t newest_ = 0;
     std::size_t total_count_ = 0;
+};
+
+/** What a metric records. */
+enum class MetricKind : std::uint8_t
+{
+    Counter,
+    Histogram,
+    Windowed,
+};
+
+/** "counter" / "histogram" / "windowed". */
+const char *metricKindName(MetricKind kind);
+
+/**
+ * A pre-resolved metric: the metric's slot in every registry's flat
+ * slot array. Slots are process-wide (see metric_catalog.h), so a
+ * handle is valid for every StatRegistry.
+ */
+template <MetricKind K>
+struct MetricHandle
+{
+    std::uint32_t slot;
+};
+
+using CounterHandle = MetricHandle<MetricKind::Counter>;
+using HistogramHandle = MetricHandle<MetricKind::Histogram>;
+using WindowedHandle = MetricHandle<MetricKind::Windowed>;
+
+/** Slot of family @p family's member named prefix + @p suffix. */
+std::uint32_t metricFamilyMember(std::uint32_t family,
+                                 std::string_view suffix);
+
+/**
+ * A declared family of metrics sharing a name prefix whose last part
+ * is only known at run time (boot.fallback.<from>_<to>, ...).
+ * member() interns the full name under a process-wide lock: resolve a
+ * member once and keep the handle on hot paths.
+ */
+template <MetricKind K>
+struct MetricFamily
+{
+    std::uint32_t slot;
+
+    MetricHandle<K>
+    member(std::string_view suffix) const
+    {
+        return {metricFamilyMember(slot, suffix)};
+    }
+};
+
+/** One catalog entry (see metric_catalog.h). */
+struct MetricDef
+{
+    /** Full name, or the family prefix (ending in '.'). */
+    std::string_view name;
+    MetricKind kind;
+    std::string_view unit;
+    /** Owning layer (src/ directory). */
+    std::string_view layer;
+    std::string_view help;
+    bool family;
+};
+
+/** The process-wide slot of metric @p name, interning it if new. */
+std::uint32_t metricSlot(std::string_view name);
+
+/** Name of the metric in @p slot. */
+std::string_view metricName(std::uint32_t slot);
+
+/** A registry entry handed out by the sorted walks. */
+template <typename T>
+struct NamedMetric
+{
+    std::string_view name;
+    const T &value;
 };
 
 /**
  * Unified metrics registry: named monotonically increasing counters
- * (page faults, syscalls redone, objects deserialized, ...) plus named
+ * (page faults, syscalls redone, objects deserialized, ...), named
  * histogram metrics backed by LatencySeries (boot latency per system,
- * end-to-end invocation latency, ...). Cheap enough to leave enabled
- * everywhere.
+ * end-to-end invocation latency, ...) and windowed time series.
+ *
+ * Storage is one flat array per kind, indexed by metric slot, with a
+ * touched bit: a handle increment is one indexed add. The name-taking
+ * members are the front door for names known only at run time; they
+ * resolve the name to the same slot, so both paths share one storage
+ * and one export. Every export and walk (writeJson,
+ * writeTimeSeriesJson, all(), histograms(), windowedSeries(), merge())
+ * visits touched metrics in name order, never slot order: slots of
+ * run-time names are handed out in first-use order, which depends on
+ * thread scheduling.
  *
  * Each SimContext owns one registry (its machine's metrics);
  * StatRegistry::global() is the process-wide registry for aggregating
@@ -193,44 +289,95 @@ class WindowedHistogram
 class StatRegistry
 {
   public:
-    /** Add @p delta to counter @p name, creating it at zero if needed. */
-    void incr(const std::string &name, std::int64_t delta = 1);
+    StatRegistry() = default;
+    StatRegistry(const StatRegistry &) = delete;
+    StatRegistry &operator=(const StatRegistry &) = delete;
+
+    /** Add @p delta to the counter, creating it at zero if needed. */
+    void
+    incr(CounterHandle counter, std::int64_t delta = 1)
+    {
+        if (counter.slot >= counters_.size()) [[unlikely]]
+            counters_.resize(counter.slot + 1);
+        CounterSlot &c = counters_[counter.slot];
+        c.value += delta;
+        c.touched = true;
+    }
+    void
+    incr(std::string_view name, std::int64_t delta = 1)
+    {
+        incr(CounterHandle{slotFor(name)}, delta);
+    }
 
     /** Current value, or zero if never touched. */
-    std::int64_t value(const std::string &name) const;
+    std::int64_t
+    value(CounterHandle counter) const
+    {
+        return counter.slot < counters_.size()
+                   ? counters_[counter.slot].value
+                   : 0;
+    }
+    std::int64_t value(std::string_view name) const;
 
-    /** Record one sample into histogram @p name, creating it if needed. */
-    void observe(const std::string &name, SimTime t);
-    void observeMs(const std::string &name, double ms);
+    /** Record one sample into a histogram, creating it if needed. */
+    void observe(HistogramHandle h, SimTime t) { histogram(h).add(t); }
+    void observeMs(HistogramHandle h, double ms) { histogram(h).addMs(ms); }
+    void
+    observe(std::string_view name, SimTime t)
+    {
+        observe(HistogramHandle{slotFor(name)}, t);
+    }
+    void
+    observeMs(std::string_view name, double ms)
+    {
+        observeMs(HistogramHandle{slotFor(name)}, ms);
+    }
 
-    /** Get-or-create histogram @p name. */
-    LatencySeries &histogram(const std::string &name);
+    /** Get-or-create a histogram. */
+    LatencySeries &
+    histogram(HistogramHandle h)
+    {
+        if (h.slot >= series_.size() || !series_[h.slot]) [[unlikely]]
+            createHistogram(h.slot);
+        return *series_[h.slot];
+    }
 
     /** Look up a histogram; nullptr if never observed. */
-    const LatencySeries *findHistogram(const std::string &name) const;
+    const LatencySeries *findHistogram(std::string_view name) const;
 
     /**
-     * Record one sample into the fixed-window time series @p name at
-     * virtual @p now (creating the series with the registry's current
-     * default window length). Windowed series are a separate namespace
-     * from the lifetime histograms: writeJson() never includes them, so
+     * Record one sample into a fixed-window time series at virtual
+     * @p now (creating the series with the registry's current default
+     * window length). Windowed series are a separate namespace from
+     * the lifetime histograms: writeJson() never includes them, so
      * turning time-series collection on cannot change an existing
      * metrics snapshot byte for byte.
      */
-    void observeWindowed(const std::string &name, SimTime now,
-                         double value);
+    void
+    observeWindowed(WindowedHandle h, SimTime now, double value)
+    {
+        windowed(h).record(now, value);
+    }
+    void
+    observeWindowed(std::string_view name, SimTime now, double value)
+    {
+        observeWindowed(WindowedHandle{slotFor(name)}, now, value);
+    }
 
-    /** Get-or-create windowed series @p name. */
-    WindowedHistogram &windowed(const std::string &name);
+    /** Get-or-create a windowed series. */
+    WindowedHistogram &
+    windowed(WindowedHandle h)
+    {
+        if (h.slot >= windowed_.size() || !windowed_[h.slot]) [[unlikely]]
+            createWindowed(h.slot);
+        return *windowed_[h.slot];
+    }
 
     /** Look up a windowed series; nullptr if never observed. */
-    const WindowedHistogram *findWindowed(const std::string &name) const;
+    const WindowedHistogram *findWindowed(std::string_view name) const;
 
     /** All windowed series, sorted by name. */
-    const std::map<std::string, WindowedHistogram> &windowedSeries() const
-    {
-        return windowed_;
-    }
+    std::vector<NamedMetric<WindowedHistogram>> windowedSeries() const;
 
     /** Window length used for windowed series created after this call. */
     void setWindowLength(SimTime length) { window_length_ = length; }
@@ -252,16 +399,17 @@ class StatRegistry
     void clear();
 
     /** Snapshot of all counters, sorted by name. */
-    const std::map<std::string, std::int64_t> &all() const
-    {
-        return counters_;
-    }
+    std::map<std::string, std::int64_t> all() const;
 
     /** All histograms, sorted by name. */
-    const std::map<std::string, LatencySeries> &histograms() const
-    {
-        return series_;
-    }
+    std::vector<NamedMetric<LatencySeries>> histograms() const;
+
+    /**
+     * Fold @p other in (fleet aggregation): counters add, histogram
+     * samples append in @p other's order, windowed series merge per
+     * window. Touched-but-zero counters stay touched.
+     */
+    void merge(const StatRegistry &other);
 
     /**
      * JSON snapshot: {"counters": {name: value, ...}, "histograms":
@@ -289,12 +437,41 @@ class StatRegistry
      * bookkeeping that fires on the boot path must go through here
      * once machines run on parallel executor threads.
      */
-    static void incrGlobal(const std::string &name, std::int64_t delta = 1);
+    static void incrGlobal(CounterHandle counter, std::int64_t delta = 1);
 
   private:
-    std::map<std::string, std::int64_t> counters_;
-    std::map<std::string, LatencySeries> series_;
-    std::map<std::string, WindowedHistogram> windowed_;
+    struct CounterSlot
+    {
+        std::int64_t value = 0;
+        bool touched = false;
+    };
+
+    struct NameHash
+    {
+        using is_transparent = void;
+        std::size_t
+        operator()(std::string_view s) const
+        {
+            return std::hash<std::string_view>{}(s);
+        }
+    };
+
+    /** Slot of @p name, interned on first use and cached here. */
+    std::uint32_t slotFor(std::string_view name);
+    /** Slot of @p name if any registry ever used it. */
+    std::optional<std::uint32_t> findSlot(std::string_view name) const;
+
+    void createHistogram(std::uint32_t slot);
+    void createWindowed(std::uint32_t slot);
+
+    std::vector<CounterSlot> counters_;
+    std::vector<std::unique_ptr<LatencySeries>> series_;
+    std::vector<std::unique_ptr<WindowedHistogram>> windowed_;
+    /** Front-door cache: name -> slot, so repeat lookups skip the
+     *  process-wide table's lock. */
+    std::unordered_map<std::string, std::uint32_t, NameHash,
+                       std::equal_to<>>
+        slots_;
     SimTime window_length_ = SimTime::milliseconds(250.0);
     SimTime window_origin_;
     bool window_origin_set_ = false;

@@ -1,6 +1,7 @@
 #include "snapshot/func_image.h"
 
 #include "sim/logging.h"
+#include "sim/metric_catalog.h"
 
 namespace catalyzer::snapshot {
 
@@ -87,25 +88,25 @@ CheckpointEngine::capture(mem::FrameStore &frames,
 
     // Offline preparation (checkpoint side).
     if (format == ImageFormat::CompressedProto) {
-        ctx_.chargeCounted("snapshot.serialized_objects",
+        ctx_.chargeCounted(metrics::kSnapshotSerializedObjects,
                            costs.serializeObject * nobjects, nobjects);
-        ctx_.chargeCounted("snapshot.compressed_pages",
+        ctx_.chargeCounted(metrics::kSnapshotCompressedPages,
                            costs.compressPerPage * npages, npages);
     } else {
         // Re-organize objects into the contiguous arena, zero pointers,
         // emit the relation table, and write out page-aligned memory.
-        ctx_.chargeCounted("snapshot.arena_objects",
+        ctx_.chargeCounted(metrics::kSnapshotArenaObjects,
                            costs.serializeObject * nobjects, nobjects);
-        ctx_.chargeCounted("snapshot.image_pages_written",
+        ctx_.chargeCounted(metrics::kSnapshotImagePagesWritten,
                            costs.memcpyPerPage * npages, npages);
     }
     ctx_.charge(costs.imageManifestParse); // manifest write
 
     auto image = std::shared_ptr<FuncImage>(new FuncImage(
         frames, function_name, format, std::move(state)));
-    ctx_.stats().incr("snapshot.images_built");
+    ctx_.stats().incr(metrics::kSnapshotImagesBuilt);
     image->generation_ = static_cast<std::uint64_t>(
-        ctx_.stats().value("snapshot.images_built"));
+        ctx_.stats().value(metrics::kSnapshotImagesBuilt));
     return image;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "sim/logging.h"
+#include "sim/metric_catalog.h"
 
 namespace catalyzer::snapshot {
 
@@ -41,7 +42,7 @@ ImageStore::publish(std::shared_ptr<FuncImage> image)
     }
     // The producing machine has it locally by construction.
     local_[k] = std::move(image);
-    ctx_.stats().incr("snapshot.images_published");
+    ctx_.stats().incr(metrics::kSnapshotImagesPublished);
 }
 
 const std::vector<ImageChunk> &
@@ -63,10 +64,10 @@ void
 ImageStore::applyCacheResult(const TieredChunkCache::Result &result)
 {
     if (result.demotions > 0)
-        ctx_.stats().incr("image.chunks.demotions",
+        ctx_.stats().incr(metrics::kImageChunksDemotions,
                           static_cast<std::int64_t>(result.demotions));
     for (ChunkId id : result.dropped) {
-        ctx_.stats().incr("image.chunks.evictions");
+        ctx_.stats().incr(metrics::kImageChunksEvictions);
         if (chunks_ != nullptr)
             chunks_->dropChunkHolder(id, self_);
     }
@@ -122,10 +123,10 @@ ImageStore::transferImage(const std::string &k, const FuncImage &image,
                 // The advertised copy is gone (evicted, machine down):
                 // unadvertise it and stream from origin instead.
                 replicas_->dropReplica(k, *peer);
-                ctx_.stats().incr("snapshot.replica_misses");
+                ctx_.stats().incr(metrics::kSnapshotReplicaMisses);
             } else {
                 source = *peer;
-                ctx_.stats().incr("snapshot.p2p_fetches");
+                ctx_.stats().incr(metrics::kSnapshotP2pFetches);
             }
         }
     }
@@ -142,7 +143,7 @@ ImageStore::transferImage(const std::string &k, const FuncImage &image,
             // origin, and retry the chunk (which always succeeds, so
             // the fetch itself keeps its all-or-nothing contract).
             ctx_.charge(injector_->retry().attemptTimeout);
-            ctx_.stats().incr("net.link_reroutes");
+            ctx_.stats().incr(metrics::kNetLinkReroutes);
             source = net::kOriginStorage;
         }
         net.transfer(ctx_, source, self_, n, "image-chunk", trace);
@@ -164,7 +165,7 @@ ImageStore::transferChunks(const std::string &k, const FuncImage &image,
     // walk) is charged per image page.
     ctx_.charge(costs.chunkDirectoryLookup);
     const auto pages = static_cast<std::int64_t>(image.totalPages());
-    ctx_.chargeCounted("image.chunks.pages_hashed",
+    ctx_.chargeCounted(metrics::kImageChunksPagesHashed,
                        costs.chunkHashPerPage * pages, pages);
 
     std::int64_t ram_hits = 0, ssd_hits = 0, peer_hits = 0,
@@ -213,7 +214,7 @@ ImageStore::transferChunks(const std::string &k, const FuncImage &image,
                     // died) before serving it: unadvertise and stream
                     // this fetch from origin.
                     chunks_->dropChunkHolder(chunk.id, *holder);
-                    ctx_.stats().incr("image.chunks.replica_misses");
+                    ctx_.stats().incr(metrics::kImageChunksReplicaMisses);
                     peers_usable = false;
                 } else {
                     source = *holder;
@@ -228,7 +229,7 @@ ImageStore::transferChunks(const std::string &k, const FuncImage &image,
             // attempt timeout, reroute the rest to origin, retry the
             // chunk (always succeeds).
             ctx_.charge(injector_->retry().attemptTimeout);
-            ctx_.stats().incr("net.link_reroutes");
+            ctx_.stats().incr(metrics::kNetLinkReroutes);
             peers_usable = false;
             source = net::kOriginStorage;
         }
@@ -258,13 +259,13 @@ ImageStore::transferChunks(const std::string &k, const FuncImage &image,
         replicas_->addReplica(k, self_);
 
     sim::StatRegistry &stats = ctx_.stats();
-    stats.incr("image.chunks.ram_hits", ram_hits);
-    stats.incr("image.chunks.ssd_hits", ssd_hits);
-    stats.incr("image.chunks.peer_hits", peer_hits);
-    stats.incr("image.chunks.origin_fetches", origin_fetches);
-    stats.incr("image.chunks.bytes_transferred",
+    stats.incr(metrics::kImageChunksRamHits, ram_hits);
+    stats.incr(metrics::kImageChunksSsdHits, ssd_hits);
+    stats.incr(metrics::kImageChunksPeerHits, peer_hits);
+    stats.incr(metrics::kImageChunksOriginFetches, origin_fetches);
+    stats.incr(metrics::kImageChunksBytesTransferred,
                static_cast<std::int64_t>(transferred));
-    stats.incr("image.chunks.bytes_saved",
+    stats.incr(metrics::kImageChunksBytesSaved,
                static_cast<std::int64_t>(saved));
 
     // Windowed obs feed: dedup ratio, per-tier hit rates and the bytes
@@ -278,16 +279,16 @@ ImageStore::transferChunks(const std::string &k, const FuncImage &image,
         static_cast<double>(std::max<std::size_t>(chunks.size(), 1));
     const sim::SimTime now = ctx_.now();
     stats.observeWindowed(
-        "win.image.dedup_ratio", now,
+        metrics::kWinImageDedupRatio, now,
         total_bytes /
             std::max(static_cast<double>(transferred), floor_bytes));
-    stats.observeWindowed("win.image.hit_rate.ram", now,
+    stats.observeWindowed(metrics::kWinImageHitRateRam, now,
                           static_cast<double>(ram_hits) / nchunks);
-    stats.observeWindowed("win.image.hit_rate.ssd", now,
+    stats.observeWindowed(metrics::kWinImageHitRateSsd, now,
                           static_cast<double>(ssd_hits) / nchunks);
-    stats.observeWindowed("win.image.hit_rate.peer", now,
+    stats.observeWindowed(metrics::kWinImageHitRatePeer, now,
                           static_cast<double>(peer_hits) / nchunks);
-    stats.observeWindowed("win.image.saved_mib", now,
+    stats.observeWindowed(metrics::kWinImageSavedMib, now,
                           static_cast<double>(saved) /
                               (1024.0 * 1024.0));
 }
@@ -303,10 +304,10 @@ ImageStore::fetch(const std::string &function_name, ImageFormat format,
             // A republish replaced this key cluster-wide since we
             // cached it: drop the stale copy and refetch.
             local_.erase(lit);
-            ctx_.stats().incr("image.fetch.stale_drops");
+            ctx_.stats().incr(metrics::kImageFetchStaleDrops);
         } else {
-            ctx_.stats().incr("snapshot.image_local_hits");
-            ctx_.stats().incr("image.fetch.local_hits");
+            ctx_.stats().incr(metrics::kSnapshotImageLocalHits);
+            ctx_.stats().incr(metrics::kImageFetchLocalHits);
             return lit->second;
         }
     }
@@ -326,8 +327,8 @@ ImageStore::fetch(const std::string &function_name, ImageFormat format,
         transferChunks(k, *rit->second, trace);
     else
         transferImage(k, *rit->second, trace);
-    ctx_.stats().incr("snapshot.image_remote_fetches");
-    ctx_.stats().incr("image.fetch.remote");
+    ctx_.stats().incr(metrics::kSnapshotImageRemoteFetches);
+    ctx_.stats().incr(metrics::kImageFetchRemote);
     ctx_.charge(ctx_.costs().imageManifestParse);
     local_[k] = rit->second;
     if (replicas_ != nullptr)
@@ -354,7 +355,7 @@ ImageStore::evictLocal(const std::string &function_name,
                        ImageFormat format)
 {
     if (local_.erase(key(function_name, format)) > 0)
-        ctx_.stats().incr("image.evictions");
+        ctx_.stats().incr(metrics::kImageEvictions);
 }
 
 std::size_t
@@ -380,7 +381,7 @@ ImageStore::reclaimFunction(const std::string &function_name)
             mem::bytesForPages(it->second->file().residentPages());
         it->second->file().evict();
         local_.erase(it);
-        ctx_.stats().incr("image.evictions");
+        ctx_.stats().incr(metrics::kImageEvictions);
     }
     return bytes;
 }
@@ -397,7 +398,7 @@ void
 ImageStore::publishManifest(const prefetch::WorkingSetManifest &manifest)
 {
     manifests_[manifest.functionName()] = manifest.serialize();
-    ctx_.stats().incr("snapshot.manifests_published");
+    ctx_.stats().incr(metrics::kSnapshotManifestsPublished);
 }
 
 std::shared_ptr<prefetch::WorkingSetManifest>
@@ -406,7 +407,7 @@ ImageStore::fetchManifest(const std::string &function_name)
     auto it = manifests_.find(function_name);
     if (it == manifests_.end())
         return nullptr;
-    ctx_.chargeCounted("snapshot.manifest_fetches",
+    ctx_.chargeCounted(metrics::kSnapshotManifestFetches,
                        ctx_.costs().workingSetManifestIo);
     if (injector_ != nullptr &&
         injector_->shouldFail(faults::FaultSite::ManifestCorruption,
@@ -414,7 +415,7 @@ ImageStore::fetchManifest(const std::string &function_name)
         // The stored blob rotted: drop it so the next trace re-records
         // a fresh working set; the read cost was already paid.
         manifests_.erase(it);
-        ctx_.stats().incr("snapshot.manifests_corrupted");
+        ctx_.stats().incr(metrics::kSnapshotManifestsCorrupted);
         sim::warn("ImageStore: corrupted working-set manifest for %s "
                   "dropped",
                   function_name.c_str());
@@ -437,10 +438,10 @@ bool
 verifyImage(sim::SimContext &ctx, const FuncImage &image)
 {
     const auto pages = static_cast<std::int64_t>(image.totalPages());
-    ctx.chargeCounted("snapshot.pages_checksummed",
+    ctx.chargeCounted(metrics::kSnapshotPagesChecksummed,
                       ctx.costs().checksumPerPage * pages, pages);
     if (image.corrupted()) {
-        ctx.stats().incr("snapshot.corrupt_images_detected");
+        ctx.stats().incr(metrics::kSnapshotCorruptImagesDetected);
         return false;
     }
     return true;

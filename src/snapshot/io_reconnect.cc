@@ -3,8 +3,25 @@
 #include <algorithm>
 
 #include "sim/logging.h"
+#include "sim/metric_catalog.h"
 
 namespace catalyzer::snapshot {
+
+namespace {
+
+/** "reconnect/<kind>": the span of one connection's reconnect. */
+trace::Name
+reconnectSpanName(vfs::ConnKind kind)
+{
+    switch (kind) {
+      case vfs::ConnKind::File: return "reconnect/file";
+      case vfs::ConnKind::Socket: return "reconnect/socket";
+      case vfs::ConnKind::LogFile: return "reconnect/logfile";
+    }
+    return "reconnect/?";
+}
+
+} // namespace
 
 sim::SimTime
 reconnectConnection(sim::SimContext &ctx, vfs::IoConnection &conn,
@@ -14,8 +31,7 @@ reconnectConnection(sim::SimContext &ctx, vfs::IoConnection &conn,
         return sim::SimTime::zero();
     const auto &costs = ctx.costs();
     const sim::SimTime before = ctx.now();
-    trace::ScopedSpan span(
-        trace, std::string("reconnect/") + vfs::connKindName(conn.kind));
+    trace::ScopedSpan span(trace, reconnectSpanName(conn.kind));
     span.attr("path", conn.path);
 
     ctx.charge(costs.ioReconnectBase);
@@ -41,7 +57,7 @@ reconnectConnection(sim::SimContext &ctx, vfs::IoConnection &conn,
         break;
     }
     conn.established = true;
-    ctx.stats().incr("snapshot.io_reconnects");
+    ctx.stats().incr(metrics::kSnapshotIoReconnects);
     return ctx.now() - before;
 }
 
@@ -62,12 +78,12 @@ reconnectWithRetry(sim::SimContext &ctx, vfs::IoConnection &conn,
              ++attempt) {
             ctx.charge(retry.attemptTimeout);
             if (attempt >= max_attempts) {
-                ctx.stats().incr("snapshot.io_reconnect_failures");
+                ctx.stats().incr(metrics::kSnapshotIoReconnectFailures);
                 sim::debugLog("reconnect: %s failed after %d attempts",
                               conn.path.c_str(), max_attempts);
                 return false;
             }
-            ctx.stats().incr("snapshot.io_reconnect_retries");
+            ctx.stats().incr(metrics::kSnapshotIoReconnectRetries);
             ctx.charge(retry.backoff(attempt, injector->rng()));
         }
     }

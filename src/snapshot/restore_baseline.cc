@@ -1,6 +1,7 @@
 #include "snapshot/restore_baseline.h"
 
 #include "sim/logging.h"
+#include "sim/metric_catalog.h"
 #include "snapshot/io_reconnect.h"
 
 namespace catalyzer::snapshot {
@@ -25,7 +26,7 @@ EagerRestoreEngine::restore(FuncImage &image, guest::GuestKernel &guest,
     {
         auto stage = report.appStage(trace, "restore-app-memory");
         stage.attr("pages", mem_pages);
-        ctx_.chargeCounted("restore.decompressed_pages",
+        ctx_.chargeCounted(metrics::kRestoreDecompressedPages,
                            costs.decompressPerPage * mem_pages, mem_pages);
         heap = space.mapAnon(state.memoryPages, true, "restored-heap");
         space.touchRange(heap, state.memoryPages, /*write=*/true,
@@ -41,10 +42,10 @@ EagerRestoreEngine::restore(FuncImage &image, guest::GuestKernel &guest,
         const auto nobjects =
             static_cast<std::int64_t>(image.proto().objectCount());
         stage.attr("objects", nobjects);
-        ctx_.chargeCounted("restore.deserialized_objects",
+        ctx_.chargeCounted(metrics::kRestoreDeserializedObjects,
                            costs.deserializeObject * nobjects, nobjects);
         objgraph::ObjectGraph graph = image.proto().reconstruct();
-        ctx_.chargeCounted("restore.redone_objects",
+        ctx_.chargeCounted(metrics::kRestoreRedoneObjects,
                            costs.redoObject * nobjects, nobjects);
         guest.setState(std::move(graph));
         if (!guest.threads().started())
@@ -68,7 +69,7 @@ EagerRestoreEngine::restore(FuncImage &image, guest::GuestKernel &guest,
         guest.syncFdTable();
     }
 
-    ctx_.stats().incr("restore.eager_restores");
+    ctx_.stats().incr(metrics::kRestoreEagerRestores);
     return heap;
 }
 

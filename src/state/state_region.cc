@@ -2,6 +2,7 @@
 
 #include "mem/types.h"
 #include "sim/logging.h"
+#include "sim/metric_catalog.h"
 
 namespace catalyzer::state {
 
@@ -20,13 +21,13 @@ RegionFaultStats::onFaultRange(mem::PageIndex, std::size_t npages,
       case mem::FaultResult::CowReuse:
       case mem::FaultResult::BaseCow:
         cow_faults_ += npages;
-        stats_.incr("state.cow_faults",
+        stats_.incr(metrics::kStateCowFaults,
                     static_cast<std::int64_t>(npages));
         break;
       case mem::FaultResult::BaseFill:
       case mem::FaultResult::MinorFile:
         read_faults_ += npages;
-        stats_.incr("state.read_faults",
+        stats_.incr(metrics::kStateReadFaults,
                     static_cast<std::int64_t>(npages));
         break;
       default:
@@ -105,9 +106,9 @@ StateRegionStore::create(const std::string &name, std::size_t npages,
     region.version = 1; // sealed as version 1; not attachable yet
     region.replicas.emplace(home, makeReplica(name, region, home, 1));
     regions_.emplace(name, std::move(region));
-    slot.ctx->chargeCounted("state.creates",
+    slot.ctx->chargeCounted(metrics::kStateCreates,
                             slot.ctx->costs().stateCreateFixed);
-    slot.ctx->stats().incr("state.regions_resident");
+    slot.ctx->stats().incr(metrics::kStateRegionsResident);
 }
 
 void
@@ -178,7 +179,7 @@ StateRegionStore::attach(const std::string &name, net::NodeId node,
         // current one below.
         region.replicas.erase(it);
         it = region.replicas.end();
-        ctx.stats().incr("state.regions_resident", -1);
+        ctx.stats().incr(metrics::kStateRegionsResident, -1);
     }
     if (it == region.replicas.end()) {
         const net::NodeId src = nearestHolder(region, node);
@@ -192,17 +193,17 @@ StateRegionStore::attach(const std::string &name, net::NodeId node,
             ctx.charge(ctx.costs().networkFetchPerMiB *
                        (static_cast<double>(bytes) / (1024.0 * 1024.0)));
         }
-        ctx.stats().incr("state.transfers");
-        ctx.stats().incr("state.transfer_bytes",
+        ctx.stats().incr(metrics::kStateTransfers);
+        ctx.stats().incr(metrics::kStateTransferBytes,
                          static_cast<std::int64_t>(bytes));
         it = region.replicas
                  .emplace(node,
                           makeReplica(name, region, node, region.version))
                  .first;
-        ctx.stats().incr("state.regions_resident");
+        ctx.stats().incr(metrics::kStateRegionsResident);
     }
 
-    ctx.chargeCounted("state.attaches", ctx.costs().stateAttachFixed);
+    ctx.chargeCounted(metrics::kStateAttaches, ctx.costs().stateAttachFixed);
     it->second.base->attach();
 
     RegionAttachment out;
@@ -251,11 +252,11 @@ StateRegionStore::publish(const std::string &name, net::NodeId node,
     span.attr("region", name);
     span.attr("dirty_pages", static_cast<std::int64_t>(dirty_pages));
     ctx.chargeCounted(
-        "state.publishes",
+        metrics::kStatePublishes,
         ctx.costs().statePublishFixed +
             ctx.costs().statePublishPerPage *
                 static_cast<std::int64_t>(dirty_pages));
-    ctx.stats().incr("state.published_pages",
+    ctx.stats().incr(metrics::kStatePublishedPages,
                      static_cast<std::int64_t>(dirty_pages));
 
     ++region.version;
@@ -270,7 +271,7 @@ StateRegionStore::publish(const std::string &name, net::NodeId node,
         }
         nodeOrDie(replica_it->first)
             .ctx->stats()
-            .incr("state.regions_resident", -1);
+            .incr(metrics::kStateRegionsResident, -1);
         replica_it = region.replicas.erase(replica_it);
     }
     it->second = makeReplica(name, region, node, region.version);
@@ -319,8 +320,8 @@ StateRegionStore::evict(const std::string &name, net::NodeId node)
         if (current <= 1)
             return false;
     }
-    nodeOrDie(node).ctx->stats().incr("state.regions_resident", -1);
-    nodeOrDie(node).ctx->stats().incr("state.evictions");
+    nodeOrDie(node).ctx->stats().incr(metrics::kStateRegionsResident, -1);
+    nodeOrDie(node).ctx->stats().incr(metrics::kStateEvictions);
     region.replicas.erase(it);
     return true;
 }

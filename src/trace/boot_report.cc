@@ -6,10 +6,21 @@
 
 namespace catalyzer::trace {
 
+namespace {
+
+Name
+phaseName(BootPhase phase)
+{
+    return phase == BootPhase::SandboxInit ? Name("sandbox-init")
+                                           : Name("app-init");
+}
+
+} // namespace
+
 const char *
 bootPhaseName(BootPhase phase)
 {
-    return phase == BootPhase::SandboxInit ? "sandbox-init" : "app-init";
+    return phaseName(phase).c_str();
 }
 
 void
@@ -20,7 +31,7 @@ BootReport::start(const sim::VirtualClock &clock)
 }
 
 void
-BootReport::book(std::string name, BootPhase phase)
+BootReport::book(Name name, BootPhase phase)
 {
     const sim::SimTime now = clock_->now();
     if (now < mark_)
@@ -31,13 +42,13 @@ BootReport::book(std::string name, BootPhase phase)
     const sim::SimTime t = now - mark_;
     mark_ = now;
     (phase == BootPhase::SandboxInit ? sandbox_ : app_) += t;
-    stages_.push_back({std::move(name), t, phase});
+    stages_.push_back({name.c_str(), t, phase});
 }
 
 BootReport::Stage::Stage(BootReport &report, TraceContext trace,
-                         std::string name, BootPhase phase)
-    : report_(report), span_(trace, name, report.mark_),
-      name_(std::move(name)), phase_(phase)
+                         Name name, BootPhase phase)
+    : report_(report), span_(trace, name, report.mark_), name_(name),
+      phase_(phase)
 {
     if (report.clock_ == nullptr)
         sim::panic("BootReport: stage %s opened before start()",
@@ -46,8 +57,8 @@ BootReport::Stage::Stage(BootReport &report, TraceContext trace,
 
 BootReport::Stage::~Stage()
 {
-    report_.book(std::move(name_), phase_);
-    span_.attr("phase", bootPhaseName(phase_));
+    report_.book(name_, phase_);
+    span_.attr("phase", phaseName(phase_));
     span_.finish();
 }
 

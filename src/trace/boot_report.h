@@ -54,10 +54,13 @@ class BootReport
         ~Stage();
 
         /** Attach an attribute to the stage's span. */
-        template <typename Value>
-        void attr(const std::string &key, Value value)
+        void attr(Name key, Name value) { span_.attr(key, value); }
+        void attr(Name key, std::int64_t value) { span_.attr(key, value); }
+        template <RuntimeString S>
+        void
+        attr(Name key, const S &value)
         {
-            span_.attr(key, std::move(value));
+            span_.attr(key, value);
         }
 
         /** Context for callees: parent = this stage's span. */
@@ -65,12 +68,12 @@ class BootReport
 
       private:
         friend class BootReport;
-        Stage(BootReport &report, TraceContext trace, std::string name,
+        Stage(BootReport &report, TraceContext trace, Name name,
               BootPhase phase);
 
         BootReport &report_;
         ScopedSpan span_;
-        std::string name_;
+        Name name_;
         BootPhase phase_;
     };
 
@@ -83,16 +86,16 @@ class BootReport
 
     /** Open a sandbox-initialization stage under @p trace's parent. */
     [[nodiscard]] Stage
-    sandboxStage(TraceContext trace, std::string name)
+    sandboxStage(TraceContext trace, Name name)
     {
-        return Stage(*this, trace, std::move(name), BootPhase::SandboxInit);
+        return Stage(*this, trace, name, BootPhase::SandboxInit);
     }
 
     /** Open an application-initialization stage. */
     [[nodiscard]] Stage
-    appStage(TraceContext trace, std::string name)
+    appStage(TraceContext trace, Name name)
     {
-        return Stage(*this, trace, std::move(name), BootPhase::AppInit);
+        return Stage(*this, trace, name, BootPhase::AppInit);
     }
 
     sim::SimTime sandboxInit() const { return sandbox_; }
@@ -103,7 +106,7 @@ class BootReport
 
   private:
     /** Book [mark, now] as @p name and move the mark to now. */
-    void book(std::string name, BootPhase phase);
+    void book(Name name, BootPhase phase);
 
     const sim::VirtualClock *clock_ = nullptr;
     sim::SimTime mark_;

@@ -1,5 +1,7 @@
 #include "vfs/dup_model.h"
 
+#include "sim/metric_catalog.h"
+
 namespace catalyzer::vfs {
 
 sim::SimTime
@@ -9,25 +11,25 @@ chargeDup(sim::SimContext &ctx, bool expanded, bool lazy)
     sim::SimTime t;
     if (lazy) {
         t = costs.dupFast;
-        ctx.chargeCounted("vfs.lazy_dups", t);
+        ctx.chargeCounted(metrics::kVfsLazyDups, t);
         return t;
     }
     if (!expanded) {
         t = costs.dupFast;
-        ctx.chargeCounted("vfs.dups", t);
+        ctx.chargeCounted(metrics::kVfsDups, t);
         return t;
     }
-    ctx.stats().incr("vfs.fdtable_expansions");
+    ctx.stats().incr(metrics::kVfsFdtableExpansions);
     if (ctx.rng().chance(costs.dupExpandBurstProb)) {
         // Heavy-tailed reclaim stall: most bursts are a few ms, the
         // worst reach the 30 ms regime of Fig. 16d.
         t = sim::SimTime::milliseconds(ctx.rng().heavyTail(
             costs.dupExpandTypical.toMs(), costs.dupExpandWorst.toMs(),
             /*alpha=*/0.7));
-        ctx.chargeCounted("vfs.dup_bursts", t);
+        ctx.chargeCounted(metrics::kVfsDupBursts, t);
     } else {
         t = costs.dupExpandTypical;
-        ctx.chargeCounted("vfs.dups", t);
+        ctx.chargeCounted(metrics::kVfsDups, t);
     }
     return t;
 }

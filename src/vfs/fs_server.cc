@@ -1,6 +1,7 @@
 #include "vfs/fs_server.h"
 
 #include "sim/logging.h"
+#include "sim/metric_catalog.h"
 #include "vfs/dup_model.h"
 
 namespace catalyzer::vfs {
@@ -24,11 +25,11 @@ bool
 FsServer::openReadOnly(const std::string &path, FdEntry *out)
 {
     const auto &costs = ctx_.costs();
-    ctx_.chargeCounted("vfs.gofer_rpcs", costs.goferRpc);
+    ctx_.chargeCounted(metrics::kVfsGoferRpcs, costs.goferRpc);
     const Inode *node = rootfs_.lookup(path);
     if (!node || node->isDir)
         return false;
-    ctx_.chargeCounted("vfs.opens", costs.openFile);
+    ctx_.chargeCounted(metrics::kVfsOpens, costs.openFile);
     chargeDup();
     if (out)
         *out = FdEntry{FdKind::File, path, true, true, 0};
@@ -39,10 +40,10 @@ FdEntry
 FsServer::grantLogFile(const std::string &path)
 {
     const auto &costs = ctx_.costs();
-    ctx_.chargeCounted("vfs.gofer_rpcs", costs.goferRpc);
+    ctx_.chargeCounted(metrics::kVfsGoferRpcs, costs.goferRpc);
     if (!rootfs_.exists(path))
         rootfs_.addFile(path, 0);
-    ctx_.chargeCounted("vfs.opens", costs.openFile);
+    ctx_.chargeCounted(metrics::kVfsOpens, costs.openFile);
     chargeDup();
     return FdEntry{FdKind::LogFile, path, false, true, 0};
 }

@@ -2,6 +2,7 @@
 
 #include "mem/types.h"
 #include "sim/logging.h"
+#include "sim/metric_catalog.h"
 
 namespace catalyzer::vfs {
 
@@ -17,7 +18,7 @@ OverlayRootfs::openRead(const std::string &path, FdEntry *out)
     if (it != upper_.end()) {
         if (it->second.whiteout)
             return false;
-        ctx_.chargeCounted("vfs.overlay_upper_opens",
+        ctx_.chargeCounted(metrics::kVfsOverlayUpperOpens,
                            ctx_.costs().syscallBase);
         if (out)
             *out = FdEntry{FdKind::File, path, true, true, 0};
@@ -38,11 +39,11 @@ OverlayRootfs::openWrite(const std::string &path)
             mf.sizeBytes = node->sizeBytes;
             const auto pages = static_cast<std::int64_t>(
                 mem::pagesForBytes(node->sizeBytes));
-            ctx_.stats().incr("vfs.overlay_copyups");
+            ctx_.stats().incr(metrics::kVfsOverlayCopyups);
             ctx_.charge(ctx_.costs().goferRpc);
             ctx_.charge(ctx_.costs().memcpyPerPage * pages);
         } else {
-            ctx_.stats().incr("vfs.overlay_creates");
+            ctx_.stats().incr(metrics::kVfsOverlayCreates);
             ctx_.charge(ctx_.costs().syscallBase);
         }
         upper_[path] = mf;
@@ -61,7 +62,7 @@ OverlayRootfs::write(const std::string &path, std::size_t bytes)
     mf.sizeBytes += bytes;
     const auto pages = static_cast<std::int64_t>(
         mem::pagesForBytes(bytes));
-    ctx_.chargeCounted("vfs.overlay_writes",
+    ctx_.chargeCounted(metrics::kVfsOverlayWrites,
                        ctx_.costs().syscallBase +
                            ctx_.costs().memcpyPerPage * std::max<
                                std::int64_t>(pages, 1));
@@ -73,7 +74,7 @@ OverlayRootfs::unlink(const std::string &path)
     if (!exists(path))
         return false;
     upper_[path] = MemFile{0, true};
-    ctx_.chargeCounted("vfs.overlay_unlinks", ctx_.costs().syscallBase);
+    ctx_.chargeCounted(metrics::kVfsOverlayUnlinks, ctx_.costs().syscallBase);
     return true;
 }
 
@@ -102,7 +103,7 @@ OverlayRootfs::clone() const
 {
     auto child = std::make_unique<OverlayRootfs>(ctx_, lower_);
     child->upper_ = upper_;
-    ctx_.chargeCounted("vfs.overlay_clones", ctx_.costs().overlayFsClone);
+    ctx_.chargeCounted(metrics::kVfsOverlayClones, ctx_.costs().overlayFsClone);
     return child;
 }
 

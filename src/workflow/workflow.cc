@@ -7,6 +7,7 @@
 #include "mem/types.h"
 #include "sandbox/machine.h"
 #include "sim/logging.h"
+#include "sim/metric_catalog.h"
 #include "state/state_region.h"
 
 namespace catalyzer::workflow {
@@ -229,12 +230,12 @@ WorkflowEngine::run(const WorkflowSpec &spec, trace::TraceContext trace)
         for (const std::string &dep : stage.after) {
             const std::size_t from = placed[index.at(dep)];
             if (from == target) {
-                ctx.chargeCounted("chain.hops_local",
+                ctx.chargeCounted(metrics::kChainHopsLocal,
                                   ctx.costs().chainLocalHop);
                 ++out.depsLocal;
                 ++result.hopsLocal;
             } else {
-                ctx.chargeCounted("chain.hops_remote",
+                ctx.chargeCounted(metrics::kChainHopsRemote,
                                   ctx.costs().chainRemoteDispatch);
                 ctx.charge(cluster_.fabric().rtt(
                     static_cast<net::NodeId>(from),
@@ -250,7 +251,7 @@ WorkflowEngine::run(const WorkflowSpec &spec, trace::TraceContext trace)
         // layer before the invoke; writes COW after it — the function
         // computes, then its output pages publish as a new version.
         const std::int64_t transfers_before =
-            ctx.stats().value("state.transfer_bytes");
+            ctx.stats().value(metrics::kStateTransferBytes);
         sim::SimTime state_latency;
         sim::SimTime attach_latency;
         std::vector<std::unique_ptr<RegionView>> views;
@@ -326,7 +327,7 @@ WorkflowEngine::run(const WorkflowSpec &spec, trace::TraceContext trace)
         out.stateLatency = state_latency;
         out.attachLatency = attach_latency;
         out.transferBytes = static_cast<std::size_t>(
-            ctx.stats().value("state.transfer_bytes") - transfers_before);
+            ctx.stats().value(metrics::kStateTransferBytes) - transfers_before);
         result.transferBytes += out.transferBytes;
 
         finish[i] = ctx.clock().now() - start[target];
@@ -343,9 +344,9 @@ WorkflowEngine::run(const WorkflowSpec &spec, trace::TraceContext trace)
     }
     result.e2e = finish[last];
     sim::SimContext &fctx = cluster_.machine(placed[last]).ctx();
-    fctx.stats().incr("chain.workflows");
-    fctx.stats().observeMs("chain.e2e_ms", result.e2e.toMs());
-    fctx.stats().observeWindowed("win.chain.e2e_ms", fctx.now(),
+    fctx.stats().incr(metrics::kChainWorkflows);
+    fctx.stats().observeMs(metrics::kChainE2eMs, result.e2e.toMs());
+    fctx.stats().observeWindowed(metrics::kWinChainE2eMs, fctx.now(),
                                  result.e2e.toMs());
     return result;
 }

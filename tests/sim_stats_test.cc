@@ -3,11 +3,18 @@
  * Unit tests for counters, latency series and table rendering.
  */
 
+#include <algorithm>
 #include <cmath>
+#include <map>
+#include <set>
 #include <sstream>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "sim/metric_catalog.h"
 #include "sim/stats.h"
 #include "sim/table.h"
 
@@ -190,6 +197,29 @@ TEST(WindowedHistogramTest, OutOfOrderRecordsLandInTheirWindow)
     EXPECT_DOUBLE_EQ(ws[0].series.max(), 1.0);
 }
 
+TEST(WindowedHistogramTest, InOrderSampleAfterOutOfOrderReusesNewestWindow)
+{
+    // 5.5 ms opens window 5, 3.5 ms inserts window 3 behind it; 5.7 ms
+    // belongs to window 5 again and must not open a second window 5.
+    WindowedHistogram h(SimTime::milliseconds(1.0));
+    h.record(SimTime::milliseconds(5.5), 1.0);
+    h.record(SimTime::milliseconds(3.5), 2.0);
+    h.record(SimTime::milliseconds(5.7), 3.0);
+    const auto &ws = h.windows();
+    ASSERT_EQ(ws.size(), 2u);
+    EXPECT_EQ(ws[0].index, 3);
+    EXPECT_EQ(ws[1].index, 5);
+    EXPECT_EQ(ws[1].series.count(), 2u);
+    EXPECT_DOUBLE_EQ(ws[1].sum, 4.0);
+    EXPECT_EQ(h.totalCount(), 3u);
+    // Sorted again, the newest window is back at the tail.
+    h.record(SimTime::milliseconds(5.9), 4.0);
+    h.record(SimTime::milliseconds(6.1), 5.0);
+    ASSERT_EQ(h.windows().size(), 3u);
+    EXPECT_EQ(h.windows()[1].series.count(), 3u);
+    EXPECT_EQ(h.windows()[2].index, 6);
+}
+
 TEST(WindowedHistogramTest, MergeFoldsPerWindow)
 {
     WindowedHistogram a(SimTime::milliseconds(100.0));
@@ -334,6 +364,197 @@ TEST(StatRegistryTest, WindowedSeriesAndTimeSeriesJson)
 
     stats.clear();
     EXPECT_EQ(stats.findWindowed("w"), nullptr);
+}
+
+TEST(MetricCatalogTest, NamesAreUniqueAndFullyDeclared)
+{
+    std::set<std::string_view> names;
+    for (const MetricDef &def : metrics::catalog()) {
+        EXPECT_TRUE(names.insert(def.name).second) << def.name;
+        EXPECT_FALSE(def.unit.empty()) << def.name;
+        EXPECT_FALSE(def.layer.empty()) << def.name;
+        EXPECT_FALSE(def.help.empty()) << def.name;
+        EXPECT_EQ(def.family, def.name.back() == '.') << def.name;
+        const std::string kind = metricKindName(def.kind);
+        EXPECT_TRUE(kind == "counter" || kind == "histogram" ||
+                    kind == "windowed")
+            << def.name;
+    }
+    EXPECT_EQ(names.size(), metrics::detail::kCatalogSize);
+}
+
+TEST(MetricCatalogTest, ChainArtifactCountersAreDumpedInOrder)
+{
+    std::set<std::uint32_t> slots;
+    std::string expected = "\"chain_artifact_counters\": [";
+    for (CounterHandle counter : metrics::kChainArtifactCounters) {
+        EXPECT_TRUE(slots.insert(counter.slot).second);
+        const MetricDef &def = metrics::catalog()[counter.slot];
+        EXPECT_EQ(def.kind, MetricKind::Counter) << def.name;
+        EXPECT_FALSE(def.family) << def.name;
+        if (slots.size() > 1)
+            expected += ", ";
+        expected += "\"";
+        expected += def.name;
+        expected += "\"";
+    }
+    EXPECT_EQ(slots.size(), 10u);
+    std::ostringstream os;
+    metrics::writeCatalogJson(os);
+    EXPECT_NE(os.str().find(expected + "]}"), std::string::npos)
+        << os.str().substr(os.str().size() - 400);
+}
+
+TEST(MetricCatalogTest, HandleAndNameShareOneSlot)
+{
+    StatRegistry stats;
+    stats.incr(metrics::kHostSpawns, 3);
+    EXPECT_EQ(stats.value("host.spawns"), 3);
+    stats.incr("host.spawns");
+    EXPECT_EQ(stats.value(metrics::kHostSpawns), 4);
+    EXPECT_EQ(stats.all().size(), 1u);
+
+    stats.observeMs(metrics::kInvokeLatency, 2.0);
+    stats.observeMs("invoke.latency", 4.0);
+    const LatencySeries *h = stats.findHistogram("invoke.latency");
+    ASSERT_NE(h, nullptr);
+    EXPECT_EQ(h, &stats.histogram(metrics::kInvokeLatency));
+    EXPECT_EQ(h->count(), 2u);
+
+    stats.observeWindowed(metrics::kWinE2eMs, 1_ms, 1.0);
+    stats.observeWindowed("win.e2e_ms", 2_ms, 1.0);
+    ASSERT_NE(stats.findWindowed("win.e2e_ms"), nullptr);
+    EXPECT_EQ(stats.findWindowed("win.e2e_ms")->totalCount(), 2u);
+
+    // A family member is the same slot as its full name.
+    const CounterHandle fallback =
+        metrics::kBootFallback.member("sfork_warm");
+    EXPECT_EQ(fallback.slot, metricSlot("boot.fallback.sfork_warm"));
+    stats.incr(fallback);
+    EXPECT_EQ(stats.value("boot.fallback.sfork_warm"), 1);
+    EXPECT_EQ(metricName(fallback.slot), "boot.fallback.sfork_warm");
+}
+
+TEST(MetricCatalogTest, UndeclaredNamesStillCount)
+{
+    StatRegistry stats;
+    EXPECT_EQ(stats.value("test.undeclared.never"), 0);
+    stats.incr("test.undeclared.count", 2);
+    stats.incr("test.undeclared.count");
+    stats.incr("test.undeclared.zero", 0);
+    EXPECT_EQ(stats.value("test.undeclared.count"), 3);
+    const auto all = stats.all();
+    ASSERT_EQ(all.size(), 2u);
+    EXPECT_EQ(all.at("test.undeclared.zero"), 0); // touched, so listed
+    std::ostringstream os;
+    stats.writeJson(os);
+    EXPECT_NE(os.str().find("\"test.undeclared.count\": 3"),
+              std::string::npos);
+}
+
+/** writeJson of a registry that touched @p names, in that order: one
+ *  counter and one histogram sample per name, both derived from it. */
+std::string
+touchedJson(const std::vector<std::string> &names)
+{
+    StatRegistry stats;
+    for (const std::string &name : names) {
+        stats.incr(name, static_cast<std::int64_t>(name.size()));
+        stats.observeMs(name + ".h", static_cast<double>(name.back() % 7));
+    }
+    std::ostringstream os;
+    stats.writeJson(os);
+    return os.str();
+}
+
+TEST(MetricCatalogTest, WriteJsonIgnoresInternOrder)
+{
+    // Intern one name set backwards and another forwards, then touch
+    // both in each order: the snapshot follows names, never slots.
+    std::vector<std::string> rev, fwd;
+    for (int i = 0; i < 12; ++i) {
+        std::string r = "order.rev.";
+        r += static_cast<char>('a' + i);
+        rev.push_back(r);
+        std::string f = "order.fwd.";
+        f += static_cast<char>('a' + i);
+        fwd.push_back(f);
+    }
+    for (auto it = rev.rbegin(); it != rev.rend(); ++it)
+        metricSlot(*it);
+    for (const std::string &name : fwd)
+        metricSlot(name);
+    for (const auto *set : {&rev, &fwd}) {
+        std::vector<std::string> backwards(set->rbegin(), set->rend());
+        const std::string a = touchedJson(*set);
+        EXPECT_EQ(a, touchedJson(backwards));
+        std::size_t last = 0;
+        for (const std::string &name : *set) {
+            const std::size_t at = a.find("\"" + name + "\"");
+            ASSERT_NE(at, std::string::npos) << name;
+            EXPECT_GT(at, last) << name; // sorted
+            last = at;
+        }
+    }
+}
+
+TEST(MetricCatalogTest, WriteJsonIdenticalAcrossThreads)
+{
+    // Eight threads race to intern fresh names, each starting at a
+    // different rotation; every registry still renders identically.
+    std::vector<std::string> names;
+    for (int i = 0; i < 40; ++i) {
+        std::string name = "race.m";
+        name += std::to_string(i);
+        names.push_back(name);
+    }
+    constexpr int kThreads = 8;
+    std::vector<std::string> out(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            std::vector<std::string> mine = names;
+            std::rotate(mine.begin(), mine.begin() + t * 5, mine.end());
+            out[static_cast<std::size_t>(t)] = touchedJson(mine);
+        });
+    }
+    for (auto &th : threads)
+        th.join();
+    const std::string single = touchedJson(names);
+    for (const std::string &json : out)
+        EXPECT_EQ(json, single);
+}
+
+TEST(MetricCatalogTest, MergeFoldsRegistriesWithDifferentSubsets)
+{
+    StatRegistry a, b, direct;
+    for (StatRegistry *r : {&a, &direct}) {
+        r->incr(metrics::kHostSpawns, 2);
+        r->incr("merge.only_a", 0);
+        r->observeMs(metrics::kInvokeLatency, 1.0);
+        r->observeWindowed(metrics::kWinE2eMs, 10_ms, 3.0);
+    }
+    for (StatRegistry *r : {&b, &direct}) {
+        r->incr(metrics::kHostSpawns, 5);
+        r->incr("merge.only_b", 7);
+        r->observeMs(metrics::kInvokeLatency, 2.0);
+        r->observeMs("merge.only_b.h", 9.0);
+        r->observeWindowed("merge.only_b.w", 20_ms, 1.0);
+    }
+    StatRegistry merged;
+    merged.merge(a);
+    merged.merge(b);
+    std::ostringstream m, d;
+    merged.writeJson(m);
+    direct.writeJson(d);
+    EXPECT_EQ(m.str(), d.str());
+    std::ostringstream mt, dt;
+    merged.writeTimeSeriesJson(mt);
+    direct.writeTimeSeriesJson(dt);
+    EXPECT_EQ(mt.str(), dt.str());
+    EXPECT_EQ(merged.value("host.spawns"), 7);
+    EXPECT_EQ(merged.all().count("merge.only_a"), 1u);
+    EXPECT_EQ(merged.findHistogram("invoke.latency")->count(), 2u);
 }
 
 TEST(LatencySeriesTest, Cdf)

@@ -7,12 +7,16 @@
  * every boot path, the stage spans against the BootReport stages.
  */
 
+#include <algorithm>
 #include <cctype>
 #include <cstddef>
+#include <deque>
+#include <iterator>
 #include <memory>
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,6 +24,7 @@
 #include "catalyzer/runtime.h"
 #include "sandbox/pipelines.h"
 #include "sim/logging.h"
+#include "sim/rng.h"
 #include "trace/boot_report.h"
 #include "trace/export.h"
 #include "trace/trace.h"
@@ -458,7 +463,7 @@ TEST(TracerTest, CapacityRingEvictsOldestFirst)
     sim::VirtualClock clock;
     tracer.setCapacity(3);
     for (int i = 0; i < 5; ++i) {
-        tracer.begin(spanName(i), clock.now());
+        tracer.begin(Name::intern(spanName(i)), clock.now());
         clock.advance(1_ms);
     }
     EXPECT_EQ(tracer.spanCount(), 3u);
@@ -484,7 +489,7 @@ TEST(TracerTest, SpanCountAndRecentUnderWraparound)
     sim::VirtualClock clock;
     tracer.setCapacity(4);
     for (int i = 0; i < 10; ++i)
-        tracer.begin(spanName(i), clock.now());
+        tracer.begin(Name::intern(spanName(i)), clock.now());
     EXPECT_EQ(tracer.spanCount(), 4u);
     const auto tail = tracer.recent(2);
     ASSERT_EQ(tail.size(), 2u);
@@ -509,6 +514,258 @@ TEST(TracerTest, IdsStayMonotonicAcrossClearAndEviction)
     EXPECT_EQ(tracer.spanCount(), 0u);
     const SpanId after = tracer.begin("post-clear", clock.now());
     EXPECT_GT(after, last); // ids never restart
+}
+
+/**
+ * Reference model for the differential test: the tracer as it was
+ * before the compact ring, a deque of fully materialized Spans searched
+ * backwards by id.
+ */
+class DequeTracer
+{
+  public:
+    SpanId
+    begin(std::string name, SimTime start, SpanId parent, TraceId trace_id)
+    {
+        Span span;
+        span.id = next_id_++;
+        span.parent = parent;
+        span.traceId = trace_id;
+        span.machine = machine_;
+        span.name = std::move(name);
+        span.start = start;
+        spans_.push_back(std::move(span));
+        const SpanId id = spans_.back().id;
+        enforceCapacity();
+        return id;
+    }
+
+    void
+    end(SpanId id, SimTime end)
+    {
+        for (auto it = spans_.rbegin(); it != spans_.rend(); ++it) {
+            if (it->id != id)
+                continue;
+            if (!it->finished) {
+                it->end = end < it->start ? it->start : end;
+                it->finished = true;
+            }
+            return;
+        }
+    }
+
+    void
+    attribute(SpanId id, std::string key, std::string value)
+    {
+        for (auto it = spans_.rbegin(); it != spans_.rend(); ++it) {
+            if (it->id == id) {
+                it->attributes.emplace_back(std::move(key),
+                                            std::move(value));
+                return;
+            }
+        }
+    }
+
+    std::vector<Span>
+    snapshot() const
+    {
+        return {spans_.begin(), spans_.end()};
+    }
+
+    std::vector<Span>
+    recent(std::size_t n) const
+    {
+        const std::size_t take = std::min(n, spans_.size());
+        return {spans_.end() - static_cast<std::ptrdiff_t>(take),
+                spans_.end()};
+    }
+
+    std::size_t spanCount() const { return spans_.size(); }
+    void clear() { spans_.clear(); }
+
+    void
+    setCapacity(std::size_t capacity)
+    {
+        capacity_ = capacity;
+        enforceCapacity();
+    }
+
+    std::uint64_t droppedCount() const { return dropped_; }
+    void setMachine(std::uint32_t machine) { machine_ = machine; }
+
+  private:
+    void
+    enforceCapacity()
+    {
+        while (capacity_ != 0 && spans_.size() > capacity_) {
+            spans_.pop_front();
+            ++dropped_;
+        }
+    }
+
+    std::deque<Span> spans_;
+    SpanId next_id_ = 1;
+    std::size_t capacity_ = 0;
+    std::uint64_t dropped_ = 0;
+    std::uint32_t machine_ = 0;
+};
+
+void
+expectSameSpans(const std::vector<Span> &got, const std::vector<Span> &want,
+                const std::string &at)
+{
+    ASSERT_EQ(got.size(), want.size()) << at;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        const Span &g = got[i];
+        const Span &w = want[i];
+        EXPECT_EQ(g.id, w.id) << at;
+        EXPECT_EQ(g.parent, w.parent) << at;
+        EXPECT_EQ(g.traceId, w.traceId) << at;
+        EXPECT_EQ(g.machine, w.machine) << at;
+        EXPECT_EQ(g.name, w.name) << at;
+        EXPECT_EQ(g.start, w.start) << at;
+        EXPECT_EQ(g.end, w.end) << at;
+        EXPECT_EQ(g.finished, w.finished) << at;
+        EXPECT_EQ(g.attributes, w.attributes) << at << " span " << g.id;
+    }
+}
+
+TEST(TracerDifferentialTest, RingMatchesDequeModel)
+{
+    // Literal names and keys, plus run-time strings from empty to
+    // kilobytes, so the attribute log wraps and grows with live spans.
+    const Name kNames[] = {"boot", "stage", "invoke/fn", "gateway"};
+    const Name kKeys[] = {"tier", "pages", "function", "k"};
+    const Name kValues[] = {"true", "false", "sfork"};
+    const std::size_t kCapacities[] = {0, 0, 1, 2, 3, 5, 8, 16, 64, 256};
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        sim::Rng rng(seed);
+        Tracer ring;
+        DequeTracer model;
+        auto pick = [&](std::uint64_t n) { return rng.uniformInt(n); };
+        SpanId issued = 0;
+        for (int step = 0; step < 600; ++step) {
+            const std::string at =
+                "seed " + std::to_string(seed) + " step " +
+                std::to_string(step);
+            const std::uint64_t op = pick(100);
+            // Any id up to two past the last issued: live, evicted,
+            // cleared or never issued.
+            const SpanId id = pick(issued + 3);
+            if (op < 40) {
+                const SimTime start = SimTime::microseconds(
+                    static_cast<double>(pick(1000)));
+                const SpanId parent = pick(issued + 1);
+                const TraceId trace_id = pick(4);
+                SpanId got = 0;
+                std::string name;
+                if (pick(4) == 0) {
+                    name = spanName(static_cast<int>(pick(50)));
+                    got = ring.begin(Name::intern(name), start, parent,
+                                     trace_id);
+                } else {
+                    const Name n = kNames[pick(std::size(kNames))];
+                    name = n.c_str();
+                    got = ring.begin(n, start, parent, trace_id);
+                }
+                EXPECT_EQ(got, model.begin(name, start, parent, trace_id))
+                    << at;
+                issued = got;
+            } else if (op < 60) {
+                // Ends before the start are clamped; double ends no-op.
+                const SimTime end = SimTime::microseconds(
+                    static_cast<double>(pick(1000)));
+                ring.end(id, end);
+                model.end(id, end);
+            } else if (op < 90) {
+                const Name key = kKeys[pick(std::size(kKeys))];
+                switch (pick(3)) {
+                  case 0: {
+                    const auto v = static_cast<std::int64_t>(pick(1u << 20)) -
+                                   (1 << 19);
+                    ring.attribute(id, key, v);
+                    model.attribute(id, key.c_str(), std::to_string(v));
+                    break;
+                  }
+                  case 1: {
+                    const Name v = kValues[pick(std::size(kValues))];
+                    ring.attribute(id, key, v);
+                    model.attribute(id, key.c_str(), v.c_str());
+                    break;
+                  }
+                  default: {
+                    std::string v(pick(3) == 0 ? 200 + pick(1800)
+                                               : pick(24),
+                                  'a');
+                    for (char &c : v)
+                        c = static_cast<char>('a' + pick(26));
+                    ring.attribute(id, key, v);
+                    model.attribute(id, key.c_str(), v);
+                    break;
+                  }
+                }
+            } else if (op < 94) {
+                const std::size_t cap =
+                    kCapacities[pick(std::size(kCapacities))];
+                ring.setCapacity(cap);
+                model.setCapacity(cap);
+            } else if (op < 99) {
+                const auto machine = static_cast<std::uint32_t>(pick(3));
+                ring.setMachine(machine);
+                model.setMachine(machine);
+            } else {
+                ring.clear();
+                model.clear();
+            }
+            ASSERT_EQ(ring.spanCount(), model.spanCount()) << at;
+            ASSERT_EQ(ring.droppedCount(), model.droppedCount()) << at;
+            expectSameSpans(ring.snapshot(), model.snapshot(), at);
+            const std::size_t n = pick(model.spanCount() + 3);
+            expectSameSpans(ring.recent(n), model.recent(n), at);
+            if (::testing::Test::HasFailure())
+                return;
+        }
+    }
+}
+
+TEST(TracerConcurrencyTest, ThreadsShareInternTableAndPeerTracer)
+{
+    // Each thread records into its own ring and, like a remote-sfork
+    // lender span, into one shared peer ring, interning run-time names
+    // that the other threads intern concurrently.
+    constexpr int kThreads = 8;
+    constexpr int kSpans = 200;
+    Tracer peer;
+    peer.setCapacity(64);
+    std::vector<Tracer> own(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (int i = 0; i < kSpans; ++i) {
+                const std::string name = spanName((i + t) % 17);
+                const SpanId a =
+                    own[t].begin(Name::intern(name), SimTime::zero());
+                own[t].attribute(a, "i", std::int64_t{i});
+                own[t].end(a, SimTime::zero());
+                const SpanId b = peer.begin("lend", SimTime::zero());
+                peer.attribute(b, "name", name);
+                peer.end(b, SimTime::zero());
+            }
+        });
+    }
+    for (auto &th : threads)
+        th.join();
+    EXPECT_EQ(peer.spanCount(), 64u);
+    EXPECT_EQ(peer.droppedCount(), kThreads * kSpans - 64u);
+    for (const Span &span : peer.snapshot())
+        EXPECT_EQ(span.attributes.size(), 1u);
+    for (int t = 0; t < kThreads; ++t) {
+        const auto spans = own[t].snapshot();
+        ASSERT_EQ(spans.size(), static_cast<std::size_t>(kSpans));
+        for (int i = 0; i < kSpans; ++i)
+            EXPECT_EQ(spans[i].name, spanName((i + t) % 17));
+    }
+    EXPECT_EQ(Name::intern("s3").c_str(), Name::intern(spanName(3)).c_str());
 }
 
 TEST(TraceIdTest, RootSpanAllocatesAndChildrenInherit)

@@ -17,6 +17,12 @@ observability layer produces, run by CI right after the smoke benches:
   chainmetrics=FILE  fleet metrics snapshot with the chain.* / state.*
                      counters and the per-machine state-residency
                      block (trace_report --chain)
+  metrics=FILE     StatRegistry::writeJson snapshot (bare or under a
+                   Cluster::statsSnapshot "fleet" key): every counter
+                   and histogram must be declared in the catalog
+  catalog=FILE     the metric catalog (`trace_report --list-metrics`);
+                   required by chain, chainmetrics and metrics, which
+                   take their metric names from it
 
 Usage: check_obs_schema.py kind=path [kind=path ...]
 
@@ -348,21 +354,88 @@ def check_imagededup(path, doc):
                    "ram < ssd < peer < origin")
 
 
-# The satellite counters every stateful-workflow artifact must carry.
-CHAIN_COUNTERS = ("chain.workflows", "chain.hops_local",
-                  "chain.hops_remote", "state.regions_resident",
-                  "state.attaches", "state.publishes", "state.transfers",
-                  "state.transfer_bytes", "state.cow_faults",
-                  "state.read_faults")
+# The metric catalog (catalog=FILE), loaded before any other artifact,
+# and the counters every stateful-workflow artifact must carry.
+CATALOG = []
+CHAIN_ARTIFACT_COUNTERS = []
+
+
+def declared(kind, layers):
+    """Names of the catalog's non-family metrics of a kind and layers."""
+    return sorted(m["name"] for m in CATALOG
+                  if m["kind"] == kind and not m["family"]
+                  and m["layer"] in layers)
+
+
+def is_declared(name, kind):
+    """A catalog metric of that kind, or a member of a declared family."""
+    return any(m["kind"] == kind
+               and (name.startswith(m["name"]) if m["family"]
+                    else name == m["name"])
+               for m in CATALOG)
+
+
+def check_catalog(path, doc):
+    metrics = doc.get("metrics") if isinstance(doc, dict) else None
+    if not expect(isinstance(metrics, list) and metrics, path,
+                  "'metrics' missing, not a list, or empty"):
+        return
+    for m in metrics:
+        ok = (isinstance(m, dict)
+              and all(isinstance(m.get(k), str) and m[k]
+                      for k in ("name", "kind", "unit", "layer", "help"))
+              and m["kind"] in ("counter", "histogram", "windowed")
+              and isinstance(m.get("family"), bool))
+        if expect(ok, path, f"malformed catalog entry {m!r}"):
+            CATALOG.append(m)
+    names = [m["name"] for m in CATALOG]
+    expect(len(set(names)) == len(names), path, "duplicate metric names")
+    chain = doc.get("chain_artifact_counters")
+    if not expect(isinstance(chain, list) and chain, path,
+                  "'chain_artifact_counters' missing, not a list, or "
+                  "empty"):
+        return
+    for name in chain:
+        if expect(any(m["name"] == name and m["kind"] == "counter"
+                      and not m["family"] for m in CATALOG),
+                  path, f"chain artifact counter {name!r} is not a "
+                  "declared counter"):
+            CHAIN_ARTIFACT_COUNTERS.append(name)
 
 
 def check_counter_block(path, where, block):
+    """A block that lists every chain-artifact counter."""
     if not expect(isinstance(block, dict), path,
                   f"{where} missing or not an object"):
         return
-    for key in CHAIN_COUNTERS:
+    for key in CHAIN_ARTIFACT_COUNTERS:
         expect(isinstance(block.get(key), int) and block[key] >= 0,
                path, f"{where}: {key!r} missing or not a counter")
+
+
+def check_snapshot_names(path, where, snapshot):
+    """Every counter and histogram of a writeJson snapshot is declared."""
+    for block, kind in (("counters", "counter"),
+                        ("histograms", "histogram")):
+        entries = snapshot.get(block)
+        if not expect(isinstance(entries, dict), path,
+                      f"{where}: {block!r} missing or not an object"):
+            continue
+        for name in entries:
+            expect(is_declared(name, kind), path,
+                   f"{where}: {kind} {name!r} is not in the metric "
+                   "catalog")
+
+
+def check_metrics(path, doc):
+    if not expect(isinstance(doc, dict), path, "root is not an object"):
+        return
+    # A machine snapshot, or a Cluster::statsSnapshot wrapping one.
+    fleet = doc.get("fleet")
+    if isinstance(fleet, dict):
+        check_snapshot_names(path, "fleet", fleet)
+    else:
+        check_snapshot_names(path, "snapshot", doc)
 
 
 def check_chain(path, doc):
@@ -466,36 +539,47 @@ def check_chainmetrics(path, doc):
     if not expect(isinstance(fleet, dict), path,
                   "'fleet' missing or not an object"):
         return
+    check_snapshot_names(path, "fleet", fleet)
     counters = fleet.get("counters")
-    if expect(isinstance(counters, dict), path,
-              "fleet: 'counters' missing or not an object"):
-        for key in CHAIN_COUNTERS:
+    if isinstance(counters, dict):
+        for key in CHAIN_ARTIFACT_COUNTERS:
             expect(is_num(counters.get(key)) and counters[key] >= 0,
                    path, f"fleet counters: {key!r} missing or not a "
                    "counter")
     histograms = fleet.get("histograms")
-    if expect(isinstance(histograms, dict), path,
-              "fleet: 'histograms' missing or not an object"):
-        expect(isinstance(histograms.get("chain.e2e_ms"), dict), path,
-               "fleet histograms: 'chain.e2e_ms' missing")
+    if isinstance(histograms, dict):
+        for key in declared("histogram", ("workflow",)):
+            expect(isinstance(histograms.get(key), dict), path,
+                   f"fleet histograms: {key!r} missing")
 
 
 CHECKS = {"timeseries": check_timeseries, "slo": check_slo,
           "trace": check_trace, "fleet": check_fleet,
           "imagededup": check_imagededup, "chain": check_chain,
-          "chainmetrics": check_chainmetrics}
+          "chainmetrics": check_chainmetrics, "metrics": check_metrics,
+          "catalog": check_catalog}
+NEEDS_CATALOG = {"chain", "chainmetrics", "metrics"}
 
 
 def main(argv):
     if len(argv) < 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
+    args = []
     for arg in argv[1:]:
         kind, sep, path = arg.partition("=")
         if not sep or kind not in CHECKS:
             print(f"bad argument {arg!r} (want kind=path with kind in "
                   f"{sorted(CHECKS)})", file=sys.stderr)
             return 2
+        args.append((kind, path))
+    kinds = {kind for kind, _ in args}
+    if kinds & NEEDS_CATALOG and "catalog" not in kinds:
+        print(f"{sorted(kinds & NEEDS_CATALOG)} need catalog=FILE "
+              "(trace_report --list-metrics)", file=sys.stderr)
+        return 2
+    # The catalog first: the other checks read their names from it.
+    for kind, path in sorted(args, key=lambda a: a[0] != "catalog"):
         try:
             with open(path, encoding="utf-8") as f:
                 doc = json.load(f)
