@@ -217,7 +217,7 @@ fleetSweep(long boots_per_machine, int machines, int workers)
         plats.back()->prepare(app); // template built off-timer
     }
 
-    const sim::ParallelExecutor exec(workers);
+    sim::ParallelExecutor exec(workers);
     const auto start = Clock::now();
     exec.forEach(static_cast<std::size_t>(machines),
                  [&](std::size_t m) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <numeric>
 #include <ostream>
 
 #include "sim/event_queue.h"
@@ -195,7 +196,7 @@ FleetDriver::run(const TrafficSpec &traffic, const FleetRunConfig &config)
     const int threads = config.simThreads > 0
                             ? config.simThreads
                             : sim::ParallelExecutor::threadsFromEnv(1);
-    const sim::ParallelExecutor exec(threads);
+    sim::ParallelExecutor exec(threads);
     // A workflow stage may land on any machine and moves state regions
     // across the fabric mid-request, so a workflow tape is coupled no
     // matter what the fabric config says.
@@ -227,6 +228,9 @@ FleetDriver::run(const TrafficSpec &traffic, const FleetRunConfig &config)
     // reach the queues — they replay inline in stream order below.
     sim::ConservativeScheduler scheduler(
         queues, sim::ConservativeScheduler::unboundedLookahead());
+    // The machines in the order one round hands them to the executor.
+    std::vector<std::size_t> order(machines);
+    std::iota(order.begin(), order.end(), std::size_t{0});
 
     // Serve tape position i on its routed machine. Runs on a worker
     // thread for share-nothing fleets: everything it touches is local
@@ -365,12 +369,24 @@ FleetDriver::run(const TrafficSpec &traffic, const FleetRunConfig &config)
             }
             const sim::SimTime barrier = sim::SimTime::seconds(next_tick);
             scheduler.runRounds(barrier, [&](sim::SimTime horizon) {
+                // Longest queue first (ties by index): the heaviest
+                // drains start first, so the last one a worker pulls
+                // is short and the barrier does not wait on it. Each
+                // drain touches only its own machine, so the order
+                // cannot change a result.
+                std::sort(order.begin(), order.end(),
+                          [&](std::size_t a, std::size_t b) {
+                              const std::size_t qa = queues[a].size();
+                              const std::size_t qb = queues[b].size();
+                              return qa != qb ? qa > qb : a < b;
+                          });
                 std::atomic<std::size_t> ran{0};
-                exec.forEach(machines, [&](std::size_t m) {
+                exec.forEach(machines, [&](std::size_t k) {
                     // Handlers advance their machine's clock
                     // themselves (release times are run-relative).
-                    ran.fetch_add(queues[m].runUntil(horizon, nullptr),
-                                  std::memory_order_relaxed);
+                    ran.fetch_add(
+                        queues[order[k]].runUntil(horizon, nullptr),
+                        std::memory_order_relaxed);
                 });
                 return ran.load(std::memory_order_relaxed);
             });
