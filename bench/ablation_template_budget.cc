@@ -10,11 +10,10 @@
  */
 
 #include <cstdio>
-#include <vector>
 
 #include "bench_util.h"
+#include "load/population.h"
 #include "platform/policy.h"
-#include "platform/workload.h"
 #include "sim/table.h"
 
 using namespace catalyzer;
@@ -40,15 +39,11 @@ run(std::size_t budget_bytes)
     pc.hotThreshold = 3;
     platform::BootPolicyManager policy(plat, pc);
 
-    std::vector<std::string> functions;
-    for (const apps::AppProfile *app : apps::figure11Apps()) {
-        plat.deploy(*app);
-        functions.push_back(app->name);
-    }
+    const load::Population mix(apps::figure11Apps(), /*total_rps=*/30.0);
+    for (const load::FleetFunction &fn : mix.functions())
+        plat.deploy(*fn.profile);
 
     // Two phases: observe traffic, rebalance, then measure.
-    const auto spec =
-        platform::WorkloadSpec::zipf(functions, /*total_rps=*/30.0);
     sim::Rng rng(3);
     sim::LatencySeries latencies;
     for (int phase = 0; phase < 4; ++phase) {
@@ -56,10 +51,9 @@ run(std::size_t budget_bytes)
             // Sample a function by traffic share.
             double pick = rng.uniform() * 30.0;
             std::size_t e = 0;
-            while (e + 1 < spec.mix.size() &&
-                   (pick -= spec.mix[e].requestsPerSecond) > 0)
+            while (e + 1 < mix.size() && (pick -= mix.fn(e).baseRps) > 0)
                 ++e;
-            const auto rec = policy.invoke(spec.mix[e].function);
+            const auto rec = policy.invoke(mix.fn(e).name);
             if (phase >= 1) // skip the cold warm-up phase
                 latencies.add(rec.endToEnd());
         }

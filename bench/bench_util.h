@@ -11,8 +11,15 @@
 #ifndef CATALYZER_BENCH_BENCH_UTIL_H
 #define CATALYZER_BENCH_BENCH_UTIL_H
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <string>
+#include <system_error>
+
+#include "sim/logging.h"
 
 namespace catalyzer::bench {
 
@@ -34,6 +41,67 @@ footer()
                 "simulated host;\n"
                 "      compare shapes and ratios against the paper, not "
                 "absolute walltime.\n");
+}
+
+/**
+ * Parse @p value, the text of environment variable @p name, as a
+ * non-negative decimal integer; unset or empty gives @p fallback. The
+ * whole text must parse: "-1", "1e3" or "12abc" is fatal and names the
+ * variable, instead of wrapping, truncating or reading as zero.
+ */
+inline std::size_t
+parseSizeVar(const char *name, const char *value, std::size_t fallback)
+{
+    if (value == nullptr || *value == '\0')
+        return fallback;
+    const char *end = value + std::strlen(value);
+    std::size_t out = 0;
+    const auto [ptr, ec] = std::from_chars(value, end, out);
+    if (ec != std::errc() || ptr != end)
+        sim::fatal("%s=\"%s\": expected a non-negative integer", name,
+                   value);
+    return out;
+}
+
+/** parseSizeVar for a finite, non-negative decimal number. */
+inline double
+parseDoubleVar(const char *name, const char *value, double fallback)
+{
+    if (value == nullptr || *value == '\0')
+        return fallback;
+    const char *end = value + std::strlen(value);
+    double out = 0.0;
+    const auto [ptr, ec] = std::from_chars(value, end, out);
+    if (ec != std::errc() || ptr != end || !std::isfinite(out) ||
+        out < 0.0)
+        sim::fatal("%s=\"%s\": expected a non-negative number", name,
+                   value);
+    return out;
+}
+
+/** Size knob read from the environment (see parseSizeVar). */
+inline std::size_t
+envSize(const char *name, std::size_t fallback)
+{
+    return parseSizeVar(name, std::getenv(name), fallback);
+}
+
+/** Number knob read from the environment (see parseDoubleVar). */
+inline double
+envDouble(const char *name, double fallback)
+{
+    return parseDoubleVar(name, std::getenv(name), fallback);
+}
+
+/**
+ * Print one scripted expectation as ok / VIOLATED; returns 1 when it
+ * was violated and @p assert_mode turns violations into failures.
+ */
+inline int
+failures(bool assert_mode, bool ok, const char *what)
+{
+    std::printf("  [%s] %s\n", ok ? "ok" : "VIOLATED", what);
+    return assert_mode && !ok ? 1 : 0;
 }
 
 } // namespace catalyzer::bench

@@ -51,31 +51,11 @@
 #include "workflow/scenarios.h"
 
 using namespace catalyzer;
+using bench::envDouble;
+using bench::envSize;
+using bench::failures;
 
 namespace {
-
-double
-envDouble(const char *name, double fallback)
-{
-    const char *v = std::getenv(name);
-    return v != nullptr && *v != '\0' ? std::atof(v) : fallback;
-}
-
-std::size_t
-envSize(const char *name, std::size_t fallback)
-{
-    const char *v = std::getenv(name);
-    return v != nullptr && *v != '\0'
-               ? static_cast<std::size_t>(std::atoll(v))
-               : fallback;
-}
-
-int
-failures(bool assert_mode, bool ok, const char *what)
-{
-    std::printf("  [%s] %s\n", ok ? "ok" : "VIOLATED", what);
-    return assert_mode && !ok ? 1 : 0;
-}
 
 std::string
 fmt(double v)

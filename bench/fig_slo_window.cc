@@ -39,6 +39,7 @@
 #include "sim/table.h"
 
 using namespace catalyzer;
+using bench::failures;
 
 namespace {
 
@@ -54,13 +55,6 @@ idleGap(platform::Cluster &cluster)
     // Separate the phases in every machine's windowed series.
     for (std::size_t i = 0; i < cluster.machineCount(); ++i)
         cluster.machine(i).ctx().clock().advance(kPhaseGap);
-}
-
-int
-failures(bool assert_mode, bool ok, const char *what)
-{
-    std::printf("  [%s] %s\n", ok ? "ok" : "VIOLATED", what);
-    return assert_mode && !ok ? 1 : 0;
 }
 
 } // namespace

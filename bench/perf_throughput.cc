@@ -32,7 +32,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -56,18 +55,12 @@ secondsSince(Clock::time_point start)
     return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
+/** A count knob from the environment (bench::envSize), as a long. */
 long
 envLong(const char *name, long fallback)
 {
-    const char *v = std::getenv(name);
-    return v != nullptr && *v != '\0' ? std::atol(v) : fallback;
-}
-
-double
-envDouble(const char *name, double fallback)
-{
-    const char *v = std::getenv(name);
-    return v != nullptr && *v != '\0' ? std::atof(v) : fallback;
+    return static_cast<long>(
+        bench::envSize(name, static_cast<std::size_t>(fallback)));
 }
 
 std::string
@@ -254,7 +247,8 @@ main()
         static_cast<int>(envLong("PERF_FLEET_MACHINES", 8));
     const int fleet_workers =
         static_cast<int>(envLong("PERF_FLEET_WORKERS", 8));
-    const double min_speedup = envDouble("PERF_MIN_FLEET_SPEEDUP", 0.0);
+    const double min_speedup =
+        bench::envDouble("PERF_MIN_FLEET_SPEEDUP", 0.0);
 
     const auto total_start = Clock::now();
     const double fork_wall = sforkSweep(fork_boots);

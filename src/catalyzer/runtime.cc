@@ -18,6 +18,24 @@ using sandbox::BootResult;
 using sandbox::FunctionArtifacts;
 using sandbox::SandboxInstance;
 
+namespace {
+
+/** Pages per readahead batch when prefetching a working set. */
+constexpr std::size_t kPrefetchBatchPages = 64;
+
+/** A page joins a manifest's stable set when it appears in at least
+ *  this fraction of the merged traces. */
+constexpr double kWorkingSetMinFraction = 0.5;
+
+/** Pages per remote pull request on the remote-sfork demand path. */
+constexpr std::size_t kRemotePullBatchPages = 32;
+
+/** Fraction of each hello-app's modules the language runtime template
+ *  preloads. */
+constexpr double kLanguageTemplateCoreFraction = 0.8;
+
+} // namespace
+
 CatalyzerRuntime::CatalyzerRuntime(sandbox::Machine &machine,
                                    CatalyzerOptions options)
     : machine_(machine), options_(options),
@@ -176,7 +194,7 @@ CatalyzerRuntime::ensureWorkingSet(FunctionArtifacts &fn,
     if (!fn.workingSet && options_.recordWorkingSet) {
         fn.workingSet = std::make_shared<prefetch::WorkingSetManifest>(
             fn.app().name, image.generation(), options_.workingSetTraces,
-            options_.workingSetMinFraction);
+            kWorkingSetMinFraction);
     }
 
     if (fn.workingSet && fn.workingSet->dirty()) {
@@ -357,7 +375,7 @@ CatalyzerRuntime::prefetchWorkingSet(Boot &b)
             stage.attr("traces",
                        static_cast<std::int64_t>(manifest->traceCount()));
             prefetch::prefetchIntoBase(ctx, *b.fn.sharedBase, stable,
-                                       options_.prefetchBatchPages,
+                                       kPrefetchBatchPages,
                                        stage.context());
             prefetched_set = std::move(stable);
         } else {
@@ -744,7 +762,7 @@ CatalyzerRuntime::bootRemoteFork(FunctionArtifacts &fn,
     lend_span.finish();
     b.inst().setLifetimePager(std::make_unique<net::RemotePager>(
         ctx, *src.fabric, src.self, src.peer, b.baseVa,
-        b.image->totalPages(), &injector_, options_.remotePullBatchPages,
+        b.image->totalPages(), &injector_, kRemotePullBatchPages,
         b.tctx, peer_ctx));
     finishRestore(b);
 
@@ -783,7 +801,7 @@ CatalyzerRuntime::bootFromLanguageTemplate(FunctionArtifacts &fn,
         const apps::AppProfile &base =
             tmpl.artifacts().app(); // the language's hello app
         const auto core = static_cast<std::size_t>(
-            options_.languageTemplateCoreFraction *
+            kLanguageTemplateCoreFraction *
             static_cast<double>(base.modulesLoaded));
         const std::size_t extra_modules =
             app.modulesLoaded > core ? app.modulesLoaded - core : 0;

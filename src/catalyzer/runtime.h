@@ -88,21 +88,14 @@ struct CatalyzerOptions
      * restore-to-first-response window into a per-function manifest
      * (observation only: no boot-path latency). prefetchWorkingSet
      * eagerly populates the manifest's stable set into the Base-EPT in
-     * batched reads of prefetchBatchPages pages before the first
-     * request, falling back to demand paging when the manifest is
-     * missing or stale. workingSetTraces (K) and workingSetMinFraction
-     * control how traces merge into the stable set.
+     * batched reads of 64 pages before the first request, falling back
+     * to demand paging when the manifest is missing or stale. The
+     * stable set keeps the pages present in at least half of the last
+     * workingSetTraces (K) traces.
      */
     bool recordWorkingSet = true;
     bool prefetchWorkingSet = false;
-    std::size_t prefetchBatchPages = 64;
     std::size_t workingSetTraces = 3;
-    double workingSetMinFraction = 0.5;
-    /** Pages per remote pull request on the remote-sfork demand path. */
-    std::size_t remotePullBatchPages = 32;
-    /** Fraction of each hello-app's modules preloaded by the language
-     *  runtime template. */
-    double languageTemplateCoreFraction = 0.8;
     std::size_t zygotePrewarm = 4;
     /**
      * Fault injection (src/faults/): per-site failure probabilities or

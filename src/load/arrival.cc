@@ -20,22 +20,6 @@ appendPoissonTimes(sim::Rng &rng, double rate, double duration_sec,
     }
 }
 
-void
-appendPoissonArrivals(sim::Rng &rng, double rate, double duration_sec,
-                      const std::string &function,
-                      std::vector<Arrival> &out)
-{
-    if (rate <= 0.0)
-        return;
-    double t = 0.0;
-    for (;;) {
-        t += rng.exponential(1.0 / rate);
-        if (t >= duration_sec)
-            break;
-        out.push_back(Arrival{t, function});
-    }
-}
-
 double
 MmppParams::meanRate() const
 {
@@ -121,15 +105,6 @@ appendDiurnalTimes(sim::Rng &rng, const DiurnalCurve &curve,
         if (rng.uniform() * peak < curve.rateAt(t))
             out.push_back(t);
     }
-}
-
-void
-sortByTime(std::vector<Arrival> &arrivals)
-{
-    std::sort(arrivals.begin(), arrivals.end(),
-              [](const Arrival &a, const Arrival &b) {
-                  return a.atSec < b.atSec;
-              });
 }
 
 } // namespace catalyzer::load

@@ -4,8 +4,7 @@
  * source in the repo draws from.
  *
  * Three processes cover the production shapes the fleet engine needs:
- * homogeneous Poisson (steady open-loop load, extracted from
- * WorkloadDriver so both callers share one implementation), a two-state
+ * homogeneous Poisson (steady open-loop load), a two-state
  * Markov-modulated Poisson process (on/off bursts — the long tail of a
  * real tenant population is idle most of the time and spikes hard), and
  * a sinusoidal-rate nonhomogeneous Poisson process generated by
@@ -16,35 +15,21 @@
 #ifndef CATALYZER_LOAD_ARRIVAL_H
 #define CATALYZER_LOAD_ARRIVAL_H
 
-#include <string>
 #include <vector>
 
 #include "sim/rng.h"
 
 namespace catalyzer::load {
 
-/** One request arrival in a generated stream. */
-struct Arrival
-{
-    double atSec = 0.0;
-    std::string function;
-};
-
 /**
  * Append the arrival times (virtual seconds in [0, @p duration_sec)) of
  * a homogeneous Poisson process with mean @p rate arrivals/sec to
  * @p out. No-op when @p rate <= 0. Draws exactly one exponential per
  * emitted arrival plus one for the terminating overshoot, in time
- * order — WorkloadDriver's historical draw sequence, kept byte-exact.
+ * order.
  */
 void appendPoissonTimes(sim::Rng &rng, double rate, double duration_sec,
                         std::vector<double> &out);
-
-/** appendPoissonTimes, tagging every arrival with @p function. */
-void appendPoissonArrivals(sim::Rng &rng, double rate,
-                           double duration_sec,
-                           const std::string &function,
-                           std::vector<Arrival> &out);
 
 /**
  * Two-state Markov-modulated Poisson process: dwell times in the ON and
@@ -103,13 +88,6 @@ struct DiurnalCurve
  */
 void appendDiurnalTimes(sim::Rng &rng, const DiurnalCurve &curve,
                         double duration_sec, std::vector<double> &out);
-
-/**
- * Sort arrivals by time. Ties (never produced by the continuous
- * processes, possible in hand-written traces) keep an unspecified but
- * deterministic order, matching WorkloadDriver's historical sort.
- */
-void sortByTime(std::vector<Arrival> &arrivals);
 
 } // namespace catalyzer::load
 

@@ -34,6 +34,9 @@ constexpr trace::TraceId kFleetTraceIdBase = 1ull << 48;
  */
 constexpr trace::TraceId kFleetPrimeTraceIdBase = 1ull << 47;
 
+/** Window length of the fleet-wide and per-tenant windowed series. */
+constexpr sim::SimTime kTenantWindow = sim::SimTime::milliseconds(250.0);
+
 /** Round-trip double formatting for the determinism dump. */
 void
 writeExactNumber(std::ostream &os, double v)
@@ -77,13 +80,27 @@ writeWindows(std::ostream &os, const sim::WindowedHistogram &hist)
 FleetReport
 FleetDriver::run(const TrafficSpec &traffic, const FleetRunConfig &config)
 {
-    const std::vector<FleetArrival> stream =
-        generateFleetStream(population_, traffic);
+    return run(generateFleetStream(population_, traffic),
+               traffic.durationSec, config);
+}
+
+FleetReport
+FleetDriver::run(const std::vector<FleetArrival> &stream,
+                 double duration_sec, const FleetRunConfig &config)
+{
+    const auto by_time = [](const FleetArrival &a, const FleetArrival &b) {
+        return a.atSec < b.atSec;
+    };
+    if (!std::is_sorted(stream.begin(), stream.end(), by_time)) {
+        std::vector<FleetArrival> sorted = stream;
+        std::stable_sort(sorted.begin(), sorted.end(), by_time);
+        return run(sorted, duration_sec, config);
+    }
 
     FleetAutoscaler scaler(cluster_, population_, config.policy);
     FleetReport report;
-    report.e2eMsWindows = sim::WindowedHistogram(config.tenantWindow);
-    report.bootMsWindows = sim::WindowedHistogram(config.tenantWindow);
+    report.e2eMsWindows = sim::WindowedHistogram(kTenantWindow);
+    report.bootMsWindows = sim::WindowedHistogram(kTenantWindow);
 
     // Deployment is control-plane work (image build, registry write);
     // production fleets do it long before traffic, so charge it before
@@ -96,11 +113,19 @@ FleetDriver::run(const TrafficSpec &traffic, const FleetRunConfig &config)
     // front so both the priming pass and the replay mode can react.
     bool has_workflows = false;
     for (const FleetArrival &arrival : stream) {
+        if (!(arrival.atSec >= 0.0 && arrival.atSec < duration_sec))
+            sim::fatal("FleetDriver: arrival at %g s outside the run "
+                       "window [0, %g)", arrival.atSec, duration_sec);
         if (arrival.workflow >= 0) {
             has_workflows = true;
             if (config.workflows.empty())
                 sim::fatal("FleetDriver: workflow arrivals in the tape "
                            "but no workflow specs configured");
+        } else if (arrival.fn >= population_.size()) {
+            sim::fatal("FleetDriver: arrival names function %u of a "
+                       "%zu-function population",
+                       static_cast<unsigned>(arrival.fn),
+                       population_.size());
         }
     }
     // Workflow stage functions prime alongside the population's
@@ -149,7 +174,7 @@ FleetDriver::run(const TrafficSpec &traffic, const FleetRunConfig &config)
     // and template prep already charged); replay is relative, so machine
     // m's image of virtual time t is start[m] + t. Clocks only move
     // forward: a machine still serving a back-to-back burst simply lags
-    // the stream and queues, exactly like WorkloadDriver.
+    // the stream and queues.
     auto advanceMachineTo = [&](std::size_t m, double t) {
         sim::VirtualClock &clock = cluster_.machine(m).ctx().clock();
         const sim::SimTime target = start[m] + sim::SimTime::seconds(t);
@@ -256,8 +281,7 @@ FleetDriver::run(const TrafficSpec &traffic, const FleetRunConfig &config)
         out.queued = now_on_target > arrive ? now_on_target - arrive
                                             : sim::SimTime::zero();
 
-        if (config.perArrivalExpiry &&
-            config.policy.keepAliveTtl > sim::SimTime::zero())
+        if (config.policy.keepAliveTtl > sim::SimTime::zero())
             out.expired = plat.expireIdle(config.policy.keepAliveTtl);
 
         sandbox::Machine &m = cluster_.machine(target);
@@ -330,7 +354,7 @@ FleetDriver::run(const TrafficSpec &traffic, const FleetRunConfig &config)
 
         const std::string tenant = Population::tenantName(fn.tenant);
         auto [it, fresh] = report.tenantE2eMs.try_emplace(
-            tenant, sim::WindowedHistogram(config.tenantWindow));
+            tenant, sim::WindowedHistogram(kTenantWindow));
         (void)fresh;
         it->second.record(at, sojourn.toMs());
         ++report.tenantRequests[tenant];
@@ -414,11 +438,11 @@ FleetDriver::run(const TrafficSpec &traffic, const FleetRunConfig &config)
 
     // Drain the remaining policy ticks, then close the run at the
     // nominal duration so cost integrals cover the full interval.
-    while (next_tick < traffic.durationSec - 1e-9) {
+    while (next_tick < duration_sec - 1e-9) {
         runTick(next_tick);
         next_tick += tick;
     }
-    runTick(traffic.durationSec);
+    runTick(duration_sec);
     scaler.finalize();
 
     report.policy = scaler.counters();

@@ -4,12 +4,15 @@
  * on the virtual clock, with the autoscaler in the loop, and scores
  * the run (latency series, per-tenant windows, policy counters, cost).
  *
- * Replay semantics extend WorkloadDriver's to a fleet: the scheduler
- * routes each arrival first, then the *chosen machine's* clock idles
- * forward to the arrival time if it leads the request (back-to-back
- * service when it lags), and every machine advances through policy-tick
- * barriers so windowed series and autoscaling decisions line up across
- * the fleet.
+ * Replay is open-loop on the virtual clock: the scheduler routes each
+ * arrival first, then the *chosen machine's* clock idles forward to the
+ * arrival time if it is behind it (back-to-back service when it leads),
+ * and every machine advances through policy-tick barriers so windowed
+ * series and autoscaling decisions line up across the fleet. Idle
+ * instances expire on the routed machine at every arrival as well as
+ * on the tick, so keep-alive economics do not depend on the tick
+ * cadence. A one-machine Cluster is the single-platform case: the
+ * paper-figure ablations replay through this driver too.
  */
 
 #ifndef CATALYZER_LOAD_DRIVER_H
@@ -31,12 +34,6 @@ struct FleetRunConfig
 {
     FleetPolicyConfig policy;
     /**
-     * Expire the routed machine's idle instances on every arrival (the
-     * WorkloadDriver convention) in addition to the policy tick, so
-     * keep-alive economics do not depend on the tick cadence.
-     */
-    bool perArrivalExpiry = true;
-    /**
      * Before the measured window, run one throwaway invocation of every
      * function on every machine and then drop all instances. First
      * contact with a function otherwise pays one-time initialization on
@@ -47,8 +44,6 @@ struct FleetRunConfig
      * policy arms still start from zero warm capacity.
      */
     bool primeImages = true;
-    /** Window length for the driver's per-tenant series. */
-    sim::SimTime tenantWindow = sim::SimTime::milliseconds(250.0);
     /**
      * Worker threads draining per-machine event queues between policy
      * ticks; 0 reads the CATALYZER_SIM_THREADS environment knob
@@ -143,9 +138,18 @@ class FleetDriver
         : cluster_(cluster), population_(population)
     {}
 
-    /** Run @p traffic under @p config and report. */
+    /** Generate @p traffic's tape and run it under @p config. */
     FleetReport run(const TrafficSpec &traffic,
                     const FleetRunConfig &config);
+
+    /**
+     * Replay an explicit arrival @p stream (a recorded trace, say) over
+     * [0, @p duration_sec) under @p config. A stream out of time order
+     * is sorted first, ties keeping their order; an arrival outside the
+     * window or naming no function of the population is fatal.
+     */
+    FleetReport run(const std::vector<FleetArrival> &stream,
+                    double duration_sec, const FleetRunConfig &config);
 
   private:
     platform::Cluster &cluster_;

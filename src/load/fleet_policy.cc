@@ -7,6 +7,24 @@
 
 namespace catalyzer::load {
 
+namespace {
+
+/** Observation credit granted to a prewarmed function so the reactive
+ *  rebalance keeps the template through the burst onset. */
+constexpr double kPrewarmCredit = 8.0;
+
+/** Fraction of the resident budget that triggers pressure shedding. */
+constexpr double kMemoryHighWater = 0.9;
+
+/** A rack carrying this share of a hot function's traffic gets a
+ *  template holder when it holds none (multi-machine fleets only). */
+constexpr double kCrossRackShare = 0.3;
+
+/** Hottest functions examined by the cross-rack pass per tick. */
+constexpr std::size_t kHottestTracked = 16;
+
+} // namespace
+
 FleetAutoscaler::FleetAutoscaler(platform::Cluster &cluster,
                                  const Population &population,
                                  FleetPolicyConfig config)
@@ -74,8 +92,7 @@ FleetAutoscaler::buildTemplateOn(const FleetFunction &fn,
         return;
     }
     managers_[machine]->noteExternalTemplate(fn.name);
-    managers_[machine]->grantPrewarmCredit(fn.name,
-                                           config_.prewarmCredit);
+    managers_[machine]->grantPrewarmCredit(fn.name, kPrewarmCredit);
     // Publish the holder right away: the boot path only syncs the
     // cluster directory when it serves a request, and the whole point
     // of a pre-warm is that placement routes to the holder *before*
@@ -126,7 +143,7 @@ FleetAutoscaler::pressurePass()
 {
     const std::size_t budget = config_.machineResidentBudgetBytes;
     const auto high_water = static_cast<std::size_t>(
-        config_.memoryHighWater * static_cast<double>(budget));
+        kMemoryHighWater * static_cast<double>(budget));
     for (std::size_t m = 0; m < managers_.size(); ++m) {
         const std::size_t resident = residentBytes(m);
         if (resident > high_water) {
@@ -172,7 +189,7 @@ FleetAutoscaler::crossRackPass()
     std::vector<std::size_t> order(fns_.size());
     for (std::size_t i = 0; i < order.size(); ++i)
         order[i] = i;
-    const std::size_t k = std::min(config_.hottestTracked, order.size());
+    const std::size_t k = std::min(kHottestTracked, order.size());
     std::partial_sort(order.begin(), order.begin() + k, order.end(),
                       [this](std::size_t a, std::size_t b) {
                           return fns_[a].ewmaRps > fns_[b].ewmaRps;
@@ -208,7 +225,7 @@ FleetAutoscaler::crossRackPass()
                 continue;
             const double share = static_cast<double>(arrivals) /
                                  static_cast<double>(state.sinceTick);
-            if (share < config_.crossRackShare)
+            if (share < kCrossRackShare)
                 continue;
             // Least-loaded machine in the starved rack gets a holder.
             bool have = false;
@@ -265,7 +282,7 @@ FleetAutoscaler::tick(sim::SimTime now)
 
     pressurePass();
 
-    if (config_.crossRackRebalance && cluster_.machineCount() > 1)
+    if (cluster_.machineCount() > 1)
         crossRackPass();
 
     for (FnState &state : fns_) {

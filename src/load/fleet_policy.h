@@ -57,21 +57,9 @@ struct FleetPolicyConfig
     double prewarmRateRps = 5.0;
     /** EWMA smoothing factor (weight of the newest tick's rate). */
     double ewmaAlpha = 0.35;
-    /** Observation credit granted to a prewarmed function so the
-     *  reactive rebalance keeps the template through the burst onset. */
-    double prewarmCredit = 8.0;
 
     /** Resident-memory budget per machine (instances + templates). */
     std::size_t machineResidentBudgetBytes = 1u << 30;
-    /** Fraction of the budget that triggers pressure shedding. */
-    double memoryHighWater = 0.9;
-
-    /** Build a template in a rack carrying this share of a hot
-     *  function's traffic when the rack holds none. */
-    bool crossRackRebalance = true;
-    double crossRackShare = 0.3;
-    /** Hottest functions examined by the cross-rack pass per tick. */
-    std::size_t hottestTracked = 16;
 };
 
 /** Everything the autoscaler did, for reports and assertions. */

@@ -55,6 +55,22 @@ jitterSize(sim::Rng &rng, std::size_t base, double spread)
     return static_cast<std::size_t>(v);
 }
 
+/** Set every function's baseRps to its Zipf share of @p total_rps by
+ *  its rank: share(rank) ~ 1 / (rank + 1)^skew over ranks 1..N. */
+void
+assignZipfShares(std::vector<FleetFunction> &functions, double total_rps,
+                 double skew)
+{
+    double norm = 0.0;
+    for (std::size_t r = 0; r < functions.size(); ++r)
+        norm += 1.0 / std::pow(static_cast<double>(r + 1), skew);
+    for (FleetFunction &fn : functions)
+        fn.baseRps =
+            total_rps *
+            (1.0 / std::pow(static_cast<double>(fn.rank + 1), skew)) /
+            norm;
+}
+
 } // namespace
 
 Population::Population(PopulationSpec spec) : spec_(std::move(spec))
@@ -74,11 +90,6 @@ Population::Population(PopulationSpec spec) : spec_(std::move(spec))
         const std::size_t j = shuffle_rng.uniformInt(i);
         std::swap(rank[i - 1], rank[j]);
     }
-
-    // Zipf normalization over ranks 1..N.
-    double norm = 0.0;
-    for (std::size_t r = 0; r < spec_.functions; ++r)
-        norm += 1.0 / std::pow(static_cast<double>(r + 1), spec_.zipfSkew);
 
     sim::Rng jitter_rng(spec_.seed ^ 0xa5a5a5a5ULL);
     functions_.reserve(spec_.functions);
@@ -119,14 +130,32 @@ Population::Population(PopulationSpec spec) : spec_(std::move(spec))
         fn.index = i;
         fn.tenant = tenant;
         fn.rank = rank[i];
-        fn.baseRps =
-            spec_.totalRps *
-            (1.0 / std::pow(static_cast<double>(rank[i] + 1),
-                            spec_.zipfSkew)) /
-            norm;
         fn.profile = &profiles_.back();
         functions_.push_back(std::move(fn));
     }
+    assignZipfShares(functions_, spec_.totalRps, spec_.zipfSkew);
+}
+
+Population::Population(std::vector<const apps::AppProfile *> profiles,
+                       double total_rps, double skew)
+{
+    if (profiles.empty())
+        sim::fatal("Population: need at least one function");
+    spec_.functions = profiles.size();
+    spec_.tenants = 1;
+    spec_.totalRps = total_rps;
+    spec_.zipfSkew = skew;
+
+    functions_.reserve(profiles.size());
+    for (std::size_t i = 0; i < profiles.size(); ++i) {
+        FleetFunction fn;
+        fn.name = profiles[i]->name;
+        fn.index = i;
+        fn.rank = i;
+        fn.profile = profiles[i];
+        functions_.push_back(std::move(fn));
+    }
+    assignZipfShares(functions_, total_rps, skew);
 }
 
 std::string

@@ -12,9 +12,14 @@
  * platform popularity does, instead of on whichever function happened
  * to be created first.
  *
- * Profiles live in stable storage for the Population's lifetime:
- * FunctionArtifacts keeps a reference to the deployed AppProfile, so a
- * Population must outlive any Cluster it was deployed to.
+ * A second constructor wraps given catalog profiles instead (one
+ * tenant, rank in the given order): the paper-figure ablations replay
+ * the Fig. 11 catalog through the same fleet driver.
+ *
+ * Synthetic profiles live in stable storage for the Population's
+ * lifetime: FunctionArtifacts keeps a reference to the deployed
+ * AppProfile, so a Population must outlive any Cluster it was deployed
+ * to.
  */
 
 #ifndef CATALYZER_LOAD_POPULATION_H
@@ -60,6 +65,15 @@ class Population
   public:
     explicit Population(PopulationSpec spec);
 
+    /**
+     * One tenant over the given catalog @p profiles, referenced, not
+     * copied. Popularity rank follows the given order (rank 0, the
+     * hottest, is profiles[0]): a hand-picked catalog has no creation
+     * order bias to shuffle away.
+     */
+    Population(std::vector<const apps::AppProfile *> profiles,
+               double total_rps, double skew = 1.0);
+
     const PopulationSpec &spec() const { return spec_; }
     const std::vector<FleetFunction> &functions() const
     {
@@ -81,7 +95,8 @@ class Population
 
   private:
     PopulationSpec spec_;
-    /** Stable addresses: FunctionArtifacts holds profile references. */
+    /** Stable addresses: FunctionArtifacts holds profile references.
+     *  Empty for a catalog population. */
     std::deque<apps::AppProfile> profiles_;
     std::vector<FleetFunction> functions_;
 };

@@ -9,6 +9,20 @@ namespace catalyzer::load {
 
 namespace {
 
+/** Functions from this rank on arrive as MMPP on-off bursts (the
+ *  idle-then-spiky long tail) instead of plain Poisson. */
+constexpr std::size_t kBurstyRankFloor = 64;
+constexpr double kBurstMeanOnSec = 0.5;
+constexpr double kBurstMeanOffSec = 4.5;
+
+/** Diurnal rate swing around each function's base rate. */
+constexpr double kDiurnalAmplitude = 0.8;
+
+/** TenantChurn: share of tenants active per epoch, and the share of
+ *  its base rate an inactive tenant keeps as a trickle. */
+constexpr double kChurnActiveFraction = 0.25;
+constexpr double kChurnTrickleFraction = 0.02;
+
 /** Independent per-function generator: a splitmix-style mix of the
  *  scenario seed and the function index, so adding a function never
  *  perturbs any other function's sub-stream. */
@@ -27,11 +41,11 @@ appendSteady(sim::Rng &rng, const FleetFunction &fn,
 {
     if (fn.baseRps <= 0.0)
         return;
-    if (fn.rank >= spec.burstyRankFloor) {
+    if (fn.rank >= kBurstyRankFloor) {
         appendMmppTimes(rng,
                         MmppParams::withMeanRate(fn.baseRps,
-                                                 spec.burstMeanOnSec,
-                                                 spec.burstMeanOffSec),
+                                                 kBurstMeanOnSec,
+                                                 kBurstMeanOffSec),
                         spec.durationSec, out);
     } else {
         appendPoissonTimes(rng, fn.baseRps, spec.durationSec, out);
@@ -80,11 +94,9 @@ appendChurn(sim::Rng &rng, const FleetFunction &fn,
 {
     if (fn.baseRps <= 0.0 || spec.churnEpochSec <= 0.0)
         return;
-    const double active_frac =
-        std::clamp(spec.churnActiveFraction, 0.01, 1.0);
     const std::size_t active_count = std::max<std::size_t>(
-        1, static_cast<std::size_t>(
-               std::ceil(active_frac * static_cast<double>(tenants))));
+        1, static_cast<std::size_t>(std::ceil(
+               kChurnActiveFraction * static_cast<double>(tenants))));
     double t = 0.0;
     std::size_t epoch = 0;
     while (t < spec.durationSec) {
@@ -99,8 +111,8 @@ appendChurn(sim::Rng &rng, const FleetFunction &fn,
         // Conserve fleet-wide rate: active tenants concentrate the
         // traffic their idle peers give up.
         const double rate =
-            active ? fn.baseRps / active_frac
-                   : fn.baseRps * spec.churnTrickleFraction;
+            active ? fn.baseRps / kChurnActiveFraction
+                   : fn.baseRps * kChurnTrickleFraction;
         if (rate > 0.0) {
             double a = t;
             for (;;) {
@@ -151,7 +163,7 @@ generateFleetStream(const Population &population, const TrafficSpec &spec)
           case Scenario::Diurnal: {
             DiurnalCurve curve;
             curve.baseRate = fn.baseRps;
-            curve.amplitude = spec.diurnalAmplitude;
+            curve.amplitude = kDiurnalAmplitude;
             curve.periodSec = spec.diurnalPeriodSec;
             // Tenants peak at different times of "day".
             curve.phase = 6.283185307179586 *

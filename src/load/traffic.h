@@ -5,10 +5,12 @@
  *
  * A scenario turns a Population's per-function Zipf rates into concrete
  * arrival processes: steady Poisson for the hot head with MMPP bursts
- * in the long tail, tenant-phase-shifted diurnal curves, a flash crowd
- * that ramps the coldest functions from silence to a hard plateau, or
- * tenant churn that rotates which tenants are active every epoch. The
- * merged stream is a pure function of (population, spec): per-function
+ * in the long tail (ranks from 64 on; the expected request count is
+ * unchanged, since MMPP parameters derive from each function's mean),
+ * tenant-phase-shifted diurnal curves, a flash crowd that ramps the
+ * coldest functions from silence to a hard plateau, or tenant churn
+ * that rotates which tenants are active every epoch. The merged stream
+ * is a pure function of (population, spec): per-function
  * sub-streams draw from independent seeded generators and merge into
  * one time-ordered sequence, so the same spec replays the same fleet
  * history on every run — the property all regression gates lean on.
@@ -43,18 +45,7 @@ struct TrafficSpec
     double durationSec = 30.0;
     std::uint64_t seed = 7;
 
-    /**
-     * Functions with rank >= burstyRankFloor use MMPP on-off arrivals
-     * instead of plain Poisson (the idle-then-spiky long tail). The
-     * fleet-wide expected request count is unchanged: MMPP parameters
-     * are derived from each function's mean rate.
-     */
-    std::size_t burstyRankFloor = 64;
-    double burstMeanOnSec = 0.5;
-    double burstMeanOffSec = 4.5;
-
     // Diurnal scenario.
-    double diurnalAmplitude = 0.8;
     double diurnalPeriodSec = 20.0;
 
     // FlashCrowd scenario: the flashFunctions coldest functions ramp
@@ -66,11 +57,9 @@ struct TrafficSpec
     double flashRpsPerFunction = 40.0;
     std::size_t flashFunctions = 32;
 
-    // TenantChurn scenario: every epoch a rotating churnActiveFraction
-    // of tenants carries the traffic; inactive tenants keep a trickle.
+    // TenantChurn scenario: every epoch a rotating quarter of the
+    // tenants carries the traffic; inactive tenants keep a trickle.
     double churnEpochSec = 8.0;
-    double churnActiveFraction = 0.25;
-    double churnTrickleFraction = 0.02;
 
     /**
      * Stateful-workflow side stream: a Poisson process at workflowRps

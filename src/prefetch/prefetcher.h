@@ -5,11 +5,12 @@
  *
  * Demand paging loads restore pages one 4 KiB random read at a time
  * (CostModel::demandFaultFileCold); the prefetcher instead submits the
- * manifest's stable set as readahead batches of prefetchBatchPages
- * pages, paying one setup per batch plus the sequential per-page
- * transfer (CostModel::prefetchBatchSetup / prefetchSsdPerPage). The
- * transfers are charged across the restore worker pool, modelling reads
- * that overlap the Base-EPT share-mapping and the rest of the restore.
+ * manifest's stable set as readahead batches of the caller's batch size
+ * (64 pages on the restore path), paying one setup per batch plus the
+ * sequential per-page transfer (CostModel::prefetchBatchSetup /
+ * prefetchSsdPerPage). The transfers are charged across the restore
+ * worker pool, modelling reads that overlap the Base-EPT share-mapping
+ * and the rest of the restore.
  * Anything outside the set still demand-pages as before.
  */
 

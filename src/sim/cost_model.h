@@ -174,8 +174,8 @@ struct CostModel
 
     //
     // Working-set prefetch (prefetch/), REAP-style batched restore
-    // reads. A batch is one readahead submission covering up to
-    // prefetchBatchPages image pages, so the SSD serves a large
+    // reads. A batch is one readahead submission covering up to 64
+    // image pages (the runtime's batch size), so the SSD serves a large
     // sequential read instead of per-fault 4 KiB random reads
     // (demandFaultFileCold): setup is paid once per batch and the
     // per-page transfer rides the device's sequential bandwidth.

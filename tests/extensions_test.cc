@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "catalyzer/runtime.h"
-#include "platform/workload.h"
+#include "load/driver.h"
 #include "sandbox/pipelines.h"
 
 namespace catalyzer {
@@ -48,39 +50,74 @@ TEST(GVisorPtraceTest, NoKvmButSlowerAppInit)
                  "gVisor-ptrace");
 }
 
+/** Replay @p tape over 2 s on one fork-boot machine with ds-text
+ *  (function 0) and ds-media (function 1) prepared on it. */
+struct TraceReplay
+{
+    TraceReplay()
+        : population({&apps::appByName("ds-text"),
+                      &apps::appByName("ds-media")},
+                     1.0),
+          cluster(1, platform::PlacementPolicy::RoundRobin,
+                  PlatformConfig{BootStrategy::CatalyzerFork})
+    {
+        for (const load::FleetFunction &fn : population.functions())
+            cluster.prepareEverywhere(*fn.profile);
+    }
+
+    load::FleetReport
+    run(const std::vector<load::FleetArrival> &tape)
+    {
+        load::FleetRunConfig config;
+        config.primeImages = false;
+        config.policy.reactiveRebalance = false;
+        config.policy.keepAliveTtl = sim::SimTime::zero();
+        return load::FleetDriver(cluster, population)
+            .run(tape, 2.0, config);
+    }
+
+    load::Population population;
+    platform::Cluster cluster;
+};
+
 TEST(TraceWorkloadTest, ReplaysExactSchedule)
 {
-    Machine machine(42);
-    ServerlessPlatform plat(machine,
-                            PlatformConfig{BootStrategy::CatalyzerFork});
-    plat.prepare(apps::appByName("ds-text"));
-    plat.prepare(apps::appByName("ds-media"));
-
-    platform::WorkloadSpec spec;
-    spec.trace = {
-        {0.10, "ds-text"},
-        {0.20, "ds-media"},
-        {0.25, "ds-text"},
-        {1.50, "ds-text"},
-    };
-    const auto report = platform::WorkloadDriver(plat).run(spec);
+    TraceReplay replay;
+    const load::FleetReport report = replay.run({
+        {0.10, 0},
+        {0.20, 1},
+        {0.25, 0},
+        {1.50, 0},
+    });
     EXPECT_EQ(report.requests, 4u);
-    EXPECT_EQ(report.perFunction.at("ds-text").count(), 3u);
-    EXPECT_EQ(report.perFunction.at("ds-media").count(), 1u);
+    // Fork boots without keep-alive retain one instance per request.
+    ServerlessPlatform &plat = replay.cluster.platform(0);
+    EXPECT_EQ(plat.runningCount("ds-text"), 3u);
+    EXPECT_EQ(plat.runningCount("ds-media"), 1u);
     // The clock followed the trace to at least the last arrival.
-    EXPECT_GT(machine.ctx().now().toSec(), 1.5);
+    EXPECT_GT(replay.cluster.machine(0).ctx().now().toSec(), 1.5);
 }
 
 TEST(TraceWorkloadTest, UnsortedTraceIsSorted)
 {
-    Machine machine(42);
-    ServerlessPlatform plat(machine,
-                            PlatformConfig{BootStrategy::CatalyzerFork});
-    plat.prepare(apps::appByName("ds-text"));
-    platform::WorkloadSpec spec;
-    spec.trace = {{0.5, "ds-text"}, {0.1, "ds-text"}, {0.3, "ds-text"}};
-    const auto report = platform::WorkloadDriver(plat).run(spec);
-    EXPECT_EQ(report.requests, 3u);
+    TraceReplay unsorted, sorted;
+    const load::FleetReport a = unsorted.run({{0.5, 0}, {0.1, 0}, {0.3, 0}});
+    const load::FleetReport b = sorted.run({{0.1, 0}, {0.3, 0}, {0.5, 0}});
+    EXPECT_EQ(a.requests, 3u);
+    // Same replay as the time-ordered tape, byte for byte.
+    std::ostringstream ja, jb;
+    a.writeJson(ja);
+    b.writeJson(jb);
+    EXPECT_EQ(ja.str(), jb.str());
+}
+
+TEST(TraceWorkloadTest, ArrivalOutsideTheTapeIsFatal)
+{
+    // Past the 2 s window, and a function the population lacks.
+    EXPECT_EXIT(TraceReplay().run({{0.1, 0}, {2.5, 0}}),
+                ::testing::ExitedWithCode(1), "outside the run window");
+    EXPECT_EXIT(TraceReplay().run({{0.1, 2}}),
+                ::testing::ExitedWithCode(1), "names function 2");
 }
 
 class WarmImageTest : public ::testing::Test

@@ -8,8 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include "load/driver.h"
 #include "platform/policy.h"
-#include "platform/workload.h"
 
 namespace catalyzer::platform {
 namespace {
@@ -90,26 +90,26 @@ INSTANTIATE_TEST_SUITE_P(
                           BootStrategy::CatalyzerFork,
                           BootStrategy::CatalyzerAuto)));
 
-/** The workload driver also survives heavy churn with TTL expiry. */
+/** A one-machine fleet replay also survives heavy churn with TTL
+ *  expiry. */
 TEST(WorkloadFuzzTest, DenseMixWithTinyTtl)
 {
-    Machine machine(99);
+    const load::Population pop(apps::appsInSuite(apps::Suite::DeathStar),
+                               120.0, 1.2);
     PlatformConfig config;
     config.strategy = BootStrategy::CatalyzerAuto;
     config.reuseIdleInstances = true;
-    ServerlessPlatform plat(machine, config);
+    Cluster cluster(1, PlacementPolicy::RoundRobin, config, {},
+                    sim::CostModel{}, /*seed=*/99);
 
-    std::vector<std::string> functions;
-    for (const apps::AppProfile *app :
-         apps::appsInSuite(apps::Suite::DeathStar)) {
-        plat.deploy(*app);
-        functions.push_back(app->name);
-    }
-    WorkloadSpec spec = WorkloadSpec::zipf(functions, 120.0, 1.2);
-    spec.durationSec = 3.0;
-    spec.keepAliveTtl = 40_ms;
-    spec.seed = 5;
-    const WorkloadReport report = WorkloadDriver(plat).run(spec);
+    load::TrafficSpec traffic;
+    traffic.durationSec = 3.0;
+    traffic.seed = 5;
+    load::FleetRunConfig run;
+    run.primeImages = false;
+    run.policy.keepAliveTtl = 40_ms;
+    const load::FleetReport report =
+        load::FleetDriver(cluster, pop).run(traffic, run);
     EXPECT_GT(report.requests, 100u);
     EXPECT_GT(report.expired, 0u);
     EXPECT_EQ(report.requests, report.boots + report.reuses);

@@ -9,7 +9,6 @@
 
 #include "catalyzer/runtime.h"
 #include "platform/platform.h"
-#include "platform/workload.h"
 #include "sandbox/pipelines.h"
 
 namespace catalyzer {

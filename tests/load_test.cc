@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <sstream>
@@ -13,7 +14,6 @@
 #include "load/arrival.h"
 #include "load/driver.h"
 #include "load/traffic.h"
-#include "platform/workload.h"
 
 namespace catalyzer::load {
 namespace {
@@ -26,8 +26,8 @@ using namespace sim::time_literals;
 
 TEST(ArrivalTest, PoissonMatchesManualExponentialAccumulation)
 {
-    // The shared generator must keep WorkloadDriver's exact schedule:
-    // t += exponential(1/rate) on one Rng, times in order.
+    // The generator's schedule is pinned: t += exponential(1/rate) on
+    // one Rng, times in order.
     sim::Rng rng(99);
     std::vector<double> times;
     appendPoissonTimes(rng, 25.0, 10.0, times);
@@ -44,16 +44,29 @@ TEST(ArrivalTest, PoissonMatchesManualExponentialAccumulation)
 
 TEST(ArrivalTest, PoissonArrivalsDeterministicAndTagged)
 {
-    sim::Rng a(7), b(7);
-    std::vector<Arrival> first, second;
-    appendPoissonArrivals(a, 40.0, 5.0, "fn", first);
-    appendPoissonArrivals(b, 40.0, 5.0, "fn", second);
+    // A catalog population's head arrives as per-function Poisson
+    // streams: the same spec draws the same tape, and every arrival is
+    // tagged with the function it belongs to.
+    const Population pop(
+        {&apps::appByName("ds-text"), &apps::appByName("ds-media")}, 40.0);
+    TrafficSpec traffic;
+    traffic.durationSec = 5.0;
+    traffic.seed = 7;
+    const auto first = generateFleetStream(pop, traffic);
+    const auto second = generateFleetStream(pop, traffic);
     ASSERT_EQ(first.size(), second.size());
     EXPECT_GT(first.size(), 0u);
+    std::size_t per_fn[2] = {0, 0};
     for (std::size_t i = 0; i < first.size(); ++i) {
         EXPECT_DOUBLE_EQ(first[i].atSec, second[i].atSec);
-        EXPECT_EQ(first[i].function, "fn");
+        EXPECT_EQ(first[i].fn, second[i].fn);
+        EXPECT_EQ(first[i].workflow, -1);
+        ASSERT_LT(first[i].fn, 2u);
+        ++per_fn[first[i].fn];
     }
+    // Rank 0 carries twice rank 1's share at skew 1.
+    EXPECT_GT(per_fn[0], per_fn[1]);
+    EXPECT_GT(per_fn[1], 0u);
 }
 
 TEST(ArrivalTest, MmppHitsConfiguredMeanRate)
@@ -113,32 +126,40 @@ TEST(ArrivalTest, DiurnalIntegratesToBaseRateOverFullPeriods)
 }
 
 //
-// Workload zipf shuffle (satellite of the shared-generator refactor).
+// Zipf rank shuffle.
 //
 
 TEST(WorkloadZipfTest, ShuffleSeedPermutesRanksDeterministically)
 {
-    const std::vector<std::string> fns = {"a", "b", "c", "d", "e", "f"};
-    const auto plain = platform::WorkloadSpec::zipf(fns, 60.0);
-    const auto shuffled = platform::WorkloadSpec::zipf(fns, 60.0, 1.0, 9);
-    const auto shuffled2 = platform::WorkloadSpec::zipf(fns, 60.0, 1.0, 9);
+    // A synthetic population's popularity rank is a seeded permutation
+    // of creation order: the same seed repeats it, another seed moves
+    // it, and the share multiset is the same either way.
+    PopulationSpec spec;
+    spec.functions = 6;
+    spec.tenants = 2;
+    spec.totalRps = 60.0;
+    spec.seed = 9;
+    const Population shuffled(spec);
+    const Population shuffled2(spec);
+    spec.seed = 10;
+    const Population other(spec);
 
-    double plain_total = 0.0, shuffled_total = 0.0;
-    for (std::size_t i = 0; i < fns.size(); ++i) {
-        plain_total += plain.mix[i].requestsPerSecond;
-        shuffled_total += shuffled.mix[i].requestsPerSecond;
-        EXPECT_DOUBLE_EQ(shuffled.mix[i].requestsPerSecond,
-                         shuffled2.mix[i].requestsPerSecond);
-    }
-    EXPECT_NEAR(plain_total, 60.0, 1e-9);
-    EXPECT_NEAR(shuffled_total, 60.0, 1e-9);
-
-    // Same share multiset, different assignment for this seed.
+    double total = 0.0;
+    std::vector<double> shares, other_shares;
     bool any_moved = false;
-    for (std::size_t i = 0; i < fns.size(); ++i)
-        any_moved |= plain.mix[i].requestsPerSecond !=
-                     shuffled.mix[i].requestsPerSecond;
+    for (std::size_t i = 0; i < spec.functions; ++i) {
+        total += shuffled.fn(i).baseRps;
+        EXPECT_EQ(shuffled.fn(i).rank, shuffled2.fn(i).rank);
+        EXPECT_DOUBLE_EQ(shuffled.fn(i).baseRps, shuffled2.fn(i).baseRps);
+        any_moved |= shuffled.fn(i).rank != other.fn(i).rank;
+        shares.push_back(shuffled.fn(i).baseRps);
+        other_shares.push_back(other.fn(i).baseRps);
+    }
+    EXPECT_NEAR(total, 60.0, 1e-9);
     EXPECT_TRUE(any_moved);
+    std::sort(shares.begin(), shares.end());
+    std::sort(other_shares.begin(), other_shares.end());
+    EXPECT_EQ(shares, other_shares);
 }
 
 //

@@ -1,44 +1,97 @@
 /**
  * @file
- * Tests for the workload driver and keep-alive expiry.
+ * Tests for one-machine fleet replays of the paper catalog (the
+ * single-platform case of load::FleetDriver), catalog populations and
+ * keep-alive expiry.
  */
 
 #include <gtest/gtest.h>
 
-#include "platform/workload.h"
+#include "load/driver.h"
 
-namespace catalyzer::platform {
+namespace catalyzer::load {
 namespace {
 
-using sandbox::Machine;
 using namespace sim::time_literals;
 
-TEST(WorkloadSpecTest, ZipfSharesSumToTotal)
+/** One machine running @p strategy with ds-text, the one function of
+ *  a catalog population at @p rps, prepared on it. */
+struct OneMachine
 {
-    const auto spec = WorkloadSpec::zipf({"a", "b", "c", "d"}, 100.0);
-    double total = 0.0;
-    for (const auto &entry : spec.mix)
-        total += entry.requestsPerSecond;
-    EXPECT_NEAR(total, 100.0, 1e-9);
-    // Rank 1 gets the biggest share.
-    EXPECT_GT(spec.mix[0].requestsPerSecond,
-              spec.mix[1].requestsPerSecond);
-    EXPECT_GT(spec.mix[2].requestsPerSecond,
-              spec.mix[3].requestsPerSecond);
+    OneMachine(double rps, platform::BootStrategy strategy,
+               bool reuse_idle = false)
+        : pop({&apps::appByName("ds-text")}, rps),
+          cluster(1, platform::PlacementPolicy::RoundRobin,
+                  platform::PlatformConfig{strategy, reuse_idle})
+    {
+        cluster.prepareEverywhere(*pop.fn(0).profile);
+    }
+
+    FleetReport
+    run(const TrafficSpec &traffic, const FleetRunConfig &config)
+    {
+        return FleetDriver(cluster, pop).run(traffic, config);
+    }
+
+    Population pop;
+    platform::Cluster cluster;
+};
+
+/** Unprimed, no autoscaler templates, keep-alive TTL @p ttl. */
+FleetRunConfig
+plainRun(sim::SimTime ttl = sim::SimTime::zero())
+{
+    FleetRunConfig config;
+    config.primeImages = false;
+    config.policy.reactiveRebalance = false;
+    config.policy.keepAliveTtl = ttl;
+    return config;
 }
 
-TEST(WorkloadDriverTest, RunsExpectedRequestCount)
+TrafficSpec
+steady(double duration_sec)
 {
-    Machine machine(42);
-    ServerlessPlatform plat(
-        machine, PlatformConfig{BootStrategy::CatalyzerFork});
-    plat.prepare(apps::appByName("ds-text"));
+    TrafficSpec traffic;
+    traffic.scenario = Scenario::Steady;
+    traffic.durationSec = duration_sec;
+    traffic.seed = 1;
+    return traffic;
+}
 
-    WorkloadSpec spec;
-    spec.mix = {WorkloadEntry{"ds-text", 50.0}};
-    spec.durationSec = 4.0;
-    WorkloadDriver driver(plat);
-    const WorkloadReport report = driver.run(spec);
+TEST(CatalogPopulationTest, ZipfSharesSumToTotal)
+{
+    const std::vector<const apps::AppProfile *> catalog = {
+        &apps::appByName("ds-text"), &apps::appByName("ds-media"),
+        &apps::appByName("python-hello"), &apps::appByName("c-hello")};
+    const Population pop(catalog, 100.0);
+    ASSERT_EQ(pop.size(), 4u);
+    EXPECT_EQ(pop.tenantCount(), 1u);
+
+    double total = 0.0;
+    for (const FleetFunction &fn : pop.functions()) {
+        total += fn.baseRps;
+        // Rank follows the given order; profiles are the catalog's own.
+        EXPECT_EQ(fn.rank, fn.index);
+        EXPECT_EQ(fn.tenant, 0u);
+        EXPECT_EQ(fn.profile, catalog[fn.index]);
+        EXPECT_EQ(fn.name, catalog[fn.index]->name);
+    }
+    EXPECT_NEAR(total, 100.0, 1e-9);
+    // Rank 0 gets the biggest share.
+    EXPECT_GT(pop.fn(0).baseRps, pop.fn(1).baseRps);
+    EXPECT_GT(pop.fn(2).baseRps, pop.fn(3).baseRps);
+}
+
+TEST(CatalogPopulationTest, EmptyCatalogIsFatal)
+{
+    EXPECT_EXIT(Population(std::vector<const apps::AppProfile *>{}, 10.0),
+                ::testing::ExitedWithCode(1), "at least one function");
+}
+
+TEST(OneMachineFleetTest, RunsExpectedRequestCount)
+{
+    OneMachine one(50.0, platform::BootStrategy::CatalyzerFork);
+    const FleetReport report = one.run(steady(4.0), plainRun());
 
     // Poisson(50/s * 4s) = ~200 requests.
     EXPECT_NEAR(static_cast<double>(report.requests), 200.0, 60.0);
@@ -46,61 +99,46 @@ TEST(WorkloadDriverTest, RunsExpectedRequestCount)
     EXPECT_EQ(report.boots + report.reuses, report.requests);
 }
 
-TEST(WorkloadDriverTest, ClockAdvancesAtLeastDuration)
+TEST(OneMachineFleetTest, ClockAdvancesAtLeastDuration)
 {
-    Machine machine(42);
-    ServerlessPlatform plat(
-        machine, PlatformConfig{BootStrategy::CatalyzerFork});
-    plat.prepare(apps::appByName("ds-text"));
-
-    const auto start = machine.ctx().now();
-    WorkloadSpec spec;
-    spec.mix = {WorkloadEntry{"ds-text", 5.0}};
-    spec.durationSec = 2.0;
-    WorkloadDriver(plat).run(spec);
-    // The machine idled between sparse arrivals: wall time >= ~duration.
-    EXPECT_GT((machine.ctx().now() - start).toSec(), 1.5);
+    OneMachine one(5.0, platform::BootStrategy::CatalyzerFork);
+    const sim::SimTime start = one.cluster.machine(0).ctx().now();
+    one.run(steady(2.0), plainRun());
+    // The machine idled between sparse arrivals up to the window end.
+    EXPECT_GE((one.cluster.machine(0).ctx().now() - start).toSec(), 2.0);
 }
 
-TEST(WorkloadDriverTest, KeepAliveReusesInstances)
+TEST(OneMachineFleetTest, KeepAliveReusesInstances)
 {
-    Machine machine(42);
-    PlatformConfig config;
-    config.strategy = BootStrategy::CatalyzerWarm;
-    config.reuseIdleInstances = true;
-    ServerlessPlatform plat(machine, config);
-    plat.prepare(apps::appByName("ds-text"));
-
-    WorkloadSpec spec;
-    spec.mix = {WorkloadEntry{"ds-text", 100.0}};
-    spec.durationSec = 2.0;
-    const WorkloadReport report = WorkloadDriver(plat).run(spec);
+    OneMachine one(100.0, platform::BootStrategy::CatalyzerWarm,
+                   /*reuse_idle=*/true);
+    const FleetReport report = one.run(steady(2.0), plainRun());
     // Dense traffic on one function: almost everything is a reuse.
     EXPECT_GT(report.reuses, report.boots);
 }
 
-TEST(WorkloadDriverTest, TtlExpiresIdleInstances)
+TEST(OneMachineFleetTest, TtlExpiresIdleInstances)
 {
-    Machine machine(42);
-    PlatformConfig config;
-    config.strategy = BootStrategy::CatalyzerWarm;
-    config.reuseIdleInstances = true;
-    ServerlessPlatform plat(machine, config);
-    plat.prepare(apps::appByName("ds-text"));
-
-    WorkloadSpec spec;
-    spec.mix = {WorkloadEntry{"ds-text", 2.0}}; // sparse: ~500 ms apart
-    spec.durationSec = 5.0;
-    spec.keepAliveTtl = 100_ms; // far below the inter-arrival gap
-    const WorkloadReport report = WorkloadDriver(plat).run(spec);
+    // Sparse: ~500 ms apart, far above the 100 ms TTL.
+    OneMachine one(2.0, platform::BootStrategy::CatalyzerWarm,
+                   /*reuse_idle=*/true);
+    const FleetReport report = one.run(steady(5.0), plainRun(100_ms));
     EXPECT_GT(report.expired, 0u);
     // Expired instances forced fresh boots.
     EXPECT_GT(report.boots, 1u);
 }
 
+} // namespace
+} // namespace catalyzer::load
+
+namespace catalyzer::platform {
+namespace {
+
+using namespace sim::time_literals;
+
 TEST(PlatformTtlTest, ExpireIdleHonorsAge)
 {
-    Machine machine(42);
+    sandbox::Machine machine(42);
     PlatformConfig config;
     config.strategy = BootStrategy::CatalyzerWarm;
     config.reuseIdleInstances = true;
@@ -114,15 +152,6 @@ TEST(PlatformTtlTest, ExpireIdleHonorsAge)
     machine.ctx().clock().advance(20_s);
     EXPECT_EQ(plat.expireIdle(10_s), 1u);
     EXPECT_EQ(plat.idleCount(), 0u);
-}
-
-TEST(WorkloadDriverTest, EmptyMixIsFatal)
-{
-    Machine machine(42);
-    ServerlessPlatform plat(machine);
-    WorkloadDriver driver(plat);
-    EXPECT_EXIT(driver.run(WorkloadSpec{}),
-                ::testing::ExitedWithCode(1), "empty mix");
 }
 
 } // namespace

@@ -5,7 +5,7 @@
 #
 #   tools/compare_artifacts.sh <rev>
 #
-# Builds <rev> (in a temporary git worktree) and the working tree, both
+# Builds <rev> (exported with git archive) and the working tree, both
 # Release, then runs every surface below on each build, each run in its
 # own fresh directory, and cmp's every file the runs leave behind:
 #
@@ -16,10 +16,15 @@
 #   fig_remote_fork           stdout
 #   fig_fault_matrix          stdout
 #   fig_fleet_slo             stdout + JSON, at CI's reduced fleet size
+#   fig_chain                 stdout + JSON, at CI's reduced sweep
+#   fig_image_dedup           stdout + JSON, at CI's reduced catalog
+#   fig_slo_window            stdout + JSON + fig_slo_window.flightrec/
+#   ablation_keepalive        stdout
+#   ablation_template_budget  stdout
 #
 # Prints every differing file and exits 1 if any differs, 0 otherwise.
 # JOBS sets the build parallelism (default: nproc). TMPDIR picks where the
-# worktree, builds and runs go; they are removed on exit.
+# exported source, builds and runs go; they are removed on exit.
 
 set -euo pipefail
 
@@ -35,15 +40,11 @@ git -C "$repo" rev-parse --verify --quiet "$rev^{commit}" >/dev/null || {
 }
 jobs=${JOBS:-$(nproc)}
 work=$(mktemp -d)
-cleanup() {
-    git -C "$repo" worktree remove --force "$work/src-old" 2>/dev/null || true
-    git -C "$repo" worktree prune
-    rm -rf "$work"
-}
-trap cleanup EXIT
+trap 'rm -rf "$work"' EXIT
 
 targets=(scorecard trace_report fig_remote_fork fig_fault_matrix
-         fig_fleet_slo)
+         fig_fleet_slo fig_chain fig_image_dedup fig_slo_window
+         ablation_keepalive ablation_template_budget)
 
 build() { # <source dir> <build dir>
     cmake -S "$1" -B "$2" -DCMAKE_BUILD_TYPE=Release \
@@ -76,10 +77,18 @@ surfaces() { # <bench dir> <out dir>
     run "$out" fig_fleet_slo env FLEET_FUNCTIONS=200 FLEET_TENANTS=16 \
         FLEET_RPS=400 FLEET_DURATION_SEC=6 FLEET_MACHINES=4 \
         "$b/fig_fleet_slo"
+    run "$out" fig_chain env CHAIN_RUNS=8 CHAIN_FLEET_FUNCTIONS=24 \
+        CHAIN_FLEET_DURATION_SEC=1 "$b/fig_chain"
+    run "$out" fig_image_dedup env IMAGE_DEDUP_FUNCTIONS=160 \
+        "$b/fig_image_dedup"
+    run "$out" fig_slo_window "$b/fig_slo_window"
+    run "$out" ablation_keepalive "$b/ablation_keepalive"
+    run "$out" ablation_template_budget "$b/ablation_template_budget"
 }
 
 echo "compare_artifacts: building $rev and the working tree (Release)"
-git -C "$repo" worktree add --detach --quiet "$work/src-old" "$rev"
+mkdir "$work/src-old"
+git -C "$repo" archive "$rev" | tar -x -C "$work/src-old"
 build "$work/src-old" "$work/build-old"
 build "$repo" "$work/build-new"
 
