@@ -84,9 +84,10 @@ BM_SeparatedReconstruct(benchmark::State &state)
     const auto graph = objgraph::ObjectGraph::synthesize(
         rng, objgraph::GraphSpec::scaledTo(
                  static_cast<std::size_t>(state.range(0))));
-    // reconstruct() memoizes its decode, so every iteration times a
-    // first decode of a freshly built image; building it and dropping
-    // the previous one stay outside the timed region.
+    // Only an image's first reconstruct() scans the arena (later ones
+    // return the verified graph), so every iteration times the first
+    // restore of a freshly built image; building it and dropping the
+    // previous one stay outside the timed region.
     std::optional<objgraph::SeparatedImage> image;
     for (auto _ : state) {
         state.PauseTiming();

@@ -53,7 +53,7 @@ namespace {
 
 /** The DAG rule: an object may only reference strictly earlier ids. */
 void
-checkBackwardRefs(std::uint64_t id, const std::vector<std::uint64_t> &refs)
+checkBackwardRefs(std::uint64_t id, std::span<const std::uint64_t> refs)
 {
     for (std::uint64_t ref : refs) {
         if (ref >= id)
@@ -65,118 +65,84 @@ checkBackwardRefs(std::uint64_t id, const std::vector<std::uint64_t> &refs)
 
 } // namespace
 
-ObjectGraph::ObjectGraph(std::vector<MetaObject> objects)
+const std::vector<ObjectGraph::Node> &
+ObjectGraph::nodes() const
 {
-    for (std::size_t i = 0; i < objects.size(); ++i) {
-        const MetaObject &obj = objects[i];
-        if (obj.id != i + 1)
-            sim::panic("ObjectGraph: object %zu has id %llu", i + 1,
-                       static_cast<unsigned long long>(obj.id));
-        checkBackwardRefs(obj.id, obj.refs);
-    }
-    if (!objects.empty())
-        objects_ =
-            std::make_shared<std::vector<MetaObject>>(std::move(objects));
+    static const std::vector<Node> kEmpty;
+    return storage_ ? storage_->nodes : kEmpty;
+}
+
+const std::vector<std::uint64_t> &
+ObjectGraph::refs() const
+{
+    static const std::vector<std::uint64_t> kEmpty;
+    return storage_ ? storage_->refs : kEmpty;
 }
 
 void
 ObjectGraph::detach()
 {
-    if (!objects_)
-        objects_ = std::make_shared<std::vector<MetaObject>>();
-    else if (objects_.use_count() > 1)
-        objects_ = std::make_shared<std::vector<MetaObject>>(*objects_);
-}
-
-const std::vector<MetaObject> &
-ObjectGraph::objects() const
-{
-    static const std::vector<MetaObject> kEmpty;
-    return objects_ ? *objects_ : kEmpty;
+    if (!storage_)
+        storage_ = std::make_shared<Storage>();
+    else if (storage_.use_count() > 1)
+        storage_ = std::make_shared<Storage>(*storage_);
 }
 
 std::uint64_t
 ObjectGraph::addObject(ObjectKind kind, std::uint32_t payload_bytes,
-                       std::vector<std::uint64_t> refs)
+                       std::span<const std::uint64_t> refs)
 {
     const std::uint64_t id = objectCount() + 1;
     checkBackwardRefs(id, refs);
     detach();
-    objects_->push_back(
-        MetaObject{id, kind, payload_bytes, std::move(refs)});
+    Storage &s = *storage_;
+    if (s.refs.size() + refs.size() > UINT32_MAX)
+        sim::panic("ObjectGraph: more than 2^32 refs");
+    s.nodes.push_back(Node{static_cast<std::uint32_t>(s.refs.size()),
+                           static_cast<std::uint32_t>(refs.size()),
+                           payload_bytes, kind});
+    s.refs.insert(s.refs.end(), refs.begin(), refs.end());
     return id;
 }
 
-const MetaObject &
-ObjectGraph::object(std::uint64_t id) const
+void
+ObjectGraph::badId(std::uint64_t id)
 {
-    if (id == 0 || id > objectCount())
-        sim::panic("ObjectGraph::object: bad id %llu",
-                   static_cast<unsigned long long>(id));
-    return (*objects_)[id - 1];
-}
-
-MetaObject &
-ObjectGraph::mutableObject(std::uint64_t id)
-{
-    if (id == 0 || id > objectCount())
-        sim::panic("ObjectGraph::mutableObject: bad id %llu",
-                   static_cast<unsigned long long>(id));
-    detach();
-    return (*objects_)[id - 1];
+    sim::panic("ObjectGraph::object: bad id %llu",
+               static_cast<unsigned long long>(id));
 }
 
 std::size_t
 ObjectGraph::pointerCount() const
 {
-    std::size_t n = 0;
-    for (const auto &obj : objects()) {
-        n += static_cast<std::size_t>(
-            std::count_if(obj.refs.begin(), obj.refs.end(),
-                          [](std::uint64_t r) { return r != 0; }));
-    }
-    return n;
+    return static_cast<std::size_t>(
+        std::count_if(refs().begin(), refs().end(),
+                      [](std::uint64_t r) { return r != 0; }));
 }
 
 std::size_t
 ObjectGraph::payloadBytes() const
 {
     std::size_t n = 0;
-    for (const auto &obj : objects())
-        n += obj.payloadBytes;
+    for (const Node &node : nodes())
+        n += node.payloadBytes;
     return n;
 }
 
 bool
 ObjectGraph::checkIntegrity() const
 {
-    for (const auto &obj : objects()) {
-        for (std::uint64_t ref : obj.refs) {
-            if (ref > objectCount())
-                return false;
-        }
-    }
-    return true;
+    const std::size_t n = objectCount();
+    return std::all_of(refs().begin(), refs().end(),
+                       [n](std::uint64_t r) { return r <= n; });
 }
 
 bool
 ObjectGraph::operator==(const ObjectGraph &other) const
 {
-    if (objects_ == other.objects_)
+    if (storage_ == other.storage_)
         return true; // shared storage, structurally equal by definition
-    if (objectCount() != other.objectCount())
-        return false;
-    const auto &mine = objects();
-    const auto &theirs = other.objects();
-    for (std::size_t i = 0; i < mine.size(); ++i) {
-        const auto &a = mine[i];
-        const auto &b = theirs[i];
-        if (a.id != b.id || a.kind != b.kind ||
-            a.payloadBytes != b.payloadBytes || a.refs != b.refs) {
-            return false;
-        }
-    }
-    return true;
+    return nodes() == other.nodes() && refs() == other.refs();
 }
 
 ObjectGraph
@@ -197,27 +163,32 @@ ObjectGraph::synthesize(sim::Rng &rng, const GraphSpec &spec)
         {ObjectKind::MemoryRegion, spec.memoryRegions},
         {ObjectKind::Misc, spec.miscObjects},
     };
-    std::vector<MetaObject> objects;
-    objects.reserve(spec.totalObjects());
+    Storage storage;
+    storage.nodes.reserve(spec.totalObjects());
     for (const auto &batch : batches) {
         for (std::size_t i = 0; i < batch.count; ++i) {
             const auto payload = static_cast<std::uint32_t>(
                 std::max(16.0, rng.exponential(spec.meanPayloadBytes)));
-            std::vector<std::uint64_t> refs;
-            const std::uint64_t next_id = objects.size() + 1;
+            const std::uint64_t next_id = storage.nodes.size() + 1;
+            const auto first_ref =
+                static_cast<std::uint32_t>(storage.refs.size());
             if (next_id > 1 && rng.chance(spec.pointerBearingFraction)) {
                 const auto nrefs = static_cast<std::size_t>(
                     1 + rng.uniformInt(static_cast<std::uint64_t>(
                             std::max(1.0, spec.meanRefsPerObject * 2 - 1))));
-                refs.reserve(nrefs);
                 for (std::size_t r = 0; r < nrefs; ++r)
-                    refs.push_back(1 + rng.uniformInt(next_id - 1));
+                    storage.refs.push_back(1 + rng.uniformInt(next_id - 1));
             }
-            objects.push_back(
-                MetaObject{next_id, batch.kind, payload, std::move(refs)});
+            storage.nodes.push_back(Node{
+                first_ref,
+                static_cast<std::uint32_t>(storage.refs.size() - first_ref),
+                payload, batch.kind});
         }
     }
-    return ObjectGraph(std::move(objects));
+    ObjectGraph graph;
+    if (!storage.nodes.empty())
+        graph.storage_ = std::make_shared<Storage>(std::move(storage));
+    return graph;
 }
 
 } // namespace catalyzer::objgraph

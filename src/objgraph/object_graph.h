@@ -14,8 +14,10 @@
 #define CATALYZER_OBJGRAPH_OBJECT_GRAPH_H
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
-#include <string>
+#include <ranges>
+#include <span>
 #include <vector>
 
 #include "sim/rng.h"
@@ -37,15 +39,22 @@ enum class ObjectKind : std::uint8_t
 
 const char *objectKindName(ObjectKind kind);
 
-/** One metadata object. id is 1-based; 0 means "null pointer". */
+/**
+ * One metadata object, as a view into its graph's flat storage. id is
+ * 1-based; 0 means "null pointer".
+ */
 struct MetaObject
 {
     std::uint64_t id = 0;
     ObjectKind kind = ObjectKind::Misc;
     /** Serialized payload size excluding pointer slots. */
     std::uint32_t payloadBytes = 0;
-    /** Outgoing references (object ids; 0 entries are null slots). */
-    std::vector<std::uint64_t> refs;
+    /**
+     * Outgoing references (object ids; 0 entries are null slots). Points
+     * into the graph's shared ref array: valid while that storage lives
+     * and until the next addObject() on the graph it came from.
+     */
+    std::span<const std::uint64_t> refs;
 };
 
 /** Shape parameters for synthesizing a sandbox's kernel state. */
@@ -83,12 +92,19 @@ struct GraphSpec
  * always point at already-created objects (the graph is a DAG plus
  * explicit back-links are not needed for the reproduction).
  *
- * Graphs share their object storage copy-on-write: copying a graph
- * (e.g. handing the template's kernel state to every sfork'd instance)
- * aliases one immutable vector, and the first mutation through
- * addObject()/mutableObject() detaches a private copy. This mirrors the
- * paper's separated state design, where instances reuse immutable
- * kernel metadata instead of deserializing their own copy.
+ * Storage is flat: one node array holds each object's kind, payload
+ * size and the extent of its refs in one ref array shared by all
+ * objects, and an object's id is its node index + 1. Building,
+ * copying and dropping a graph therefore touches two arrays, not one
+ * heap block per pointer-bearing object.
+ *
+ * Graphs share that storage copy-on-write: copying a graph (e.g.
+ * handing the template's kernel state to every sfork'd instance, or a
+ * separated image's restore handing back the graph it checkpointed)
+ * aliases one immutable storage block, and the first addObject()
+ * detaches a private copy. This mirrors the paper's separated state
+ * design, where instances reuse immutable kernel metadata instead of
+ * deserializing their own copy.
  */
 class ObjectGraph
 {
@@ -96,22 +112,33 @@ class ObjectGraph
     ObjectGraph() = default;
 
     /**
-     * Adopt a whole object table at once. Ids must be 1..n in vector
-     * order and refs must name earlier ids or 0 (the addObject() rule,
-     * checked in one pass).
+     * Add an object; returns its id. Refs must name existing ids or 0,
+     * and must not point into this graph's own storage.
      */
-    explicit ObjectGraph(std::vector<MetaObject> objects);
-
-    /** Add an object; returns its id. Refs must name existing ids or 0. */
     std::uint64_t addObject(ObjectKind kind, std::uint32_t payload_bytes,
-                            std::vector<std::uint64_t> refs);
-
-    const MetaObject &object(std::uint64_t id) const;
-    MetaObject &mutableObject(std::uint64_t id);
-
-    std::size_t objectCount() const
+                            std::span<const std::uint64_t> refs);
+    std::uint64_t
+    addObject(ObjectKind kind, std::uint32_t payload_bytes,
+              std::initializer_list<std::uint64_t> refs)
     {
-        return objects_ ? objects_->size() : 0;
+        return addObject(kind, payload_bytes,
+                         std::span<const std::uint64_t>(refs.begin(),
+                                                        refs.size()));
+    }
+
+    /** The object with @p id, in 1..objectCount(); panics otherwise. */
+    MetaObject
+    object(std::uint64_t id) const
+    {
+        if (id == 0 || id > objectCount())
+            badId(id);
+        return view(id);
+    }
+
+    std::size_t
+    objectCount() const
+    {
+        return storage_ ? storage_->nodes.size() : 0;
     }
 
     /** Total non-null outgoing references. */
@@ -120,8 +147,15 @@ class ObjectGraph
     /** Sum of payload bytes. */
     std::size_t payloadBytes() const;
 
-    /** All objects in id order. */
-    const std::vector<MetaObject> &objects() const;
+    /** All objects in id order, as MetaObject views; a view of *this. */
+    auto
+    objects() const
+    {
+        return std::views::iota(std::uint64_t{1},
+                                std::uint64_t{objectCount() + 1}) |
+               std::views::transform(
+                   [this](std::uint64_t id) { return view(id); });
+    }
 
     /** Verify every reference resolves; returns false on dangling ids. */
     bool checkIntegrity() const;
@@ -133,11 +167,49 @@ class ObjectGraph
     static ObjectGraph synthesize(sim::Rng &rng, const GraphSpec &spec);
 
   private:
+    /** One object of the flat storage; its id is its index + 1. */
+    struct Node
+    {
+        /** Index of the first ref in Storage::refs. */
+        std::uint32_t firstRef = 0;
+        std::uint32_t refCount = 0;
+        std::uint32_t payloadBytes = 0;
+        ObjectKind kind = ObjectKind::Misc;
+
+        bool operator==(const Node &) const = default;
+    };
+
+    /**
+     * Nodes in id order; each node's refs are the next refCount entries
+     * of refs, so equal graphs have equal arrays.
+     */
+    struct Storage
+    {
+        std::vector<Node> nodes;
+        std::vector<std::uint64_t> refs;
+    };
+
+    const std::vector<Node> &nodes() const;
+    const std::vector<std::uint64_t> &refs() const;
+
+    /** The object at @p id, unchecked. */
+    MetaObject
+    view(std::uint64_t id) const
+    {
+        const Node &node = storage_->nodes[id - 1];
+        return MetaObject{id, node.kind, node.payloadBytes,
+                          std::span<const std::uint64_t>(
+                              storage_->refs.data() + node.firstRef,
+                              node.refCount)};
+    }
+
+    [[noreturn]] static void badId(std::uint64_t id);
+
     /** Clone the shared storage if any other graph aliases it. */
     void detach();
 
     /** Shared-immutable object storage; null means empty. */
-    std::shared_ptr<std::vector<MetaObject>> objects_;
+    std::shared_ptr<Storage> storage_;
 };
 
 } // namespace catalyzer::objgraph

@@ -64,17 +64,17 @@ ObjectGraph
 ProtoImage::reconstruct() const
 {
     ObjectGraph graph;
+    std::vector<std::uint64_t> refs; // reused record to record
     std::size_t pos = 0;
     for (std::size_t i = 0; i < record_count_; ++i) {
         const auto kind = static_cast<ObjectKind>(getVarint(bytes_, pos));
         const auto payload =
             static_cast<std::uint32_t>(getVarint(bytes_, pos));
         const auto nrefs = getVarint(bytes_, pos);
-        std::vector<std::uint64_t> refs;
-        refs.reserve(nrefs);
+        refs.clear();
         for (std::uint64_t r = 0; r < nrefs; ++r)
             refs.push_back(getVarint(bytes_, pos));
-        graph.addObject(kind, payload, std::move(refs));
+        graph.addObject(kind, payload, refs);
     }
     if (pos != bytes_.size())
         sim::panic("ProtoImage: trailing bytes after decode (%zu of %zu)",

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstring>
 
 #include "mem/types.h"
@@ -33,55 +34,62 @@ slotOffsetFor(std::uint64_t base, std::uint32_t payload, std::size_t slot)
            slot * SeparatedImage::kPointerSlotBytes;
 }
 
-void
-writeU64(std::vector<std::uint8_t> &buf, std::uint64_t off,
-         std::uint64_t v)
+static_assert(std::endian::native == std::endian::little,
+              "arena integers are copied as native little-endian values");
+
+/** The decoded fields of one object header (layout: kObjectHeaderBytes). */
+struct Header
 {
-    for (int i = 0; i < 8; ++i)
-        buf[off + static_cast<std::uint64_t>(i)] =
-            static_cast<std::uint8_t>(v >> (8 * i));
+    std::uint64_t id = 0;
+    std::uint8_t kind = 0;
+    std::uint16_t slots = 0;
+    std::uint32_t payload = 0;
+};
+
+void
+writeHeader(std::uint8_t *dst, const Header &h)
+{
+    std::memcpy(dst, &h.id, sizeof h.id);
+    dst[8] = h.kind;
+    std::memcpy(dst + 9, &h.slots, sizeof h.slots);
+    std::memcpy(dst + 12, &h.payload, sizeof h.payload);
+}
+
+Header
+readHeader(const std::uint8_t *src)
+{
+    Header h;
+    std::memcpy(&h.id, src, sizeof h.id);
+    h.kind = src[8];
+    std::memcpy(&h.slots, src + 9, sizeof h.slots);
+    std::memcpy(&h.payload, src + 12, sizeof h.payload);
+    return h;
 }
 
 std::uint64_t
-readU64(const std::vector<std::uint8_t> &buf, std::uint64_t off)
+readU64(const std::uint8_t *src)
 {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(buf[off +
-                                            static_cast<std::uint64_t>(i)])
-             << (8 * i);
-    return v;
-}
-
-void
-writeU32(std::vector<std::uint8_t> &buf, std::uint64_t off,
-         std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        buf[off + static_cast<std::uint64_t>(i)] =
-            static_cast<std::uint8_t>(v >> (8 * i));
-}
-
-std::uint32_t
-readU32(const std::vector<std::uint8_t> &buf, std::uint64_t off)
-{
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(buf[off +
-                                            static_cast<std::uint64_t>(i)])
-             << (8 * i);
+    std::uint64_t v;
+    std::memcpy(&v, src, sizeof v);
     return v;
 }
 
 /**
- * Deterministic payload fill so decode can verify integrity: byte i of
- * object @p id's payload is (id * 31 + i) & 0xff. Any 256-byte block
- * of a payload that starts at a multiple of 256 is therefore the slice
- * of this two-period ramp that starts at (id * 31) & 0xff.
+ * Deterministic payload fill so a restore can verify integrity: byte i
+ * of object @p id's payload is (id * 31 + i) & 0xff, i.e. the ramp
+ * entry at (id * 31) & 0xff plus i % 256.
+ *
+ * Payloads are filled and compared in fixed 16-byte chunks, which
+ * compile to plain vector loads and stores; a variable-length
+ * memcpy/memcmp call per ~100-byte payload costs more than the copy.
+ * The last chunk ends flush with the payload and may overlap the one
+ * before it; payloads under 16 bytes go byte by byte. The ramp holds
+ * two periods plus a chunk, so no chunk runs off its end.
  */
 constexpr std::size_t kRampPeriod = 256;
-constexpr std::array<std::uint8_t, 2 * kRampPeriod> kRamp = [] {
-    std::array<std::uint8_t, 2 * kRampPeriod> ramp{};
+constexpr std::size_t kChunk = 16;
+constexpr std::array<std::uint8_t, 2 * kRampPeriod + kChunk> kRamp = [] {
+    std::array<std::uint8_t, 2 * kRampPeriod + kChunk> ramp{};
     for (std::size_t i = 0; i < ramp.size(); ++i)
         ramp[i] = static_cast<std::uint8_t>(i & 0xff);
     return ramp;
@@ -97,27 +105,40 @@ void
 fillPayload(std::uint8_t *dst, std::uint64_t id, std::uint32_t bytes)
 {
     const std::uint8_t *ramp = rampFor(id);
-    for (std::uint32_t i = 0; i < bytes; i += kRampPeriod)
-        std::memcpy(dst + i, ramp,
-                    std::min<std::size_t>(kRampPeriod, bytes - i));
+    if (bytes < kChunk) {
+        for (std::uint32_t i = 0; i < bytes; ++i)
+            dst[i] = ramp[i];
+        return;
+    }
+    for (std::uint32_t i = 0; i + kChunk <= bytes; i += kChunk)
+        std::memcpy(dst + i, ramp + i % kRampPeriod, kChunk);
+    const std::uint32_t last = bytes - kChunk;
+    std::memcpy(dst + last, ramp + last % kRampPeriod, kChunk);
 }
 
-/** Index of the first payload byte off the fill, or @p bytes if none. */
 std::uint32_t
 firstPayloadMismatch(const std::uint8_t *src, std::uint64_t id,
                      std::uint32_t bytes)
 {
     const std::uint8_t *ramp = rampFor(id);
-    for (std::uint32_t i = 0; i < bytes; i += kRampPeriod) {
-        const std::size_t len =
-            std::min<std::size_t>(kRampPeriod, bytes - i);
-        if (std::memcmp(src + i, ramp, len) == 0)
-            continue;
-        std::uint32_t j = 0;
-        while (src[i + j] == ramp[j])
-            ++j;
-        return i + j;
+    // The first differing byte in [from, to), or to.
+    auto first_in = [&](std::uint32_t from, std::uint32_t to) {
+        for (std::uint32_t i = from; i < to; ++i) {
+            if (src[i] != ramp[i % kRampPeriod])
+                return i;
+        }
+        return to;
+    };
+    if (bytes < kChunk)
+        return first_in(0, bytes);
+    std::uint32_t i = 0;
+    for (; i + kChunk <= bytes; i += kChunk) {
+        if (std::memcmp(src + i, ramp + i % kRampPeriod, kChunk) != 0)
+            return first_in(i, i + kChunk);
     }
+    const std::uint32_t last = bytes - kChunk;
+    if (std::memcmp(src + last, ramp + last % kRampPeriod, kChunk) != 0)
+        return first_in(i, bytes);
     return bytes;
 }
 
@@ -134,54 +155,50 @@ SeparatedImage
 SeparatedImage::build(const ObjectGraph &graph)
 {
     SeparatedImage image;
-    const auto &objects = graph.objects();
-    const std::size_t n = objects.size();
-    image.object_count_ = n;
+    image.graph_ = graph;
+    const std::size_t n = graph.objectCount();
 
     // Cluster pointer-bearing objects at the front of the arena so that
     // stage-2 patching dirties a compact page range. Ids are dense
-    // (1..n in vector order), so offsets are indexed by id. Offsets are
-    // handed out by an ascending cursor, so offset_to_id_ comes out
-    // sorted.
-    std::vector<bool> bearing(n);
-    for (std::size_t i = 0; i < n; ++i)
-        bearing[i] = hasPointer(objects[i]);
-    std::vector<std::uint64_t> offset_of(n + 1);
-    image.offset_to_id_.reserve(n);
+    // (1..n), so offsets are indexed by id.
+    constexpr std::uint64_t kUnplaced = ~std::uint64_t{0};
+    auto &offset_of = image.offset_of_;
+    offset_of.assign(n, kUnplaced);
     std::uint64_t cursor = 0;
     for (const bool pointer_pass : {true, false}) {
-        for (std::size_t i = 0; i < n; ++i) {
-            if (bearing[i] != pointer_pass)
+        for (const MetaObject &obj : graph.objects()) {
+            if (offset_of[obj.id - 1] != kUnplaced ||
+                (pointer_pass && !hasPointer(obj)))
                 continue;
-            const MetaObject &obj = objects[i];
-            offset_of[i + 1] = cursor;
-            image.offset_to_id_.emplace_back(cursor, obj.id);
+            offset_of[obj.id - 1] = cursor;
             cursor += slotBytesFor(obj.payloadBytes, obj.refs.size());
         }
     }
     image.arena_bytes_ = cursor;
 
     //
-    // Materialize the arena: packed 16-byte headers (id u64, kind u8,
-    // slots u16, payload u32), a deterministic payload fill, and zeroed
-    // pointer slots. The relation table records where every non-null
-    // pointer lives and what arena offset it must resolve to. Walking
-    // objects in id order visits the clustered pointer-bearing prefix in
-    // arena order, so relocations — and the pages they dirty — are
-    // emitted in ascending slot order; each one is validated here, once.
+    // Materialize the arena: packed 16-byte headers, a deterministic
+    // payload fill, and zeroed pointer slots. The relation table records
+    // where every non-null pointer lives and what arena offset it must
+    // resolve to. Walking objects in id order visits the clustered
+    // pointer-bearing prefix in arena order, so relocations — and the
+    // pages they dirty — are emitted in ascending slot order; each one
+    // is validated here, once.
     //
     std::vector<std::uint8_t> &arena = *image.arena_;
     arena.assign(image.arena_bytes_, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-        const MetaObject &obj = objects[i];
-        const std::uint64_t base = offset_of[i + 1];
-        writeU64(arena, base, obj.id);
-        arena[base + 8] = static_cast<std::uint8_t>(obj.kind);
-        arena[base + 9] =
-            static_cast<std::uint8_t>(obj.refs.size() & 0xff);
-        arena[base + 10] =
-            static_cast<std::uint8_t>((obj.refs.size() >> 8) & 0xff);
-        writeU32(arena, base + 12, obj.payloadBytes);
+    image.relocs_.reserve(graph.pointerCount());
+    for (const MetaObject &obj : graph.objects()) {
+        if (obj.refs.size() > UINT16_MAX)
+            sim::panic("SeparatedImage: object %llu has %zu slots, a "
+                       "header holds at most 65535",
+                       static_cast<unsigned long long>(obj.id),
+                       obj.refs.size());
+        const std::uint64_t base = offset_of[obj.id - 1];
+        writeHeader(arena.data() + base,
+                    Header{obj.id, static_cast<std::uint8_t>(obj.kind),
+                           static_cast<std::uint16_t>(obj.refs.size()),
+                           obj.payloadBytes});
         fillPayload(arena.data() + base + kObjectHeaderBytes, obj.id,
                     obj.payloadBytes);
 
@@ -193,7 +210,7 @@ SeparatedImage::build(const ObjectGraph &graph)
                 sim::panic("SeparatedImage: dangling ref %llu",
                            static_cast<unsigned long long>(target));
             const Reloc reloc{slotOffsetFor(base, obj.payloadBytes, slot),
-                              offset_of[target]};
+                              offset_of[target - 1]};
             if (reloc.slotOffset + kPointerSlotBytes > arena.size())
                 sim::panic("SeparatedImage: slot offset beyond arena");
             if (!image.relocs_.empty() &&
@@ -227,8 +244,9 @@ SeparatedImage::reconstruct(trace::TraceContext trace) const
     // slot to its target's arena offset. Entries are independent; the
     // real system patches them from parallel workers, COWing only the
     // pages that hold slots. Here the patches stay in relocs_ (in slot
-    // order, bounds-checked at build time) and the decode reads slot
-    // values through it, so no per-instance arena copy exists at all.
+    // order, bounds-checked at build time) and the verification reads
+    // slot values through it, so no per-instance arena copy exists at
+    // all.
     //
     {
         trace::ScopedSpan span(trace, "relation-fixup");
@@ -238,35 +256,35 @@ SeparatedImage::reconstruct(trace::TraceContext trace) const
     }
 
     trace::ScopedSpan decode_span(trace, "arena-decode");
-    decode_span.attr("objects", static_cast<std::int64_t>(object_count_));
+    decode_span.attr("objects", static_cast<std::int64_t>(objectCount()));
 
-    // The decode is a pure function of the immutable arena, so its
-    // result is computed and verified once; every later boot receives a
-    // copy-on-write alias of the same graph.
-    if (!decoded_valid_) {
-        decoded_ = decode();
-        decoded_valid_ = true;
+    // The patched arena decodes to exactly the checkpointed graph, so
+    // once it is verified every boot receives a copy-on-write alias of
+    // that graph instead of a decoded copy.
+    if (!verified_) {
+        verify();
+        verified_ = true;
     }
-    return decoded_;
+    return graph_;
 }
 
-ObjectGraph
-SeparatedImage::decode() const
+void
+SeparatedImage::verify() const
 {
     const std::vector<std::uint8_t> &arena = *arena_;
-    const std::size_t n = object_count_;
+    const std::size_t n = objectCount();
 
     //
     // One forward scan of the packed objects. Headers and payloads are
-    // verified against the checkpoint; each slot's patched value comes
-    // from the relation-table entry at that offset (a cursor that only
-    // moves forward, as the scan does) or, for null slots, from the
-    // pristine zeroed arena. Patched values are target offset + 1, so a
-    // pointer to the object at arena offset 0 stays distinguishable
-    // from null; they resolve to ids through offset_to_id_. Each object
-    // lands at its id's index.
+    // checked for self-consistency, then compared with the checkpointed
+    // object of the same id; each slot's patched value comes from the
+    // relation-table entry at that offset (a cursor that only moves
+    // forward, as the scan does) or, for null slots, from the pristine
+    // zeroed arena, and must equal the value build() patched in: target
+    // offset + 1, so a pointer to the object at arena offset 0 stays
+    // distinguishable from null.
     //
-    std::vector<MetaObject> objects(n);
+    std::vector<bool> seen(n);
     auto reloc = relocs_.begin();
     std::size_t placed = 0;
     std::uint64_t cursor = 0;
@@ -276,31 +294,27 @@ SeparatedImage::decode() const
                        "%llu overruns the arena (%zu bytes)",
                        static_cast<unsigned long long>(cursor),
                        arena.size());
-        const std::uint64_t id = readU64(arena, cursor);
-        const std::uint8_t kind = arena[cursor + 8];
-        const std::uint16_t slots = static_cast<std::uint16_t>(
-            arena[cursor + 9] |
-            (static_cast<std::uint16_t>(arena[cursor + 10]) << 8));
-        const std::uint32_t payload = readU32(arena, cursor + 12);
+        const Header h = readHeader(arena.data() + cursor);
+        const std::uint64_t id = h.id;
         if (id == 0 || id > n)
             sim::panic("SeparatedImage: header corruption at %llu: id "
                        "%llu outside 1..%zu",
                        static_cast<unsigned long long>(cursor),
                        static_cast<unsigned long long>(id), n);
-        if (kind > static_cast<std::uint8_t>(ObjectKind::Misc))
+        if (h.kind > static_cast<std::uint8_t>(ObjectKind::Misc))
             sim::panic("SeparatedImage: header corruption at object "
                        "%llu: kind %u",
                        static_cast<unsigned long long>(id),
-                       static_cast<unsigned>(kind));
-        MetaObject &obj = objects[id - 1];
-        if (obj.id != 0)
+                       static_cast<unsigned>(h.kind));
+        if (seen[id - 1])
             sim::panic("SeparatedImage: header corruption: duplicate "
                        "object %llu",
                        static_cast<unsigned long long>(id));
+        seen[id - 1] = true;
 
         const std::uint64_t slot_base =
-            cursor + kObjectHeaderBytes + align8(payload);
-        const std::uint64_t end = slot_base + slots * kPointerSlotBytes;
+            cursor + kObjectHeaderBytes + align8(h.payload);
+        const std::uint64_t end = slot_base + h.slots * kPointerSlotBytes;
         if (end > arena.size())
             sim::panic("SeparatedImage: header corruption: arena scan "
                        "overran (object %llu ends at %llu of %zu)",
@@ -309,34 +323,44 @@ SeparatedImage::decode() const
 
         // Integrity: the payload fill must match the checkpoint.
         const std::uint32_t bad = firstPayloadMismatch(
-            arena.data() + cursor + kObjectHeaderBytes, id, payload);
-        if (bad != payload)
+            arena.data() + cursor + kObjectHeaderBytes, id, h.payload);
+        if (bad != h.payload)
             sim::panic("SeparatedImage: payload corruption at "
                        "object %llu byte %u",
                        static_cast<unsigned long long>(id), bad);
 
-        obj.id = id;
-        obj.kind = static_cast<ObjectKind>(kind);
-        obj.payloadBytes = payload;
-        obj.refs.resize(slots);
-        for (std::uint16_t s = 0; s < slots; ++s) {
+        const MetaObject want = graph_.object(id);
+        if (h.kind != static_cast<std::uint8_t>(want.kind) ||
+            h.slots != want.refs.size() ||
+            h.payload != want.payloadBytes)
+            sim::panic("SeparatedImage: header corruption at object "
+                       "%llu: kind %u, %u slots, %u payload bytes where "
+                       "the checkpoint has kind %u, %zu, %u",
+                       static_cast<unsigned long long>(id),
+                       static_cast<unsigned>(h.kind),
+                       static_cast<unsigned>(h.slots), h.payload,
+                       static_cast<unsigned>(want.kind), want.refs.size(),
+                       want.payloadBytes);
+
+        for (std::uint16_t s = 0; s < h.slots; ++s) {
             const std::uint64_t off = slot_base + s * kPointerSlotBytes;
             while (reloc != relocs_.end() && reloc->slotOffset < off)
                 ++reloc;
             const std::uint64_t raw =
                 reloc != relocs_.end() && reloc->slotOffset == off
                     ? reloc->targetOffset + 1
-                    : readU64(arena, off);
-            if (raw == 0)
-                continue; // null slot
-            const std::uint64_t target = raw - 1;
-            auto it = std::lower_bound(
-                offset_to_id_.begin(), offset_to_id_.end(), target,
-                [](const std::pair<std::uint64_t, std::uint64_t> &p,
-                   std::uint64_t o) { return p.first < o; });
-            if (it == offset_to_id_.end() || it->first != target)
-                sim::panic("SeparatedImage: dangling target offset");
-            obj.refs[s] = it->second;
+                    : readU64(arena.data() + off);
+            const std::uint64_t target = want.refs[s];
+            const std::uint64_t expect =
+                target == 0 ? 0 : offset_of_[target - 1] + 1;
+            if (raw != expect)
+                sim::panic("SeparatedImage: slot corruption at object "
+                           "%llu slot %u: value %llu where the "
+                           "checkpoint has %llu",
+                           static_cast<unsigned long long>(id),
+                           static_cast<unsigned>(s),
+                           static_cast<unsigned long long>(raw),
+                           static_cast<unsigned long long>(expect));
         }
         cursor = end;
         ++placed;
@@ -345,19 +369,12 @@ SeparatedImage::decode() const
         sim::panic("SeparatedImage: header corruption: decoded %zu of "
                    "%zu objects",
                    placed, n);
-    return ObjectGraph(std::move(objects));
 }
 
 std::size_t
 SeparatedImage::arenaPages() const
 {
     return mem::pagesForBytes(arena_bytes_);
-}
-
-std::vector<std::uint64_t>
-SeparatedImage::pointerPageList() const
-{
-    return pointer_pages_;
 }
 
 } // namespace catalyzer::objgraph

@@ -42,6 +42,12 @@ struct Reloc
 class SeparatedImage
 {
   public:
+    /**
+     * Each object is a little-endian header — id u64 at bytes 0-7, kind
+     * u8 at byte 8, slot count u16 at bytes 9-10, byte 11 zero, payload
+     * length u32 at bytes 12-15 — then the payload padded to 8 bytes,
+     * then its 8-byte pointer slots.
+     */
     static constexpr std::size_t kObjectHeaderBytes = 16;
     static constexpr std::size_t kPointerSlotBytes = 8;
     static constexpr std::size_t kRelocEntryBytes = 16;
@@ -50,21 +56,23 @@ class SeparatedImage
     static SeparatedImage build(const ObjectGraph &graph);
 
     /**
-     * Stage-1 + stage-2: rebuild the full object graph by applying the
-     * relation table to the arena. The result is bit-identical to the
-     * checkpointed graph.
+     * Stage-1 + stage-2: restore the object graph by applying the
+     * relation table to the arena. The result is the checkpointed graph.
      *
      * The arena itself is immutable and shared — stage-2 never copies
      * it. Patched pointer slots are read through the relation table,
      * which is kept in slot order, as an overlay (the per-instance COW
-     * pages of the real system). Because the decode is a pure function
-     * of the arena, its result is computed once, in one forward scan
-     * of the arena and the table, and handed out as a shared
-     * copy-on-write graph on every later boot.
+     * pages of the real system). Nothing is deserialized: the image
+     * keeps a copy-on-write alias of the graph build() checkpointed,
+     * and every restore hands out that alias.
      *
-     * The first decode verifies every header (id in 1..n and unique,
-     * kind in range, extent inside the arena) and every payload byte,
-     * and panics with a "corruption" message on any mismatch.
+     * The first restore verifies the arena in place, in one forward
+     * scan of the arena and the table: every header (id in 1..n and
+     * unique, kind in range, extent inside the arena), every payload
+     * byte, and every slot as read through the relation table, each
+     * also compared with the checkpointed object. It panics with a
+     * "corruption" message on any mismatch. Later restores of an
+     * unchanged arena skip the scan.
      *
      * With an enabled @p trace, emits "arena-map", "relation-fixup" and
      * "arena-decode" child spans annotated with object/reloc counts
@@ -73,7 +81,7 @@ class SeparatedImage
      */
     ObjectGraph reconstruct(trace::TraceContext trace = {}) const;
 
-    std::size_t objectCount() const { return object_count_; }
+    std::size_t objectCount() const { return graph_.objectCount(); }
     std::size_t relocCount() const { return relocs_.size(); }
 
     /** Arena extent. */
@@ -88,7 +96,11 @@ class SeparatedImage
      * These are exactly the pages a warm boot COWs into its Private-EPT
      * (the per-instance metadata cost of Table 3).
      */
-    std::vector<std::uint64_t> pointerPageList() const;
+    const std::vector<std::uint64_t> &
+    pointerPageList() const
+    {
+        return pointer_pages_;
+    }
 
     /** Relation table size on disk / in memory. */
     std::size_t
@@ -104,32 +116,41 @@ class SeparatedImage
     const std::vector<std::uint8_t> &arena() const { return *arena_; }
 
     /**
-     * Test support: flip one arena byte (simulated storage rot).
-     * Detaches from any sharers and drops the cached decode so the
-     * corruption is actually re-read.
+     * Test support: flip the @p mask bits of one arena byte (simulated
+     * storage rot). Detaches from any sharers and forgets the
+     * verification so the corruption is actually re-read.
      */
     void
-    corruptByteForTesting(std::uint64_t offset)
+    corruptByteForTesting(std::uint64_t offset, std::uint8_t mask = 0xff)
     {
         if (arena_.use_count() > 1)
             arena_ = std::make_shared<std::vector<std::uint8_t>>(*arena_);
-        arena_->at(offset) ^= 0xff;
-        decoded_valid_ = false;
+        arena_->at(offset) ^= mask;
+        verified_ = false;
+    }
+
+    /** Test support: flip the low byte of one entry's targetOffset. */
+    void
+    corruptRelocForTesting(std::size_t index)
+    {
+        relocs_.at(index).targetOffset ^= 0xff;
+        verified_ = false;
     }
 
   private:
-    /** The first-boot decode behind reconstruct()'s memo. */
-    ObjectGraph decode() const;
+    /** The first-restore scan behind reconstruct(); panics on rot. */
+    void verify() const;
 
-    std::size_t object_count_ = 0;
+    /** The checkpointed graph; every restore returns an alias of it. */
+    ObjectGraph graph_;
     /**
      * The relation table. build() emits it in ascending slot order —
      * pointer-bearing objects are laid out first, in id order — so it
-     * doubles as the stage-2 patch overlay a decode reads forward.
+     * doubles as the stage-2 patch overlay a restore reads forward.
      */
     std::vector<Reloc> relocs_;
-    /** (arena offset, object id), sorted by offset. */
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> offset_to_id_;
+    /** Arena offset of each object, indexed by id - 1. */
+    std::vector<std::uint64_t> offset_of_;
     /** Sorted distinct arena pages containing patched slots. */
     std::vector<std::uint64_t> pointer_pages_;
     std::size_t arena_bytes_ = 0;
@@ -141,9 +162,8 @@ class SeparatedImage
     std::shared_ptr<std::vector<std::uint8_t>> arena_ =
         std::make_shared<std::vector<std::uint8_t>>();
 
-    /** One-shot decode cache: reconstruct() is pure in the arena. */
-    mutable ObjectGraph decoded_;
-    mutable bool decoded_valid_ = false;
+    /** Whether the arena passed verify(); it is immutable after that. */
+    mutable bool verified_ = false;
 };
 
 } // namespace catalyzer::objgraph

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "catalyzer/runtime.h"
+#include "objgraph_testing.h"
 #include "sandbox/pipelines.h"
 
 namespace catalyzer {
@@ -179,7 +180,7 @@ TEST(SeparatedImageEdgeCases, NoPointerGraph)
     const auto image = objgraph::SeparatedImage::build(graph);
     EXPECT_EQ(image.relocCount(), 0u);
     EXPECT_EQ(image.pointerPages(), 0u);
-    EXPECT_TRUE(image.reconstruct() == graph);
+    EXPECT_TRUE(image.reconstruct() == objgraph::deepCopy(graph));
 }
 
 TEST(SeparatedImageEdgeCases, HubGraph)
@@ -192,7 +193,7 @@ TEST(SeparatedImageEdgeCases, HubGraph)
     }
     const auto image = objgraph::SeparatedImage::build(graph);
     EXPECT_EQ(image.relocCount(), 2000u);
-    EXPECT_TRUE(image.reconstruct() == graph);
+    EXPECT_TRUE(image.reconstruct() == objgraph::deepCopy(graph));
 }
 
 TEST(SeparatedImageEdgeCases, LargePayloads)
@@ -208,7 +209,7 @@ TEST(SeparatedImageEdgeCases, LargePayloads)
     }
     const auto image = objgraph::SeparatedImage::build(graph);
     EXPECT_GT(image.arenaPages(), 50u * 16u - 16u);
-    EXPECT_TRUE(image.reconstruct() == graph);
+    EXPECT_TRUE(image.reconstruct() == objgraph::deepCopy(graph));
 }
 
 TEST(SeparatedImageEdgeCases, MixedNullAndRealSlots)
@@ -218,7 +219,7 @@ TEST(SeparatedImageEdgeCases, MixedNullAndRealSlots)
     graph.addObject(objgraph::ObjectKind::Misc, 16, {0, a, 0, a, 0});
     const auto image = objgraph::SeparatedImage::build(graph);
     EXPECT_EQ(image.relocCount(), 2u);
-    EXPECT_TRUE(image.reconstruct() == graph);
+    EXPECT_TRUE(image.reconstruct() == objgraph::deepCopy(graph));
 }
 
 } // namespace
