@@ -9,6 +9,22 @@
 
 namespace catalyzer::platform {
 
+namespace {
+
+/** The least-loaded machine, lowest index on ties. */
+std::size_t
+leastLoaded(const std::vector<std::size_t> &loads)
+{
+    std::size_t best = 0;
+    for (std::size_t i = 1; i < loads.size(); ++i) {
+        if (loads[i] < loads[best])
+            best = i;
+    }
+    return best;
+}
+
+} // namespace
+
 const char *
 placementPolicyName(PlacementPolicy policy)
 {
@@ -103,22 +119,9 @@ Cluster::prepareEverywhere(const apps::AppProfile &app)
 }
 
 std::size_t
-Cluster::pick(const std::string &function_name)
-{
-    return pickFromLoads(function_name, instanceLoads());
-}
-
-std::size_t
-Cluster::pickFromLoads(const std::string &function_name,
-                       const std::vector<std::size_t> &loads)
-{
-    return pickFromLoads(function_name, loads, {});
-}
-
-std::size_t
-Cluster::pickFromLoads(const std::string &function_name,
-                       const std::vector<std::size_t> &loads,
-                       const std::vector<std::size_t> &affinity_bytes)
+Cluster::pick(const std::string &function_name,
+              const std::vector<std::size_t> &loads,
+              const std::vector<std::size_t> &affinity_bytes)
 {
     if (loads.size() != nodes_.size())
         sim::panic("Cluster: %zu projected loads for %zu machines",
@@ -126,29 +129,14 @@ Cluster::pickFromLoads(const std::string &function_name,
     switch (policy_) {
       case PlacementPolicy::RoundRobin:
         return next_rr_++ % nodes_.size();
-      case PlacementPolicy::LeastLoaded: {
-        std::size_t best = 0;
-        std::size_t best_load = loads[0];
-        for (std::size_t i = 1; i < nodes_.size(); ++i) {
-            if (loads[i] < best_load) {
-                best = i;
-                best_load = loads[i];
-            }
-        }
-        return best;
-      }
+      case PlacementPolicy::LeastLoaded:
+        return leastLoaded(loads);
       case PlacementPolicy::FunctionAffinity:
         return std::hash<std::string>{}(function_name) % nodes_.size();
       case PlacementPolicy::NetworkAware: {
         // Least-loaded overall is the baseline (lowest index on ties).
-        std::size_t best = 0;
-        std::size_t best_load = loads[0];
-        for (std::size_t i = 1; i < nodes_.size(); ++i) {
-            if (loads[i] < best_load) {
-                best = i;
-                best_load = loads[i];
-            }
-        }
+        const std::size_t best = leastLoaded(loads);
+        const std::size_t best_load = loads[best];
         // State gravity beats template gravity: streaming a resident
         // region across the fabric dwarfs a remote sfork, so a machine
         // already holding the stage's regions wins as long as it is
@@ -222,22 +210,21 @@ Cluster::pickFromLoads(const std::string &function_name,
 std::size_t
 Cluster::route(const std::string &function_name)
 {
-    return pick(function_name);
+    return pick(function_name, instanceLoads());
 }
 
 std::size_t
 Cluster::routeProjected(const std::string &function_name,
                         const std::vector<std::size_t> &loads)
 {
-    return pickFromLoads(function_name, loads);
+    return pick(function_name, loads);
 }
 
 std::size_t
 Cluster::routeStage(const std::string &function_name,
                     const std::vector<std::size_t> &region_affinity_bytes)
 {
-    return pickFromLoads(function_name, instanceLoads(),
-                         region_affinity_bytes);
+    return pick(function_name, instanceLoads(), region_affinity_bytes);
 }
 
 state::StateRegionStore &
@@ -292,7 +279,8 @@ ClusterInvocation
 Cluster::invoke(const std::string &function_name,
                 trace::TraceContext trace)
 {
-    return invokeOn(pick(function_name), function_name, trace);
+    return invokeOn(pick(function_name, instanceLoads()), function_name,
+                    trace);
 }
 
 ClusterInvocation

@@ -217,13 +217,15 @@ class Cluster
     void writeTimeSeriesJson(std::ostream &os) const;
 
   private:
-    std::size_t pick(const std::string &function_name);
-    std::size_t pickFromLoads(const std::string &function_name,
-                              const std::vector<std::size_t> &loads);
-    std::size_t
-    pickFromLoads(const std::string &function_name,
-                  const std::vector<std::size_t> &loads,
-                  const std::vector<std::size_t> &affinity_bytes);
+    /**
+     * The one placement decision behind route(), routeProjected(),
+     * routeStage() and invoke(): @p loads are per-machine instance
+     * counts, @p affinity_bytes per-machine state-region bytes (only
+     * NetworkAware reads them).
+     */
+    std::size_t pick(const std::string &function_name,
+                     const std::vector<std::size_t> &loads,
+                     const std::vector<std::size_t> &affinity_bytes = {});
 
     struct Node
     {

@@ -340,12 +340,14 @@ ServerlessPlatform::invoke(const std::string &function_name,
 
     // Find or boot an instance.
     std::unique_ptr<SandboxInstance> inst;
-    auto &idle = idle_[function_name];
-    if (config_.reuseIdleInstances && !idle.empty()) {
+    auto idle = idle_.find(function_name);
+    if (config_.reuseIdleInstances && idle != idle_.end()) {
         // Most-recently-used instance: the warmest caches, and older
         // ones age toward the keep-alive TTL.
-        inst = std::move(idle.back().instance);
-        idle.pop_back();
+        inst = std::move(idle->second.back().instance);
+        idle->second.pop_back();
+        if (idle->second.empty())
+            idle_.erase(idle);
         --instances_;
         record.reusedInstance = true;
         record.bootKind = inst->bootKind();
@@ -439,12 +441,14 @@ ServerlessPlatform::expireIdle(sim::SimTime ttl)
 {
     const sim::SimTime now = machine_.ctx().now();
     std::size_t reclaimed = 0;
-    for (auto &[name, entries] : idle_) {
+    for (auto it = idle_.begin(); it != idle_.end();) {
+        auto &entries = it->second;
         while (!entries.empty() &&
                now - entries.front().parkedAt > ttl) {
             entries.pop_front();
             ++reclaimed;
         }
+        it = entries.empty() ? idle_.erase(it) : std::next(it);
     }
     instances_ -= reclaimed;
     if (reclaimed > 0)

@@ -226,6 +226,7 @@ class ServerlessPlatform
     obs::FlightRecorder recorder_;
     /** Trace id of the request currently in invoke() (0 outside). */
     trace::TraceId current_trace_ = 0;
+    /** Parked instances per function; a pool that empties is erased. */
     std::map<std::string, std::deque<IdleEntry>> idle_;
     std::map<std::string,
              std::vector<std::unique_ptr<sandbox::SandboxInstance>>>

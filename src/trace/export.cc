@@ -9,12 +9,6 @@
 
 namespace catalyzer::trace {
 
-std::string
-jsonEscape(const std::string &s)
-{
-    return sim::jsonEscape(s);
-}
-
 void
 exportChromeTrace(const std::vector<Span> &spans, std::ostream &os)
 {
@@ -38,7 +32,7 @@ exportChromeTrace(const std::vector<Span> &spans, std::ostream &os)
         first = false;
         const double ts = span.start.toUs();
         const double dur = span.finished ? span.duration().toUs() : 0.0;
-        os << "\n{\"name\":\"" << jsonEscape(span.name)
+        os << "\n{\"name\":\"" << sim::jsonEscape(span.name)
            << "\",\"cat\":\"boot\",\"ph\":\"X\",\"pid\":" << span.machine
            << ",\"tid\":" << span.traceId << ",\"ts\":" << ts
            << ",\"dur\":" << dur << ",\"args\":{";
@@ -48,8 +42,8 @@ exportChromeTrace(const std::vector<Span> &spans, std::ostream &os)
         if (!span.finished)
             os << ",\"unfinished\":\"true\"";
         for (const auto &[key, value] : span.attributes)
-            os << ",\"" << jsonEscape(key) << "\":\"" << jsonEscape(value)
-               << "\"";
+            os << ",\"" << sim::jsonEscape(key) << "\":\""
+               << sim::jsonEscape(value) << "\"";
         os << "}}";
     }
     os << "\n]}\n";

@@ -8,16 +8,11 @@
 #define CATALYZER_TRACE_EXPORT_H
 
 #include <iosfwd>
-#include <string>
 #include <vector>
 
 #include "trace/trace.h"
 
 namespace catalyzer::trace {
-
-/** JSON-escape @p s for use inside a double-quoted string literal.
- *  (Alias of sim::jsonEscape, kept for existing callers.) */
-std::string jsonEscape(const std::string &s);
 
 /**
  * Write the tracer's spans as a Chrome trace_event JSON object

@@ -181,6 +181,8 @@ TEST(ClusterTest, RouteProjectedMatchesRouteOnLiveLoads)
     // routeProjected against the live load vector must pick the same
     // machine route() would, for every policy — the parallel driver
     // leans on this to pre-route epochs without changing placement.
+    // routeStage with no affinity must do the same: its header
+    // promises exactly route()'s behavior.
     for (PlacementPolicy policy :
          {PlacementPolicy::RoundRobin, PlacementPolicy::LeastLoaded,
           PlacementPolicy::FunctionAffinity,
@@ -189,17 +191,25 @@ TEST(ClusterTest, RouteProjectedMatchesRouteOnLiveLoads)
                   PlatformConfig{BootStrategy::CatalyzerWarm});
         Cluster b(3, policy,
                   PlatformConfig{BootStrategy::CatalyzerWarm});
+        Cluster c(3, policy,
+                  PlatformConfig{BootStrategy::CatalyzerWarm});
         a.deploy(apps::appByName("ds-text"));
         b.deploy(apps::appByName("ds-text"));
+        c.deploy(apps::appByName("ds-text"));
         for (int i = 0; i < 7; ++i) {
             const std::size_t live = a.route("ds-text");
             const std::size_t projected =
                 b.routeProjected("ds-text", b.instanceLoads());
+            const std::size_t stage = c.routeStage("ds-text", {});
             EXPECT_EQ(live, projected) << "policy "
                                        << placementPolicyName(policy)
                                        << " step " << i;
+            EXPECT_EQ(live, stage) << "policy "
+                                   << placementPolicyName(policy)
+                                   << " step " << i;
             a.invokeOn(live, "ds-text");
             b.invokeOn(projected, "ds-text");
+            c.invokeOn(stage, "ds-text");
         }
     }
 }
