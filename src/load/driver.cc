@@ -1,12 +1,10 @@
 #include "load/driver.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <numeric>
 #include <ostream>
 
-#include "sim/event_queue.h"
 #include "sim/executor.h"
 #include "sim/json.h"
 #include "sim/logging.h"
@@ -208,15 +206,16 @@ FleetDriver::run(const std::vector<FleetArrival> &stream,
     double next_tick = tick;
 
     //
-    // Discrete-event replay. The policy tick is the epoch barrier: the
+    // Epoch replay. The policy tick is the epoch barrier: the
     // autoscaler already requires every machine at the boundary before
     // it looks at the fleet, so arrivals between consecutive ticks form
     // an epoch that is (a) routed up front in stream order against
-    // projected loads, (b) served by draining per-machine event queues
-    // — concurrently on a share-nothing fleet — and (c) folded into the
-    // report and the autoscaler in stream order. Routing and folding
-    // never run on worker threads, and serving only touches the routed
-    // machine, so the report is byte-identical for any thread count.
+    // projected loads, (b) served from each machine's list, in tape
+    // order — concurrently on a share-nothing fleet — and (c) folded
+    // into the report and the autoscaler in stream order. Routing and
+    // folding never run on worker threads, and serving only touches the
+    // routed machine, so the report is byte-identical for any thread
+    // count.
     //
     const int threads = config.simThreads > 0
                             ? config.simThreads
@@ -230,7 +229,8 @@ FleetDriver::run(const std::vector<FleetArrival> &stream,
     workflow::WorkflowEngine engine(
         cluster_, workflow::WorkflowOptions{config.workflowLocalityAware});
 
-    // Per-arrival outcome slots, indexed by stream position.
+    // Per-arrival outcome slots of the current epoch: tape position i
+    // of the epoch starting at pos owns outcomes[i - pos].
     struct Outcome
     {
         platform::InvocationRecord record;
@@ -240,20 +240,15 @@ FleetDriver::run(const std::vector<FleetArrival> &stream,
         workflow::WorkflowResult wf;
         bool isWorkflow = false;
     };
-    std::vector<Outcome> outcomes(stream.size());
+    std::vector<Outcome> outcomes;
+    std::size_t pos = 0;
 
-    // One queue per machine; release times are *run-relative* (machine
-    // m realizes virtual time t at start[m] + t), so queue horizons are
-    // comparable across machines with different clock offsets.
-    std::vector<sim::EventQueue> queues(machines);
-    // A share-nothing fleet has no cross-machine interaction at all:
-    // the conservative horizon clamps straight to the epoch barrier and
-    // each epoch drains in one round. Coupled fleets (remote-sfork
-    // lending, P2P image streams mutate lender state mid-boot) never
-    // reach the queues — they replay inline in stream order below.
-    sim::ConservativeScheduler scheduler(
-        queues, sim::ConservativeScheduler::unboundedLookahead());
-    // The machines in the order one round hands them to the executor.
+    // A share-nothing epoch's tape positions, one list per machine in
+    // tape order, and the order the executor takes the machines in.
+    // Coupled fleets (remote-sfork lending, P2P image streams mutate
+    // lender state mid-boot) never use them: they replay inline in
+    // stream order below.
+    std::vector<std::vector<std::size_t>> work(machines);
     std::vector<std::size_t> order(machines);
     std::iota(order.begin(), order.end(), std::size_t{0});
 
@@ -263,12 +258,9 @@ FleetDriver::run(const std::vector<FleetArrival> &stream,
     auto serveOne = [&](std::size_t i) {
         const FleetArrival &arrival = stream[i];
         const FleetFunction &fn = population_.fn(arrival.fn);
-        Outcome &out = outcomes[i];
+        Outcome &out = outcomes[i - pos];
         const std::size_t target = out.machine;
         platform::ServerlessPlatform &plat = cluster_.platform(target);
-        // No-op after the upfront deploy; covers callers that drive a
-        // partially-deployed cluster.
-        population_.deployTo(plat, fn);
         advanceMachineTo(target, arrival.atSec);
 
         // If the machine's clock leads the arrival it was still busy
@@ -298,7 +290,7 @@ FleetDriver::run(const std::vector<FleetArrival> &stream,
     // other tape position.
     auto serveWorkflow = [&](std::size_t i) {
         const FleetArrival &arrival = stream[i];
-        Outcome &out = outcomes[i];
+        Outcome &out = outcomes[i - pos];
         out.isWorkflow = true;
         for (std::size_t m = 0; m < machines; ++m)
             advanceMachineTo(m, arrival.atSec);
@@ -318,7 +310,7 @@ FleetDriver::run(const std::vector<FleetArrival> &stream,
     // report accumulation.
     auto foldOne = [&](std::size_t i) {
         const FleetArrival &arrival = stream[i];
-        const Outcome &out = outcomes[i];
+        const Outcome &out = outcomes[i - pos];
         if (out.isWorkflow) {
             // Workflows score on their own series: stage invocations
             // are not caller-visible requests, and the autoscaler's
@@ -360,7 +352,6 @@ FleetDriver::run(const std::vector<FleetArrival> &stream,
         ++report.tenantRequests[tenant];
     };
 
-    std::size_t pos = 0;
     while (pos < stream.size()) {
         // Ticks that precede the next arrival.
         while (next_tick <= stream[pos].atSec) {
@@ -372,6 +363,8 @@ FleetDriver::run(const std::vector<FleetArrival> &stream,
         while (end_pos < stream.size() &&
                stream[end_pos].atSec < next_tick)
             ++end_pos;
+        outcomes.clear();
+        outcomes.resize(end_pos - pos);
 
         if (share_nothing) {
             // Route the whole epoch in stream order against projected
@@ -386,33 +379,24 @@ FleetDriver::run(const std::vector<FleetArrival> &stream,
                 const std::size_t target =
                     cluster_.routeProjected(fn.name, loads);
                 ++loads[target];
-                outcomes[i].machine = target;
-                queues[target].post(
-                    sim::SimTime::seconds(stream[i].atSec),
-                    [&serveOne, i] { serveOne(i); });
+                outcomes[i - pos].machine = target;
+                work[target].push_back(i);
             }
-            const sim::SimTime barrier = sim::SimTime::seconds(next_tick);
-            scheduler.runRounds(barrier, [&](sim::SimTime horizon) {
-                // Longest queue first (ties by index): the heaviest
-                // drains start first, so the last one a worker pulls
-                // is short and the barrier does not wait on it. Each
-                // drain touches only its own machine, so the order
-                // cannot change a result.
-                std::sort(order.begin(), order.end(),
-                          [&](std::size_t a, std::size_t b) {
-                              const std::size_t qa = queues[a].size();
-                              const std::size_t qb = queues[b].size();
-                              return qa != qb ? qa > qb : a < b;
-                          });
-                std::atomic<std::size_t> ran{0};
-                exec.forEach(machines, [&](std::size_t k) {
-                    // Handlers advance their machine's clock
-                    // themselves (release times are run-relative).
-                    ran.fetch_add(
-                        queues[order[k]].runUntil(horizon, nullptr),
-                        std::memory_order_relaxed);
-                });
-                return ran.load(std::memory_order_relaxed);
+            // Longest list first (ties by index): the heaviest machines
+            // start first, so the last one a worker pulls is short and
+            // the barrier does not wait on it. Each list touches only
+            // its own machine, so the order cannot change a result.
+            std::sort(order.begin(), order.end(),
+                      [&](std::size_t a, std::size_t b) {
+                          const std::size_t la = work[a].size();
+                          const std::size_t lb = work[b].size();
+                          return la != lb ? la > lb : a < b;
+                      });
+            exec.forEach(machines, [&](std::size_t k) {
+                std::vector<std::size_t> &list = work[order[k]];
+                for (const std::size_t i : list)
+                    serveOne(i);
+                list.clear();
             });
         } else {
             // Coupled fleets replay inline in stream order (always
@@ -426,7 +410,7 @@ FleetDriver::run(const std::vector<FleetArrival> &stream,
                     continue;
                 }
                 const FleetFunction &fn = population_.fn(stream[i].fn);
-                outcomes[i].machine = cluster_.route(fn.name);
+                outcomes[i - pos].machine = cluster_.route(fn.name);
                 serveOne(i);
             }
         }

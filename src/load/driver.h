@@ -45,7 +45,7 @@ struct FleetRunConfig
      */
     bool primeImages = true;
     /**
-     * Worker threads draining per-machine event queues between policy
+     * Worker threads serving per-machine arrival lists between policy
      * ticks; 0 reads the CATALYZER_SIM_THREADS environment knob
      * (default 1). Thread count never changes the report: routing and
      * accounting stay in stream order, and only share-nothing fleets

@@ -89,7 +89,9 @@ class Population
     /** Register every function on every machine of @p cluster. */
     void deployTo(platform::Cluster &cluster) const;
 
-    /** Register @p fn on one machine (idempotent; lazy-deploy path). */
+    /** Register @p fn on one machine unless it is there already, for
+     *  FleetAutoscaler::buildTemplateOn, which may build a template on
+     *  a cluster that was never deployed. */
     void deployTo(platform::ServerlessPlatform &platform,
                   const FleetFunction &fn) const;
 

@@ -1,5 +1,8 @@
 #include "mem/backing_file.h"
 
+#include <algorithm>
+#include <vector>
+
 #include "sim/logging.h"
 #include "sim/metric_catalog.h"
 
@@ -75,9 +78,22 @@ BackingFile::resident(PageIndex page) const
 void
 BackingFile::evict()
 {
-    for (auto &[page, frame] : cache_)
-        store_.unref(frame);
+    // Release each run of consecutive frames with one call. FrameIds
+    // are never reused and spans stay maximal, so release order
+    // changes neither a refcount nor any later id.
+    std::vector<FrameId> frames;
+    frames.reserve(cache_.size());
+    for (const auto &[page, frame] : cache_)
+        frames.push_back(frame);
     cache_.clear();
+    std::sort(frames.begin(), frames.end());
+    for (std::size_t i = 0; i < frames.size();) {
+        std::size_t j = i + 1;
+        while (j < frames.size() && frames[j] == frames[j - 1] + 1)
+            ++j;
+        store_.unrefRange(frames[i], j - i);
+        i = j;
+    }
 }
 
 } // namespace catalyzer::mem

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <sstream>
+#include <vector>
 
 #include "load/arrival.h"
 #include "load/driver.h"
@@ -507,6 +508,38 @@ TEST(FleetDriverTest, ThreadCountDoesNotChangeReportOrTrace)
     EXPECT_EQ(one.reportJson, eight.reportJson);
     EXPECT_EQ(one.fleetTrace, two.fleetTrace);
     EXPECT_EQ(one.fleetTrace, eight.fleetTrace);
+}
+
+TEST(FleetDriverTest, SameInstantArrivalsServeInTapeOrder)
+{
+    // Five arrivals of one function at one instant all route to its
+    // home machine, which serves them back to back in tape order: each
+    // waits for every earlier one, so queue wait rises strictly along
+    // the tape. Serving a machine's list in any other order breaks it.
+    const Population pop = makePopulation(4, 10.0);
+    const std::vector<FleetArrival> tape(5, FleetArrival{0.25, 1});
+    auto run = [&](int threads) {
+        FleetRunConfig config;
+        config.simThreads = threads;
+        platform::PlatformConfig pconf;
+        pconf.strategy = platform::BootStrategy::CatalyzerAuto;
+        pconf.reuseIdleInstances = true;
+        platform::Cluster cluster(
+            2, platform::PlacementPolicy::FunctionAffinity, pconf);
+        EXPECT_TRUE(cluster.shareNothing());
+        const FleetReport report =
+            FleetDriver(cluster, pop).run(tape, 1.0, config);
+        const std::vector<double> &wait = report.queueWait.raw();
+        EXPECT_EQ(wait.size(), tape.size());
+        for (std::size_t i = 1; i < wait.size(); ++i) {
+            EXPECT_LT(wait[i - 1], wait[i])
+                << "arrival " << i << " at " << threads << " workers";
+        }
+        std::ostringstream rep;
+        report.writeJson(rep);
+        return rep.str();
+    };
+    EXPECT_EQ(run(1), run(2));
 }
 
 TEST(FleetDriverTest, CoupledFleetIsDeterministicForAnyThreadCount)

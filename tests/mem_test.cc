@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <vector>
+
 #include "mem/address_space.h"
 #include "mem/backing_file.h"
 #include "mem/base_mapping.h"
@@ -71,6 +74,42 @@ TEST(BackingFileTest, EvictReleasesFrames)
     EXPECT_EQ(store.liveFrames(), 2u);
     file.evict();
     EXPECT_EQ(store.liveFrames(), 0u);
+}
+
+TEST(BackingFileTest, EvictReleasesScrambledFillsAndKeepsMappedFrames)
+{
+    SimContext ctx;
+    FrameStore store;
+    BackingFile file(store, "/img", 16);
+    // Fill in scrambled page order, with an anonymous frame allocated
+    // midway so the page-cache frames form two runs of ids.
+    const PageIndex pages[] = {9, 2, 14, 0, 7, 11, 5, 3, 12, 1};
+    std::vector<FrameId> frames;
+    FrameId anon = kInvalidFrame;
+    for (std::size_t k = 0; k < std::size(pages); ++k) {
+        if (k == 5)
+            anon = store.allocate(FrameSource::Anonymous);
+        frames.push_back(file.frameFor(ctx, pages[k], false));
+    }
+    // Every third frame is also mapped somewhere (refcount 2).
+    std::size_t mapped = 0;
+    for (std::size_t k = 0; k < frames.size(); k += 3) {
+        store.ref(frames[k]);
+        ++mapped;
+    }
+    EXPECT_EQ(store.liveFrames(), frames.size() + 1);
+
+    file.evict();
+    EXPECT_EQ(file.residentPages(), 0u);
+    EXPECT_EQ(store.liveFrames(), mapped + 1);
+    EXPECT_EQ(store.refCount(anon), 1u);
+    for (std::size_t k = 0; k < frames.size(); ++k) {
+        EXPECT_EQ(store.refCount(frames[k]), k % 3 == 0 ? 1u : 0u)
+            << "frame of page " << pages[k];
+    }
+    for (std::size_t k = 0; k < frames.size(); k += 3)
+        store.unref(frames[k]);
+    EXPECT_EQ(store.liveFrames(), 1u);
 }
 
 TEST(BackingFileTest, BeyondEofPanics)

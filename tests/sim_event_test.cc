@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the parallel discrete-event core: per-machine event
- * queues, conservative-lookahead horizons and the executor.
+ * Tests for the parallel replay core: the persistent executor that
+ * serves share-nothing machines concurrently.
  */
 
 #include <gtest/gtest.h>
@@ -12,148 +12,14 @@
 #include <cstdlib>
 #include <filesystem>
 #include <iterator>
-#include <mutex>
-#include <numeric>
-#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
-#include "sim/clock.h"
-#include "sim/event_queue.h"
 #include "sim/executor.h"
 
 namespace catalyzer::sim {
 namespace {
-
-using namespace time_literals;
-
-TEST(EventQueueTest, RunsInTimeOrderWithFifoTieBreak)
-{
-    EventQueue q;
-    std::vector<int> order;
-    // Posted deliberately out of time order; the two 5 ms events must
-    // keep their posting order (FIFO tie-break).
-    q.post(5_ms, [&] { order.push_back(1); });
-    q.post(2_ms, [&] { order.push_back(0); });
-    q.post(5_ms, [&] { order.push_back(2); });
-    q.post(9_ms, [&] { order.push_back(3); });
-
-    EXPECT_EQ(q.nextAt(), 2_ms);
-    EXPECT_EQ(q.runAll(nullptr), 4u);
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-    EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueueTest, HorizonIsExclusiveAndAdvancesTheClock)
-{
-    EventQueue q;
-    VirtualClock clock;
-    std::vector<int> order;
-    q.post(1_ms, [&] { order.push_back(0); });
-    q.post(3_ms, [&] { order.push_back(1); });
-    q.post(5_ms, [&] { order.push_back(2); });
-
-    // Events strictly below the horizon run; the 3 ms event at the
-    // horizon waits for the next round.
-    EXPECT_EQ(q.runUntil(3_ms, &clock), 1u);
-    EXPECT_EQ(order, (std::vector<int>{0}));
-    // The clock idled forward to the event's release time.
-    EXPECT_EQ(clock.now(), 1_ms);
-    EXPECT_EQ(q.nextAt(), 3_ms);
-
-    EXPECT_EQ(q.runAll(&clock), 2u);
-    EXPECT_EQ(clock.now(), 5_ms);
-}
-
-TEST(EventQueueTest, LaggingClockIsNotMovedBackwards)
-{
-    EventQueue q;
-    VirtualClock clock;
-    clock.advance(10_ms); // machine still busy past the release time
-    q.post(4_ms, [] {});
-    EXPECT_EQ(q.runAll(&clock), 1u);
-    // Virtual clocks are monotonic: a late machine serves back to
-    // back, it does not rewind.
-    EXPECT_EQ(clock.now(), 10_ms);
-}
-
-TEST(EventQueueTest, HandlersMayPostFollowUpEvents)
-{
-    EventQueue q;
-    std::vector<int> order;
-    q.post(1_ms, [&] {
-        order.push_back(0);
-        q.post(2_ms, [&] { order.push_back(1); });
-    });
-    EXPECT_EQ(q.runAll(nullptr), 2u);
-    EXPECT_EQ(order, (std::vector<int>{0, 1}));
-}
-
-TEST(ConservativeSchedulerTest, HorizonIsMinNextPlusLookahead)
-{
-    std::vector<EventQueue> queues(3);
-    queues[0].post(8_ms, [] {});
-    queues[1].post(3_ms, [] {});
-    // queues[2] stays empty.
-    ConservativeScheduler sched(queues, 2_ms);
-
-    // min(nextAt) = 3 ms, lookahead 2 ms -> horizon 5 ms.
-    EXPECT_EQ(sched.nextHorizon(100_ms), 5_ms);
-    // The barrier clamps the horizon.
-    EXPECT_EQ(sched.nextHorizon(4_ms), 4_ms);
-    EXPECT_FALSE(sched.done());
-}
-
-TEST(ConservativeSchedulerTest, UnboundedLookaheadClampsToBarrier)
-{
-    std::vector<EventQueue> queues(2);
-    queues[0].post(1_ms, [] {});
-    ConservativeScheduler sched(
-        queues, ConservativeScheduler::unboundedLookahead());
-    // No overflow: the horizon lands exactly on the barrier, so the
-    // whole epoch drains in one round.
-    EXPECT_EQ(sched.nextHorizon(500_ms), 500_ms);
-}
-
-TEST(ConservativeSchedulerTest, RunRoundsDrainsAllQueuesUpToBarrier)
-{
-    std::vector<EventQueue> queues(2);
-    std::vector<int> ran;
-    for (int i = 0; i < 4; ++i) {
-        queues[0].post(SimTime::milliseconds(2.0 * i + 1),
-                       [&ran, i] { ran.push_back(i); });
-        queues[1].post(SimTime::milliseconds(2.0 * i + 1),
-                       [&ran, i] { ran.push_back(10 + i); });
-    }
-    ConservativeScheduler sched(queues, 1_ms);
-    std::size_t rounds = 0;
-    sched.runRounds(4_ms, [&](SimTime horizon) {
-        ++rounds;
-        std::size_t n = 0;
-        for (auto &q : queues)
-            n += q.runUntil(horizon, nullptr);
-        return n;
-    });
-    // Events below the 4 ms barrier ran (1 ms and 3 ms from each
-    // queue); the 5/7 ms tail belongs to the next epoch.
-    EXPECT_EQ(ran.size(), 4u);
-    EXPECT_FALSE(sched.done());
-    EXPECT_EQ(queues[0].nextAt(), 5_ms);
-    // Short 1 ms lookahead: draining 2 timestamps takes >= 2 rounds.
-    EXPECT_GE(rounds, 2u);
-}
-
-TEST(ConservativeSchedulerDeathTest, StuckRoundBelowBarrierPanics)
-{
-    std::vector<EventQueue> queues(1);
-    queues[0].post(1_ms, [] {});
-    ConservativeScheduler sched(queues, 1_ms);
-    // A round callback that refuses to run events cannot make
-    // progress below the barrier: spinning forever is a bug.
-    EXPECT_DEATH(sched.runRounds(100_ms, [](SimTime) { return 0u; }),
-                 "no progress");
-}
 
 TEST(ParallelExecutorTest, SerialModeRunsInIndexOrder)
 {
