@@ -590,7 +590,6 @@ CatalyzerRuntime::reconnectIo(Boot &b, IoCache cache)
                 fn.ioCache.push_back(conn);
         }
     }
-    b.inst().guest().syncFdTable();
 }
 
 void
@@ -618,8 +617,11 @@ CatalyzerRuntime::sfork(Boot &b, SandboxInstance &tmpl)
     // sfork stage opens at the stage mark, so it covers the retries.
     injector_.checkWithRetry(ctx, faults::FaultSite::Sfork);
 
+    // The child's name is built once: its address space owns it, and
+    // the host process reads it from there.
     hostos::SforkOptions opts;
-    opts.childName = b.app.name + "-" + b.tag;
+    opts.childName.reserve(b.app.name.size() + 1 + b.tag.size());
+    opts.childName.assign(b.app.name).append(1, '-').append(b.tag);
     opts.rerandomizeAslr = options_.aslrRerandomizeOnSfork;
     {
         auto stage = b.report().sandboxStage(b.tctx, "sfork");
@@ -627,9 +629,9 @@ CatalyzerRuntime::sfork(Boot &b, SandboxInstance &tmpl)
         stage.attr("rerandomize_aslr",
                    trace::boolName(opts.rerandomizeAslr));
         hostos::HostProcess &child =
-            machine_.host().sfork(tmpl.proc(), opts);
+            machine_.host().sfork(tmpl.proc(), std::move(opts));
         b.result.instance = std::make_unique<SandboxInstance>(
-            machine_, b.fn, opts.childName, child, BootKind::ForkBoot);
+            machine_, b.fn, child.name(), child, BootKind::ForkBoot);
     }
 
     auto stage = b.report().sandboxStage(b.tctx, "expand");
@@ -638,7 +640,7 @@ CatalyzerRuntime::sfork(Boot &b, SandboxInstance &tmpl)
     // the child re-expands its threads from the saved contexts and fixes
     // the handled-syscall state (Table 1).
     auto guest = std::make_unique<guest::GuestKernel>(
-        ctx, opts.childName + "-kernel");
+        ctx, b.inst().name() + "-kernel");
     guest->setState(tmpl.guest().state());
     guest->threads().adoptTransientState(tmpl.guest().threads());
     guest->threads().expandFromTransient();
@@ -649,7 +651,6 @@ CatalyzerRuntime::sfork(Boot &b, SandboxInstance &tmpl)
         conn.established =
             conn.established && conn.kind != vfs::ConnKind::Socket;
     }
-    guest->syncFdTable();
     const auto handled = static_cast<std::int64_t>(
         guest::countSyscallsWithClass(guest::SyscallClass::Handled));
     ctx.charge(costs.syscallBase * handled);

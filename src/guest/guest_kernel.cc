@@ -54,31 +54,10 @@ GuestKernel::syscall(const std::string &name)
     return true;
 }
 
-void
-GuestKernel::syncFdTable()
-{
-    fds_ = vfs::FdTable{};
-    for (const auto &conn : io_.all()) {
-        vfs::FdKind kind = vfs::FdKind::File;
-        if (conn.kind == vfs::ConnKind::Socket)
-            kind = vfs::FdKind::Socket;
-        else if (conn.kind == vfs::ConnKind::LogFile)
-            kind = vfs::FdKind::LogFile;
-        fds_.allocate(vfs::FdEntry{kind, conn.path,
-                                   conn.kind != vfs::ConnKind::LogFile,
-                                   conn.established, conn.id});
-    }
-}
-
 std::size_t
 GuestKernel::pendingFds() const
 {
-    std::size_t pending = 0;
-    for (const auto &[fd, entry] : fds_.liveEntries()) {
-        if (!entry.connected)
-            ++pending;
-    }
-    return pending;
+    return io_.count() - io_.establishedCount();
 }
 
 void

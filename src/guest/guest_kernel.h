@@ -16,7 +16,6 @@
 #include "guest/syscall_policy.h"
 #include "objgraph/object_graph.h"
 #include "sim/context.h"
-#include "vfs/fd_table.h"
 #include "vfs/io_connection.h"
 
 namespace catalyzer::guest {
@@ -64,21 +63,11 @@ class GuestKernel
     vfs::IoConnectionTable &io() { return io_; }
     const vfs::IoConnectionTable &io() const { return io_; }
 
-    vfs::FdTable &fds() { return fds_; }
-    const vfs::FdTable &fds() const { return fds_; }
-
     /**
-     * Rebuild the guest fd table from the connection table: one
-     * descriptor per connection, with its `connected` flag mirroring
-     * the connection's establishment state. Restore paths use this so
-     * the application sees valid fd numbers immediately while the
-     * backing connections come up on demand (Sec. 3.3: "a file
-     * descriptor will be passed to functions but tagged as not
-     * re-opened yet in the guest kernel").
+     * Descriptors whose backing connection is still down: a restored
+     * guest passes every checkpointed fd to the function at once, tagged
+     * as not re-opened until its connection comes up (Sec. 3.3).
      */
-    void syncFdTable();
-
-    /** Descriptors whose backing connection is still down. */
     std::size_t pendingFds() const;
 
     GoRuntimeModel &threads() { return threads_; }
@@ -95,7 +84,6 @@ class GuestKernel
     std::string name_;
     objgraph::ObjectGraph state_;
     vfs::IoConnectionTable io_;
-    vfs::FdTable fds_;
     GoRuntimeModel threads_;
     int mounts_ = 0;
     bool initialized_ = false;

@@ -1,5 +1,6 @@
 #include "guest/syscall_policy.h"
 
+#include <array>
 #include <unordered_map>
 
 namespace catalyzer::guest {
@@ -155,12 +156,14 @@ syscallsWithClass(SyscallClass cls)
 std::size_t
 countSyscallsWithClass(SyscallClass cls)
 {
-    std::size_t n = 0;
-    for (const auto &rule : syscallTable()) {
-        if (rule.cls == cls)
-            ++n;
-    }
-    return n;
+    // The table is fixed, so one scan serves every sfork.
+    static const auto counts = [] {
+        std::array<std::size_t, 3> n{};
+        for (const auto &rule : syscallTable())
+            ++n[static_cast<std::size_t>(rule.cls)];
+        return n;
+    }();
+    return counts[static_cast<std::size_t>(cls)];
 }
 
 } // namespace catalyzer::guest

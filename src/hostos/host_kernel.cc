@@ -14,7 +14,7 @@ HostKernel::spawnProcess(const std::string &name)
     const Pid pid = next_pid_++;
     auto space = std::make_unique<mem::AddressSpace>(ctx_, frames_, name);
     auto proc = std::make_unique<HostProcess>(
-        pid, name, std::move(space), freshNamespace(), freshNamespace());
+        pid, std::move(space), freshNamespace(), freshNamespace());
     proc->setAslrSalt(ctx_.rng().next64());
     auto &ref = *proc;
     procs_.emplace(pid, std::move(proc));
@@ -33,7 +33,7 @@ HostKernel::fork(HostProcess &parent, const std::string &child_name)
     auto space = parent.space().forkCow(child_name,
                                         /*honor_cow_flag=*/false);
     auto child = std::make_unique<HostProcess>(
-        pid, child_name, std::move(space), parent.pidNamespace(),
+        pid, std::move(space), parent.pidNamespace(),
         parent.userNamespace());
     child->fds_ = parent.fds().clone();
     child->setAslrSalt(parent.aslrSalt()); // fork preserves the layout
@@ -44,7 +44,7 @@ HostKernel::fork(HostProcess &parent, const std::string &child_name)
 }
 
 HostProcess &
-HostKernel::sfork(HostProcess &parent, const SforkOptions &opts)
+HostKernel::sfork(HostProcess &parent, SforkOptions opts)
 {
     if (parent.threadCount() != 1)
         sim::panic("HostKernel::sfork: %s has %d threads; the sandbox "
@@ -54,7 +54,7 @@ HostKernel::sfork(HostProcess &parent, const SforkOptions &opts)
     ctx_.chargeCounted(metrics::kHostSforks, costs.sforkSyscallBase);
 
     const Pid pid = next_pid_++;
-    auto space = parent.space().forkCow(opts.childName,
+    auto space = parent.space().forkCow(std::move(opts.childName),
                                         /*honor_cow_flag=*/true);
     const NamespaceId pid_ns = opts.newPidNamespace
                                    ? freshNamespace()
@@ -65,8 +65,8 @@ HostKernel::sfork(HostProcess &parent, const SforkOptions &opts)
     if (opts.newPidNamespace || opts.newUserNamespace)
         ctx_.chargeCounted(metrics::kHostNamespaceSetups, costs.namespaceSetup);
 
-    auto child = std::make_unique<HostProcess>(
-        pid, opts.childName, std::move(space), pid_ns, user_ns);
+    auto child = std::make_unique<HostProcess>(pid, std::move(space),
+                                               pid_ns, user_ns);
     child->fds_ = parent.fds().clone();
     if (opts.rerandomizeAslr) {
         child->setAslrSalt(ctx_.rng().next64());

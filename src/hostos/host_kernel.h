@@ -58,7 +58,7 @@ class HostKernel
      * collapsed to a single thread (transient single-thread) first —
      * violating that is a guest bug and panics.
      */
-    HostProcess &sfork(HostProcess &parent, const SforkOptions &opts);
+    HostProcess &sfork(HostProcess &parent, SforkOptions opts);
 
     /**
      * dup() on @p proc's fd table with the Fig. 16d latency model.

@@ -25,15 +25,15 @@ using NamespaceId = std::uint64_t;
 class HostProcess
 {
   public:
-    HostProcess(Pid pid, std::string name,
-                std::unique_ptr<mem::AddressSpace> space,
+    /** The process takes its name from its address space. */
+    HostProcess(Pid pid, std::unique_ptr<mem::AddressSpace> space,
                 NamespaceId pid_ns, NamespaceId user_ns)
-        : pid_(pid), name_(std::move(name)), space_(std::move(space)),
-          pid_ns_(pid_ns), user_ns_(user_ns)
+        : pid_(pid), space_(std::move(space)), pid_ns_(pid_ns),
+          user_ns_(user_ns)
     {}
 
     Pid pid() const { return pid_; }
-    const std::string &name() const { return name_; }
+    const std::string &name() const { return space_->name(); }
 
     mem::AddressSpace &space() { return *space_; }
     const mem::AddressSpace &space() const { return *space_; }
@@ -59,7 +59,6 @@ class HostProcess
     friend class HostKernel;
 
     Pid pid_;
-    std::string name_;
     std::unique_ptr<mem::AddressSpace> space_;
     vfs::FdTable fds_;
     int thread_count_ = 1;

@@ -19,6 +19,7 @@ AddressSpace::~AddressSpace()
     // were allocated consecutively; merging frame extents before the
     // unref turns hundreds of span splits into a few range drops.
     std::vector<std::pair<FrameId, std::size_t>> extents;
+    extents.reserve(table_.runCount());
     table_.forEachRun([&extents](PageIndex, const PageTable::Run &run) {
         extents.emplace_back(run.frame0, run.npages);
     });
@@ -157,6 +158,89 @@ AddressSpace::resolveBaseAccess(PageIndex page, bool write, bool cold)
     ctx_.chargeCounted(metrics::kMemCowFaults, ctx_.costs().cowFault);
     installCowCopy(page, bpte.frame);
     return FaultResult::BaseCow;
+}
+
+void
+AddressSpace::installBaseCows(PageIndex start, std::size_t count,
+                              std::size_t stride)
+{
+    if (count == 0)
+        return;
+    const auto n = static_cast<std::int64_t>(count);
+    ctx_.chargeCounted(metrics::kMemCowFaults, ctx_.costs().cowFault * n, n);
+    const FrameId copies = store_.allocateRange(count, FrameSource::Anonymous);
+    table_.installStrided(start, count, stride, copies, true, false);
+}
+
+FaultTally
+AddressSpace::touchStrided(PageIndex start, std::size_t count,
+                           std::size_t stride, std::size_t writes)
+{
+    if (stride == 0)
+        sim::panic("AddressSpace %s: touchStrided with stride 0",
+                   name_.c_str());
+    FaultTally tally;
+    if (observer_ != nullptr) {
+        for (std::size_t k = 0; k < count; ++k)
+            ++tally[touch(start + k * stride, k < writes)];
+        return tally;
+    }
+    const PageIndex base_lo = base_ ? base_va_start_ : 0;
+    const PageIndex base_hi = base_ ? base_va_start_ + base_->npages() : 0;
+    PageTable::Walk priv;
+    PageTable::Walk shared;
+    bool priv_valid = false;
+    bool shared_valid = false;
+    // Pending BaseCow pages: cow_start, cow_start + stride, ... They are
+    // absent from the Private-EPT until the batch is flushed, and every
+    // page probed meanwhile lies above them, so the walk stays valid.
+    PageIndex cow_start = 0;
+    std::size_t cow_count = 0;
+    for (std::size_t k = 0; k < count; ++k) {
+        const PageIndex page = start + k * stride;
+        const bool write = k < writes;
+        if (!priv_valid) {
+            priv.seek(table_, page);
+            priv_valid = true;
+        }
+        if (const PageTable::Run *run = priv.find(page)) {
+            if (!write || run->writable) {
+                ++tally[FaultResult::None];
+                continue;
+            }
+        } else if (page >= base_lo && page < base_hi) {
+            const PageIndex rel = page - base_lo;
+            if (!shared_valid) {
+                shared.seek(base_->table(), rel);
+                shared_valid = true;
+            }
+            if (shared.find(rel) != nullptr) {
+                if (!write) {
+                    ++tally[FaultResult::BaseHit];
+                    continue;
+                }
+                if (cow_count > 0 && page != cow_start + cow_count * stride) {
+                    installBaseCows(cow_start, cow_count, stride);
+                    cow_count = 0;
+                    priv_valid = false;
+                }
+                if (cow_count == 0)
+                    cow_start = page;
+                ++cow_count;
+                ++tally[FaultResult::BaseCow];
+                continue;
+            }
+        }
+        // COW of a present page, a base fill or a page outside the
+        // base: the per-page path, after the batch it must follow.
+        installBaseCows(cow_start, cow_count, stride);
+        cow_count = 0;
+        ++tally[resolveTouch(page, write, /*cold=*/false)];
+        priv_valid = false;
+        shared_valid = false;
+    }
+    installBaseCows(cow_start, cow_count, stride);
+    return tally;
 }
 
 FaultResult

@@ -7,6 +7,7 @@
 #ifndef CATALYZER_MEM_ADDRESS_SPACE_H
 #define CATALYZER_MEM_ADDRESS_SPACE_H
 
+#include <array>
 #include <memory>
 #include <string>
 #include <vector>
@@ -38,6 +39,21 @@ enum class FaultResult
     BaseHit,   ///< satisfied read-only by the shared Base-EPT
     BaseFill,  ///< Base-EPT populated from the func-image, then read
     BaseCow,   ///< write to a base page copied into the Private-EPT
+};
+
+/** Pages per FaultResult of one batched touch. */
+struct FaultTally
+{
+    /** Indexed by FaultResult, None through BaseCow. */
+    std::array<std::size_t, 8> pages{};
+
+    std::size_t &
+    operator[](FaultResult result)
+    {
+        return pages[static_cast<std::size_t>(result)];
+    }
+
+    bool operator==(const FaultTally &) const = default;
 };
 
 /**
@@ -146,6 +162,20 @@ class AddressSpace
                            bool cold = false);
 
     /**
+     * Touch @p count pages start, start+stride, ... in ascending order;
+     * the first @p writes of them are writes. Observationally the
+     * per-page touch() loop (clock, counters, frame ids, refcounts, run
+     * layout), but one forward walk over the Private-EPT and Base-EPT
+     * runs serves it: a page that resolves to None or BaseHit costs
+     * only the walk, and BaseCow writes are charged, allocated and
+     * installed as one batch. Every other outcome takes the per-page
+     * path. With a fault observer installed it is the per-page loop,
+     * so the observer sees the same callbacks in the same order.
+     */
+    FaultTally touchStrided(PageIndex start, std::size_t count,
+                            std::size_t stride, std::size_t writes);
+
+    /**
      * fork/sfork memory half: clone this space copy-on-write. Present
      * pages become shared-COW in both parent and child. MAP_SHARED VMAs
      * stay truly shared under plain fork (@p honor_cow_flag false); sfork
@@ -170,6 +200,9 @@ class AddressSpace
     /** Pages present in the Private-EPT only. */
     std::size_t privatePages() const { return table_.presentPages(); }
 
+    /** The Private-EPT (run-layout diagnostics). */
+    const PageTable &privateTable() const { return table_; }
+
     const std::vector<Vma> &vmas() const { return vmas_; }
     const std::shared_ptr<BaseMapping> &base() const { return base_; }
     PageIndex baseVaStart() const { return base_va_start_; }
@@ -190,6 +223,10 @@ class AddressSpace
     FaultResult resolveTouch(PageIndex page, bool write, bool cold);
     FaultResult resolveBaseAccess(PageIndex page, bool write, bool cold);
     void installCowCopy(PageIndex page, FrameId src_frame);
+
+    /** Copy @p count strided base pages into the Private-EPT at once. */
+    void installBaseCows(PageIndex start, std::size_t count,
+                         std::size_t stride);
 
     /** Emit a range observer callback for non-None results. */
     void notifyRange(PageIndex start, std::size_t npages, bool write,

@@ -108,6 +108,8 @@ class BaseMapping
     std::size_t attachCount() const { return attach_count_; }
     std::size_t npages() const { return npages_; }
     std::size_t residentPages() const { return table_.presentPages(); }
+    /** The Base-EPT itself (region-relative pages). */
+    const PageTable &table() const { return table_; }
     std::size_t residentBytes() const
     {
         return bytesForPages(residentPages());

@@ -176,6 +176,48 @@ PageTable::installRange(PageIndex start, std::size_t npages, FrameId frame0,
 }
 
 void
+PageTable::installStrided(PageIndex start, std::size_t count,
+                          std::size_t stride, FrameId frame0, bool writable,
+                          bool cow)
+{
+    if (count == 0)
+        return;
+    if (stride == 1) {
+        installRange(start, count, frame0, writable, cow);
+        return;
+    }
+    invalidateCache();
+    auto next = runs_.upper_bound(start);
+    for (std::size_t k = 0; k < count; ++k) {
+        const PageIndex page = start + k * stride;
+        while (next != runs_.end() && next->first <= page)
+            ++next;
+        if (next != runs_.begin()) {
+            const auto prev = std::prev(next);
+            if (prev->first + prev->second.npages > page)
+                sim::panic("PageTable::installStrided: page %llu present",
+                           static_cast<unsigned long long>(page));
+        }
+        const auto it = coalesce(runs_.emplace_hint(
+            next, page, Run{1, frame0 + k, writable, cow}));
+        next = std::next(it);
+    }
+    present_ += count;
+}
+
+void
+PageTable::Walk::seek(const PageTable &table, PageIndex page)
+{
+    end_ = table.runs_.end();
+    it_ = table.runs_.upper_bound(page);
+    if (it_ != table.runs_.begin()) {
+        const auto prev = std::prev(it_);
+        if (prev->first + prev->second.npages > page)
+            it_ = prev;
+    }
+}
+
+void
 PageTable::eraseRange(PageIndex start, std::size_t npages)
 {
     if (npages == 0)

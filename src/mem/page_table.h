@@ -53,6 +53,35 @@ class PageTable
     };
 
     /**
+     * Forward-only probe of an ascending page stream: one seek, then
+     * each probe steps past the runs that end before it. It holds an
+     * iterator into the table, so any mutation needs a new seek().
+     */
+    class Walk
+    {
+      public:
+        /** Position at the first run that ends after @p page. */
+        void seek(const PageTable &table, PageIndex page);
+
+        /**
+         * The run covering @p page, or nullptr when it is absent.
+         * @p page must not lie below the previous probe or seek.
+         */
+        const Run *
+        find(PageIndex page)
+        {
+            while (it_ != end_ && it_->first + it_->second.npages <= page)
+                ++it_;
+            return it_ != end_ && it_->first <= page ? &it_->second
+                                                     : nullptr;
+        }
+
+      private:
+        std::map<PageIndex, Run>::const_iterator it_;
+        std::map<PageIndex, Run>::const_iterator end_;
+    };
+
+    /**
      * Look up @p page. Returns true and fills @p out (when non-null)
      * with a snapshot of the entry if present. The hit/miss caches
      * resolve streaming lookups inline, without a tree walk, and the
@@ -82,6 +111,16 @@ class PageTable
      */
     void installRange(PageIndex start, std::size_t npages, FrameId frame0,
                       bool writable, bool cow);
+
+    /**
+     * Install @p count single pages start, start+stride, ... mapping
+     * frames frame0, frame0+1, ...: the run layout count ascending
+     * install() calls would leave, with one tree search for the whole
+     * batch. Every page must be absent.
+     */
+    void installStrided(PageIndex start, std::size_t count,
+                        std::size_t stride, FrameId frame0, bool writable,
+                        bool cow);
 
     /** Remove the entry for @p page if present. */
     void erase(PageIndex page) { eraseRange(page, 1); }

@@ -6,7 +6,8 @@ namespace catalyzer::sandbox {
 
 FunctionArtifacts::FunctionArtifacts(Machine &machine,
                                      const apps::AppProfile &app)
-    : machine_(machine), app_(app)
+    : machine_(machine), app_(app),
+      request_log_path_("/var/log/" + app.name + ".request.log")
 {
     binary_ = std::make_unique<mem::BackingFile>(
         machine.frames(), "/func/" + app.name + "/bin", app.binaryPages);

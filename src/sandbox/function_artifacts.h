@@ -40,6 +40,9 @@ class FunctionArtifacts
     /** Path of the i-th app-layer file (I/O connection targets). */
     std::string appFilePath(std::size_t i) const;
 
+    /** The overlay file every request appends its log line to. */
+    const std::string &requestLogPath() const { return request_log_path_; }
+
     /** Stock compressed checkpoint (gVisor-restore), built on demand. */
     std::shared_ptr<snapshot::FuncImage> protoImage;
     /** Catalyzer well-formed func-image, built on demand. */
@@ -85,6 +88,7 @@ class FunctionArtifacts
     const apps::AppProfile &app_;
     std::unique_ptr<mem::BackingFile> binary_;
     std::unique_ptr<vfs::FsServer> fs_server_;
+    std::string request_log_path_;
 };
 
 /** Registry of per-function artifacts on one machine. */

@@ -78,11 +78,8 @@ SandboxInstance::invoke()
             heap_pages_ / touched, 1);
         const auto writes = static_cast<std::size_t>(
             static_cast<double>(touched) * app.execWriteFraction);
-        for (std::size_t k = 0; k < touched; ++k) {
-            const mem::PageIndex page =
-                heap_va_ + (k * stride) % heap_pages_;
-            proc_->space().touch(page, /*write=*/k < writes);
-        }
+        // touched * stride <= heap_pages_: the pages rise in order.
+        proc_->space().touchStrided(heap_va_, touched, stride, writes);
     }
 
     //
@@ -123,8 +120,7 @@ SandboxInstance::invoke()
     // writes land in sandbox memory; persistent logs would use the FS
     // server's read/write grants).
     if (rootfs_) {
-        rootfs_->write("/var/log/" + app.name + ".request.log",
-                       256 + 64 * (invocations_ % 4));
+        rootfs_->write(fn_.requestLogPath(), 256 + 64 * (invocations_ % 4));
     }
 
     // The handler's own compute (minus any work the fine-grained entry
@@ -189,10 +185,7 @@ SandboxInstance::pretouchWorkingSet()
         static_cast<double>(touched) * prep_fraction_);
     const auto writes = static_cast<std::size_t>(
         static_cast<double>(touched) * app.execWriteFraction);
-    for (std::size_t k = 0; k < prep; ++k) {
-        const mem::PageIndex page = heap_va_ + (k * stride) % heap_pages_;
-        proc_->space().touch(page, /*write=*/k < writes);
-    }
+    proc_->space().touchStrided(heap_va_, prep, stride, writes);
 }
 
 snapshot::GuestState

@@ -182,8 +182,6 @@ runApplicationInit(SandboxInstance &inst, trace::BootReport &report,
                               /*used_by_requests=*/i % 2 == 0);
     }
 
-    inst.guest().syncFdTable();
-
     // Kernel metadata created on the way (threads, timers, mounts...).
     inst.guest().setState(objgraph::ObjectGraph::synthesize(
         ctx.rng(), app.graphSpec()));

@@ -66,7 +66,6 @@ EagerRestoreEngine::restore(FuncImage &image, guest::GuestKernel &guest,
             conn.established = false;
             reconnectConnection(ctx_, conn, server, stage.context());
         }
-        guest.syncFdTable();
     }
 
     ctx_.stats().incr(metrics::kRestoreEagerRestores);

@@ -4,17 +4,6 @@
 
 namespace catalyzer::vfs {
 
-FdTable::FdTable()
-{
-    slots_.resize(kInitialCapacity);
-}
-
-void
-FdTable::expand()
-{
-    slots_.resize(slots_.size() * 2);
-}
-
 int
 FdTable::allocate(FdEntry entry, bool *expanded)
 {
@@ -28,28 +17,26 @@ FdTable::allocateAtLeast(int min_fd, FdEntry entry, bool *expanded)
         *expanded = false;
     if (min_fd < 0)
         sim::panic("FdTable::allocateAtLeast: negative min_fd");
-    for (;;) {
-        for (std::size_t fd = static_cast<std::size_t>(min_fd);
-             fd < slots_.size(); ++fd) {
-            if (!slots_[fd].has_value()) {
-                slots_[fd] = std::move(entry);
-                ++in_use_;
-                return static_cast<int>(fd);
-            }
-        }
-        expand();
+    auto fd = static_cast<std::size_t>(min_fd);
+    while (fd < slots_.size() && slots_[fd].has_value())
+        ++fd;
+    while (fd >= capacity_) {
+        capacity_ *= 2;
         if (expanded)
             *expanded = true;
     }
+    if (fd >= slots_.size())
+        slots_.resize(fd + 1);
+    slots_[fd] = std::move(entry);
+    ++in_use_;
+    return static_cast<int>(fd);
 }
 
 void
 FdTable::close(int fd)
 {
-    if (fd < 0 || static_cast<std::size_t>(fd) >= slots_.size() ||
-        !slots_[static_cast<std::size_t>(fd)].has_value()) {
+    if (!valid(fd))
         sim::panic("FdTable::close: fd %d not open", fd);
-    }
     slots_[static_cast<std::size_t>(fd)].reset();
     --in_use_;
 }
@@ -57,30 +44,7 @@ FdTable::close(int fd)
 FdEntry *
 FdTable::get(int fd)
 {
-    if (fd < 0 || static_cast<std::size_t>(fd) >= slots_.size())
-        return nullptr;
-    auto &slot = slots_[static_cast<std::size_t>(fd)];
-    return slot.has_value() ? &*slot : nullptr;
-}
-
-const FdEntry *
-FdTable::get(int fd) const
-{
-    if (fd < 0 || static_cast<std::size_t>(fd) >= slots_.size())
-        return nullptr;
-    const auto &slot = slots_[static_cast<std::size_t>(fd)];
-    return slot.has_value() ? &*slot : nullptr;
-}
-
-std::vector<std::pair<int, FdEntry>>
-FdTable::liveEntries() const
-{
-    std::vector<std::pair<int, FdEntry>> out;
-    for (std::size_t fd = 0; fd < slots_.size(); ++fd) {
-        if (slots_[fd].has_value())
-            out.emplace_back(static_cast<int>(fd), *slots_[fd]);
-    }
-    return out;
+    return valid(fd) ? &*slots_[static_cast<std::size_t>(fd)] : nullptr;
 }
 
 } // namespace catalyzer::vfs

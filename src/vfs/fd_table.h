@@ -39,13 +39,16 @@ struct FdEntry
 /**
  * A process's fd table. Descriptors allocate lowest-free, as POSIX
  * requires; the table starts at a small capacity and doubles when full.
+ *
+ * The capacity is logical (what the modelled kernel has allocated, and
+ * what dup's expansion cost follows); slots are stored only up to the
+ * highest descriptor ever opened, so building or cloning an empty
+ * table allocates nothing.
  */
 class FdTable
 {
   public:
     static constexpr std::size_t kInitialCapacity = 64;
-
-    FdTable();
 
     /**
      * Allocate the lowest free descriptor.
@@ -61,26 +64,27 @@ class FdTable
 
     /** Entry behind @p fd, or nullptr. */
     FdEntry *get(int fd);
-    const FdEntry *get(int fd) const;
 
-    bool valid(int fd) const { return get(fd) != nullptr; }
+    bool
+    valid(int fd) const
+    {
+        return fd >= 0 && static_cast<std::size_t>(fd) < slots_.size() &&
+               slots_[static_cast<std::size_t>(fd)].has_value();
+    }
 
-    std::size_t capacity() const { return slots_.size(); }
+    std::size_t capacity() const { return capacity_; }
     std::size_t inUse() const { return in_use_; }
 
     /** True if allocating one more fd would force an expansion. */
-    bool nextAllocationExpands() const { return in_use_ == slots_.size(); }
-
-    /** Copy of all live descriptors (fd, entry) pairs. */
-    std::vector<std::pair<int, FdEntry>> liveEntries() const;
+    bool nextAllocationExpands() const { return in_use_ == capacity_; }
 
     /** Clone across fork/sfork: the child inherits every descriptor. */
     FdTable clone() const { return *this; }
 
   private:
-    void expand();
-
+    /** Slots [0, slots_.size()); every fd above them is free. */
     std::vector<std::optional<FdEntry>> slots_;
+    std::size_t capacity_ = kInitialCapacity;
     std::size_t in_use_ = 0;
 };
 

@@ -4,17 +4,6 @@
 
 namespace catalyzer::vfs {
 
-const char *
-connKindName(ConnKind kind)
-{
-    switch (kind) {
-      case ConnKind::File: return "file";
-      case ConnKind::Socket: return "socket";
-      case ConnKind::LogFile: return "logfile";
-    }
-    return "?";
-}
-
 std::uint64_t
 IoConnectionTable::add(ConnKind kind, std::string path,
                        bool used_at_startup, bool used_by_requests)

@@ -19,8 +19,6 @@ namespace catalyzer::vfs {
 /** Connection flavor; sockets are costlier to re-establish than files. */
 enum class ConnKind { File, Socket, LogFile };
 
-const char *connKindName(ConnKind kind);
-
 /** One I/O connection held by a running function instance. */
 struct IoConnection
 {

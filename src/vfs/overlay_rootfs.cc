@@ -27,38 +27,41 @@ OverlayRootfs::openRead(const std::string &path, FdEntry *out)
     return lower_.openReadOnly(path, out);
 }
 
+void
+OverlayRootfs::copyUp(const std::string &path, MemFile &mf)
+{
+    // Copy-up (or fresh create). Copy-up cost scales with file size.
+    const Inode *node = lower_.rootfs().lookup(path);
+    mf = MemFile{};
+    if (node && !node->isDir) {
+        mf.sizeBytes = node->sizeBytes;
+        const auto pages = static_cast<std::int64_t>(
+            mem::pagesForBytes(node->sizeBytes));
+        ctx_.stats().incr(metrics::kVfsOverlayCopyups);
+        ctx_.charge(ctx_.costs().goferRpc);
+        ctx_.charge(ctx_.costs().memcpyPerPage * pages);
+    } else {
+        ctx_.stats().incr(metrics::kVfsOverlayCreates);
+        ctx_.charge(ctx_.costs().syscallBase);
+    }
+}
+
 FdEntry
 OverlayRootfs::openWrite(const std::string &path)
 {
-    auto it = upper_.find(path);
-    if (it == upper_.end() || it->second.whiteout) {
-        // Copy-up (or fresh create). Copy-up cost scales with file size.
-        const Inode *node = lower_.rootfs().lookup(path);
-        MemFile mf;
-        if (node && !node->isDir) {
-            mf.sizeBytes = node->sizeBytes;
-            const auto pages = static_cast<std::int64_t>(
-                mem::pagesForBytes(node->sizeBytes));
-            ctx_.stats().incr(metrics::kVfsOverlayCopyups);
-            ctx_.charge(ctx_.costs().goferRpc);
-            ctx_.charge(ctx_.costs().memcpyPerPage * pages);
-        } else {
-            ctx_.stats().incr(metrics::kVfsOverlayCreates);
-            ctx_.charge(ctx_.costs().syscallBase);
-        }
-        upper_[path] = mf;
-    }
+    auto [it, inserted] = upper_.try_emplace(path);
+    if (inserted || it->second.whiteout)
+        copyUp(path, it->second);
     return FdEntry{FdKind::File, path, false, true, 0};
 }
 
 void
 OverlayRootfs::write(const std::string &path, std::size_t bytes)
 {
-    auto it = upper_.find(path);
-    if (it == upper_.end() || it->second.whiteout)
-        openWrite(path);
-    auto &mf = upper_[path];
-    mf.whiteout = false;
+    auto [it, inserted] = upper_.try_emplace(path);
+    MemFile &mf = it->second;
+    if (inserted || mf.whiteout)
+        copyUp(path, mf);
     mf.sizeBytes += bytes;
     const auto pages = static_cast<std::int64_t>(
         mem::pagesForBytes(bytes));

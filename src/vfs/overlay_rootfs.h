@@ -81,6 +81,9 @@ class OverlayRootfs
     FsServer &lower() { return lower_; }
 
   private:
+    /** Fill @p mf from the lower layer (copy-up) or as a fresh file. */
+    void copyUp(const std::string &path, MemFile &mf);
+
     sim::SimContext &ctx_;
     FsServer &lower_;
     std::map<std::string, MemFile> upper_;

@@ -1,6 +1,6 @@
 /**
  * @file
- * Focused tests for smaller behaviours: guest fd-table mirroring,
+ * Focused tests for smaller behaviours: guest pending fds,
  * overlay log writes during execution, cost-model profiles, logging
  * levels and miscellaneous name tables.
  */
@@ -27,10 +27,9 @@ TEST(FdMirrorTest, RestoredInstanceHasPendingFds)
 
     auto cold = runtime.bootCold(fn);
     const auto &guest = cold.instance->guest();
-    // One fd per checkpointed connection...
-    EXPECT_EQ(guest.fds().inUse(), guest.io().count());
-    // ...all pending: on-demand reconnection passed valid fd numbers
-    // whose backing connections are not re-opened yet.
+    // Every checkpointed connection's fd is pending: on-demand
+    // reconnection passed valid fd numbers whose backing connections
+    // are not re-opened yet.
     EXPECT_EQ(cold.instance->guest().pendingFds(), guest.io().count());
     EXPECT_GT(guest.io().count(), 0u);
 }
@@ -42,8 +41,7 @@ TEST(FdMirrorTest, EagerRestoreHasNoPendingFds)
     auto &fn = registry.artifactsFor(apps::appByName("c-nginx"));
     auto boot = sandbox::bootSandbox(SandboxSystem::GVisorRestore, fn);
     EXPECT_EQ(boot.instance->guest().pendingFds(), 0u);
-    EXPECT_EQ(boot.instance->guest().fds().inUse(),
-              boot.instance->guest().io().count());
+    EXPECT_GT(boot.instance->guest().io().count(), 0u);
 }
 
 TEST(FdMirrorTest, FreshBootFdsAllConnected)

@@ -13,10 +13,17 @@
  * A second property pins PageTable::lookup against a per-page model
  * while ascending strided probe streams (the cursor's fast path) run
  * interleaved with every kind of table mutation and table copies.
+ *
+ * A third holds touchStrided() to the per-page loop of the handler's
+ * working-set touch over fragmented, Base-EPT, cold, COW-shared and
+ * sole-owner spaces, strides 1-64, none/some/all writes, with and
+ * without an observer: same FaultResult tallies, counters, clock, RNG,
+ * frame ids, refcounts, run layout and observer order.
  */
 
 #include <cstdint>
 #include <map>
+#include <string>
 #include <memory>
 #include <random>
 #include <tuple>
@@ -438,6 +445,244 @@ TEST(PageTableCursor, CopiedTableNeverInheritsTheCursor)
             }
         }
     }
+}
+
+TEST(PageTableInstallStrided, LeavesTheLayoutOfAscendingInstalls)
+{
+    constexpr std::size_t kCount = 5;
+    for (const std::size_t stride : {1, 2, 3, 7}) {
+        SCOPED_TRACE(testing::Message() << "stride " << stride);
+        const PageIndex last = 100 + (kCount - 1) * stride;
+        PageTable a; // ascending install() calls
+        PageTable b; // installStrided
+        for (PageTable *t : {&a, &b}) {
+            // Neighbours whose frames extend the batch's first and last
+            // page, so both ends must coalesce, and one that must not.
+            t->install(99, Pte{499, true, false});
+            t->install(last + 1, Pte{500 + kCount, true, false});
+            t->install(40, Pte{7, false, true});
+        }
+        for (std::size_t k = 0; k < kCount; ++k)
+            a.install(100 + k * stride, Pte{500 + k, true, false});
+        b.installStrided(100, kCount, stride, 500, true, false);
+        std::vector<std::tuple<PageIndex, std::size_t, FrameId>> runs_a;
+        std::vector<std::tuple<PageIndex, std::size_t, FrameId>> runs_b;
+        a.forEachRun([&](PageIndex p, const PageTable::Run &r) {
+            runs_a.emplace_back(p, r.npages, r.frame0);
+        });
+        b.forEachRun([&](PageIndex p, const PageTable::Run &r) {
+            runs_b.emplace_back(p, r.npages, r.frame0);
+        });
+        EXPECT_EQ(runs_a, runs_b);
+        EXPECT_EQ(a.presentPages(), b.presentPages());
+        EXPECT_DEATH(b.installStrided(100, 1, 2, 900, true, false),
+                     "PageTable::install");
+    }
+}
+
+/** The space under test, how it was built, and the window it touches. */
+enum class StridedShape
+{
+    Fragmented, ///< scattered writable, pending-COW and absent pages
+    Base,       ///< partly resident Base-EPT, a few private copies
+    Cold,       ///< nothing present, nothing resident
+    CowShared,  ///< a forkCow child whose parent still shares its frames
+    SoleOwner,  ///< a forkCow child whose parent is gone
+};
+
+enum class StridedWindow { Anon, Base };
+
+/** A twin world for touchStrided: heap and base window of 512 pages. */
+struct StridedWorld
+{
+    static constexpr std::size_t kPages = 512;
+
+    SimContext ctx{4242};
+    FrameStore store;
+    BackingFile image{store, "/func.img", kPages};
+    std::shared_ptr<BaseMapping> base =
+        std::make_shared<BaseMapping>(store, image, 0, kPages, "base");
+    std::unique_ptr<AddressSpace> parent =
+        std::make_unique<AddressSpace>(ctx, store, "parent");
+    /** A second space on the same base: fills it without private pages. */
+    std::unique_ptr<AddressSpace> peer =
+        std::make_unique<AddressSpace>(ctx, store, "peer");
+    std::unique_ptr<AddressSpace> child;
+    AddressSpace *space = nullptr;
+    PageIndex anon_va = 0;
+    PageIndex base_va = 0;
+
+    explicit StridedWorld(StridedShape shape)
+    {
+        anon_va = parent->mapAnon(kPages, true, "heap");
+        base_va = parent->attachBase(base);
+        const PageIndex peer_base = peer->attachBase(base);
+        std::mt19937_64 rng(99);
+        space = parent.get();
+        if (shape == StridedShape::Cold)
+            return;
+        // Base residency in scattered clusters, through the peer.
+        for (PageIndex p = 0; p < kPages; p += 1 + rng() % 9) {
+            const std::size_t n = 1 + rng() % 6;
+            peer->touchRange(peer_base + p,
+                             std::min<std::size_t>(n, kPages - p), false);
+        }
+        // Scattered private pages in both windows, read and written.
+        for (int i = 0; i < 90; ++i) {
+            parent->touch(anon_va + rng() % kPages, rng() % 2 == 0);
+            const PageIndex b = base_va + rng() % kPages;
+            if (base->lookup(b - base_va))
+                parent->touch(b, true);
+        }
+        if (shape == StridedShape::Base)
+            return;
+        // Share every present page COW with a child ...
+        child = parent->forkCow("child");
+        if (shape == StridedShape::Fragmented) {
+            // ... then break sharing again on a scattered subset, so
+            // the parent mixes writable, COW and absent pages.
+            child.reset();
+            for (int i = 0; i < 60; ++i)
+                parent->touch(anon_va + rng() % kPages, true);
+            return;
+        }
+        space = child.get();
+        if (shape == StridedShape::SoleOwner)
+            parent.reset();
+    }
+
+    PageIndex
+    windowStart(StridedWindow window) const
+    {
+        return window == StridedWindow::Anon ? anon_va : base_va;
+    }
+};
+
+/** One comparable record of a run and the frames behind it. */
+using RunRecord =
+    std::tuple<PageIndex, std::size_t, FrameId, bool, bool, std::string>;
+
+std::vector<RunRecord>
+runLayout(const PageTable &table, const FrameStore &store)
+{
+    std::vector<RunRecord> out;
+    table.forEachRun([&](PageIndex start, const PageTable::Run &run) {
+        std::string refs;
+        store.forEachSegment(
+            run.frame0, run.npages,
+            [&refs](std::size_t m, std::size_t r, FrameSource src) {
+                refs += std::to_string(m);
+                refs += 'x';
+                refs += std::to_string(r);
+                refs += src == FrameSource::PageCache ? "c " : "a ";
+            });
+        out.emplace_back(start, run.npages, run.frame0, run.writable,
+                         run.cow, refs);
+    });
+    return out;
+}
+
+void
+expectStridedWorldsEqual(StridedWorld &a, StridedWorld &b)
+{
+    EXPECT_EQ(a.ctx.now().toNs(), b.ctx.now().toNs());
+    EXPECT_EQ(a.ctx.stats().all(), b.ctx.stats().all());
+    EXPECT_EQ(a.store.liveFrames(), b.store.liveFrames());
+    EXPECT_EQ(a.store.totalAllocated(), b.store.totalAllocated());
+    EXPECT_EQ(runLayout(a.space->privateTable(), a.store),
+              runLayout(b.space->privateTable(), b.store));
+    EXPECT_EQ(runLayout(a.base->table(), a.store),
+              runLayout(b.base->table(), b.store));
+    EXPECT_EQ(a.ctx.rng().next64(), b.ctx.rng().next64());
+}
+
+class TouchStridedProperty
+    : public ::testing::TestWithParam<std::tuple<StridedShape, StridedWindow>>
+{};
+
+TEST_P(TouchStridedProperty, MatchesPerPageLoop)
+{
+    const auto [shape, window] = GetParam();
+    std::size_t slow_outcomes = 0;
+    for (std::size_t stride = 1; stride <= 64; ++stride) {
+        const std::size_t offset = stride % 5;
+        const std::size_t count =
+            (StridedWorld::kPages - offset + stride - 1) / stride;
+        for (const std::size_t writes : {std::size_t{0}, count / 3, count}) {
+            for (const bool observe : {false, true}) {
+                SCOPED_TRACE(testing::Message()
+                             << "stride " << stride << " writes " << writes
+                             << " observer " << observe);
+                StridedWorld a(shape); // per-page loop
+                StridedWorld b(shape); // touchStrided
+                RecordingObserver obs_a;
+                RecordingObserver obs_b;
+                if (observe) {
+                    a.space->setFaultObserver(&obs_a);
+                    b.space->setFaultObserver(&obs_b);
+                }
+                const PageIndex start = a.windowStart(window) + offset;
+                ASSERT_EQ(start, b.windowStart(window) + offset);
+                // Twice: the second pass is a reused instance's request.
+                for (int pass = 0; pass < 2; ++pass) {
+                    FaultTally tally_a;
+                    for (std::size_t k = 0; k < count; ++k)
+                        ++tally_a[a.space->touch(start + k * stride,
+                                                 k < writes)];
+                    const FaultTally tally_b =
+                        b.space->touchStrided(start, count, stride, writes);
+                    EXPECT_EQ(tally_a, tally_b) << "pass " << pass;
+                    expectStridedWorldsEqual(a, b);
+                    for (const FaultResult r :
+                         {FaultResult::Cow, FaultResult::CowReuse,
+                          FaultResult::BaseFill, FaultResult::MinorAnon})
+                        slow_outcomes += tally_a[r];
+                }
+                EXPECT_EQ(obs_a.events, obs_b.events);
+                a.space->setFaultObserver(nullptr);
+                b.space->setFaultObserver(nullptr);
+            }
+        }
+    }
+    // Every shape sends some pages down the per-page path, so the
+    // flush-and-re-seek interleaving is exercised, not just the walk.
+    EXPECT_GT(slow_outcomes, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, TouchStridedProperty,
+    ::testing::Combine(
+        ::testing::Values(StridedShape::Fragmented, StridedShape::Base,
+                          StridedShape::Cold, StridedShape::CowShared,
+                          StridedShape::SoleOwner),
+        ::testing::Values(StridedWindow::Anon, StridedWindow::Base)));
+
+TEST(TouchStrided, BatchesBaseCowsAndServesHits)
+{
+    // The outcomes the walk resolves itself: BaseHit on reads, batched
+    // BaseCow on writes, None on private pages.
+    StridedWorld cold(StridedShape::Cold);
+    cold.space->touchRange(cold.base_va, StridedWorld::kPages, false);
+    const FaultTally first =
+        cold.space->touchStrided(cold.base_va, 64, 8, 16);
+    FaultTally expect;
+    expect[FaultResult::BaseCow] = 16;
+    expect[FaultResult::BaseHit] = 48;
+    EXPECT_EQ(first, expect);
+    // The 16 copies took consecutive frames, one single-page run each.
+    EXPECT_EQ(cold.space->privateTable().runCount(), 16u);
+    const FaultTally again =
+        cold.space->touchStrided(cold.base_va, 64, 8, 16);
+    FaultTally none;
+    none[FaultResult::None] = 16;
+    none[FaultResult::BaseHit] = 48;
+    EXPECT_EQ(again, none);
+}
+
+TEST(TouchStrided, ZeroStridePanics)
+{
+    StridedWorld w(StridedShape::Cold);
+    EXPECT_DEATH(w.space->touchStrided(w.anon_va, 2, 0, 0), "stride 0");
 }
 
 } // namespace

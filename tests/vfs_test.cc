@@ -114,7 +114,21 @@ TEST(FdTableTest, CloneInheritsDescriptors)
     FdTable child = fds.clone();
     ASSERT_NE(child.get(0), nullptr);
     EXPECT_EQ(child.get(0)->path, "/x");
-    EXPECT_EQ(child.liveEntries().size(), 1u);
+    EXPECT_EQ(child.inUse(), 1u);
+}
+
+TEST(FdTableTest, AllocateAtLeastBeyondCapacityDoubles)
+{
+    FdTable fds;
+    bool expanded = false;
+    EXPECT_EQ(fds.allocateAtLeast(200, FdEntry{}, &expanded), 200);
+    EXPECT_TRUE(expanded);
+    EXPECT_EQ(fds.capacity(), 4 * FdTable::kInitialCapacity);
+    EXPECT_FALSE(fds.valid(199));
+    EXPECT_EQ(fds.allocate(FdEntry{}, &expanded), 0);
+    EXPECT_FALSE(expanded);
+    EXPECT_FALSE(fds.valid(-1));
+    EXPECT_FALSE(fds.valid(1000));
 }
 
 TEST(DupModelTest, LazyBeatsExpansion)
