@@ -27,6 +27,10 @@ constexpr std::size_t kPrefetchBatchPages = 64;
  *  this fraction of the merged traces. */
 constexpr double kWorkingSetMinFraction = 0.5;
 
+/** Restore traces merged into a working-set manifest before it stops
+ *  recording. */
+constexpr std::size_t kWorkingSetTraces = 3;
+
 /** Pages per remote pull request on the remote-sfork demand path. */
 constexpr std::size_t kRemotePullBatchPages = 32;
 
@@ -46,7 +50,7 @@ CatalyzerRuntime::CatalyzerRuntime(sandbox::Machine &machine,
     zygotes_.setFaultInjector(&injector_);
     images_.setFaultInjector(&injector_);
     images_.configureChunks(options_.chunkedImages);
-    if (options_.useZygote && options_.zygotePrewarm > 0)
+    if (options_.zygotePrewarm > 0)
         zygotes_.prewarm(options_.zygotePrewarm);
 }
 
@@ -183,9 +187,10 @@ CatalyzerRuntime::ensureWorkingSet(FunctionArtifacts &fn,
         fn.workingSet = images_.fetchManifest(fn.app().name);
 
     if (fn.workingSet && !fn.workingSet->matches(image.generation())) {
-        // The image was rebuilt (warming, corruption repair): the
-        // recorded pages describe the old layout. Drop the manifest and
-        // fall back to demand paging while a fresh one is recorded.
+        // The image was rebuilt (recompiled, or repaired after
+        // corruption): the recorded pages describe the old layout. Drop
+        // the manifest and fall back to demand paging while a fresh one
+        // is recorded.
         ctx.stats().incr(metrics::kPrefetchManifestStale);
         fn.workingSet.reset();
         images_.dropManifest(fn.app().name);
@@ -193,7 +198,7 @@ CatalyzerRuntime::ensureWorkingSet(FunctionArtifacts &fn,
 
     if (!fn.workingSet && options_.recordWorkingSet) {
         fn.workingSet = std::make_shared<prefetch::WorkingSetManifest>(
-            fn.app().name, image.generation(), options_.workingSetTraces,
+            fn.app().name, image.generation(), kWorkingSetTraces,
             kWorkingSetMinFraction);
     }
 
@@ -268,7 +273,7 @@ CatalyzerRuntime::bootRestore(FunctionArtifacts &fn, bool warm,
     // matching the paper's Catalyzer-restore.
     const bool cold_cache = !warm && !fn.firstRestoreDone;
     acquireSandbox(b, warm ? BootKind::WarmRestore : BootKind::ColdRestore,
-                   warm && options_.useZygote);
+                   /*zygote=*/warm);
     specialize(b);
     mapImage(b, warm, cold_cache);
     prefetchWorkingSet(b);
@@ -619,17 +624,17 @@ CatalyzerRuntime::sfork(Boot &b, SandboxInstance &tmpl)
 
     // The child's name is built once: its address space owns it, and
     // the host process reads it from there.
-    hostos::SforkOptions opts;
-    opts.childName.reserve(b.app.name.size() + 1 + b.tag.size());
-    opts.childName.assign(b.app.name).append(1, '-').append(b.tag);
-    opts.rerandomizeAslr = options_.aslrRerandomizeOnSfork;
+    std::string child_name;
+    child_name.reserve(b.app.name.size() + 1 + b.tag.size());
+    child_name.assign(b.app.name).append(1, '-').append(b.tag);
     {
         auto stage = b.report().sandboxStage(b.tctx, "sfork");
         stage.attr("template", tmpl.name());
-        stage.attr("rerandomize_aslr",
-                   trace::boolName(opts.rerandomizeAslr));
+        // Every child keeps the template's layout (no Sec. 6.8
+        // re-randomization); the exported trace records that.
+        stage.attr("rerandomize_aslr", trace::boolName(false));
         hostos::HostProcess &child =
-            machine_.host().sfork(tmpl.proc(), std::move(opts));
+            machine_.host().sfork(tmpl.proc(), std::move(child_name));
         b.result.instance = std::make_unique<SandboxInstance>(
             machine_, b.fn, child.name(), child, BootKind::ForkBoot);
     }
@@ -746,7 +751,7 @@ CatalyzerRuntime::bootRemoteFork(FunctionArtifacts &fn,
     // a local restore would. The mirrored metadata is already local, so
     // the fix-up runs at memory speed. Connections never survive a
     // machine boundary, and the lender owns the I/O cache.
-    acquireSandbox(b, BootKind::ForkBoot, options_.useZygote);
+    acquireSandbox(b, BootKind::ForkBoot, /*zygote=*/true);
     specialize(b);
     mapRemoteOverlay(b, src);
     prefetchRemote(b, src);
@@ -915,46 +920,6 @@ void
 CatalyzerRuntime::prepareTemplate(FunctionArtifacts &fn)
 {
     ensureTemplate(fn);
-}
-
-void
-CatalyzerRuntime::warmFuncImage(FunctionArtifacts &fn,
-                                int training_requests,
-                                double prep_fraction)
-{
-    auto &ctx = machine_.ctx();
-    // Boot an instance and warm it with the user-provided training
-    // requests (all offline).
-    BootResult boot = bootRestore(fn, /*warm=*/false);
-    SandboxInstance &inst = *boot.instance;
-    inst.setPrepFraction(prep_fraction);
-    for (int i = 0; i < training_requests; ++i)
-        inst.invoke();
-    inst.pretouchWorkingSet();
-
-    // Re-checkpoint at the moved func-entry point.
-    snapshot::GuestState state = inst.captureState();
-    state.warmedPrepFraction = prep_fraction;
-    snapshot::CheckpointEngine engine(ctx);
-    fn.separatedImage = engine.capture(
-        machine_.frames(), fn.app().name,
-        snapshot::ImageFormat::SeparatedWellFormed, std::move(state));
-    // The old Base-EPT serves the stale image; future boots remap.
-    fn.sharedBase.reset();
-    fn.firstRestoreDone = false;
-    if (options_.remoteImages)
-        images_.publish(fn.separatedImage);
-    ctx.stats().incr(metrics::kCatalyzerImagesWarmed);
-}
-
-void
-CatalyzerRuntime::refreshTemplate(FunctionArtifacts &fn)
-{
-    // Sec. 6.8: periodically regenerating the template re-randomizes
-    // the layout shared by sforked children.
-    dropTemplate(fn.app().name);
-    ensureTemplate(fn);
-    machine_.ctx().stats().incr(metrics::kCatalyzerTemplateRefreshes);
 }
 
 void

@@ -59,11 +59,9 @@ struct RemoteForkSource
  *  techniques off reproduces the ablation rows of Fig. 12. */
 struct CatalyzerOptions
 {
-    bool useZygote = true;          ///< Zygote pool for warm boots
     bool overlayMemory = true;      ///< direct-map + COW vs eager load
     bool separatedState = true;     ///< relation table vs per-object decode
     bool lazyIoReconnection = true; ///< on-demand vs eager reconnect
-    bool aslrRerandomizeOnSfork = false; ///< Sec. 6.8 mitigation
     /**
      * Images live in remote storage: the first cold boot of a function
      * on this machine pays the network fetch (Sec. 2.2, init-less
@@ -90,12 +88,11 @@ struct CatalyzerOptions
      * eagerly populates the manifest's stable set into the Base-EPT in
      * batched reads of 64 pages before the first request, falling back
      * to demand paging when the manifest is missing or stale. The
-     * stable set keeps the pages present in at least half of the last
-     * workingSetTraces (K) traces.
+     * stable set keeps the pages present in at least half of the first
+     * three traces.
      */
     bool recordWorkingSet = true;
     bool prefetchWorkingSet = false;
-    std::size_t workingSetTraces = 3;
     std::size_t zygotePrewarm = 4;
     /**
      * Fault injection (src/faults/): per-site failure probabilities or
@@ -159,22 +156,6 @@ class CatalyzerRuntime
 
     /** Build the function's template sandbox now (offline). */
     void prepareTemplate(sandbox::FunctionArtifacts &fn);
-
-    /**
-     * User-guided pre-initialization (Sec. 6.7): re-checkpoint the
-     * function after warming it with @p training_requests user-provided
-     * requests, baking @p prep_fraction of the handler's per-request
-     * preparation into the func-image. Later cold/warm boots start with
-     * that work done (and fork boots, once the template is rebuilt).
-     */
-    void warmFuncImage(sandbox::FunctionArtifacts &fn,
-                       int training_requests, double prep_fraction);
-
-    /**
-     * Rebuild a function's template sandbox (Sec. 6.8: periodically
-     * refreshing templates re-randomizes the shared layout).
-     */
-    void refreshTemplate(sandbox::FunctionArtifacts &fn);
 
     /** Build the language template for @p lang now (offline). */
     void prepareLanguageTemplate(apps::Language lang);

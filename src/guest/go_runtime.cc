@@ -36,14 +36,6 @@ GoRuntimeModel::addBlockingThread()
 }
 
 void
-GoRuntimeModel::removeBlockingThread()
-{
-    if (census_.blocking <= 0)
-        sim::panic("GoRuntimeModel: no blocking thread to remove");
-    --census_.blocking;
-}
-
-void
 GoRuntimeModel::enterTransientSingleThread()
 {
     if (!started_)

@@ -44,9 +44,6 @@ class GoRuntimeModel
     /** A goroutine entered a blocking syscall: one more OS thread. */
     void addBlockingThread();
 
-    /** A blocking call returned. */
-    void removeBlockingThread();
-
     /**
      * Enter the transient single-thread state: notify runtime threads to
      * save their contexts and exit, collapse scheduling threads to m0,

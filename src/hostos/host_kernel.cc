@@ -23,28 +23,7 @@ HostKernel::spawnProcess(const std::string &name)
 }
 
 HostProcess &
-HostKernel::fork(HostProcess &parent, const std::string &child_name)
-{
-    if (parent.threadCount() != 1)
-        sim::panic("HostKernel::fork: %s has %d threads; Linux fork "
-                   "clones only the caller", parent.name().c_str(),
-                   parent.threadCount());
-    const Pid pid = next_pid_++;
-    auto space = parent.space().forkCow(child_name,
-                                        /*honor_cow_flag=*/false);
-    auto child = std::make_unique<HostProcess>(
-        pid, std::move(space), parent.pidNamespace(),
-        parent.userNamespace());
-    child->fds_ = parent.fds().clone();
-    child->setAslrSalt(parent.aslrSalt()); // fork preserves the layout
-    auto &ref = *child;
-    procs_.emplace(pid, std::move(child));
-    ctx_.chargeCounted(metrics::kHostForks, ctx_.costs().sforkSyscallBase);
-    return ref;
-}
-
-HostProcess &
-HostKernel::sfork(HostProcess &parent, SforkOptions opts)
+HostKernel::sfork(HostProcess &parent, std::string child_name)
 {
     if (parent.threadCount() != 1)
         sim::panic("HostKernel::sfork: %s has %d threads; the sandbox "
@@ -54,27 +33,15 @@ HostKernel::sfork(HostProcess &parent, SforkOptions opts)
     ctx_.chargeCounted(metrics::kHostSforks, costs.sforkSyscallBase);
 
     const Pid pid = next_pid_++;
-    auto space = parent.space().forkCow(std::move(opts.childName),
-                                        /*honor_cow_flag=*/true);
-    const NamespaceId pid_ns = opts.newPidNamespace
-                                   ? freshNamespace()
-                                   : parent.pidNamespace();
-    const NamespaceId user_ns = opts.newUserNamespace
-                                    ? freshNamespace()
-                                    : parent.userNamespace();
-    if (opts.newPidNamespace || opts.newUserNamespace)
-        ctx_.chargeCounted(metrics::kHostNamespaceSetups, costs.namespaceSetup);
+    auto space = parent.space().forkCow(std::move(child_name));
+    const NamespaceId pid_ns = freshNamespace();
+    const NamespaceId user_ns = freshNamespace();
+    ctx_.chargeCounted(metrics::kHostNamespaceSetups, costs.namespaceSetup);
 
     auto child = std::make_unique<HostProcess>(pid, std::move(space),
                                                pid_ns, user_ns);
     child->fds_ = parent.fds().clone();
-    if (opts.rerandomizeAslr) {
-        child->setAslrSalt(ctx_.rng().next64());
-        ctx_.chargeCounted(metrics::kHostAslrRerandomize,
-                           costs.aslrRerandomize);
-    } else {
-        child->setAslrSalt(parent.aslrSalt());
-    }
+    child->setAslrSalt(parent.aslrSalt());
     auto &ref = *child;
     procs_.emplace(pid, std::move(child));
     return ref;
@@ -102,13 +69,6 @@ HostKernel::exitProcess(Pid pid)
                    static_cast<unsigned long long>(pid));
     it->second->markDead();
     procs_.erase(it); // address space destructor releases frames
-}
-
-HostProcess *
-HostKernel::findProcess(Pid pid)
-{
-    auto it = procs_.find(pid);
-    return it == procs_.end() ? nullptr : it->second.get();
 }
 
 } // namespace catalyzer::hostos

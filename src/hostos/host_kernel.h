@@ -1,7 +1,7 @@
 /**
  * @file
- * The simulated host kernel: process table, fork, and the sfork
- * primitive (paper Sec. 4).
+ * The simulated host kernel: process table and the sfork primitive
+ * (paper Sec. 4).
  */
 
 #ifndef CATALYZER_HOSTOS_HOST_KERNEL_H
@@ -17,21 +17,10 @@
 
 namespace catalyzer::hostos {
 
-/** Options controlling one sfork invocation. */
-struct SforkOptions
-{
-    /** Give the child fresh PID/USER namespaces (Sec. 4, Challenge-3). */
-    bool newPidNamespace = true;
-    bool newUserNamespace = true;
-    /** Re-randomize the child's layout (ASLR mitigation, Sec. 6.8). */
-    bool rerandomizeAslr = false;
-    std::string childName = "sforked";
-};
-
 /**
  * Host kernel for one machine. Owns the frame store (physical memory)
- * and the process table; implements fork and sfork with their memory,
- * fd-table and namespace semantics.
+ * and the process table; implements sfork with its memory, fd-table
+ * and namespace semantics.
  */
 class HostKernel
 {
@@ -45,20 +34,16 @@ class HostKernel
     HostProcess &spawnProcess(const std::string &name);
 
     /**
-     * Traditional fork: single-threaded parent only; COW memory; shared
-     * mappings stay shared; same namespaces. Returns the child.
-     */
-    HostProcess &fork(HostProcess &parent, const std::string &child_name);
-
-    /**
-     * The sfork primitive: like fork, but (a) MAP_SHARED regions carrying
+     * The sfork primitive: like fork (COW memory, a copy of the fd
+     * table, the parent's layout), but (a) MAP_SHARED regions carrying
      * the CoW flag are downgraded to copy-on-write so sandboxes stay
      * isolated, (b) the child gets fresh PID/USER namespaces so ids seen
-     * before the fork stay consistent, and (c) the caller must have
-     * collapsed to a single thread (transient single-thread) first —
-     * violating that is a guest bug and panics.
+     * before the fork stay consistent (Sec. 4, Challenge-3), and (c) the
+     * caller must have collapsed to a single thread (transient
+     * single-thread) first — violating that is a guest bug and panics.
+     * The child's address space takes @p child_name.
      */
-    HostProcess &sfork(HostProcess &parent, SforkOptions opts);
+    HostProcess &sfork(HostProcess &parent, std::string child_name);
 
     /**
      * dup() on @p proc's fd table with the Fig. 16d latency model.
@@ -69,7 +54,6 @@ class HostKernel
     /** Terminate and reap a process, releasing its memory. */
     void exitProcess(Pid pid);
 
-    HostProcess *findProcess(Pid pid);
     std::size_t processCount() const { return procs_.size(); }
 
     mem::FrameStore &frames() { return frames_; }

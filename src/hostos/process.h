@@ -41,7 +41,7 @@ class HostProcess
     vfs::FdTable &fds() { return fds_; }
     const vfs::FdTable &fds() const { return fds_; }
 
-    /** Number of live OS threads; fork/sfork require exactly one. */
+    /** Number of live OS threads; sfork requires exactly one. */
     int threadCount() const { return thread_count_; }
     void setThreadCount(int n) { thread_count_ = n; }
 
@@ -51,7 +51,7 @@ class HostProcess
     bool alive() const { return alive_; }
     void markDead() { alive_ = false; }
 
-    /** Address-space layout salt; changes on ASLR re-randomization. */
+    /** Address-space layout salt: drawn at spawn, kept by sfork children. */
     std::uint64_t aslrSalt() const { return aslr_salt_; }
     void setAslrSalt(std::uint64_t salt) { aslr_salt_ = salt; }
 

@@ -45,8 +45,8 @@ AddressSpace::mapAnon(std::size_t npages, bool writable, std::string name)
 {
     const PageIndex start = next_va_;
     next_va_ += npages + 1; // one-page guard gap
-    vmas_.push_back(Vma{start, npages, MapKind::Anon, writable, true,
-                        nullptr, 0, std::move(name)});
+    vmas_.push_back(Vma{start, npages, MapKind::Anon, writable, nullptr,
+                        0, std::move(name)});
     ctx_.chargeCounted(metrics::kMemMmapCalls, ctx_.costs().mmapRegion);
     return start;
 }
@@ -62,8 +62,8 @@ AddressSpace::mapFile(BackingFile &file, PageIndex file_start,
         sim::panic("mapFile %s: range beyond EOF", name.c_str());
     const PageIndex start = next_va_;
     next_va_ += npages + 1;
-    vmas_.push_back(Vma{start, npages, kind, writable, true, &file,
-                        file_start, std::move(name)});
+    vmas_.push_back(Vma{start, npages, kind, writable, &file, file_start,
+                        std::move(name)});
     ctx_.chargeCounted(metrics::kMemMmapCalls, ctx_.costs().mmapRegion);
     return start;
 }
@@ -589,7 +589,7 @@ AddressSpace::touchRange(PageIndex start, std::size_t npages, bool write,
 }
 
 std::unique_ptr<AddressSpace>
-AddressSpace::forkCow(std::string child_name, bool honor_cow_flag)
+AddressSpace::forkCow(std::string child_name)
 {
     auto child = std::make_unique<AddressSpace>(ctx_, store_,
                                                 std::move(child_name));
@@ -604,17 +604,11 @@ AddressSpace::forkCow(std::string child_name, bool honor_cow_flag)
             (table_.presentPages() + kPtesPerTable - 1) / kPtesPerTable),
         1);
 
-    // Downgrade every extent that is not truly shared to pending-COW in
-    // the parent, then share each frame once and copy the run map
-    // wholesale — the child's table is exactly the parent's post-mark
-    // table, run for run.
-    for (const Vma &vma : vmas_) {
-        const bool truly_shared =
-            vma.kind == MapKind::FileShared &&
-            (!honor_cow_flag || !vma.cowOnFork);
-        if (!truly_shared)
-            table_.markCowRange(vma.start, vma.npages);
-    }
+    // Downgrade every extent to pending-COW in the parent, then share
+    // each frame once and copy the run map wholesale — the child's table
+    // is exactly the parent's post-mark table, run for run.
+    for (const Vma &vma : vmas_)
+        table_.markCowRange(vma.start, vma.npages);
     if (base_) // privately COWed base pages downgrade like anon memory
         table_.markCowRange(base_va_start_, base_->npages());
     table_.forEachRun([this](PageIndex, const PageTable::Run &run) {

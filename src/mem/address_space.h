@@ -91,12 +91,6 @@ struct Vma
     std::size_t npages = 0;
     MapKind kind = MapKind::Anon;
     bool writable = true;
-    /**
-     * The paper's kernel CoW flag: when set, a MAP_SHARED region is
-     * downgraded to COW across sfork instead of being shared with the
-     * child (Sec. 4, "handling of shared memory").
-     */
-    bool cowOnFork = true;
     BackingFile *file = nullptr;
     PageIndex fileStart = 0;
     std::string name;
@@ -176,15 +170,13 @@ class AddressSpace
                             std::size_t stride, std::size_t writes);
 
     /**
-     * fork/sfork memory half: clone this space copy-on-write. Present
-     * pages become shared-COW in both parent and child. MAP_SHARED VMAs
-     * stay truly shared under plain fork (@p honor_cow_flag false); sfork
-     * honors the paper's CoW flag and downgrades flagged shared regions
-     * to COW for sandbox isolation. Charges per-VMA and per-PTE-batch
-     * costs to the context.
+     * sfork memory half: clone this space copy-on-write. Present pages
+     * become shared-COW in both parent and child. MAP_SHARED regions
+     * too: every one carries the paper's kernel CoW flag (Sec. 4,
+     * "handling of shared memory"), so sandboxes stay isolated. Charges
+     * per-VMA and per-PTE-batch costs to the context.
      */
-    std::unique_ptr<AddressSpace> forkCow(std::string child_name,
-                                          bool honor_cow_flag = true);
+    std::unique_ptr<AddressSpace> forkCow(std::string child_name);
 
     /** Resident set size: private pages plus shared base pages. */
     std::size_t rssPages() const;

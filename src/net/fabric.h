@@ -53,8 +53,6 @@ struct FabricConfig
     bool modelTransfers = false;
     /** Machines per rack (two-level tree topology). */
     std::size_t machinesPerRack = 8;
-    /** Pages per chunk for chunked image fetches. */
-    std::size_t chunkPages = 1024;
     /** Streaming slowdown per concurrent open stream on an endpoint. */
     double contentionPenalty = 0.5;
     /** Fetch func-images from the nearest replica, not always origin. */

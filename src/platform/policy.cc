@@ -7,36 +7,21 @@
 
 namespace catalyzer::platform {
 
-const char *
-functionPriorityName(FunctionPriority priority)
-{
-    switch (priority) {
-      case FunctionPriority::High: return "high";
-      case FunctionPriority::Normal: return "normal";
-      case FunctionPriority::Low: return "low";
-    }
-    return "?";
-}
+namespace {
+
+/** Multiplicative decay applied to traffic counters at each rebalance. */
+constexpr double kDecay = 0.5;
+
+/** Counters decayed below this snap to zero (the function is cold; pure
+ *  multiplicative decay would otherwise never reach it). */
+constexpr double kColdFloor = 0.05;
+
+} // namespace
 
 BootPolicyManager::BootPolicyManager(ServerlessPlatform &platform,
                                      PolicyConfig config)
     : platform_(platform), config_(config)
 {
-}
-
-void
-BootPolicyManager::setPriority(const std::string &function_name,
-                               FunctionPriority priority)
-{
-    functions_[function_name].priority = priority;
-}
-
-FunctionPriority
-BootPolicyManager::priority(const std::string &function_name) const
-{
-    auto it = functions_.find(function_name);
-    return it == functions_.end() ? FunctionPriority::Normal
-                                  : it->second.priority;
 }
 
 InvocationRecord
@@ -72,22 +57,6 @@ BootPolicyManager::setTemplateMemoryBudget(std::size_t bytes)
     config_.templateMemoryBudgetBytes = bytes;
 }
 
-double
-BootPolicyManager::score(const FunctionState &state) const
-{
-    // Priority is a multiplier on observed traffic; High functions
-    // qualify even when quiet, Low ones never hold a template.
-    switch (state.priority) {
-      case FunctionPriority::High:
-        return 1000.0 + state.recentInvocations;
-      case FunctionPriority::Normal:
-        return state.recentInvocations;
-      case FunctionPriority::Low:
-        return -1.0;
-    }
-    return 0.0;
-}
-
 std::size_t
 BootPolicyManager::rebalance()
 {
@@ -95,10 +64,10 @@ BootPolicyManager::rebalance()
     std::size_t builds = 0;
     std::size_t drops = 0;
 
-    // Rank candidates by score.
+    // Rank candidates by recent traffic.
     std::vector<std::pair<double, std::string>> ranked;
     for (const auto &[name, state] : functions_)
-        ranked.emplace_back(score(state), name);
+        ranked.emplace_back(state.recentInvocations, name);
     std::sort(ranked.begin(), ranked.end(),
               [](const auto &a, const auto &b) { return a.first > b.first; });
 
@@ -106,11 +75,8 @@ BootPolicyManager::rebalance()
     std::size_t used = 0;
     for (const auto &[s, name] : ranked) {
         FunctionState &state = functions_[name];
-        const bool hot =
-            state.priority == FunctionPriority::High ||
-            (state.priority == FunctionPriority::Normal &&
-             state.recentInvocations >=
-                 static_cast<double>(config_.hotThreshold));
+        const bool hot = state.recentInvocations >=
+                         static_cast<double>(config_.hotThreshold);
         if (hot) {
             if (!state.hasTemplate) {
                 // Deployed functions (fleet populations included) come
@@ -158,8 +124,8 @@ BootPolicyManager::rebalance()
 
     // Decay the traffic counters.
     for (auto &[name, state] : functions_) {
-        state.recentInvocations *= config_.decay;
-        if (state.recentInvocations < config_.coldFloor)
+        state.recentInvocations *= kDecay;
+        if (state.recentInvocations < kColdFloor)
             state.recentInvocations = 0.0;
     }
 

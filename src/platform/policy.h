@@ -1,15 +1,14 @@
 /**
  * @file
- * Priority-based boot-policy management (paper Sec. 6.9).
+ * Traffic-based boot-policy management (paper Sec. 6.9).
  *
  * Fork boot is the fastest path but each template sandbox holds real
  * memory (a SPECjbb template costs >200 MB), so a platform must choose
- * *which* functions deserve one. The paper's guidance: private
- * platforms assign priorities; public ones use hints plus observed
- * traffic. BootPolicyManager implements that: it scores functions by
- * priority and recent invocation rate and keeps templates for the top
- * scorers within a memory budget, falling back to warm/cold restore for
- * everything else (the platform's CatalyzerAuto strategy escalates
+ * *which* functions deserve one. The paper's guidance for public
+ * platforms is observed traffic. BootPolicyManager implements that: it
+ * ranks functions by recent invocation rate and keeps templates for the
+ * hot ones within a memory budget, falling back to warm/cold restore
+ * for everything else (the platform's CatalyzerAuto strategy escalates
  * automatically once a template exists).
  */
 
@@ -24,24 +23,14 @@
 
 namespace catalyzer::platform {
 
-/** Operator-assigned importance of a function. */
-enum class FunctionPriority { High, Normal, Low };
-
-const char *functionPriorityName(FunctionPriority priority);
-
 /** Policy knobs. */
 struct PolicyConfig
 {
     /** Total memory the template pool may hold. */
     std::size_t templateMemoryBudgetBytes = 512u << 20;
-    /** Invocations (since last rebalance) for a Normal function to be
+    /** Invocations (decayed at each rebalance) for a function to be
      *  considered hot. */
     std::size_t hotThreshold = 4;
-    /** Multiplicative decay applied to counters at each rebalance. */
-    double decay = 0.5;
-    /** Counters decayed below this snap to zero (the function is cold;
-     *  pure multiplicative decay would otherwise never reach it). */
-    double coldFloor = 0.05;
     /**
      * When a function goes fully cold (no traffic, no live instances),
      * also release its shared Base-EPT and func-image page cache at
@@ -53,18 +42,13 @@ struct PolicyConfig
 };
 
 /**
- * Tracks traffic, scores functions and maintains the template pool.
+ * Tracks traffic, ranks functions and maintains the template pool.
  * Use it as the invoke() front door so observations stay accurate.
  */
 class BootPolicyManager
 {
   public:
     BootPolicyManager(ServerlessPlatform &platform, PolicyConfig config);
-
-    /** Set a function's priority (defaults to Normal). */
-    void setPriority(const std::string &function_name,
-                     FunctionPriority priority);
-    FunctionPriority priority(const std::string &function_name) const;
 
     /** Invoke through the policy (observes traffic). */
     InvocationRecord invoke(const std::string &function_name);
@@ -93,8 +77,8 @@ class BootPolicyManager
     void setTemplateMemoryBudget(std::size_t bytes);
 
     /**
-     * Re-evaluate the template pool: build templates for the hottest /
-     * highest-priority functions while under the memory budget; drop
+     * Re-evaluate the template pool: build templates for the hottest
+     * functions while under the memory budget; drop
      * templates whose functions went cold. Returns the number of
      * template builds plus drops performed.
      */
@@ -111,12 +95,9 @@ class BootPolicyManager
   private:
     struct FunctionState
     {
-        FunctionPriority priority = FunctionPriority::Normal;
         double recentInvocations = 0.0;
         bool hasTemplate = false;
     };
-
-    double score(const FunctionState &state) const;
 
     ServerlessPlatform &platform_;
     PolicyConfig config_;

@@ -238,8 +238,6 @@ struct CostModel
     SimTime namespaceSetup = 140_us;
     /** Clone the in-memory overlay rootFS (COW, constant time). */
     SimTime overlayFsClone = 22_us;
-    /** ASLR re-randomization of the child layout (optional, Sec. 6.8). */
-    SimTime aslrRerandomize = 260_us;
 
     //
     // Sandbox lifecycle (sandbox/).

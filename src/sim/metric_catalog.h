@@ -14,7 +14,8 @@
  * Adding a metric: add one line to CATALYZER_METRICS below and use its
  * handle at the emitting site. tools/check_metric_sites.py rejects a
  * string-literal metric name at a stats call site anywhere else in
- * src/, and `trace_report --list-metrics` dumps this table.
+ * src/, and an entry whose handle no src/ file names; `trace_report
+ * --list-metrics` dumps this table.
  */
 
 #ifndef CATALYZER_SIM_METRIC_CATALOG_H
@@ -34,10 +35,8 @@
 #define CATALYZER_METRICS(M, F)                                              \
     /* hostos */                                                             \
     M(HostSpawns, Counter, "host.spawns", "count", "hostos", "sandbox processes spawned") \
-    M(HostForks, Counter, "host.forks", "count", "hostos", "plain fork() calls") \
     M(HostSforks, Counter, "host.sforks", "count", "hostos", "sfork() calls (template fork)") \
     M(HostNamespaceSetups, Counter, "host.namespace_setups", "count", "hostos", "namespace sets created for a child") \
-    M(HostAslrRerandomize, Counter, "host.aslr_rerandomize", "count", "hostos", "ASLR re-randomizations after sfork") \
     M(KvmCreateVm, Counter, "kvm.create_vm", "count", "hostos", "KVM VMs created") \
     M(KvmKvcalloc, Counter, "kvm.kvcalloc", "count", "hostos", "KVM kvcalloc calls on VM creation") \
     M(KvmCreateVcpu, Counter, "kvm.create_vcpu", "count", "hostos", "KVM vCPUs created") \
@@ -68,7 +67,6 @@
     M(VfsOverlayCopyups, Counter, "vfs.overlay_copyups", "count", "vfs", "overlay copy-ups") \
     M(VfsOverlayCreates, Counter, "vfs.overlay_creates", "count", "vfs", "overlay file creates") \
     M(VfsOverlayWrites, Counter, "vfs.overlay_writes", "count", "vfs", "overlay writes") \
-    M(VfsOverlayUnlinks, Counter, "vfs.overlay_unlinks", "count", "vfs", "overlay unlinks") \
     M(VfsOverlayClones, Counter, "vfs.overlay_clones", "count", "vfs", "overlay rootfs clones") \
     /* guest */                                                              \
     M(GuestSentryInits, Counter, "guest.sentry_inits", "count", "guest", "guest kernel (Sentry) initializations") \
@@ -159,8 +157,6 @@
     M(CatalyzerTemplatesBuilt, Counter, "catalyzer.templates_built", "count", "catalyzer", "function templates built") \
     M(CatalyzerLangTemplatesBuilt, Counter, "catalyzer.lang_templates_built", "count", "catalyzer", "language-runtime templates built") \
     M(CatalyzerTemplateDeaths, Counter, "catalyzer.template_deaths", "count", "catalyzer", "templates lost to injected death") \
-    M(CatalyzerTemplateRefreshes, Counter, "catalyzer.template_refreshes", "count", "catalyzer", "templates rebuilt for a new image") \
-    M(CatalyzerImagesWarmed, Counter, "catalyzer.images_warmed", "count", "catalyzer", "images warmed ahead of demand") \
     M(CatalyzerImageFetchRetries, Counter, "catalyzer.image_fetch_retries", "count", "catalyzer", "image fetches retried") \
     M(CatalyzerImageRebuilds, Counter, "catalyzer.image_rebuilds", "count", "catalyzer", "images rebuilt locally after a failed fetch") \
     M(CatalyzerImageRefetchAfterRebuild, Counter, "catalyzer.image_refetch_after_rebuild", "count", "catalyzer", "remote re-fetches after a local rebuild") \
@@ -211,7 +207,6 @@
     M(StateTransfers, Counter, "state.transfers", "count", "state", "state regions moved between machines") \
     M(StateTransferBytes, Counter, "state.transfer_bytes", "bytes", "state", "bytes moved by state-region transfers") \
     M(StateRegionsResident, Counter, "state.regions_resident", "regions", "state", "state regions resident (a gauge: +1 in, -1 out)") \
-    M(StateEvictions, Counter, "state.evictions", "count", "state", "state regions evicted") \
     M(StateCowFaults, Counter, "state.cow_faults", "pages", "state", "copy-on-write faults on attached regions") \
     M(StateReadFaults, Counter, "state.read_faults", "pages", "state", "read faults on attached regions") \
     /* workflow */                                                           \

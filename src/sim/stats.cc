@@ -431,14 +431,6 @@ WindowedHistogram::merge(const WindowedHistogram &other)
     (void)windows();
 }
 
-void
-WindowedHistogram::clear()
-{
-    windows_.clear();
-    sorted_valid_ = true;
-    total_count_ = 0;
-}
-
 std::int64_t
 WindowedHistogram::indexFor(SimTime now) const
 {

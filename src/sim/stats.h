@@ -170,8 +170,6 @@ class WindowedHistogram
      */
     void merge(const WindowedHistogram &other);
 
-    void clear();
-
   private:
     std::int64_t indexFor(SimTime now) const;
 

@@ -278,54 +278,6 @@ StateRegionStore::publish(const std::string &name, net::NodeId node,
     return region.version;
 }
 
-void
-StateRegionStore::pin(const std::string &name, net::NodeId node)
-{
-    Region &region = regionOrDie(name);
-    auto it = region.replicas.find(node);
-    if (it == region.replicas.end())
-        sim::fatal("StateRegionStore: pin of %s on node %u without a "
-                   "replica",
-                   name.c_str(), static_cast<unsigned>(node));
-    ++it->second.pins;
-}
-
-void
-StateRegionStore::unpin(const std::string &name, net::NodeId node)
-{
-    Region &region = regionOrDie(name);
-    auto it = region.replicas.find(node);
-    if (it == region.replicas.end() || it->second.pins == 0)
-        sim::fatal("StateRegionStore: unbalanced unpin of %s on node %u",
-                   name.c_str(), static_cast<unsigned>(node));
-    --it->second.pins;
-}
-
-bool
-StateRegionStore::evict(const std::string &name, net::NodeId node)
-{
-    Region &region = regionOrDie(name);
-    auto it = region.replicas.find(node);
-    if (it == region.replicas.end())
-        return false;
-    Replica &replica = it->second;
-    if (replica.pins > 0 || replica.base->attachCount() > 0)
-        return false;
-    if (replica.version == region.version) {
-        // Refuse to drop the last current copy: that would lose the
-        // region's contents.
-        std::size_t current = 0;
-        for (const auto &[n, r] : region.replicas)
-            current += r.version == region.version ? 1 : 0;
-        if (current <= 1)
-            return false;
-    }
-    nodeOrDie(node).ctx->stats().incr(metrics::kStateRegionsResident, -1);
-    nodeOrDie(node).ctx->stats().incr(metrics::kStateEvictions);
-    region.replicas.erase(it);
-    return true;
-}
-
 std::uint64_t
 StateRegionStore::version(const std::string &name) const
 {
@@ -361,16 +313,6 @@ StateRegionStore::residentBytesOn(net::NodeId node) const
             bytes += mem::bytesForPages(region.npages);
     }
     return bytes;
-}
-
-std::vector<std::string>
-StateRegionStore::regionNames() const
-{
-    std::vector<std::string> out;
-    out.reserve(regions_.size());
-    for (const auto &[name, region] : regions_)
-        out.push_back(name);
-    return out;
 }
 
 } // namespace catalyzer::state

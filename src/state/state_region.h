@@ -19,8 +19,7 @@
  * paying a fabric-priced transfer when that node holds no current
  * replica — and publish() bumps the version from a writer's dirty
  * pages, invalidating every other machine's replica (stale readers
- * detect this through RegionAttachment::stale()). pin() protects a
- * replica from pressure eviction.
+ * detect this through RegionAttachment::stale()).
  *
  * Everything is strictly pay-for-use: a store that is never constructed
  * or never holds a region charges nothing and emits no counters, so all
@@ -178,17 +177,6 @@ class StateRegionStore
                           std::size_t dirty_pages,
                           trace::TraceContext trace = {});
 
-    /** Pin the replica on @p node (blocks evict(); counts nest). */
-    void pin(const std::string &name, net::NodeId node);
-    void unpin(const std::string &name, net::NodeId node);
-
-    /**
-     * Drop the replica on @p node to relieve memory pressure. Refused
-     * (returns false) while the replica is pinned or attached, or when
-     * it is the region's only current copy.
-     */
-    bool evict(const std::string &name, net::NodeId node);
-
     std::uint64_t version(const std::string &name) const;
     std::size_t regionPages(const std::string &name) const;
     std::size_t regionCount() const { return regions_.size(); }
@@ -203,16 +191,12 @@ class StateRegionStore
      */
     std::size_t residentBytesOn(net::NodeId node) const;
 
-    /** All region names, ascending (deterministic iteration). */
-    std::vector<std::string> regionNames() const;
-
   private:
     struct Replica
     {
         std::shared_ptr<mem::BackingFile> file;
         std::shared_ptr<mem::BaseMapping> base;
         std::uint64_t version = 0;
-        std::size_t pins = 0;
     };
 
     struct Region

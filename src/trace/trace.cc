@@ -329,13 +329,6 @@ Tracer::setCapacity(std::size_t capacity)
     }
 }
 
-std::size_t
-Tracer::capacity() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return capacity_;
-}
-
 std::uint64_t
 Tracer::droppedCount() const
 {
@@ -348,13 +341,6 @@ Tracer::setMachine(std::uint32_t machine)
 {
     std::lock_guard<std::mutex> lock(mu_);
     machine_ = machine;
-}
-
-std::uint32_t
-Tracer::machine() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return machine_;
 }
 
 SpanId

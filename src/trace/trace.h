@@ -181,14 +181,12 @@ class Tracer
      * unbounded). An over-full buffer evicts oldest-first immediately.
      */
     void setCapacity(std::size_t capacity);
-    std::size_t capacity() const;
 
     /** Spans evicted by the capacity ring so far. */
     std::uint64_t droppedCount() const;
 
     /** Machine (cluster node) id stamped on every span recorded here. */
     void setMachine(std::uint32_t machine);
-    std::uint32_t machine() const;
 
   private:
     /**

@@ -49,15 +49,6 @@ InodeTree::lookup(const std::string &path) const
     return it == nodes_.end() ? nullptr : &it->second;
 }
 
-void
-InodeTree::removeFile(const std::string &path)
-{
-    auto it = nodes_.find(path);
-    if (it == nodes_.end() || it->second.isDir)
-        sim::panic("InodeTree::removeFile: no file '%s'", path.c_str());
-    nodes_.erase(it);
-}
-
 std::vector<std::string>
 InodeTree::filesUnder(const std::string &prefix) const
 {

@@ -44,9 +44,6 @@ class InodeTree
         return lookup(path) != nullptr;
     }
 
-    /** Remove a file (directories are never removed). */
-    void removeFile(const std::string &path);
-
     /** Paths of all regular files under @p prefix. */
     std::vector<std::string> filesUnder(const std::string &prefix) const;
 

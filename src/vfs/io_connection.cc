@@ -38,16 +38,6 @@ IoConnectionTable::find(std::uint64_t id)
     return it == conns_.end() ? nullptr : &*it;
 }
 
-const IoConnection *
-IoConnectionTable::find(std::uint64_t id) const
-{
-    auto it = std::find_if(conns_.begin(), conns_.end(),
-                           [id](const IoConnection &c) {
-                               return c.id == id;
-                           });
-    return it == conns_.end() ? nullptr : &*it;
-}
-
 std::size_t
 IoConnectionTable::establishedCount() const
 {

@@ -56,7 +56,6 @@ class IoConnectionTable
     void cloneFrom(const std::vector<IoConnection> &saved);
 
     IoConnection *find(std::uint64_t id);
-    const IoConnection *find(std::uint64_t id) const;
 
     std::vector<IoConnection> &all() { return conns_; }
     const std::vector<IoConnection> &all() const { return conns_; }

@@ -14,10 +14,7 @@ OverlayRootfs::OverlayRootfs(sim::SimContext &ctx, FsServer &lower)
 bool
 OverlayRootfs::openRead(const std::string &path, FdEntry *out)
 {
-    auto it = upper_.find(path);
-    if (it != upper_.end()) {
-        if (it->second.whiteout)
-            return false;
+    if (upper_.contains(path)) {
         ctx_.chargeCounted(metrics::kVfsOverlayUpperOpens,
                            ctx_.costs().syscallBase);
         if (out)
@@ -27,31 +24,30 @@ OverlayRootfs::openRead(const std::string &path, FdEntry *out)
     return lower_.openReadOnly(path, out);
 }
 
-void
-OverlayRootfs::copyUp(const std::string &path, MemFile &mf)
+std::size_t
+OverlayRootfs::copyUp(const std::string &path)
 {
     // Copy-up (or fresh create). Copy-up cost scales with file size.
     const Inode *node = lower_.rootfs().lookup(path);
-    mf = MemFile{};
     if (node && !node->isDir) {
-        mf.sizeBytes = node->sizeBytes;
         const auto pages = static_cast<std::int64_t>(
             mem::pagesForBytes(node->sizeBytes));
         ctx_.stats().incr(metrics::kVfsOverlayCopyups);
         ctx_.charge(ctx_.costs().goferRpc);
         ctx_.charge(ctx_.costs().memcpyPerPage * pages);
-    } else {
-        ctx_.stats().incr(metrics::kVfsOverlayCreates);
-        ctx_.charge(ctx_.costs().syscallBase);
+        return node->sizeBytes;
     }
+    ctx_.stats().incr(metrics::kVfsOverlayCreates);
+    ctx_.charge(ctx_.costs().syscallBase);
+    return 0;
 }
 
 FdEntry
 OverlayRootfs::openWrite(const std::string &path)
 {
     auto [it, inserted] = upper_.try_emplace(path);
-    if (inserted || it->second.whiteout)
-        copyUp(path, it->second);
+    if (inserted)
+        it->second = copyUp(path);
     return FdEntry{FdKind::File, path, false, true, 0};
 }
 
@@ -59,10 +55,9 @@ void
 OverlayRootfs::write(const std::string &path, std::size_t bytes)
 {
     auto [it, inserted] = upper_.try_emplace(path);
-    MemFile &mf = it->second;
-    if (inserted || mf.whiteout)
-        copyUp(path, mf);
-    mf.sizeBytes += bytes;
+    if (inserted)
+        it->second = copyUp(path);
+    it->second += bytes;
     const auto pages = static_cast<std::int64_t>(
         mem::pagesForBytes(bytes));
     ctx_.chargeCounted(metrics::kVfsOverlayWrites,
@@ -72,21 +67,10 @@ OverlayRootfs::write(const std::string &path, std::size_t bytes)
 }
 
 bool
-OverlayRootfs::unlink(const std::string &path)
-{
-    if (!exists(path))
-        return false;
-    upper_[path] = MemFile{0, true};
-    ctx_.chargeCounted(metrics::kVfsOverlayUnlinks, ctx_.costs().syscallBase);
-    return true;
-}
-
-bool
 OverlayRootfs::exists(const std::string &path) const
 {
-    auto it = upper_.find(path);
-    if (it != upper_.end())
-        return !it->second.whiteout;
+    if (upper_.contains(path))
+        return true;
     const Inode *node = lower_.rootfs().lookup(path);
     return node && !node->isDir;
 }
@@ -96,7 +80,7 @@ OverlayRootfs::sizeOf(const std::string &path) const
 {
     auto it = upper_.find(path);
     if (it != upper_.end())
-        return it->second.whiteout ? 0 : it->second.sizeBytes;
+        return it->second;
     const Inode *node = lower_.rootfs().lookup(path);
     return (node && !node->isDir) ? node->sizeBytes : 0;
 }
@@ -114,10 +98,8 @@ std::size_t
 OverlayRootfs::upperBytes() const
 {
     std::size_t total = 0;
-    for (const auto &[path, mf] : upper_) {
-        if (!mf.whiteout)
-            total += mf.sizeBytes;
-    }
+    for (const auto &[path, bytes] : upper_)
+        total += bytes;
     return total;
 }
 

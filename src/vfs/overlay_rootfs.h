@@ -23,20 +23,12 @@
 
 namespace catalyzer::vfs {
 
-/** An upper-layer file held in sandbox memory. */
-struct MemFile
-{
-    std::size_t sizeBytes = 0;
-    /** Whiteout: the lower file is deleted from this sandbox's view. */
-    bool whiteout = false;
-};
-
 /**
  * One sandbox's view of its root filesystem.
  *
- * open()/write()/unlink() follow overlayfs semantics: reads fall through
- * to the lower layer; the first write copies the file up into memory;
- * deletes create whiteouts. clone() (for sfork) is constant-cost.
+ * open()/write() follow overlayfs semantics: reads fall through to the
+ * lower layer; the first write copies the file up into memory. clone()
+ * (for sfork) is constant-cost.
  */
 class OverlayRootfs
 {
@@ -58,9 +50,6 @@ class OverlayRootfs
     /** Append @p bytes to an upper-layer file (write syscall path). */
     void write(const std::string &path, std::size_t bytes);
 
-    /** Remove a file from this sandbox's view. */
-    bool unlink(const std::string &path);
-
     /** True if visible in this view. */
     bool exists(const std::string &path) const;
 
@@ -81,12 +70,14 @@ class OverlayRootfs
     FsServer &lower() { return lower_; }
 
   private:
-    /** Fill @p mf from the lower layer (copy-up) or as a fresh file. */
-    void copyUp(const std::string &path, MemFile &mf);
+    /** Copy @p path up from the lower layer, or create it empty;
+     *  returns its size. */
+    std::size_t copyUp(const std::string &path);
 
     sim::SimContext &ctx_;
     FsServer &lower_;
-    std::map<std::string, MemFile> upper_;
+    /** Upper-layer files held in sandbox memory: path -> size. */
+    std::map<std::string, std::size_t> upper_;
 };
 
 } // namespace catalyzer::vfs

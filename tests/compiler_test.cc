@@ -67,10 +67,13 @@ TEST_F(CompilerTest, MovedEntryPointIsRecorded)
         entry);
     EXPECT_DOUBLE_EQ(image->state().warmedPrepFraction, 0.5);
 
-    // Instances restored from it inherit the moved entry point.
+    // Instances restored from it inherit the moved entry point, and so
+    // do children sforked from a template built from it.
     core::CatalyzerRuntime runtime(machine);
     auto boot = runtime.bootCold(fn("pillow-rolling"));
     EXPECT_DOUBLE_EQ(boot.instance->prepFraction(), 0.5);
+    auto fork = runtime.bootFork(fn("pillow-rolling"));
+    EXPECT_DOUBLE_EQ(fork.instance->prepFraction(), 0.5);
 }
 
 TEST_F(CompilerTest, BadPrepFractionIsFatal)

@@ -1,15 +1,13 @@
 /**
  * @file
- * Tests for the extension features: the gVisor-ptrace platform variant,
- * trace-driven workloads, user-guided pre-initialization (Sec. 6.7) and
- * template refresh (Sec. 6.8).
+ * Tests for the extension features: the gVisor-ptrace platform variant
+ * and trace-driven workloads.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 
-#include "catalyzer/runtime.h"
 #include "load/driver.h"
 #include "sandbox/pipelines.h"
 
@@ -118,76 +116,6 @@ TEST(TraceWorkloadTest, ArrivalOutsideTheTapeIsFatal)
                 ::testing::ExitedWithCode(1), "outside the run window");
     EXPECT_EXIT(TraceReplay().run({{0.1, 2}}),
                 ::testing::ExitedWithCode(1), "names function 2");
-}
-
-class WarmImageTest : public ::testing::Test
-{
-  protected:
-    WarmImageTest() : machine(42), registry(machine), runtime(machine) {}
-    Machine machine;
-    FunctionRegistry registry;
-    core::CatalyzerRuntime runtime;
-};
-
-TEST_F(WarmImageTest, WarmedImageCutsExecLatency)
-{
-    auto &fn = registry.artifactsFor(apps::appByName("pillow-filters"));
-
-    auto before = runtime.bootCold(fn);
-    const double exec_default = before.instance->invoke().toMs();
-
-    runtime.warmFuncImage(fn, /*training_requests=*/3,
-                          /*prep_fraction=*/0.6);
-    EXPECT_EQ(machine.ctx().stats().value("catalyzer.images_warmed"), 1);
-
-    auto after = runtime.bootCold(fn);
-    EXPECT_DOUBLE_EQ(after.instance->prepFraction(), 0.6);
-    const double exec_warmed = after.instance->invoke().toMs();
-    EXPECT_LT(exec_warmed, exec_default * 0.6);
-}
-
-TEST_F(WarmImageTest, WarmedImagePropagatesToForkBoots)
-{
-    auto &fn = registry.artifactsFor(apps::appByName("ds-compose"));
-    runtime.warmFuncImage(fn, 2, 0.5);
-    auto fork = runtime.bootFork(fn);
-    EXPECT_DOUBLE_EQ(fork.instance->prepFraction(), 0.5);
-}
-
-TEST_F(WarmImageTest, WarmingInvalidatesTheSharedBase)
-{
-    auto &fn = registry.artifactsFor(apps::appByName("c-nginx"));
-    runtime.bootWarm(fn);
-    const auto old_base = fn.sharedBase;
-    ASSERT_NE(old_base, nullptr);
-    runtime.warmFuncImage(fn, 1, 0.4);
-    EXPECT_EQ(fn.sharedBase, nullptr); // dropped; next boot remaps
-    runtime.bootWarm(fn);
-    EXPECT_NE(fn.sharedBase, old_base);
-}
-
-TEST(TemplateRefreshTest, RefreshRotatesTheLayout)
-{
-    Machine machine(42);
-    FunctionRegistry registry(machine);
-    core::CatalyzerRuntime runtime(machine);
-    auto &fn = registry.artifactsFor(apps::appByName("c-hello"));
-
-    runtime.prepareTemplate(fn);
-    const auto salt_before =
-        runtime.templateFor("c-hello")->proc().aslrSalt();
-
-    runtime.refreshTemplate(fn);
-    auto *fresh = runtime.templateFor("c-hello");
-    ASSERT_NE(fresh, nullptr);
-    // A new sandbox process: new layout salt for all future children.
-    EXPECT_NE(fresh->proc().aslrSalt(), salt_before);
-    EXPECT_EQ(machine.ctx().stats().value(
-                  "catalyzer.template_refreshes"), 1);
-
-    // The refreshed template still fork-boots correctly.
-    auto fork = runtime.bootFork(fn);
-    EXPECT_LT(fork.report.total().toMs(), 1.5);
 }
 
 } // namespace

@@ -30,7 +30,7 @@ TEST_P(PlatformFuzz, RandomOperationSequenceHoldsInvariants)
     config.strategy = strategy;
     config.reuseIdleInstances = (seed % 2) == 0;
     ServerlessPlatform plat(machine, config);
-    BootPolicyManager policy(plat, PolicyConfig{256u << 20, 3, 0.5});
+    BootPolicyManager policy(plat, PolicyConfig{256u << 20, 3});
 
     const std::vector<std::string> functions = {
         "ds-text", "ds-media", "python-hello", "c-hello",

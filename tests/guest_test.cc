@@ -97,9 +97,6 @@ TEST_F(GoRuntimeTest, StartAndCensus)
     EXPECT_EQ(rt.totalThreads(), 5);
     rt.addBlockingThread();
     EXPECT_EQ(rt.totalThreads(), 6);
-    rt.removeBlockingThread();
-    EXPECT_EQ(rt.totalThreads(), 5);
-    EXPECT_DEATH(rt.removeBlockingThread(), "no blocking thread");
 }
 
 TEST_F(GoRuntimeTest, TransientSingleThreadLifecycle)

@@ -82,56 +82,22 @@ TEST_F(HostKernelTest, SpawnAndExit)
     EXPECT_EQ(kernel.machineRssPages(), 0u);
 }
 
-TEST_F(HostKernelTest, ForkSharesNamespacesAndLayout)
-{
-    HostProcess &parent = kernel.spawnProcess("p");
-    HostProcess &child = kernel.fork(parent, "c");
-    EXPECT_EQ(child.pidNamespace(), parent.pidNamespace());
-    EXPECT_EQ(child.userNamespace(), parent.userNamespace());
-    EXPECT_EQ(child.aslrSalt(), parent.aslrSalt());
-    EXPECT_NE(child.pid(), parent.pid());
-}
-
 TEST_F(HostKernelTest, MultiThreadedForkPanics)
 {
     HostProcess &parent = kernel.spawnProcess("p");
     parent.setThreadCount(4);
-    EXPECT_DEATH(kernel.fork(parent, "c"), "clones only the caller");
-    EXPECT_DEATH(kernel.sfork(parent, SforkOptions{}),
-                 "transient single-thread");
+    EXPECT_DEATH(kernel.sfork(parent, "c"), "transient single-thread");
 }
 
 TEST_F(HostKernelTest, SforkGivesFreshNamespaces)
 {
     HostProcess &parent = kernel.spawnProcess("p");
-    HostProcess &child = kernel.sfork(parent, SforkOptions{});
+    HostProcess &child = kernel.sfork(parent, "c");
+    EXPECT_NE(child.pid(), parent.pid());
+    EXPECT_EQ(child.name(), "c");
     EXPECT_NE(child.pidNamespace(), parent.pidNamespace());
     EXPECT_NE(child.userNamespace(), parent.userNamespace());
     EXPECT_EQ(ctx.stats().value("host.namespace_setups"), 1);
-}
-
-TEST_F(HostKernelTest, SforkCanKeepNamespaces)
-{
-    HostProcess &parent = kernel.spawnProcess("p");
-    SforkOptions opts;
-    opts.newPidNamespace = false;
-    opts.newUserNamespace = false;
-    HostProcess &child = kernel.sfork(parent, opts);
-    EXPECT_EQ(child.pidNamespace(), parent.pidNamespace());
-}
-
-TEST_F(HostKernelTest, SforkAslrRerandomization)
-{
-    HostProcess &parent = kernel.spawnProcess("p");
-    SforkOptions keep;
-    HostProcess &same = kernel.sfork(parent, keep);
-    EXPECT_EQ(same.aslrSalt(), parent.aslrSalt());
-
-    SforkOptions rerand;
-    rerand.rerandomizeAslr = true;
-    HostProcess &fresh = kernel.sfork(parent, rerand);
-    EXPECT_NE(fresh.aslrSalt(), parent.aslrSalt());
-    EXPECT_EQ(ctx.stats().value("host.aslr_rerandomize"), 1);
 }
 
 TEST_F(HostKernelTest, SforkMemoryIsCow)
@@ -141,7 +107,8 @@ TEST_F(HostKernelTest, SforkMemoryIsCow)
     parent.space().touchRange(va, 8, true);
     const std::size_t before = kernel.machineRssPages();
 
-    HostProcess &child = kernel.sfork(parent, SforkOptions{});
+    HostProcess &child = kernel.sfork(parent, "c");
+    EXPECT_EQ(child.aslrSalt(), parent.aslrSalt()); // same layout
     EXPECT_EQ(kernel.machineRssPages(), before); // no copies yet
     child.space().touch(va, true);
     EXPECT_EQ(kernel.machineRssPages(), before + 1);
@@ -152,7 +119,7 @@ TEST_F(HostKernelTest, SforkInheritsFdTable)
     HostProcess &parent = kernel.spawnProcess("p");
     parent.fds().allocate(vfs::FdEntry{vfs::FdKind::File, "/ro", true,
                                        true, 0});
-    HostProcess &child = kernel.sfork(parent, SforkOptions{});
+    HostProcess &child = kernel.sfork(parent, "c");
     ASSERT_NE(child.fds().get(0), nullptr);
     EXPECT_EQ(child.fds().get(0)->path, "/ro");
 }

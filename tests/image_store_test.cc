@@ -212,6 +212,27 @@ TEST(ImageStoreTest, RuntimeRebuildsCorruptImage)
                   "catalyzer.image_refetch_after_rebuild"), 0);
 }
 
+TEST(ImageStoreTest, RebuildInvalidatesTheSharedBase)
+{
+    Machine machine(42);
+    FunctionRegistry registry(machine);
+    core::CatalyzerOptions options;
+    options.verifyImages = true;
+    core::CatalyzerRuntime runtime(machine, options);
+    auto &fn = registry.artifactsFor(apps::appByName("c-nginx"));
+
+    runtime.bootWarm(fn);
+    const auto old_base = fn.sharedBase;
+    ASSERT_NE(old_base, nullptr);
+    // The Base-EPT over the rotten image must not serve the next boot:
+    // the rebuild drops it and the boot maps the rebuilt image afresh.
+    fn.separatedImage->markCorrupted();
+    runtime.bootWarm(fn);
+    EXPECT_EQ(machine.ctx().stats().value("catalyzer.image_rebuilds"), 1);
+    ASSERT_NE(fn.sharedBase, nullptr);
+    EXPECT_NE(fn.sharedBase, old_base);
+}
+
 TEST(ImageStoreTest, RebuildUnderRemoteImagesPaysRefetch)
 {
     Machine machine(42);

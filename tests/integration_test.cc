@@ -149,23 +149,6 @@ TEST(ServerProfileTest, OrderingHoldsOnTheServerMachine)
               50.0);
 }
 
-TEST(AslrOptionTest, SforkChildrenGetDistinctLayouts)
-{
-    Machine machine(42);
-    FunctionRegistry registry(machine);
-    core::CatalyzerOptions options;
-    options.aslrRerandomizeOnSfork = true;
-    core::CatalyzerRuntime runtime(machine, options);
-    auto &fn = registry.artifactsFor(apps::appByName("c-hello"));
-
-    auto a = runtime.bootFork(fn);
-    auto b = runtime.bootFork(fn);
-    EXPECT_NE(a.instance->proc().aslrSalt(),
-              b.instance->proc().aslrSalt());
-    // The mitigation costs time but stays sub-ms territory overall.
-    EXPECT_LT(a.report.total().toMs(), 2.5);
-}
-
 TEST(RestartConsistencyTest, WarmAfterTeardownStillShares)
 {
     Machine machine(42);

@@ -213,13 +213,9 @@ TEST_F(AddressSpaceTest, ForkHonorsCowFlagOnSharedMappings)
         parent.mapFile(file, 0, 4, MapKind::FileShared, true, "shm");
     parent.touchRange(va, 4, true);
 
-    // plain fork (ignore flag): stays truly shared, no copy on write.
-    auto fork_child = parent.forkCow("fork-child", false);
-    EXPECT_EQ(fork_child->touch(va, true), FaultResult::None);
-
-    // sfork (honor flag, default cowOnFork=true): the shared region is
-    // downgraded to COW for isolation; a child write copies.
-    auto sfork_child = parent.forkCow("sfork-child", true);
+    // sfork: the shared region is downgraded to COW for isolation; a
+    // child write copies.
+    auto sfork_child = parent.forkCow("sfork-child");
     EXPECT_EQ(sfork_child->touch(va, true), FaultResult::Cow);
 }
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the priority-based boot-policy manager (Sec. 6.9).
+ * Tests for the traffic-based boot-policy manager (Sec. 6.9).
  */
 
 #include <gtest/gtest.h>
@@ -31,23 +31,6 @@ class PolicyTest : public ::testing::Test
     BootPolicyManager manager;
 };
 
-TEST_F(PolicyTest, DefaultPriorityIsNormal)
-{
-    EXPECT_EQ(manager.priority("ds-text"), FunctionPriority::Normal);
-    manager.setPriority("ds-text", FunctionPriority::High);
-    EXPECT_EQ(manager.priority("ds-text"), FunctionPriority::High);
-}
-
-TEST_F(PolicyTest, HighPriorityGetsTemplateEvenWhenQuiet)
-{
-    manager.setPriority("ds-text", FunctionPriority::High);
-    manager.rebalance();
-    EXPECT_NE(platform.catalyzer().templateFor("ds-text"), nullptr);
-    // Subsequent invocations fork-boot.
-    const auto rec = manager.invoke("ds-text");
-    EXPECT_EQ(rec.bootKind, BootKind::ForkBoot);
-}
-
 TEST_F(PolicyTest, HotNormalFunctionEarnsTemplate)
 {
     for (int i = 0; i < 8; ++i)
@@ -55,12 +38,15 @@ TEST_F(PolicyTest, HotNormalFunctionEarnsTemplate)
     EXPECT_EQ(platform.catalyzer().templateFor("ds-media"), nullptr);
     manager.rebalance();
     EXPECT_NE(platform.catalyzer().templateFor("ds-media"), nullptr);
+    // Subsequent invocations fork-boot.
+    const auto rec = manager.invoke("ds-media");
+    EXPECT_EQ(rec.bootKind, BootKind::ForkBoot);
 }
 
-TEST_F(PolicyTest, LowPriorityNeverGetsTemplate)
+TEST_F(PolicyTest, QuietFunctionGetsNoTemplate)
 {
-    manager.setPriority("python-hello", FunctionPriority::Low);
-    for (int i = 0; i < 50; ++i)
+    // One observation short of the hot threshold.
+    for (std::size_t i = 1; i < PolicyConfig{}.hotThreshold; ++i)
         manager.observe("python-hello");
     manager.rebalance();
     EXPECT_EQ(platform.catalyzer().templateFor("python-hello"), nullptr);
@@ -97,7 +83,8 @@ TEST_F(PolicyTest, BudgetCapsTemplatePool)
 
 TEST_F(PolicyTest, TemplateMemoryAccounting)
 {
-    manager.setPriority("ds-text", FunctionPriority::High);
+    for (int i = 0; i < 4; ++i)
+        manager.observe("ds-text");
     manager.rebalance();
     EXPECT_GT(manager.templateMemoryBytes(), 0u);
     EXPECT_EQ(manager.templatedFunctions().size(), 1u);
@@ -124,12 +111,6 @@ TEST_F(PolicyTest, RebalanceEmitsWindowedPolicySeries)
     // A second rebalance appends another observation per series.
     manager.rebalance();
     EXPECT_EQ(hot->totalCount(), 2u);
-}
-
-TEST(PolicyNamesTest, PriorityNames)
-{
-    EXPECT_STREQ(functionPriorityName(FunctionPriority::High), "high");
-    EXPECT_STREQ(functionPriorityName(FunctionPriority::Low), "low");
 }
 
 } // namespace

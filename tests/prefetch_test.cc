@@ -387,45 +387,6 @@ TEST(RuntimePrefetchTest, SecondColdBootAvoidsDemandFaults)
     EXPECT_GT(rate->mean(), 0.5);
 }
 
-TEST(RuntimePrefetchTest, StaleManifestFallsBackAndReRecords)
-{
-    Machine machine(42);
-    FunctionRegistry registry(machine);
-    core::CatalyzerOptions options;
-    options.prefetchWorkingSet = true;
-    options.workingSetTraces = 2;
-    core::CatalyzerRuntime runtime(machine, options);
-    auto &stats = machine.ctx().stats();
-
-    FunctionArtifacts &fn =
-        registry.artifactsFor(apps::appByName("python-hello"));
-    BootResult boot = runtime.bootCold(fn);
-    boot.instance->invoke();
-    boot.instance.reset();
-    ASSERT_TRUE(fn.workingSet);
-    const std::uint64_t old_gen = fn.workingSet->imageGeneration();
-
-    // User-guided warming rebuilds the func-image: a new generation.
-    runtime.warmFuncImage(fn, /*training_requests=*/1,
-                          /*prep_fraction=*/0.25);
-    ASSERT_NE(fn.separatedImage->generation(), old_gen);
-
-    // The next cold boot detects the stale manifest, falls back to
-    // demand paging and starts recording against the new image.
-    const std::int64_t misses_before =
-        stats.value("prefetch.manifest_misses");
-    BootResult after = runtime.bootCold(fn);
-    after.instance->invoke();
-    after.instance.reset();
-
-    EXPECT_GE(stats.value("prefetch.manifest_stale"), 1);
-    EXPECT_GT(stats.value("prefetch.manifest_misses"), misses_before);
-    ASSERT_TRUE(fn.workingSet);
-    EXPECT_EQ(fn.workingSet->imageGeneration(),
-              fn.separatedImage->generation());
-    EXPECT_TRUE(fn.workingSet->usable()); // re-recorded already
-}
-
 TEST(RuntimePrefetchTest, CorruptionRebuildDropsManifestAndReRecords)
 {
     Machine machine(42);
@@ -433,7 +394,6 @@ TEST(RuntimePrefetchTest, CorruptionRebuildDropsManifestAndReRecords)
     core::CatalyzerOptions options;
     options.prefetchWorkingSet = true;
     options.verifyImages = true;
-    options.workingSetTraces = 2;
     core::CatalyzerRuntime runtime(machine, options);
     auto &stats = machine.ctx().stats();
 

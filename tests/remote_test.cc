@@ -69,14 +69,12 @@ TEST(TemplateRegistryTest, ReplicaDirectory)
 struct RemoteForkOptions
 {
     const char *name;
-    bool useZygote = true;
     bool lazyIoReconnection = true;
 
     core::CatalyzerOptions
     options() const
     {
         core::CatalyzerOptions options;
-        options.useZygote = useZygote;
         options.lazyIoReconnection = lazyIoReconnection;
         return options;
     }
@@ -116,14 +114,8 @@ expectBorrowerForksFromPeerTemplate(const core::CatalyzerOptions &options)
     EXPECT_EQ(cluster.machine(0).ctx().stats().value("net.transfers"),
               0);
 
-    // Without Zygotes the borrowed state lands in a sandbox constructed
-    // on the path. Eager reconnection re-establishes the connections at
-    // boot, so the first request finds none left to reconnect.
-    if (!options.useZygote) {
-        EXPECT_EQ(stats.value("catalyzer.zygote_hits") +
-                      stats.value("catalyzer.zygote_misses"),
-                  0);
-    }
+    // Eager reconnection re-establishes the connections at boot, so
+    // the first request finds none left to reconnect.
     if (!options.lazyIoReconnection) {
         EXPECT_GT(stats.value("snapshot.io_reconnects"), 0);
         EXPECT_EQ(stats.value("exec.startup_reconnects") +
@@ -155,8 +147,7 @@ TEST_P(RemoteForkOptionsTest, BorrowerForksFromPeerTemplate)
 
 INSTANTIATE_TEST_SUITE_P(
     OptionSets, RemoteForkOptionsTest,
-    ::testing::Values(RemoteForkOptions{"NoZygote", /*useZygote=*/false},
-                      RemoteForkOptions{"EagerIo", true,
+    ::testing::Values(RemoteForkOptions{"EagerIo",
                                         /*lazyIoReconnection=*/false}));
 
 TEST(RemoteForkTest, SeparatedStateAblationApplies)

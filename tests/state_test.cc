@@ -164,30 +164,6 @@ TEST(StateRegionTest, CowFaultAccountingUnderBatchedTouch)
     store.detach(handle);
 }
 
-TEST(StateRegionTest, EvictRespectsPinsAttachmentsAndLastCopy)
-{
-    TwoNodeStore fixture;
-    StateRegionStore &store = fixture.store;
-    store.ensure("model", 16, 0);
-
-    // The only current copy can never be evicted.
-    EXPECT_FALSE(store.evict("model", 0));
-
-    RegionAttachment handle = store.attach("model", 1);
-    EXPECT_FALSE(store.evict("model", 1)); // attached
-    store.detach(handle);
-
-    store.pin("model", 1);
-    EXPECT_FALSE(store.evict("model", 1)); // pinned
-    store.unpin("model", 1);
-
-    EXPECT_TRUE(store.evict("model", 1));
-    EXPECT_EQ(store.residentBytesOn(1), 0u);
-    EXPECT_EQ(fixture.m1.ctx().stats().value("state.evictions"), 1);
-    EXPECT_EQ(store.holders("model"), std::vector<net::NodeId>{0});
-    EXPECT_FALSE(store.evict("model", 1)); // nothing left to evict
-}
-
 TEST(StateRegionTest, ResidencyGaugeTracksReplicaMoves)
 {
     TwoNodeStore fixture;

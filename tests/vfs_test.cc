@@ -29,15 +29,8 @@ TEST(InodeTreeTest, FilesAndImplicitParents)
     EXPECT_TRUE(dir->isDir);
     EXPECT_EQ(tree.fileCount(), 1u);
     EXPECT_EQ(tree.totalBytes(), 100u);
-}
-
-TEST(InodeTreeTest, RemoveAndMissing)
-{
-    InodeTree tree;
-    tree.addFile("/x", 1);
-    tree.removeFile("/x");
-    EXPECT_FALSE(tree.exists("/x"));
-    EXPECT_DEATH(tree.removeFile("/x"), "no file");
+    EXPECT_FALSE(tree.exists("/a/b/missing.txt"));
+    EXPECT_EQ(tree.lookup("/x"), nullptr);
 }
 
 TEST(InodeTreeTest, BadPathsPanic)
@@ -185,6 +178,8 @@ TEST_F(OverlayTest, ReadFallsThroughToLower)
     FdEntry entry;
     EXPECT_TRUE(overlay.openRead("/app/ro.txt", &entry));
     EXPECT_FALSE(overlay.openRead("/nope", &entry));
+    EXPECT_TRUE(overlay.exists("/app/ro.txt"));
+    EXPECT_FALSE(overlay.exists("/nope"));
 }
 
 TEST_F(OverlayTest, WriteCopiesUp)
@@ -204,15 +199,9 @@ TEST_F(OverlayTest, WriteExtendsUpperOnly)
     overlay.write("/tmp/new.log", 50);
     EXPECT_EQ(overlay.sizeOf("/tmp/new.log"), 150u);
     EXPECT_FALSE(server.rootfs().exists("/tmp/new.log"));
-}
-
-TEST_F(OverlayTest, UnlinkWhiteout)
-{
-    EXPECT_TRUE(overlay.unlink("/app/ro.txt"));
-    EXPECT_FALSE(overlay.exists("/app/ro.txt"));
-    EXPECT_FALSE(overlay.unlink("/app/ro.txt"));
-    // Lower layer still has it.
-    EXPECT_TRUE(server.rootfs().exists("/app/ro.txt"));
+    EXPECT_TRUE(overlay.exists("/tmp/new.log"));
+    overlay.write("/tmp/other.log", 10);
+    EXPECT_EQ(overlay.upperBytes(), 160u);
 }
 
 TEST_F(OverlayTest, CloneIsIndependent)
@@ -223,14 +212,6 @@ TEST_F(OverlayTest, CloneIsIndependent)
     EXPECT_EQ(overlay.sizeOf("/tmp/a"), 10u);
     EXPECT_EQ(child->sizeOf("/tmp/a"), 15u);
     EXPECT_EQ(ctx.stats().value("vfs.overlay_clones"), 1);
-}
-
-TEST_F(OverlayTest, UpperBytesSkipsWhiteouts)
-{
-    overlay.write("/tmp/a", 100);
-    overlay.write("/tmp/b", 50);
-    overlay.unlink("/tmp/b");
-    EXPECT_EQ(overlay.upperBytes(), 100u);
 }
 
 TEST(IoConnectionTest, AddFindDrop)

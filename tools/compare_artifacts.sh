@@ -21,6 +21,9 @@
 #   fig_slo_window            stdout + JSON + fig_slo_window.flightrec/
 #   ablation_keepalive        stdout
 #   ablation_template_budget  stdout
+#   fig01 ... fig16d          stdout of each of the 16 figure binaries
+#   tab01 ... tab03           stdout of each of the 3 table binaries
+#   fig_prefetch_ablation     stdout
 #
 # Prints every differing file and exits 1 if any differs, 0 otherwise.
 # JOBS sets the build parallelism (default: nproc). TMPDIR picks where the
@@ -42,9 +45,20 @@ jobs=${JOBS:-$(nproc)}
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
+# The paper's figures and tables, plus the prefetch ablation: each
+# prints only virtual-clock results, byte-identical across runs and
+# optimisation levels.
+paper=(fig01_cdf_ratio fig02_boot_breakdown fig03_design_space
+       fig04_startup_split fig06_restore_baseline fig11_startup_matrix
+       fig12_breakdown fig13a_deathstar fig13b_pillow fig13c_ecommerce
+       fig14_memory_usage fig15_scalability fig16a_entry_point
+       fig16b_kvm_cache fig16c_pml fig16d_dup_latency
+       tab01_syscall_policy tab02_runtime_template tab03_memory_costs
+       fig_prefetch_ablation)
+
 targets=(scorecard trace_report fig_remote_fork fig_fault_matrix
          fig_fleet_slo fig_chain fig_image_dedup fig_slo_window
-         ablation_keepalive ablation_template_budget)
+         ablation_keepalive ablation_template_budget "${paper[@]}")
 
 build() { # <source dir> <build dir>
     cmake -S "$1" -B "$2" -DCMAKE_BUILD_TYPE=Release \
@@ -84,6 +98,10 @@ surfaces() { # <bench dir> <out dir>
     run "$out" fig_slo_window "$b/fig_slo_window"
     run "$out" ablation_keepalive "$b/ablation_keepalive"
     run "$out" ablation_template_budget "$b/ablation_template_budget"
+    local name
+    for name in "${paper[@]}"; do
+        run "$out" "$name" "$b/$name"
+    done
 }
 
 echo "compare_artifacts: building $rev and the working tree (Release)"
@@ -97,7 +115,9 @@ surfaces "$work/build-old/bench" "$work/old"
 surfaces "$work/build-new/bench" "$work/new"
 
 status=0
+files=0
 while IFS= read -r file; do
+    files=$((files + 1))
     if [[ ! -f "$work/old/$file" ]]; then
         echo "only in working tree: $file"
         status=1
@@ -112,6 +132,6 @@ done < <( (cd "$work/old" && find . -type f; cd "$work/new" && find . -type f) |
           sed 's|^\./||' | sort -u)
 
 if [[ $status -eq 0 ]]; then
-    echo "compare_artifacts: all files byte-identical to $rev"
+    echo "compare_artifacts: all $files files byte-identical to $rev"
 fi
 exit $status
