@@ -107,8 +107,7 @@ runScriptedChain()
     const apps::AppProfile &app = apps::appByName("python-hello");
     plat.prepare(app);
     auto &faults = plat.catalyzer().faults();
-    const auto burst =
-        static_cast<std::uint64_t>(faults.retry().maxAttempts);
+    const auto burst = static_cast<std::uint64_t>(faults::kMaxAttempts);
 
     struct Step
     {

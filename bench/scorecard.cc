@@ -280,15 +280,11 @@ main()
     bench::footer();
 
     // Simulator wall-clock cost (host time, not virtual time): how
-    // long the whole scorecard took and the aggregate boot rate.
+    // long the whole scorecard took.
     const double wall_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       wall_start)
             .count();
-    const auto boots = sim::StatRegistry::global().value("bench.boots");
-    std::printf("\nwall-clock: %.2f s total, %lld boots simulated "
-                "(%.0f boots/sec)\n",
-                wall_s, static_cast<long long>(boots),
-                wall_s > 0.0 ? static_cast<double>(boots) / wall_s : 0.0);
+    std::printf("\nwall-clock: %.2f s total\n", wall_s);
     return deviations == 0 ? 0 : 1;
 }

@@ -43,7 +43,7 @@ constexpr double kLanguageTemplateCoreFraction = 0.8;
 CatalyzerRuntime::CatalyzerRuntime(sandbox::Machine &machine,
                                    CatalyzerOptions options)
     : machine_(machine), options_(options),
-      injector_(options.faults, &machine.ctx().clock()),
+      injector_(options.faults),
       zygotes_(machine), images_(machine.ctx()),
       lang_registry_(machine)
 {
@@ -88,8 +88,6 @@ CatalyzerRuntime::fetchRemoteImage(FunctionArtifacts &fn,
 {
     auto &ctx = machine_.ctx();
     const auto format = snapshot::ImageFormat::SeparatedWellFormed;
-    const faults::RetryPolicy &retry = injector_.retry();
-    const int max_attempts = std::max(1, retry.maxAttempts);
     for (int attempt = 1;; ++attempt) {
         auto image = images_.fetch(fn.app().name, format, trace);
         if (image)
@@ -100,13 +98,13 @@ CatalyzerRuntime::fetchRemoteImage(FunctionArtifacts &fn,
         // Injected transfer failure (the store already charged the
         // attempt timeout); back off and retry until the budget runs
         // out, then fail the restore tier.
-        if (attempt >= max_attempts)
+        if (attempt >= faults::kMaxAttempts)
             throw faults::FaultError(
                 faults::FaultSite::ImageFetch,
                 "remote fetch of " + fn.app().name + " failed after " +
-                    std::to_string(max_attempts) + " attempts");
+                    std::to_string(faults::kMaxAttempts) + " attempts");
         ctx.stats().incr(metrics::kCatalyzerImageFetchRetries);
-        ctx.charge(retry.backoff(attempt, injector_.rng()));
+        ctx.charge(faults::retryBackoff(attempt, injector_.rng()));
     }
 }
 
@@ -132,8 +130,6 @@ CatalyzerRuntime::acquireImage(FunctionArtifacts &fn,
     }
 
     if (options_.verifyImages) {
-        const int max_rebuilds =
-            std::max(1, injector_.retry().maxAttempts);
         for (int rebuild = 0;; ++rebuild) {
             // Injected storage rot hits the image just before the
             // integrity check would catch it.
@@ -142,11 +138,11 @@ CatalyzerRuntime::acquireImage(FunctionArtifacts &fn,
                 image->markCorrupted();
             if (snapshot::verifyImage(ctx, *image))
                 break;
-            if (rebuild >= max_rebuilds)
+            if (rebuild >= faults::kMaxAttempts)
                 throw faults::FaultError(
                     faults::FaultSite::ImageCorruption,
                     fn.app().name + " image still corrupted after " +
-                        std::to_string(max_rebuilds) + " rebuilds");
+                        std::to_string(faults::kMaxAttempts) + " rebuilds");
             // Corrupted image: rebuild from a fresh checkpoint
             // (offline) and republish, then continue with the clean
             // copy.
@@ -183,9 +179,6 @@ CatalyzerRuntime::ensureWorkingSet(FunctionArtifacts &fn,
         return nullptr;
     auto &ctx = machine_.ctx();
 
-    if (!fn.workingSet)
-        fn.workingSet = images_.fetchManifest(fn.app().name);
-
     if (fn.workingSet && !fn.workingSet->matches(image.generation())) {
         // The image was rebuilt (recompiled, or repaired after
         // corruption): the recorded pages describe the old layout. Drop
@@ -193,7 +186,6 @@ CatalyzerRuntime::ensureWorkingSet(FunctionArtifacts &fn,
         // is recorded.
         ctx.stats().incr(metrics::kPrefetchManifestStale);
         fn.workingSet.reset();
-        images_.dropManifest(fn.app().name);
     }
 
     if (!fn.workingSet && options_.recordWorkingSet) {
@@ -203,9 +195,10 @@ CatalyzerRuntime::ensureWorkingSet(FunctionArtifacts &fn,
     }
 
     if (fn.workingSet && fn.workingSet->dirty()) {
-        // A trace was merged since the last boot: publish the manifest
-        // next to the func-image (asynchronous background work).
-        images_.publishManifest(*fn.workingSet);
+        // A trace was merged since the last boot: the new stable set
+        // is published (to this machine's next boots, and to remote-fork
+        // borrowers through RemoteForkSource::manifest).
+        ctx.stats().incr(metrics::kSnapshotManifestsPublished);
         fn.workingSet->markPublished();
     }
     return fn.workingSet;
@@ -222,7 +215,6 @@ struct CatalyzerRuntime::Boot
         : fn(fn), app(fn.app()), span(trace, span_name),
           tctx(span.context())
     {
-        sim::StatRegistry::incrGlobal(metrics::kBenchBoots);
         span.attr("function", app.name);
         report().start(ctx.clock());
     }

@@ -95,9 +95,9 @@ struct CatalyzerOptions
     bool prefetchWorkingSet = false;
     std::size_t zygotePrewarm = 4;
     /**
-     * Fault injection (src/faults/): per-site failure probabilities or
-     * scripted virtual-clock windows, plus the retry/backoff policy the
-     * boot paths use to survive them. All-zero by default, and strictly
+     * Fault injection (src/faults/): per-site failure probabilities;
+     * the boot paths survive injections with the fixed retry policy of
+     * fault_injector.h. All-zero by default, and strictly
      * pay-for-use: with no faults configured the injector never draws
      * randomness, charges latency, or creates counters.
      */
@@ -207,10 +207,10 @@ class CatalyzerRuntime
     void sfork(Boot &b, sandbox::SandboxInstance &tmpl);
 
     /**
-     * Resolve the function's working-set manifest for this boot: fetch
-     * it from the image store if the function has none yet, drop it if
-     * it is stale for @p image, create a fresh one when recording, and
-     * publish it when a new trace was merged since the last boot.
+     * Resolve the function's working-set manifest (fn.workingSet) for
+     * this boot: drop it if it is stale for @p image, create a fresh one
+     * when recording, and publish it when a new trace was merged since
+     * the last boot.
      */
     std::shared_ptr<prefetch::WorkingSetManifest>
     ensureWorkingSet(sandbox::FunctionArtifacts &fn,

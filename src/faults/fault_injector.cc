@@ -8,6 +8,11 @@
 
 namespace catalyzer::faults {
 
+namespace {
+/** Seed of every injector's private RNG stream (never the machine's). */
+constexpr std::uint64_t kInjectorSeed = 0xfa171eULL;
+} // namespace
+
 const char *
 faultSiteName(FaultSite site)
 {
@@ -16,8 +21,6 @@ faultSiteName(FaultSite site)
         return "image_fetch";
     case FaultSite::ImageCorruption:
         return "image_corruption";
-    case FaultSite::ManifestCorruption:
-        return "manifest_corruption";
     case FaultSite::IoReconnect:
         return "io_reconnect";
     case FaultSite::ZygoteBuild:
@@ -37,21 +40,19 @@ faultSiteName(FaultSite site)
 }
 
 sim::SimTime
-RetryPolicy::backoff(int attempt, sim::Rng &rng) const
+retryBackoff(int attempt, sim::Rng &rng)
 {
     if (attempt < 1)
         attempt = 1;
-    double ns = static_cast<double>(initialBackoff.toNs()) *
-                std::pow(backoffMultiplier, attempt - 1);
-    ns = std::min(ns, static_cast<double>(maxBackoff.toNs()));
-    if (jitterFraction > 0.0)
-        ns *= rng.uniform(1.0 - jitterFraction, 1.0 + jitterFraction);
+    double ns = static_cast<double>(kInitialBackoff.toNs()) *
+                std::pow(2.0, attempt - 1);
+    ns = std::min(ns, static_cast<double>(kMaxBackoff.toNs()));
+    ns *= rng.uniform(1.0 - kJitterFraction, 1.0 + kJitterFraction);
     return sim::SimTime::nanoseconds(static_cast<std::int64_t>(ns));
 }
 
-FaultInjector::FaultInjector(FaultConfig config,
-                             const sim::VirtualClock *clock)
-    : config_(std::move(config)), clock_(clock), rng_(config_.seed)
+FaultInjector::FaultInjector(FaultConfig config)
+    : config_(config), rng_(kInjectorSeed)
 {}
 
 bool
@@ -60,8 +61,6 @@ FaultInjector::enabled() const
     for (double p : config_.probability)
         if (p > 0.0)
             return true;
-    if (!config_.schedule.empty())
-        return true;
     for (std::uint64_t n : pending_)
         if (n > 0)
             return true;
@@ -95,18 +94,6 @@ FaultInjector::shouldFail(FaultSite site, sim::StatRegistry &stats)
         record(site, stats);
         return true;
     }
-    if (!config_.schedule.empty() && clock_ != nullptr) {
-        const sim::SimTime now = clock_->now();
-        for (ScheduledFault &entry : config_.schedule) {
-            if (entry.site != site || entry.budget == 0)
-                continue;
-            if (now >= entry.from && now < entry.until) {
-                --entry.budget;
-                record(site, stats);
-                return true;
-            }
-        }
-    }
     const double p = config_.probability[i];
     if (p > 0.0 && rng_.chance(p)) {
         record(site, stats);
@@ -118,18 +105,17 @@ FaultInjector::shouldFail(FaultSite site, sim::StatRegistry &stats)
 void
 FaultInjector::checkWithRetry(sim::SimContext &ctx, FaultSite site)
 {
-    const int max_attempts = std::max(1, config_.retry.maxAttempts);
     for (int attempt = 1; shouldFail(site, ctx.stats()); ++attempt) {
-        ctx.charge(config_.retry.attemptTimeout);
-        if (attempt >= max_attempts)
+        ctx.charge(kAttemptTimeout);
+        if (attempt >= kMaxAttempts)
             throw FaultError(site,
                              std::string(faultSiteName(site)) +
                                  " failed after " +
-                                 std::to_string(max_attempts) +
+                                 std::to_string(kMaxAttempts) +
                                  " attempts");
         ctx.stats().incr(
             metrics::kFaultsRetries.member(faultSiteName(site)));
-        ctx.charge(config_.retry.backoff(attempt, rng_));
+        ctx.charge(retryBackoff(attempt, rng_));
     }
 }
 

@@ -7,14 +7,13 @@
  * (Sec. 4), sfork falls back to restore (Sec. 5), and corrupted images
  * are rebuilt offline. This module provides the failure side of that
  * story: a seeded FaultInjector that can make any boot-path site fail
- * (per-site probability, scripted virtual-clock windows, or explicit
- * "fail the next N" scripting for tests), and a RetryPolicy describing
- * how a site re-attempts the operation (bounded attempts, exponential
- * backoff with jitter from sim::Rng, a per-attempt timeout charged to
- * the virtual clock).
+ * (per-site probability, or explicit "fail the next N" scripting), and
+ * the one fixed retry policy every site re-attempts with (bounded
+ * attempts, exponential backoff with jitter from sim::Rng, a
+ * per-attempt timeout charged to the virtual clock).
  *
  * Injection is strictly pay-for-use: a disabled injector (all
- * probabilities zero, no schedule, nothing scripted) never draws from
+ * probabilities zero, nothing scripted) never draws from
  * any RNG, never touches the virtual clock and never creates a counter,
  * so runs with fault injection off are bit-identical to runs without
  * the subsystem.
@@ -33,9 +32,7 @@
 #include <functional>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
-#include "sim/clock.h"
 #include "sim/context.h"
 #include "sim/rng.h"
 #include "sim/stats.h"
@@ -48,7 +45,6 @@ enum class FaultSite
 {
     ImageFetch = 0,     ///< remote func-image fetch dies mid-transfer
     ImageCorruption,    ///< func-image rots on storage (torn write)
-    ManifestCorruption, ///< working-set manifest blob is unreadable
     IoReconnect,        ///< re-establishing one I/O connection fails
     ZygoteBuild,        ///< building a Zygote sandbox fails
     TemplateDeath,      ///< the function's template sandbox died
@@ -58,62 +54,41 @@ enum class FaultSite
     RemotePeerDeath,    ///< the remote-fork lender machine died
 };
 
-inline constexpr std::size_t kFaultSiteCount = 10;
+inline constexpr std::size_t kFaultSiteCount = 9;
 
 /** Stable lower_snake_case name, used in counters and messages. */
 const char *faultSiteName(FaultSite site);
 
-/**
- * How a fault site re-attempts a failed operation. A failed attempt
- * costs attemptTimeout on the virtual clock (the time spent waiting for
- * the operation to fail); before the next attempt the site sleeps an
- * exponentially growing, jittered backoff.
- */
-struct RetryPolicy
-{
-    /** Total attempts (first try included) before the site gives up. */
-    int maxAttempts = 3;
-    /** Virtual time a failed attempt burns before it is detected. */
-    sim::SimTime attemptTimeout = sim::SimTime::milliseconds(2.0);
-    /** Backoff before the second attempt. */
-    sim::SimTime initialBackoff = sim::SimTime::microseconds(500);
-    /** Backoff growth factor per attempt. */
-    double backoffMultiplier = 2.0;
-    /** Backoff ceiling. */
-    sim::SimTime maxBackoff = sim::SimTime::milliseconds(8.0);
-    /** Uniform jitter: backoff scaled by [1-j, 1+j). */
-    double jitterFraction = 0.25;
-
-    /**
-     * Backoff to sleep before retrying after failed attempt number
-     * @p attempt (1-based). Jitter draws from @p rng.
-     */
-    sim::SimTime backoff(int attempt, sim::Rng &rng) const;
-};
+//
+// The retry policy of every fault site. A failed attempt costs
+// kAttemptTimeout on the virtual clock (the time spent waiting for the
+// operation to fail); before the next attempt the site sleeps an
+// exponentially growing, jittered backoff (retryBackoff).
+//
+/** Total attempts (first try included) before a site gives up. */
+inline constexpr int kMaxAttempts = 3;
+/** Virtual time a failed attempt burns before it is detected. */
+inline constexpr sim::SimTime kAttemptTimeout =
+    sim::SimTime::milliseconds(2.0);
+/** Backoff before the second attempt; doubles per attempt after. */
+inline constexpr sim::SimTime kInitialBackoff =
+    sim::SimTime::microseconds(500);
+/** Backoff ceiling. */
+inline constexpr sim::SimTime kMaxBackoff = sim::SimTime::milliseconds(8.0);
+/** Uniform jitter: backoff scaled by [1-j, 1+j). */
+inline constexpr double kJitterFraction = 0.25;
 
 /**
- * One scripted fault window keyed off the virtual clock: @p site fails
- * whenever the clock reads within [from, until), at most @p budget
- * times.
+ * Backoff to sleep before retrying after failed attempt number
+ * @p attempt (1-based). Jitter draws from @p rng.
  */
-struct ScheduledFault
-{
-    FaultSite site = FaultSite::ImageFetch;
-    sim::SimTime from;
-    sim::SimTime until;
-    std::uint64_t budget = UINT64_MAX;
-};
+sim::SimTime retryBackoff(int attempt, sim::Rng &rng);
 
 /** Full fault-injection configuration for one machine. */
 struct FaultConfig
 {
     /** Per-site Bernoulli failure probability, indexed by FaultSite. */
     std::array<double, kFaultSiteCount> probability{};
-    /** Scripted failure windows on the virtual clock. */
-    std::vector<ScheduledFault> schedule;
-    /** Seed of the injector's private RNG stream (never the machine's). */
-    std::uint64_t seed = 0xfa171eULL;
-    RetryPolicy retry;
 
     double &rate(FaultSite site)
     {
@@ -154,18 +129,17 @@ class FaultError : public std::runtime_error
 class FaultInjector
 {
   public:
-    /** Disabled injector: shouldFail() is always false and free. */
-    FaultInjector() : FaultInjector(FaultConfig{}, nullptr) {}
+    /** With the default config, a disabled injector: shouldFail() is
+     *  false and free until failNext() scripts a failure. */
+    explicit FaultInjector(FaultConfig config = {});
 
-    FaultInjector(FaultConfig config, const sim::VirtualClock *clock);
-
-    /** True if any probability, schedule or scripted failure is armed. */
+    /** True if any probability or scripted failure is armed. */
     bool enabled() const;
 
     /**
      * Decide whether the next operation at @p site fails: scripted
-     * failures first, then schedule windows on the virtual clock, then
-     * the per-site probability. Counts the injection into @p stats.
+     * failures first, then the per-site probability. Counts the
+     * injection into @p stats.
      */
     bool shouldFail(FaultSite site, sim::StatRegistry &stats);
 
@@ -175,15 +149,12 @@ class FaultInjector
     /**
      * The whole retry loop for one site, for operations whose failure
      * mode is "the attempt dies before doing work": consult the site up
-     * to retry().maxAttempts times; every injected failure charges the
+     * to kMaxAttempts times; every injected failure charges the
      * attempt timeout, and a jittered backoff is charged before each
      * re-attempt. Throws FaultError when the last attempt also fails;
      * returns normally (with zero cost) when nothing is injected.
      */
     void checkWithRetry(sim::SimContext &ctx, FaultSite site);
-
-    const RetryPolicy &retry() const { return config_.retry; }
-    const FaultConfig &config() const { return config_; }
 
     /** The injector's private jitter/decision stream. */
     sim::Rng &rng() { return rng_; }
@@ -210,7 +181,6 @@ class FaultInjector
     void record(FaultSite site, sim::StatRegistry &stats);
 
     FaultConfig config_;
-    const sim::VirtualClock *clock_ = nullptr;
     sim::Rng rng_;
     std::array<std::uint64_t, kFaultSiteCount> pending_{};
     std::array<std::uint64_t, kFaultSiteCount> injected_{};

@@ -35,12 +35,13 @@ class HostKernel
 
     /**
      * The sfork primitive: like fork (COW memory, a copy of the fd
-     * table, the parent's layout), but (a) MAP_SHARED regions carrying
-     * the CoW flag are downgraded to copy-on-write so sandboxes stay
-     * isolated, (b) the child gets fresh PID/USER namespaces so ids seen
-     * before the fork stay consistent (Sec. 4, Challenge-3), and (c) the
-     * caller must have collapsed to a single thread (transient
-     * single-thread) first — violating that is a guest bug and panics.
+     * table, the parent's layout), but (a) every mapping is downgraded
+     * to copy-on-write so sandboxes stay isolated (no MAP_SHARED file
+     * mappings are modelled), (b) the child gets fresh PID/USER
+     * namespaces so ids seen before the fork stay consistent (Sec. 4,
+     * Challenge-3), and (c) the caller must have collapsed to a single
+     * thread (transient single-thread) first — violating that is a
+     * guest bug and panics.
      * The child's address space takes @p child_name.
      */
     HostProcess &sfork(HostProcess &parent, std::string child_name);

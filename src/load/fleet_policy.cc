@@ -23,6 +23,10 @@ constexpr double kCrossRackShare = 0.3;
 /** Hottest functions examined by the cross-rack pass per tick. */
 constexpr std::size_t kHottestTracked = 16;
 
+/** EWMA smoothing factor of the arrival rate (weight of the newest
+ *  tick's rate). */
+constexpr double kEwmaAlpha = 0.35;
+
 } // namespace
 
 FleetAutoscaler::FleetAutoscaler(platform::Cluster &cluster,
@@ -259,8 +263,8 @@ FleetAutoscaler::tick(sim::SimTime now)
     if (dt > 0.0) {
         for (FnState &state : fns_) {
             const double rate = static_cast<double>(state.sinceTick) / dt;
-            state.ewmaRps = config_.ewmaAlpha * rate +
-                            (1.0 - config_.ewmaAlpha) * state.ewmaRps;
+            state.ewmaRps =
+                kEwmaAlpha * rate + (1.0 - kEwmaAlpha) * state.ewmaRps;
         }
     }
 

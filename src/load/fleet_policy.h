@@ -55,8 +55,6 @@ struct FleetPolicyConfig
     bool predictivePrewarm = false;
     /** EWMA arrival rate (req/s) that triggers a pre-warm. */
     double prewarmRateRps = 5.0;
-    /** EWMA smoothing factor (weight of the newest tick's rate). */
-    double ewmaAlpha = 0.35;
 
     /** Resident-memory budget per machine (instances + templates). */
     std::size_t machineResidentBudgetBytes = 1u << 30;

@@ -247,8 +247,7 @@ FaultResult
 AddressSpace::touch(PageIndex page, bool write, bool cold)
 {
     const FaultResult result = resolveTouch(page, write, cold);
-    if (observer_ != nullptr && result != FaultResult::None)
-        observer_->onFault(page, write, result);
+    notifyRange(page, 1, write, result);
     return result;
 }
 
@@ -316,15 +315,6 @@ AddressSpace::resolveTouch(PageIndex page, bool write, bool cold)
         table_.install(page, Pte{frame, false, true});
         return FaultResult::MinorFile;
       }
-      case MapKind::FileShared: {
-        ctx_.chargeCounted(metrics::kMemMinorFaultsFile,
-                           ctx_.costs().demandFaultFile);
-        const PageIndex fpage = vma->fileStart + (page - vma->start);
-        const FrameId frame = vma->file->frameFor(ctx_, fpage, cold);
-        store_.ref(frame);
-        table_.install(page, Pte{frame, vma->writable, false});
-        return FaultResult::MinorFile;
-      }
     }
     sim::panic("unreachable");
 }
@@ -377,8 +367,7 @@ AddressSpace::resolvePresentRange(PageIndex start, std::size_t npages,
 
 void
 AddressSpace::installFileFrames(PageIndex start,
-                                const std::vector<FrameId> &frames,
-                                bool writable, bool cow)
+                                const std::vector<FrameId> &frames)
 {
     std::size_t i = 0;
     while (i < frames.size()) {
@@ -386,7 +375,7 @@ AddressSpace::installFileFrames(PageIndex start,
         while (j < frames.size() && frames[j] == frames[i] + (j - i))
             ++j;
         store_.refRange(frames[i], j - i);
-        table_.installRange(start + i, j - i, frames[i], writable, cow);
+        table_.installRange(start + i, j - i, frames[i], false, true);
         i = j;
     }
 }
@@ -436,21 +425,7 @@ AddressSpace::faultVmaGap(const Vma &vma, PageIndex start,
         frames.reserve(npages);
         for (std::size_t k = 0; k < npages; ++k)
             frames.push_back(vma.file->frameFor(ctx_, fpage0 + k, cold));
-        installFileFrames(start, frames, false, true);
-        notifyRange(start, npages, write, FaultResult::MinorFile);
-        return npages;
-      }
-      case MapKind::FileShared: {
-        ctx_.chargeCounted(metrics::kMemMinorFaultsFile,
-                           ctx_.costs().demandFaultFile *
-                               static_cast<double>(n),
-                           n);
-        const PageIndex fpage0 = vma.fileStart + (start - vma.start);
-        std::vector<FrameId> frames;
-        frames.reserve(npages);
-        for (std::size_t k = 0; k < npages; ++k)
-            frames.push_back(vma.file->frameFor(ctx_, fpage0 + k, cold));
-        installFileFrames(start, frames, vma.writable, false);
+        installFileFrames(start, frames);
         notifyRange(start, npages, write, FaultResult::MinorFile);
         return npages;
       }

@@ -25,7 +25,6 @@ enum class MapKind
 {
     Anon,        ///< demand-zero anonymous memory
     FilePrivate, ///< MAP_PRIVATE file mapping (COW on write)
-    FileShared,  ///< MAP_SHARED file mapping
 };
 
 /** What a touch() resolved to; used by tests and stats. */
@@ -67,21 +66,14 @@ class FaultObserver
 {
   public:
     virtual ~FaultObserver() = default;
-    virtual void onFault(PageIndex page, bool write, FaultResult result) = 0;
 
     /**
-     * Batched notification for an extent of identically resolved
-     * faults. The default fans out to onFault() page by page in
-     * ascending order, so per-page observers keep working unmodified;
-     * extent-aware observers can override it.
+     * An extent of @p npages identically resolved faults starting at
+     * @p start, in ascending page order. A single-page touch() reports
+     * a one-page extent.
      */
-    virtual void
-    onFaultRange(PageIndex start, std::size_t npages, bool write,
-                 FaultResult result)
-    {
-        for (std::size_t k = 0; k < npages; ++k)
-            onFault(start + k, write, result);
-    }
+    virtual void onFaultRange(PageIndex start, std::size_t npages,
+                              bool write, FaultResult result) = 0;
 };
 
 /** One virtual memory area. */
@@ -171,10 +163,10 @@ class AddressSpace
 
     /**
      * sfork memory half: clone this space copy-on-write. Present pages
-     * become shared-COW in both parent and child. MAP_SHARED regions
-     * too: every one carries the paper's kernel CoW flag (Sec. 4,
-     * "handling of shared memory"), so sandboxes stay isolated. Charges
-     * per-VMA and per-PTE-batch costs to the context.
+     * of every VMA become shared-COW in both parent and child (file
+     * mappings are all MAP_PRIVATE; the paper's MAP_SHARED CoW flag of
+     * Sec. 4 is not modelled). Charges per-VMA and per-PTE-batch costs
+     * to the context.
      */
     std::unique_ptr<AddressSpace> forkCow(std::string child_name);
 
@@ -241,10 +233,10 @@ class AddressSpace
     std::size_t faultVmaGap(const Vma &vma, PageIndex start,
                             std::size_t npages, bool write, bool cold);
 
-    /** Ref+install file-cache frames, batching contiguous extents. */
+    /** Ref+install file-cache frames read-only and pending-COW,
+     *  batching contiguous extents. */
     void installFileFrames(PageIndex start,
-                           const std::vector<FrameId> &frames,
-                           bool writable, bool cow);
+                           const std::vector<FrameId> &frames);
 
     sim::SimContext &ctx_;
     FrameStore &store_;

@@ -7,6 +7,11 @@
 
 namespace catalyzer::net {
 
+namespace {
+/** Streaming slowdown per concurrent open stream on an endpoint. */
+constexpr double kContentionPenalty = 0.5;
+} // namespace
+
 StreamLease::StreamLease(Fabric &fabric, NodeId node)
     : fabric_(fabric), node_(node)
 {
@@ -59,8 +64,7 @@ Fabric::contentionFactor(NodeId src, NodeId dst,
     const std::size_t open = openStreams(src) + openStreams(dst);
     const std::size_t others =
         open > discount_streams ? open - discount_streams : 0;
-    return 1.0 + config_.contentionPenalty *
-                     static_cast<double>(others);
+    return 1.0 + kContentionPenalty * static_cast<double>(others);
 }
 
 Transfer

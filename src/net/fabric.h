@@ -53,8 +53,6 @@ struct FabricConfig
     bool modelTransfers = false;
     /** Machines per rack (two-level tree topology). */
     std::size_t machinesPerRack = 8;
-    /** Streaming slowdown per concurrent open stream on an endpoint. */
-    double contentionPenalty = 0.5;
     /** Fetch func-images from the nearest replica, not always origin. */
     bool p2pImages = false;
     /** Allow remote-sfork from a peer machine's template. */

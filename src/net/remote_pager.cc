@@ -25,16 +25,6 @@ RemotePager::RemotePager(sim::SimContext &ctx, Fabric &fabric,
 }
 
 void
-RemotePager::onFault(mem::PageIndex page, bool write,
-                     mem::FaultResult result)
-{
-    (void)write;
-    if (result != mem::FaultResult::BaseFill || !inWindow(page))
-        return;
-    pull(1);
-}
-
-void
 RemotePager::onFaultRange(mem::PageIndex start, std::size_t npages,
                           bool write, mem::FaultResult result)
 {
@@ -60,14 +50,14 @@ RemotePager::openBatch()
             // The lender died mid-pull: this request times out, and
             // every later pull streams from origin storage instead of
             // failing the running instance.
-            ctx_.charge(injector_->retry().attemptTimeout);
+            ctx_.charge(faults::kAttemptTimeout);
             ctx_.stats().incr(metrics::kRemotePeerLost);
             source_ = kOriginStorage;
         }
         if (injector_->shouldFail(faults::FaultSite::NetLink,
                                   ctx_.stats())) {
             // One dropped request; the retry goes through.
-            ctx_.charge(injector_->retry().attemptTimeout);
+            ctx_.charge(faults::kAttemptTimeout);
             ctx_.stats().incr(metrics::kNetLinkRetries);
         }
     }

@@ -60,8 +60,6 @@ class RemotePager : public mem::FaultObserver
                 trace::TraceContext borrow_trace = {},
                 trace::TraceContext lend_trace = {});
 
-    void onFault(mem::PageIndex page, bool write,
-                 mem::FaultResult result) override;
     void onFaultRange(mem::PageIndex start, std::size_t npages,
                       bool write, mem::FaultResult result) override;
 
@@ -72,12 +70,6 @@ class RemotePager : public mem::FaultObserver
     std::uint64_t batchesIssued() const { return batches_; }
 
   private:
-    bool inWindow(mem::PageIndex page) const
-    {
-        return page >= window_start_ &&
-               page < window_start_ + window_pages_;
-    }
-
     /** Account @p npages pulled pages, opening batches as needed. */
     void pull(std::size_t npages);
 

@@ -63,9 +63,6 @@ const char *
 bootStrategyName(BootStrategy strategy)
 {
     switch (strategy) {
-      case BootStrategy::Docker: return "Docker";
-      case BootStrategy::HyperContainer: return "HyperContainer";
-      case BootStrategy::FireCracker: return "FireCracker";
       case BootStrategy::GVisor: return "gVisor";
       case BootStrategy::GVisorRestore: return "gVisor-restore";
       case BootStrategy::CatalyzerCold: return "Catalyzer-restore";
@@ -271,14 +268,6 @@ ServerlessPlatform::bootNew(FunctionArtifacts &fn,
     using sandbox::SandboxSystem;
     record.tierServed = bootStrategyName(config_.strategy);
     switch (config_.strategy) {
-      case BootStrategy::Docker:
-        return sandbox::bootSandbox(SandboxSystem::Docker, fn, trace);
-      case BootStrategy::HyperContainer:
-        return sandbox::bootSandbox(SandboxSystem::HyperContainer, fn,
-                                    trace);
-      case BootStrategy::FireCracker:
-        return sandbox::bootSandbox(SandboxSystem::FireCracker, fn,
-                                    trace);
       case BootStrategy::GVisor:
         return sandbox::bootSandbox(SandboxSystem::GVisor, fn, trace);
       case BootStrategy::GVisorRestore:
@@ -492,38 +481,6 @@ ServerlessPlatform::teardown(const std::string &function_name)
     instances_ -= runningCount(function_name);
     running_.erase(function_name);
     idle_.erase(function_name);
-}
-
-std::size_t
-ServerlessPlatform::reclaimFunctionMemory(const std::string &function_name)
-{
-    sandbox::FunctionArtifacts *fn = registry_.find(function_name);
-    if (!fn)
-        return 0;
-    // Live instances still read through the Base-EPT; don't pull it out
-    // from under them.
-    if (runningCount(function_name) > 0)
-        return 0;
-    std::size_t bytes = 0;
-    if (fn->sharedBase) {
-        bytes += fn->sharedBase->residentBytes();
-        fn->sharedBase.reset();
-    }
-    // Drop the image store's local copies first: on the publishing
-    // machine they alias fn->separatedImage's file, so reclaiming here
-    // keeps the byte accounting below from double-counting.
-    bytes += runtime_.images().reclaimFunction(function_name);
-    if (fn->separatedImage) {
-        bytes += mem::bytesForPages(
-            fn->separatedImage->file().residentPages());
-        fn->separatedImage->file().evict();
-        // The page cache is gone: the next restore's demand fills pay
-        // storage reads again (unless the prefetcher batches them).
-        fn->firstRestoreDone = false;
-    }
-    if (bytes > 0)
-        machine_.ctx().stats().incr(metrics::kPlatformBaseReclaims);
-    return bytes;
 }
 
 } // namespace catalyzer::platform

@@ -22,13 +22,14 @@
 
 namespace catalyzer::platform {
 
-/** How the platform boots a missing instance. */
+/**
+ * How the platform boots a missing instance. The numbering starts at 3
+ * and must not shift: gtest names the parametrized platform tests by
+ * the raw value.
+ */
 enum class BootStrategy
 {
-    Docker,
-    HyperContainer,
-    FireCracker,
-    GVisor,
+    GVisor = 3,
     GVisorRestore,
     CatalyzerCold,
     CatalyzerWarm,
@@ -135,15 +136,6 @@ class ServerlessPlatform
      * figure memory-pressure autoscaling budgets against.
      */
     std::size_t residentBytes() const;
-
-    /**
-     * Release a cold function's restore memory: its shared Base-EPT and
-     * func-image page cache. Refused (returns 0) while the function has
-     * live or idle instances attached. Returns the resident bytes
-     * released. The working-set manifest survives, so the next cold
-     * boot prefetches the set back in batched reads.
-     */
-    std::size_t reclaimFunctionMemory(const std::string &function_name);
 
     core::CatalyzerRuntime &catalyzer() { return runtime_; }
     sandbox::FunctionRegistry &registry() { return registry_; }

@@ -109,18 +109,7 @@ BootPolicyManager::rebalance()
             ++drops;
         }
     }
-    std::size_t actions = builds + drops;
-
-    // Reclaim the restore artifacts of fully cold functions; prefetch
-    // rebuilds their working set cheaply on the next boot.
-    if (config_.reclaimColdBases) {
-        for (const auto &[name, state] : functions_) {
-            if (state.recentInvocations > 0.0 || state.hasTemplate)
-                continue;
-            if (platform_.reclaimFunctionMemory(name) > 0)
-                ++actions;
-        }
-    }
+    const std::size_t actions = builds + drops;
 
     // Decay the traffic counters.
     for (auto &[name, state] : functions_) {

@@ -31,14 +31,6 @@ struct PolicyConfig
     /** Invocations (decayed at each rebalance) for a function to be
      *  considered hot. */
     std::size_t hotThreshold = 4;
-    /**
-     * When a function goes fully cold (no traffic, no live instances),
-     * also release its shared Base-EPT and func-image page cache at
-     * rebalance. The working-set prefetcher makes this affordable: the
-     * next cold boot re-loads the recorded working set in a few batched
-     * reads instead of a storm of random demand faults.
-     */
-    bool reclaimColdBases = false;
 };
 
 /**

@@ -27,16 +27,19 @@ FaultRecorder::enableAudit(std::vector<mem::PageIndex> prefetched_pages)
 }
 
 void
-FaultRecorder::onFault(mem::PageIndex page, bool /*write*/,
-                       mem::FaultResult /*result*/)
+FaultRecorder::onFaultRange(mem::PageIndex start, std::size_t npages,
+                            bool /*write*/, mem::FaultResult /*result*/)
 {
     if (!active_)
         return;
-    if (page < window_start_ || page >= window_start_ + window_pages_)
-        return;
-    const mem::PageIndex rel = page - window_start_;
-    if (seen_.insert(rel).second)
-        order_.push_back(rel);
+    const mem::PageIndex lo = std::max(start, window_start_);
+    const mem::PageIndex hi =
+        std::min(start + npages, window_start_ + window_pages_);
+    for (mem::PageIndex page = lo; page < hi; ++page) {
+        const mem::PageIndex rel = page - window_start_;
+        if (seen_.insert(rel).second)
+            order_.push_back(rel);
+    }
 }
 
 void

@@ -67,8 +67,8 @@ class FaultRecorder : public mem::FaultObserver
     }
 
     // mem::FaultObserver
-    void onFault(mem::PageIndex page, bool write,
-                 mem::FaultResult result) override;
+    void onFaultRange(mem::PageIndex start, std::size_t npages,
+                      bool write, mem::FaultResult result) override;
 
   private:
     mem::PageIndex window_start_;

@@ -3,15 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
-#include <sstream>
 
 #include "sim/logging.h"
 
 namespace catalyzer::prefetch {
-
-namespace {
-constexpr const char *kMagic = "catalyzer-ws";
-} // namespace
 
 WorkingSetManifest::WorkingSetManifest(std::string function_name,
                                        std::uint64_t image_generation,
@@ -69,66 +64,6 @@ WorkingSetManifest::stableSet() const
     for (const auto *entry : kept)
         result.push_back(entry->first);
     return result;
-}
-
-std::string
-WorkingSetManifest::serialize() const
-{
-    std::ostringstream os;
-    os << kMagic << " v" << kFormatVersion << "\n";
-    os << "function " << function_name_ << "\n";
-    os << "generation " << image_generation_ << "\n";
-    os << "traces " << traces_ << " max " << max_traces_ << " fraction "
-       << min_fraction_ << "\n";
-    os << "pages " << pages_.size() << "\n";
-    for (const auto &[page, stat] : pages_)
-        os << page << " " << stat.hits << " " << stat.firstSeen << "\n";
-    return os.str();
-}
-
-std::shared_ptr<WorkingSetManifest>
-WorkingSetManifest::deserialize(const std::string &blob)
-{
-    std::istringstream is(blob);
-    std::string magic, version;
-    std::string expected_version = "v";
-    expected_version += std::to_string(kFormatVersion);
-    if (!(is >> magic >> version) || magic != kMagic ||
-        version != expected_version)
-        return nullptr;
-
-    std::string key, function_name;
-    std::uint64_t generation = 0;
-    std::size_t traces = 0, max_traces = 0, npages = 0;
-    double fraction = 0.0;
-    if (!(is >> key >> function_name) || key != "function")
-        return nullptr;
-    if (!(is >> key >> generation) || key != "generation")
-        return nullptr;
-    if (!(is >> key >> traces) || key != "traces")
-        return nullptr;
-    if (!(is >> key >> max_traces) || key != "max")
-        return nullptr;
-    if (!(is >> key >> fraction) || key != "fraction")
-        return nullptr;
-    if (!(is >> key >> npages) || key != "pages")
-        return nullptr;
-    if (max_traces == 0)
-        return nullptr;
-
-    auto manifest = std::make_shared<WorkingSetManifest>(
-        function_name, generation, max_traces, fraction);
-    manifest->traces_ = traces;
-    for (std::size_t i = 0; i < npages; ++i) {
-        mem::PageIndex page = 0;
-        PageStat stat;
-        if (!(is >> page >> stat.hits >> stat.firstSeen))
-            return nullptr;
-        manifest->pages_.emplace(page, stat);
-        manifest->next_seen_ =
-            std::max(manifest->next_seen_, stat.firstSeen + 1);
-    }
-    return manifest;
 }
 
 } // namespace catalyzer::prefetch

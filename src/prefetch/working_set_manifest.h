@@ -16,9 +16,11 @@
  * The manifest is bound to the generation of the func-image it was
  * recorded against; when the image is rebuilt (user-guided warming, a
  * corruption repair) the manifest is stale and restore falls back to
- * plain demand paging while a fresh one is recorded. Manifests are
- * serialized alongside the func-image in snapshot::ImageStore so other
- * machines can fetch them with the image.
+ * plain demand paging while a fresh one is recorded. It lives in the
+ * function's sandbox::FunctionArtifacts::workingSet on the machine that
+ * recorded it; another machine sees it only as a remote-fork borrower,
+ * which receives the lender's manifest by pointer
+ * (core::RemoteForkSource::manifest) to pull the working set in batches.
  */
 
 #ifndef CATALYZER_PREFETCH_WORKING_SET_MANIFEST_H
@@ -26,7 +28,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -38,9 +39,6 @@ namespace catalyzer::prefetch {
 class WorkingSetManifest
 {
   public:
-    /** Serialization format version (bumped on layout changes). */
-    static constexpr std::uint32_t kFormatVersion = 1;
-
     /**
      * @param function_name    Function the traces belong to.
      * @param image_generation Generation of the func-image the traces
@@ -55,10 +53,7 @@ class WorkingSetManifest
                        std::uint64_t image_generation,
                        std::size_t max_traces, double min_fraction);
 
-    const std::string &functionName() const { return function_name_; }
     std::uint64_t imageGeneration() const { return image_generation_; }
-    std::size_t maxTraces() const { return max_traces_; }
-    double minFraction() const { return min_fraction_; }
 
     /** Traces merged so far. */
     std::size_t traceCount() const { return traces_; }
@@ -95,19 +90,6 @@ class WorkingSetManifest
     /** True when a trace was merged since the last markPublished(). */
     bool dirty() const { return dirty_; }
     void markPublished() { dirty_ = false; }
-
-    /**
-     * Serialize to the versioned on-storage form (stored next to the
-     * func-image in ImageStore).
-     */
-    std::string serialize() const;
-
-    /**
-     * Parse a serialized manifest; nullptr on a bad magic, an
-     * unsupported version, or a malformed body.
-     */
-    static std::shared_ptr<WorkingSetManifest>
-    deserialize(const std::string &blob);
 
   private:
     struct PageStat

@@ -72,7 +72,7 @@ class FunctionArtifacts
      * Working-set manifest for REAP-style prefetch: the merged restore
      * fault traces of this function, bound to the func-image generation
      * they were recorded against (null until the first restore records
-     * one or it is fetched from the ImageStore).
+     * one). Its only home: remote-fork borrowers receive it by pointer.
      */
     std::shared_ptr<prefetch::WorkingSetManifest> workingSet;
 

@@ -353,7 +353,6 @@ bootSandbox(SandboxSystem system, FunctionArtifacts &fn,
     BootResult result = system == SandboxSystem::GVisorRestore
                             ? bootGVisorRestoreImpl(fn, trace)
                             : bootFresh(system, fn, trace);
-    sim::StatRegistry::incrGlobal(metrics::kBenchBoots);
     fn.machine().ctx().stats().observe(
         systemKeys(system).latency, result.report.total());
     sim::debugLog("boot %s/%s: %.3f ms", sandboxSystemName(system),

@@ -184,8 +184,6 @@ struct CostModel
     SimTime prefetchBatchSetup = 40_us;
     /** Sequential SSD transfer of one 4 KiB page within a batch. */
     SimTime prefetchSsdPerPage = 9_us;
-    /** Serialize or parse one working-set manifest. */
-    SimTime workingSetManifestIo = 35_us;
 
     //
     // Guest kernel / Go runtime (guest/).

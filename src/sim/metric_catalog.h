@@ -63,7 +63,6 @@
     M(VfsLazyDups, Counter, "vfs.lazy_dups", "count", "vfs", "lazy descriptor dups") \
     M(VfsDupBursts, Counter, "vfs.dup_bursts", "count", "vfs", "batched descriptor dup bursts") \
     M(VfsFdtableExpansions, Counter, "vfs.fdtable_expansions", "count", "vfs", "fd-table expansions") \
-    M(VfsOverlayUpperOpens, Counter, "vfs.overlay_upper_opens", "count", "vfs", "overlay opens served by the upper layer") \
     M(VfsOverlayCopyups, Counter, "vfs.overlay_copyups", "count", "vfs", "overlay copy-ups") \
     M(VfsOverlayCreates, Counter, "vfs.overlay_creates", "count", "vfs", "overlay file creates") \
     M(VfsOverlayWrites, Counter, "vfs.overlay_writes", "count", "vfs", "overlay writes") \
@@ -95,8 +94,6 @@
     M(SnapshotReplicaMisses, Counter, "snapshot.replica_misses", "count", "snapshot", "P2P replicas that were gone on fetch") \
     M(SnapshotP2pFetches, Counter, "snapshot.p2p_fetches", "count", "snapshot", "image fetches served by a peer") \
     M(SnapshotManifestsPublished, Counter, "snapshot.manifests_published", "count", "snapshot", "working-set manifests published") \
-    M(SnapshotManifestFetches, Counter, "snapshot.manifest_fetches", "count", "snapshot", "working-set manifest fetches") \
-    M(SnapshotManifestsCorrupted, Counter, "snapshot.manifests_corrupted", "count", "snapshot", "corrupt working-set manifests dropped") \
     M(SnapshotPagesChecksummed, Counter, "snapshot.pages_checksummed", "pages", "snapshot", "image pages checksummed on fetch") \
     M(SnapshotCorruptImagesDetected, Counter, "snapshot.corrupt_images_detected", "count", "snapshot", "corrupt images caught by checksum") \
     M(RestoreEagerRestores, Counter, "restore.eager_restores", "count", "snapshot", "baseline eager restores") \
@@ -174,7 +171,6 @@
     M(BootLatencyCatalyzerLangTemplate, Histogram, "boot.latency.Catalyzer-lang-template", "ms", "catalyzer", "language-template boot latency") \
     F(BootLatency, Histogram, "boot.latency.", "ms", "sandbox", "boot latency per sandbox system") \
     M(BootFallbackIoEagerLazy, Counter, "boot.fallback.io_eager_lazy", "count", "catalyzer", "I/O-cache replays that fell back to lazy reconnection") \
-    M(BenchBoots, Counter, "bench.boots", "count", "sandbox", "boots in the process (global registry only)") \
     /* sandbox */                                                            \
     M(ExecInvocations, Counter, "exec.invocations", "count", "sandbox", "handler invocations") \
     M(ExecLazyReconnects, Counter, "exec.lazy_reconnects", "count", "sandbox", "I/O connections reconnected on first use") \
@@ -184,7 +180,6 @@
     M(PlatformBoots, Counter, "platform.boots", "count", "platform", "requests that booted an instance") \
     M(PlatformInstanceReuses, Counter, "platform.instance_reuses", "count", "platform", "requests served by an idle instance") \
     M(PlatformIdleExpired, Counter, "platform.idle_expired", "instances", "platform", "idle instances reaped by keep-alive") \
-    M(PlatformBaseReclaims, Counter, "platform.base_reclaims", "count", "platform", "Base-EPT mappings reclaimed under pressure") \
     M(PlatformPrepareFailures, Counter, "platform.prepare_failures", "count", "platform", "offline preparations that hit a fault") \
     M(InvokeLatency, Histogram, "invoke.latency", "ms", "platform", "end-to-end request latency") \
     M(BootTierServed, Histogram, "boot.tier_served", "tier", "platform", "serving tier code (sfork 0, warm 1, cold 2, fresh 3, remote-sfork 4)") \

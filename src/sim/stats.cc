@@ -444,21 +444,6 @@ WindowedHistogram::indexFor(SimTime now) const
     return (now.toNs() - origin_.toNs()) / window_length_.toNs();
 }
 
-StatRegistry &
-StatRegistry::global()
-{
-    static StatRegistry registry;
-    return registry;
-}
-
-void
-StatRegistry::incrGlobal(CounterHandle counter, std::int64_t delta)
-{
-    static std::mutex mu;
-    std::lock_guard<std::mutex> lock(mu);
-    global().incr(counter, delta);
-}
-
 double
 LatencySeries::mean() const
 {

@@ -280,9 +280,7 @@ struct NamedMetric
  * run-time names are handed out in first-use order, which depends on
  * thread scheduling.
  *
- * Each SimContext owns one registry (its machine's metrics);
- * StatRegistry::global() is the process-wide registry for aggregating
- * across machines or from code with no SimContext at hand.
+ * Each SimContext owns one registry (its machine's metrics).
  */
 class StatRegistry
 {
@@ -424,18 +422,6 @@ class StatRegistry
      * Windows are in time order; empty windows are omitted (sparse).
      */
     void writeTimeSeriesJson(std::ostream &os) const;
-
-    /** The process-wide registry. */
-    static StatRegistry &global();
-
-    /**
-     * Thread-safe increment on the process-wide registry. Machine
-     * registries are single-writer (their machine's worker thread) and
-     * need no locking, but global() is shared by every machine — bench
-     * bookkeeping that fires on the boot path must go through here
-     * once machines run on parallel executor threads.
-     */
-    static void incrGlobal(CounterHandle counter, std::int64_t delta = 1);
 
   private:
     struct CounterSlot

@@ -148,7 +148,7 @@ ImageStore::transferImage(const std::string &k, const FuncImage &image,
             // attempt timeout, reroute the rest of the stream to
             // origin, and retry the chunk (which always succeeds, so
             // the fetch itself keeps its all-or-nothing contract).
-            ctx_.charge(injector_->retry().attemptTimeout);
+            ctx_.charge(faults::kAttemptTimeout);
             ctx_.stats().incr(metrics::kNetLinkReroutes);
             source = net::kOriginStorage;
         }
@@ -234,7 +234,7 @@ ImageStore::transferChunks(const std::string &k, const FuncImage &image,
             // Same contract as the whole-image stream: burn the
             // attempt timeout, reroute the rest to origin, retry the
             // chunk (always succeeds).
-            ctx_.charge(injector_->retry().attemptTimeout);
+            ctx_.charge(faults::kAttemptTimeout);
             ctx_.stats().incr(metrics::kNetLinkReroutes);
             peers_usable = false;
             source = net::kOriginStorage;
@@ -325,7 +325,7 @@ ImageStore::fetch(const std::string &function_name, ImageFormat format,
                               ctx_.stats())) {
         // The transfer dies mid-flight: the attempt costs its timeout
         // and leaves no local copy.
-        ctx_.charge(injector_->retry().attemptTimeout);
+        ctx_.charge(faults::kAttemptTimeout);
         return nullptr;
     }
     // Remote fetch over the fabric, then validate the manifest.
@@ -374,70 +374,11 @@ ImageStore::residentBytes() const
 }
 
 std::size_t
-ImageStore::reclaimFunction(const std::string &function_name)
-{
-    std::size_t bytes = 0;
-    for (ImageFormat format : {ImageFormat::CompressedProto,
-                               ImageFormat::SeparatedWellFormed}) {
-        const std::string k = key(function_name, format);
-        auto it = local_.find(k);
-        if (it == local_.end())
-            continue;
-        bytes +=
-            mem::bytesForPages(it->second->file().residentPages());
-        it->second->file().evict();
-        local_.erase(it);
-        ctx_.stats().incr(metrics::kImageEvictions);
-    }
-    return bytes;
-}
-
-std::size_t
 ImageStore::relieveMemoryPressure()
 {
     const std::size_t before = chunk_cache_.ramBytes();
     applyCacheResult(chunk_cache_.demoteAll());
     return before - chunk_cache_.ramBytes();
-}
-
-void
-ImageStore::publishManifest(const prefetch::WorkingSetManifest &manifest)
-{
-    manifests_[manifest.functionName()] = manifest.serialize();
-    ctx_.stats().incr(metrics::kSnapshotManifestsPublished);
-}
-
-std::shared_ptr<prefetch::WorkingSetManifest>
-ImageStore::fetchManifest(const std::string &function_name)
-{
-    auto it = manifests_.find(function_name);
-    if (it == manifests_.end())
-        return nullptr;
-    ctx_.chargeCounted(metrics::kSnapshotManifestFetches,
-                       ctx_.costs().workingSetManifestIo);
-    if (injector_ != nullptr &&
-        injector_->shouldFail(faults::FaultSite::ManifestCorruption,
-                              ctx_.stats())) {
-        // The stored blob rotted: drop it so the next trace re-records
-        // a fresh working set; the read cost was already paid.
-        manifests_.erase(it);
-        ctx_.stats().incr(metrics::kSnapshotManifestsCorrupted);
-        sim::warn("ImageStore: corrupted working-set manifest for %s "
-                  "dropped",
-                  function_name.c_str());
-        return nullptr;
-    }
-    auto manifest = prefetch::WorkingSetManifest::deserialize(it->second);
-    if (!manifest)
-        sim::warn("ImageStore: malformed working-set manifest for %s",
-                  function_name.c_str());
-    return manifest;
-}
-
-void
-ImageStore::dropManifest(const std::string &function_name)
-{
-    manifests_.erase(function_name);
 }
 
 bool

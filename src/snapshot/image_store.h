@@ -34,7 +34,6 @@
 
 #include "faults/fault_injector.h"
 #include "net/fabric.h"
-#include "prefetch/working_set_manifest.h"
 #include "sim/context.h"
 #include "snapshot/chunk_store.h"
 #include "snapshot/func_image.h"
@@ -103,46 +102,13 @@ class ImageStore
     std::size_t residentBytes() const;
 
     /**
-     * Drop every local copy (any format) of @p function_name and evict
-     * its image files from the page cache; returns the bytes released.
-     * Shared chunks stay cached — other functions still dedup against
-     * them; relieveMemoryPressure() is the lever for those.
-     */
-    std::size_t reclaimFunction(const std::string &function_name);
-
-    /**
      * Memory-pressure hook (autoscaler): demote every RAM-tier chunk
      * to the SSD tier. Returns the bytes moved out of RAM.
      */
     std::size_t relieveMemoryPressure();
 
-    /**
-     * Store a function's working-set manifest alongside its func-image
-     * (serialized form; replaces any previous one). Publication is
-     * asynchronous background work, so no boot-path latency is charged.
-     */
-    void publishManifest(const prefetch::WorkingSetManifest &manifest);
-
-    /**
-     * Fetch and parse the working-set manifest stored for
-     * @p function_name; nullptr if none (or the blob is malformed).
-     * Charges the manifest parse cost.
-     */
-    std::shared_ptr<prefetch::WorkingSetManifest>
-    fetchManifest(const std::string &function_name);
-
-    bool hasManifest(const std::string &function_name) const
-    {
-        return manifests_.contains(function_name);
-    }
-
-    /** Drop a stored manifest (stale after an image rebuild). */
-    void dropManifest(const std::string &function_name);
-
-    std::size_t manifestCount() const { return manifests_.size(); }
-
-    /** Make remote fetches and manifest reads consult @p injector;
-     *  nullptr disables injection. */
+    /** Make remote fetches consult @p injector; nullptr disables
+     *  injection. */
     void setFaultInjector(faults::FaultInjector *injector)
     {
         injector_ = injector;
@@ -201,8 +167,6 @@ class ImageStore
     std::unique_ptr<net::Fabric> own_fabric_;
     std::map<std::string, std::shared_ptr<FuncImage>> remote_;
     std::map<std::string, std::shared_ptr<FuncImage>> local_;
-    /** Serialized working-set manifests, keyed by function name. */
-    std::map<std::string, std::string> manifests_;
     ChunkStoreConfig chunk_config_;
     TieredChunkCache chunk_cache_;
     /** Chunk lists of published images, keyed by key + generation. */

@@ -1,7 +1,5 @@
 #include "snapshot/io_reconnect.h"
 
-#include <algorithm>
-
 #include "sim/logging.h"
 #include "sim/metric_catalog.h"
 
@@ -70,21 +68,19 @@ reconnectWithRetry(sim::SimContext &ctx, vfs::IoConnection &conn,
     if (conn.established)
         return true;
     if (injector != nullptr) {
-        const faults::RetryPolicy &retry = injector->retry();
-        const int max_attempts = std::max(1, retry.maxAttempts);
         for (int attempt = 1;
              injector->shouldFail(faults::FaultSite::IoReconnect,
                                   ctx.stats());
              ++attempt) {
-            ctx.charge(retry.attemptTimeout);
-            if (attempt >= max_attempts) {
+            ctx.charge(faults::kAttemptTimeout);
+            if (attempt >= faults::kMaxAttempts) {
                 ctx.stats().incr(metrics::kSnapshotIoReconnectFailures);
                 sim::debugLog("reconnect: %s failed after %d attempts",
-                              conn.path.c_str(), max_attempts);
+                              conn.path.c_str(), faults::kMaxAttempts);
                 return false;
             }
             ctx.stats().incr(metrics::kSnapshotIoReconnectRetries);
-            ctx.charge(retry.backoff(attempt, injector->rng()));
+            ctx.charge(faults::retryBackoff(attempt, injector->rng()));
         }
     }
     reconnectConnection(ctx, conn, server, trace);

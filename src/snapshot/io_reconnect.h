@@ -29,11 +29,12 @@ sim::SimTime reconnectConnection(sim::SimContext &ctx,
 
 /**
  * Like reconnectConnection(), but each attempt may be failed by
- * @p injector (FaultSite::IoReconnect): a failed attempt charges the
- * policy's per-attempt timeout, then backs off and retries up to
- * maxAttempts. Returns false when every attempt failed — the connection
- * is left un-established so the first request can retry it lazily; boot
- * paths use that signal to invalidate the function's I/O cache entry.
+ * @p injector (FaultSite::IoReconnect): a failed attempt charges
+ * faults::kAttemptTimeout, then backs off and retries up to
+ * faults::kMaxAttempts. Returns false when every attempt failed — the
+ * connection is left un-established so the first request can retry it
+ * lazily; boot paths use that signal to invalidate the function's I/O
+ * cache entry.
  * With a null or disabled injector this is exactly reconnectConnection().
  */
 bool reconnectWithRetry(sim::SimContext &ctx, vfs::IoConnection &conn,

@@ -96,13 +96,6 @@ class RegionFaultStats : public mem::FaultObserver
   public:
     explicit RegionFaultStats(sim::StatRegistry &stats) : stats_(stats) {}
 
-    void
-    onFault(mem::PageIndex page, bool write,
-            mem::FaultResult result) override
-    {
-        onFaultRange(page, 1, write, result);
-    }
-
     void onFaultRange(mem::PageIndex start, std::size_t npages, bool write,
                       mem::FaultResult result) override;
 

@@ -1,7 +1,8 @@
 #include "vfs/overlay_rootfs.h"
 
+#include <algorithm>
+
 #include "mem/types.h"
-#include "sim/logging.h"
 #include "sim/metric_catalog.h"
 
 namespace catalyzer::vfs {
@@ -9,19 +10,6 @@ namespace catalyzer::vfs {
 OverlayRootfs::OverlayRootfs(sim::SimContext &ctx, FsServer &lower)
     : ctx_(ctx), lower_(lower)
 {
-}
-
-bool
-OverlayRootfs::openRead(const std::string &path, FdEntry *out)
-{
-    if (upper_.contains(path)) {
-        ctx_.chargeCounted(metrics::kVfsOverlayUpperOpens,
-                           ctx_.costs().syscallBase);
-        if (out)
-            *out = FdEntry{FdKind::File, path, true, true, 0};
-        return true;
-    }
-    return lower_.openReadOnly(path, out);
 }
 
 std::size_t
@@ -40,15 +28,6 @@ OverlayRootfs::copyUp(const std::string &path)
     ctx_.stats().incr(metrics::kVfsOverlayCreates);
     ctx_.charge(ctx_.costs().syscallBase);
     return 0;
-}
-
-FdEntry
-OverlayRootfs::openWrite(const std::string &path)
-{
-    auto [it, inserted] = upper_.try_emplace(path);
-    if (inserted)
-        it->second = copyUp(path);
-    return FdEntry{FdKind::File, path, false, true, 0};
 }
 
 void

@@ -18,7 +18,6 @@
 #include <string>
 
 #include "sim/context.h"
-#include "vfs/fd_table.h"
 #include "vfs/fs_server.h"
 
 namespace catalyzer::vfs {
@@ -26,9 +25,9 @@ namespace catalyzer::vfs {
 /**
  * One sandbox's view of its root filesystem.
  *
- * open()/write() follow overlayfs semantics: reads fall through to the
- * lower layer; the first write copies the file up into memory. clone()
- * (for sfork) is constant-cost.
+ * write() follows overlayfs semantics: the first write copies the file
+ * up into memory; reads (exists(), sizeOf()) fall through to the lower
+ * layer for files never written. clone() (for sfork) is constant-cost.
  */
 class OverlayRootfs
 {
@@ -36,18 +35,9 @@ class OverlayRootfs
     OverlayRootfs(sim::SimContext &ctx, FsServer &lower);
 
     /**
-     * Open for reading. Returns false on ENOENT. Lower-layer hits cost a
-     * Gofer round trip; upper-layer hits are memory-only.
+     * Append @p bytes to a file (write syscall path), copying it up from
+     * the lower layer on first write, or creating it if absent.
      */
-    bool openRead(const std::string &path, FdEntry *out);
-
-    /**
-     * Open for writing, copying the file up on first write. Creates the
-     * file if absent. Returns the fd entry for the writable file.
-     */
-    FdEntry openWrite(const std::string &path);
-
-    /** Append @p bytes to an upper-layer file (write syscall path). */
     void write(const std::string &path, std::size_t bytes);
 
     /** True if visible in this view. */

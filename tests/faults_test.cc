@@ -31,52 +31,36 @@ using sandbox::FunctionRegistry;
 using sandbox::Machine;
 
 //
-// RetryPolicy: exponential backoff with jitter.
+// The retry policy: exponential backoff with jitter.
 //
 
 TEST(RetryPolicyTest, BackoffGrowsExponentiallyWithinJitterBounds)
 {
-    RetryPolicy policy;
     sim::Rng rng(7);
     for (int attempt = 1; attempt <= 3; ++attempt) {
         const double expected =
-            policy.initialBackoff.toMs() *
-            std::pow(policy.backoffMultiplier, attempt - 1);
-        const double got = policy.backoff(attempt, rng).toMs();
-        EXPECT_GE(got, expected * (1.0 - policy.jitterFraction));
-        EXPECT_LE(got, expected * (1.0 + policy.jitterFraction));
+            kInitialBackoff.toMs() * std::pow(2.0, attempt - 1);
+        const double got = retryBackoff(attempt, rng).toMs();
+        EXPECT_GE(got, expected * (1.0 - kJitterFraction));
+        EXPECT_LE(got, expected * (1.0 + kJitterFraction));
     }
     // Far past the ceiling, the backoff is capped (jitter can still
     // push it up to (1+j) * cap).
-    const double capped = policy.backoff(20, rng).toMs();
-    EXPECT_LE(capped,
-              policy.maxBackoff.toMs() * (1.0 + policy.jitterFraction));
-    EXPECT_GE(capped,
-              policy.maxBackoff.toMs() * (1.0 - policy.jitterFraction));
+    const double capped = retryBackoff(20, rng).toMs();
+    EXPECT_LE(capped, kMaxBackoff.toMs() * (1.0 + kJitterFraction));
+    EXPECT_GE(capped, kMaxBackoff.toMs() * (1.0 - kJitterFraction));
 }
 
 TEST(RetryPolicyTest, DeterministicForEqualSeeds)
 {
-    RetryPolicy policy;
     sim::Rng a(42), b(42);
     for (int attempt = 1; attempt <= 5; ++attempt)
-        EXPECT_EQ(policy.backoff(attempt, a).toNs(),
-                  policy.backoff(attempt, b).toNs());
-}
-
-TEST(RetryPolicyTest, NoJitterIsExact)
-{
-    RetryPolicy policy;
-    policy.jitterFraction = 0.0;
-    sim::Rng rng(1);
-    EXPECT_EQ(policy.backoff(1, rng).toNs(),
-              policy.initialBackoff.toNs());
-    EXPECT_EQ(policy.backoff(2, rng).toNs(),
-              policy.initialBackoff.toNs() * 2);
+        EXPECT_EQ(retryBackoff(attempt, a).toNs(),
+                  retryBackoff(attempt, b).toNs());
 }
 
 //
-// FaultInjector: decisions, scripting, schedules, pay-for-use.
+// FaultInjector: decisions, scripting, pay-for-use.
 //
 
 TEST(FaultInjectorTest, DisabledInjectorIsFreeAndSilent)
@@ -104,7 +88,7 @@ TEST(FaultInjectorTest, ProbabilityOneAlwaysFails)
     Machine machine(1);
     FaultConfig config;
     config.rate(FaultSite::IoReconnect) = 1.0;
-    FaultInjector injector(config, &machine.ctx().clock());
+    FaultInjector injector(config);
     EXPECT_TRUE(injector.enabled());
     for (int i = 0; i < 5; ++i)
         EXPECT_TRUE(injector.shouldFail(FaultSite::IoReconnect,
@@ -121,10 +105,9 @@ TEST(FaultInjectorTest, SameSeedSameDecisionSequence)
 {
     FaultConfig config;
     config.rate(FaultSite::ImageFetch) = 0.5;
-    config.seed = 99;
     Machine m1(1), m2(1);
-    FaultInjector a(config, &m1.ctx().clock());
-    FaultInjector b(config, &m2.ctx().clock());
+    FaultInjector a(config);
+    FaultInjector b(config);
     for (int i = 0; i < 64; ++i)
         EXPECT_EQ(a.shouldFail(FaultSite::ImageFetch, m1.ctx().stats()),
                   b.shouldFail(FaultSite::ImageFetch, m2.ctx().stats()));
@@ -133,7 +116,7 @@ TEST(FaultInjectorTest, SameSeedSameDecisionSequence)
 TEST(FaultInjectorTest, FailNextScriptsExactCount)
 {
     Machine machine(1);
-    FaultInjector injector(FaultConfig{}, &machine.ctx().clock());
+    FaultInjector injector;
     injector.failNext(FaultSite::ZygoteBuild, 2);
     EXPECT_TRUE(injector.enabled());
     EXPECT_TRUE(injector.shouldFail(FaultSite::ZygoteBuild,
@@ -145,48 +128,56 @@ TEST(FaultInjectorTest, FailNextScriptsExactCount)
     EXPECT_EQ(injector.injected(FaultSite::ZygoteBuild), 2u);
 }
 
-TEST(FaultInjectorTest, ScheduleWindowKeyedOffVirtualClock)
-{
-    Machine machine(1);
-    auto &ctx = machine.ctx();
-    FaultConfig config;
-    config.schedule.push_back({FaultSite::ImageFetch, 1_ms, 2_ms,
-                               /*budget=*/2});
-    FaultInjector injector(config, &ctx.clock());
-
-    // Before the window: healthy.
-    EXPECT_FALSE(injector.shouldFail(FaultSite::ImageFetch, ctx.stats()));
-    ctx.charge(1500_us); // inside [1ms, 2ms)
-    EXPECT_TRUE(injector.shouldFail(FaultSite::ImageFetch, ctx.stats()));
-    EXPECT_TRUE(injector.shouldFail(FaultSite::ImageFetch, ctx.stats()));
-    // Budget spent: healthy again even inside the window.
-    EXPECT_FALSE(injector.shouldFail(FaultSite::ImageFetch, ctx.stats()));
-    ctx.charge(1_ms); // past the window
-    EXPECT_FALSE(injector.shouldFail(FaultSite::ImageFetch, ctx.stats()));
-}
-
 TEST(FaultInjectorTest, CheckWithRetryChargesAndThrowsOnExhaustion)
 {
     Machine machine(1);
     auto &ctx = machine.ctx();
-    FaultInjector injector(FaultConfig{}, &ctx.clock());
-    const RetryPolicy &retry = injector.retry();
+    FaultInjector injector;
 
     // One transient failure: survives, costs one timeout + one backoff.
     injector.failNext(FaultSite::Sfork, 1);
     sim::SimTime before = ctx.now();
     injector.checkWithRetry(ctx, FaultSite::Sfork);
-    EXPECT_GE(ctx.now() - before, retry.attemptTimeout);
+    EXPECT_GE(ctx.now() - before, kAttemptTimeout);
     EXPECT_EQ(ctx.stats().value("faults.retries.sfork"), 1);
 
     // Persistent failure: every attempt fails, then FaultError.
-    injector.failNext(FaultSite::Sfork,
-                      static_cast<std::uint64_t>(retry.maxAttempts));
+    injector.failNext(FaultSite::Sfork, kMaxAttempts);
     before = ctx.now();
     EXPECT_THROW(injector.checkWithRetry(ctx, FaultSite::Sfork),
                  FaultError);
-    EXPECT_GE(ctx.now() - before,
-              retry.attemptTimeout * retry.maxAttempts);
+    EXPECT_GE(ctx.now() - before, kAttemptTimeout * kMaxAttempts);
+}
+
+TEST(FaultInjectorTest, RetryScheduleIsPinned)
+{
+    // Every site retries with one fixed policy: three attempts, a 2 ms
+    // timeout per failed attempt, and a backoff of 0.5 ms doubling per
+    // attempt up to 8 ms, scaled by a uniform jitter in [0.75, 1.25).
+    EXPECT_EQ(kMaxAttempts, 3);
+    EXPECT_EQ(kAttemptTimeout.toNs(), 2'000'000);
+
+    // Attempts 1-5 from Rng(7): base 0.5, 1, 2, 4, 8 (the cap) ms times
+    // the draws 1.1003, 0.8894, 1.1698, 1.2405, 1.2454.
+    sim::Rng rng(7);
+    const std::int64_t expected_ns[] = {550'144, 889'375, 2'339'627,
+                                        4'962'195, 9'963'441};
+    for (int attempt = 1; attempt <= 5; ++attempt)
+        EXPECT_EQ(retryBackoff(attempt, rng).toNs(),
+                  expected_ns[attempt - 1])
+            << "attempt " << attempt;
+
+    // A site that fails every attempt burns three timeouts and the two
+    // backoffs between them, jittered from the injector's own stream.
+    Machine machine(1);
+    auto &ctx = machine.ctx();
+    FaultInjector injector;
+    injector.failNext(FaultSite::Sfork, kMaxAttempts);
+    const sim::SimTime before = ctx.now();
+    EXPECT_THROW(injector.checkWithRetry(ctx, FaultSite::Sfork),
+                 FaultError);
+    EXPECT_EQ((ctx.now() - before).toNs(),
+              3 * 2'000'000 + 502'813 + 750'501);
 }
 
 TEST(FaultInjectorTest, FaultErrorCarriesSite)
@@ -205,7 +196,7 @@ TEST(FaultInjectorTest, FaultErrorCarriesSite)
 TEST(ZygoteFaultTest, AcquireSurvivesTransientBuildFailure)
 {
     Machine machine(7);
-    FaultInjector injector(FaultConfig{}, &machine.ctx().clock());
+    FaultInjector injector;
     core::ZygotePool pool(machine);
     pool.setFaultInjector(&injector);
 
@@ -220,13 +211,11 @@ TEST(ZygoteFaultTest, AcquireSurvivesTransientBuildFailure)
 TEST(ZygoteFaultTest, PrewarmStopsOnPersistentFailure)
 {
     Machine machine(7);
-    FaultInjector injector(FaultConfig{}, &machine.ctx().clock());
+    FaultInjector injector;
     core::ZygotePool pool(machine);
     pool.setFaultInjector(&injector);
 
-    injector.failNext(
-        FaultSite::ZygoteBuild,
-        static_cast<std::uint64_t>(injector.retry().maxAttempts));
+    injector.failNext(FaultSite::ZygoteBuild, kMaxAttempts);
     pool.prewarm(2);
     // The first build exhausted its retries; the round was abandoned
     // rather than crashing the offline builder.
@@ -269,9 +258,7 @@ TEST(ImageFetchFaultTest, ExhaustedFetchThrowsThenRecovers)
     core::CatalyzerRuntime runtime(machine, options);
     auto &fn = registry.artifactsFor(apps::appByName("c-hello"));
 
-    runtime.faults().failNext(
-        FaultSite::ImageFetch,
-        static_cast<std::uint64_t>(runtime.faults().retry().maxAttempts));
+    runtime.faults().failNext(FaultSite::ImageFetch, kMaxAttempts);
     EXPECT_THROW(runtime.bootCold(fn), FaultError);
     // The outage cleared: the next cold boot fetches and completes.
     BootResult boot = runtime.bootCold(fn);
@@ -287,7 +274,7 @@ TEST(ReconnectFaultTest, RetryLoopAndPermanentFailure)
 {
     Machine machine(3);
     auto &ctx = machine.ctx();
-    FaultInjector injector(FaultConfig{}, &ctx.clock());
+    FaultInjector injector;
 
     vfs::IoConnection conn;
     conn.kind = vfs::ConnKind::Socket;
@@ -303,9 +290,7 @@ TEST(ReconnectFaultTest, RetryLoopAndPermanentFailure)
 
     // Persistent: every attempt fails; the connection stays down.
     conn.established = false;
-    injector.failNext(
-        FaultSite::IoReconnect,
-        static_cast<std::uint64_t>(injector.retry().maxAttempts));
+    injector.failNext(FaultSite::IoReconnect, kMaxAttempts);
     EXPECT_FALSE(snapshot::reconnectWithRetry(ctx, conn, nullptr,
                                               &injector));
     EXPECT_FALSE(conn.established);
@@ -328,9 +313,7 @@ TEST(ReconnectFaultTest, WarmBootInvalidatesIoCacheEntry)
     // The first cache-guided reconnect of the warm boot fails for good:
     // the entry is invalidated and the boot still completes, degrading
     // that connection to a lazy request-time reconnect.
-    runtime.faults().failNext(
-        FaultSite::IoReconnect,
-        static_cast<std::uint64_t>(runtime.faults().retry().maxAttempts));
+    runtime.faults().failNext(FaultSite::IoReconnect, kMaxAttempts);
     BootResult warm = runtime.bootWarm(fn);
     ASSERT_NE(warm.instance, nullptr);
     EXPECT_EQ(fn.ioCache.size(), cached_before - 1);
@@ -394,9 +377,7 @@ TEST(FallbackChainTest, SforkFailureRetriesThenDegradesToWarm)
     EXPECT_EQ(machine.ctx().stats().value("faults.retries.sfork"), 1);
 
     // Persistent: the fork tier fails and warm serves the request.
-    faults.failNext(
-        FaultSite::Sfork,
-        static_cast<std::uint64_t>(faults.retry().maxAttempts));
+    faults.failNext(FaultSite::Sfork, kMaxAttempts);
     const InvocationRecord degraded = plat.invoke(app.name);
     EXPECT_EQ(degraded.tierServed, "warm");
     EXPECT_EQ(machine.ctx().stats().value("boot.fallback.sfork_warm"),
@@ -415,9 +396,7 @@ TEST(FallbackChainTest, ZygoteFailureDegradesWarmToCold)
     plat.deploy(app);
     auto &faults = plat.catalyzer().faults();
 
-    faults.failNext(
-        FaultSite::ZygoteBuild,
-        static_cast<std::uint64_t>(faults.retry().maxAttempts));
+    faults.failNext(FaultSite::ZygoteBuild, kMaxAttempts);
     const InvocationRecord degraded = plat.invoke(app.name);
     EXPECT_EQ(degraded.tierServed, "cold");
     EXPECT_EQ(degraded.tierFallbacks, 1);
@@ -442,9 +421,7 @@ TEST(FallbackChainTest, FetchOutageDegradesColdToFresh)
     plat.deploy(app);
     auto &faults = plat.catalyzer().faults();
 
-    faults.failNext(
-        FaultSite::ImageFetch,
-        static_cast<std::uint64_t>(faults.retry().maxAttempts));
+    faults.failNext(FaultSite::ImageFetch, kMaxAttempts);
     const InvocationRecord degraded = plat.invoke(app.name);
     EXPECT_EQ(degraded.tierServed, "fresh");
     EXPECT_EQ(degraded.bootKind, sandbox::BootKind::ColdFresh);

@@ -335,37 +335,5 @@ TEST(ImageStoreTest, RepublishInvalidatesStaleCopiesOnOtherMachines)
               2);
 }
 
-TEST(ImageStoreTest, CorruptManifestDropsBeforeRepublish)
-{
-    // A corrupted working-set manifest must be dropped on the failed
-    // read (so the next trace records fresh) and a republish must fully
-    // restore fetchability — the drop/republish order cannot leave a
-    // stale blob behind.
-    Machine machine(13);
-    ImageStore store(machine.ctx());
-    faults::FaultConfig config;
-    config.rate(faults::FaultSite::ManifestCorruption) = 1.0;
-    faults::FaultInjector injector(config, &machine.ctx().clock());
-    store.setFaultInjector(&injector);
-
-    prefetch::WorkingSetManifest manifest("c-hello", 1, 4, 0.5);
-    store.publishManifest(manifest);
-    EXPECT_TRUE(store.hasManifest("c-hello"));
-    EXPECT_EQ(store.fetchManifest("c-hello"), nullptr);
-    // Dropped on the corrupted read, before any republish.
-    EXPECT_FALSE(store.hasManifest("c-hello"));
-    EXPECT_EQ(machine.ctx().stats().value(
-                  "snapshot.manifests_corrupted"), 1);
-
-    // Republish under a new image generation; with the fault cleared
-    // the fresh blob must parse.
-    store.setFaultInjector(nullptr);
-    prefetch::WorkingSetManifest fresh("c-hello", 2, 4, 0.5);
-    store.publishManifest(fresh);
-    auto fetched = store.fetchManifest("c-hello");
-    ASSERT_NE(fetched, nullptr);
-    EXPECT_EQ(fetched->imageGeneration(), 2u);
-}
-
 } // namespace
 } // namespace catalyzer::snapshot

@@ -394,20 +394,20 @@ TEST(FleetAutoscalerTest, PrewarmTriggersOnEwmaAndCountsFalsePositives)
     FleetPolicyConfig config;
     config.predictivePrewarm = true;
     config.prewarmRateRps = 4.0;
-    config.ewmaAlpha = 1.0; // react on the first tick
     config.reactiveRebalance = false;
     config.keepAliveTtl = sim::SimTime::zero();
     FleetAutoscaler scaler(cluster, pop, config);
 
     // 10 arrivals of function 0 on machine 0 inside one 500 ms tick:
-    // EWMA jumps to 20 req/s, well past the 4 req/s trigger.
+    // a 20 req/s tick rate moves the EWMA from 0 to 0.35 * 20 = 7 req/s,
+    // already past the 4 req/s trigger on this first tick.
     for (int i = 0; i < 10; ++i)
         scaler.observeArrival(0, 0);
     scaler.tick(500_ms);
 
     EXPECT_EQ(scaler.counters().prewarmTriggers, 1u);
     EXPECT_EQ(scaler.counters().prewarmBuilds, 1u);
-    EXPECT_NEAR(scaler.ewmaRps(0), 20.0, 1e-9);
+    EXPECT_NEAR(scaler.ewmaRps(0), 7.0, 1e-9);
     EXPECT_NE(cluster.platform(0).catalyzer().templateFor(
                   pop.fn(0).name),
               nullptr);
@@ -430,13 +430,12 @@ TEST(FleetAutoscalerTest, ServedSforkIsNotAFalsePositive)
     FleetPolicyConfig config;
     config.predictivePrewarm = true;
     config.prewarmRateRps = 4.0;
-    config.ewmaAlpha = 1.0;
     config.reactiveRebalance = false;
     config.keepAliveTtl = sim::SimTime::zero();
     FleetAutoscaler scaler(cluster, pop, config);
 
     for (int i = 0; i < 10; ++i)
-        scaler.observeArrival(0, 0);
+        scaler.observeArrival(0, 0); // EWMA 7 req/s after one tick
     scaler.tick(500_ms);
     ASSERT_EQ(scaler.counters().prewarmBuilds, 1u);
 

@@ -205,20 +205,6 @@ TEST_F(AddressSpaceTest, ForkCowSharesThenCopies)
     EXPECT_EQ(store.liveFrames(), 5u);
 }
 
-TEST_F(AddressSpaceTest, ForkHonorsCowFlagOnSharedMappings)
-{
-    BackingFile file(store, "/shm", 4);
-    AddressSpace parent(ctx, store, "parent");
-    const PageIndex va =
-        parent.mapFile(file, 0, 4, MapKind::FileShared, true, "shm");
-    parent.touchRange(va, 4, true);
-
-    // sfork: the shared region is downgraded to COW for isolation; a
-    // child write copies.
-    auto sfork_child = parent.forkCow("sfork-child");
-    EXPECT_EQ(sfork_child->touch(va, true), FaultResult::Cow);
-}
-
 TEST_F(AddressSpaceTest, RssAndPssAccounting)
 {
     AddressSpace a(ctx, store, "a");

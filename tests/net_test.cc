@@ -97,8 +97,7 @@ TEST(FabricTest, StreamLeaseDrivesContention)
 {
     FabricConfig config;
     config.modelTransfers = true;
-    config.contentionPenalty = 0.5;
-    Fabric fabric(config);
+    Fabric fabric(config); // each other open stream slows by 0.5
     EXPECT_EQ(fabric.openStreams(3), 0u);
     EXPECT_DOUBLE_EQ(fabric.contentionFactor(3, 5), 1.0);
     {
@@ -135,18 +134,18 @@ TEST(RemotePagerTest, BatchedPullAccounting)
 
     // Base fills inside the window pull; COW faults and out-of-window
     // fills don't.
-    pager.onFault(100, false, mem::FaultResult::BaseFill);
+    pager.onFaultRange(100, 1, false, mem::FaultResult::BaseFill);
     EXPECT_EQ(pager.pagesPulled(), 1u);
     EXPECT_EQ(pager.batchesIssued(), 1u);
-    pager.onFault(101, true, mem::FaultResult::BaseCow);
-    pager.onFault(5, false, mem::FaultResult::BaseFill);
+    pager.onFaultRange(101, 1, true, mem::FaultResult::BaseCow);
+    pager.onFaultRange(5, 1, false, mem::FaultResult::BaseFill);
     EXPECT_EQ(pager.pagesPulled(), 1u);
 
     // 7 more pages ride the open batch; the 9th opens a second one.
     pager.onFaultRange(102, 7, false, mem::FaultResult::BaseFill);
     EXPECT_EQ(pager.pagesPulled(), 8u);
     EXPECT_EQ(pager.batchesIssued(), 1u);
-    pager.onFault(110, false, mem::FaultResult::BaseFill);
+    pager.onFaultRange(110, 1, false, mem::FaultResult::BaseFill);
     EXPECT_EQ(pager.batchesIssued(), 2u);
 
     EXPECT_EQ(ctx.stats().value("remote.page_pulls"), 9);
@@ -160,15 +159,14 @@ TEST(RemotePagerTest, PeerDeathReroutesToOrigin)
     config.modelTransfers = true;
     Fabric fabric(config);
     sim::SimContext ctx;
-    faults::FaultConfig fc;
-    faults::FaultInjector injector(fc, &ctx.clock());
+    faults::FaultInjector injector;
     RemotePager pager(ctx, fabric, 0, 1, 0, 1000, &injector, 4);
     EXPECT_EQ(pager.source(), 1u);
 
     // The lender dies before the next batch: the pager degrades to
     // origin storage instead of throwing (we are inside invoke()).
     injector.failNext(faults::FaultSite::RemotePeerDeath);
-    pager.onFault(0, false, mem::FaultResult::BaseFill);
+    pager.onFaultRange(0, 1, false, mem::FaultResult::BaseFill);
     EXPECT_EQ(pager.source(), kOriginStorage);
     EXPECT_EQ(ctx.stats().value("remote.peer_lost"), 1);
     EXPECT_EQ(pager.pagesPulled(), 1u);
@@ -186,17 +184,16 @@ TEST(RemotePagerTest, LinkFaultRetriesSameSource)
     config.modelTransfers = true;
     Fabric fabric(config);
     sim::SimContext ctx;
-    faults::FaultConfig fc;
-    faults::FaultInjector injector(fc, &ctx.clock());
+    faults::FaultInjector injector;
     RemotePager pager(ctx, fabric, 0, 1, 0, 1000, &injector, 4);
 
     injector.failNext(faults::FaultSite::NetLink);
     const sim::SimTime before = ctx.now();
-    pager.onFault(0, false, mem::FaultResult::BaseFill);
+    pager.onFaultRange(0, 1, false, mem::FaultResult::BaseFill);
     EXPECT_EQ(pager.source(), 1u); // still the lender
     EXPECT_EQ(ctx.stats().value("net.link_retries"), 1);
     // The retry burned at least the attempt timeout on top of the pull.
-    EXPECT_GT(ctx.now() - before, injector.retry().attemptTimeout);
+    EXPECT_GT(ctx.now() - before, faults::kAttemptTimeout);
 }
 
 } // namespace

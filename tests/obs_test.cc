@@ -271,8 +271,7 @@ TEST(FleetStitchTest, PeerDeathReroutePullsKeepTheTraceId)
     config.modelTransfers = true;
     net::Fabric fabric(config);
     sim::SimContext ctx;
-    faults::FaultConfig fc;
-    faults::FaultInjector injector(fc, &ctx.clock());
+    faults::FaultInjector injector;
 
     trace::Tracer borrower, lender;
     borrower.setMachine(0);
@@ -285,7 +284,7 @@ TEST(FleetStitchTest, PeerDeathReroutePullsKeepTheTraceId)
 
     net::RemotePager pager(ctx, fabric, 0, 1, 0, 1000, &injector, 4,
                            boot.context(), lend);
-    pager.onFault(0, false, mem::FaultResult::BaseFill);
+    pager.onFaultRange(0, 1, false, mem::FaultResult::BaseFill);
     // Batch served by the living lender: a marker span on its side.
     ASSERT_EQ(lender.spanCount(), 1u);
     EXPECT_EQ(lender.snapshot()[0].name, "serve-pull-batch");

@@ -1,22 +1,19 @@
 /**
  * @file
  * Tests for the working-set record-and-prefetch subsystem
- * (src/prefetch/): manifest merging and serialization, the fault
- * recorder, batched prefetch cost accounting, the runtime's
- * record/prefetch/fallback wiring, and the platform-level reclaim path
- * that prefetch makes affordable.
+ * (src/prefetch/): manifest merging, the fault recorder, batched
+ * prefetch cost accounting, and the runtime's record/prefetch/fallback
+ * wiring.
  */
 
 #include <gtest/gtest.h>
 
 #include "catalyzer/runtime.h"
 #include "mem/base_mapping.h"
-#include "platform/policy.h"
 #include "prefetch/fault_recorder.h"
 #include "prefetch/prefetcher.h"
 #include "prefetch/working_set_manifest.h"
 #include "sandbox/pipelines.h"
-#include "snapshot/image_store.h"
 
 namespace catalyzer::prefetch {
 namespace {
@@ -27,7 +24,7 @@ using sandbox::FunctionRegistry;
 using sandbox::Machine;
 
 //
-// WorkingSetManifest: merging, freezing, serialization.
+// WorkingSetManifest: merging and freezing.
 //
 
 TEST(WorkingSetManifestTest, MergeStabilityAcrossNoisyTraces)
@@ -74,46 +71,6 @@ TEST(WorkingSetManifestTest, SingleTraceIsUsable)
     EXPECT_EQ(manifest.stableSet().size(), 2u);
 }
 
-TEST(WorkingSetManifestTest, SerializeRoundTrip)
-{
-    WorkingSetManifest manifest("django", 7, 3, 0.6);
-    manifest.addTrace({4, 8, 15, 16});
-    manifest.addTrace({8, 4, 23, 42});
-
-    const std::string blob = manifest.serialize();
-    auto copy = WorkingSetManifest::deserialize(blob);
-    ASSERT_NE(copy, nullptr);
-    EXPECT_EQ(copy->functionName(), "django");
-    EXPECT_EQ(copy->imageGeneration(), 7u);
-    EXPECT_EQ(copy->maxTraces(), 3u);
-    EXPECT_DOUBLE_EQ(copy->minFraction(), 0.6);
-    EXPECT_EQ(copy->traceCount(), 2u);
-    EXPECT_EQ(copy->stableSet(), manifest.stableSet());
-    EXPECT_TRUE(copy->matches(7));
-    EXPECT_FALSE(copy->matches(8));
-}
-
-TEST(WorkingSetManifestTest, DeserializeRejectsMalformed)
-{
-    EXPECT_EQ(WorkingSetManifest::deserialize(""), nullptr);
-    EXPECT_EQ(WorkingSetManifest::deserialize("not-a-manifest"), nullptr);
-
-    WorkingSetManifest manifest("fn", 1, 2, 0.5);
-    manifest.addTrace({1, 2, 3});
-    std::string blob = manifest.serialize();
-
-    // Unsupported version.
-    std::string bad_version = blob;
-    const auto vpos = bad_version.find("v1");
-    ASSERT_NE(vpos, std::string::npos);
-    bad_version.replace(vpos, 2, "v9");
-    EXPECT_EQ(WorkingSetManifest::deserialize(bad_version), nullptr);
-
-    // Truncated body.
-    const std::string truncated = blob.substr(0, blob.size() / 2);
-    EXPECT_EQ(WorkingSetManifest::deserialize(truncated), nullptr);
-}
-
 //
 // FaultRecorder: window filtering, ordering, audit grading.
 //
@@ -121,14 +78,19 @@ TEST(WorkingSetManifestTest, DeserializeRejectsMalformed)
 TEST(FaultRecorderTest, RecordsWindowRelativeFirstAccessOrder)
 {
     FaultRecorder recorder(/*window_start=*/100, /*window_pages=*/50);
-    recorder.onFault(105, false, mem::FaultResult::BaseFill);
-    recorder.onFault(103, true, mem::FaultResult::Cow);
-    recorder.onFault(105, false, mem::FaultResult::BaseHit); // duplicate
-    recorder.onFault(99, false, mem::FaultResult::MinorAnon);  // below
-    recorder.onFault(150, false, mem::FaultResult::MinorAnon); // above
-    recorder.onFault(100, false, mem::FaultResult::BaseFill);
+    recorder.onFaultRange(105, 1, false, mem::FaultResult::BaseFill);
+    recorder.onFaultRange(103, 1, true, mem::FaultResult::Cow);
+    // A duplicate, then one page below and one above the window.
+    recorder.onFaultRange(105, 1, false, mem::FaultResult::BaseHit);
+    recorder.onFaultRange(99, 1, false, mem::FaultResult::MinorAnon);
+    recorder.onFaultRange(150, 1, false, mem::FaultResult::MinorAnon);
+    recorder.onFaultRange(100, 1, false, mem::FaultResult::BaseFill);
+    // Extents are clipped to the window: 98-101 adds only page 1 (0 is
+    // a duplicate), 148-151 only pages 48 and 49.
+    recorder.onFaultRange(98, 4, false, mem::FaultResult::BaseFill);
+    recorder.onFaultRange(148, 4, false, mem::FaultResult::BaseFill);
     EXPECT_EQ(recorder.accessedInOrder(),
-              (std::vector<mem::PageIndex>{5, 3, 0}));
+              (std::vector<mem::PageIndex>{5, 3, 0, 1, 48, 49}));
 }
 
 TEST(FaultRecorderTest, AuditGradesPrefetchedSet)
@@ -136,9 +98,9 @@ TEST(FaultRecorderTest, AuditGradesPrefetchedSet)
     sim::StatRegistry stats;
     FaultRecorder recorder(0, 100);
     recorder.enableAudit({5, 3, 42}); // 42 is never accessed: wasted
-    recorder.onFault(5, false, mem::FaultResult::BaseHit);
-    recorder.onFault(3, false, mem::FaultResult::BaseHit);
-    recorder.onFault(7, false, mem::FaultResult::BaseFill); // missed
+    recorder.onFaultRange(5, 1, false, mem::FaultResult::BaseHit);
+    recorder.onFaultRange(3, 1, false, mem::FaultResult::BaseHit);
+    recorder.onFaultRange(7, 1, false, mem::FaultResult::BaseFill); // missed
     recorder.finish(stats);
     EXPECT_FALSE(recorder.active());
     EXPECT_EQ(stats.value("prefetch.demand_faults_avoided"), 2);
@@ -148,7 +110,7 @@ TEST(FaultRecorderTest, AuditGradesPrefetchedSet)
     EXPECT_NEAR(series->mean(), 2.0 / 3.0, 1e-9);
 
     // finish() is idempotent; later faults are ignored.
-    recorder.onFault(9, false, mem::FaultResult::BaseFill);
+    recorder.onFaultRange(9, 1, false, mem::FaultResult::BaseFill);
     recorder.finish(stats);
     EXPECT_EQ(stats.value("prefetch.demand_faults_avoided"), 2);
 }
@@ -159,8 +121,8 @@ TEST(FaultRecorderTest, RecordingMergesTraceIntoManifest)
     auto manifest = std::make_shared<WorkingSetManifest>("fn", 1, 3, 0.5);
     FaultRecorder recorder(1000, 64);
     recorder.enableRecording(manifest);
-    recorder.onFault(1004, false, mem::FaultResult::BaseFill);
-    recorder.onFault(1001, true, mem::FaultResult::Cow);
+    recorder.onFaultRange(1004, 1, false, mem::FaultResult::BaseFill);
+    recorder.onFaultRange(1001, 1, true, mem::FaultResult::Cow);
     recorder.finish(stats);
     EXPECT_EQ(manifest->traceCount(), 1u);
     EXPECT_EQ(manifest->stableSet(),
@@ -271,34 +233,6 @@ TEST_F(PrefetcherTest, ClampsPagesBeyondImageExtent)
 }
 
 //
-// ImageStore: manifests travel with the func-image.
-//
-
-TEST(ImageStoreManifestTest, PublishFetchDrop)
-{
-    sim::SimContext ctx(3);
-    snapshot::ImageStore store(ctx);
-
-    WorkingSetManifest manifest("django", 2, 3, 0.5);
-    manifest.addTrace({1, 2, 3});
-    EXPECT_FALSE(store.hasManifest("django"));
-    store.publishManifest(manifest);
-    EXPECT_TRUE(store.hasManifest("django"));
-    EXPECT_EQ(store.manifestCount(), 1u);
-
-    const sim::SimTime before = ctx.now();
-    auto fetched = store.fetchManifest("django");
-    ASSERT_NE(fetched, nullptr);
-    EXPECT_EQ(ctx.now() - before, ctx.costs().workingSetManifestIo);
-    EXPECT_EQ(fetched->stableSet(), manifest.stableSet());
-    EXPECT_EQ(fetched->imageGeneration(), 2u);
-
-    store.dropManifest("django");
-    EXPECT_FALSE(store.hasManifest("django"));
-    EXPECT_EQ(store.fetchManifest("django"), nullptr);
-}
-
-//
 // Runtime wiring: record, prefetch, fallback, staleness.
 //
 
@@ -312,9 +246,8 @@ demandFaults(sim::StatRegistry &stats)
 void
 evictRestoreState(FunctionArtifacts &fn)
 {
-    // What ServerlessPlatform::reclaimFunctionMemory does: drop the
-    // Base-EPT and the image's page cache so the next boot is fully
-    // cold again.
+    // Drop the Base-EPT and the image's page cache so the next boot is
+    // fully cold again.
     fn.sharedBase.reset();
     fn.separatedImage->file().evict();
     fn.firstRestoreDone = false;
@@ -416,7 +349,7 @@ TEST(RuntimePrefetchTest, CorruptionRebuildDropsManifestAndReRecords)
     EXPECT_EQ(stats.value("catalyzer.image_rebuilds"), 1);
     ASSERT_NE(fn.separatedImage->generation(), old_gen);
 
-    // The stale manifest was dropped (store included) and re-recording
+    // The stale manifest was dropped and re-recording
     // began against the rebuilt image.
     EXPECT_GT(stats.value("prefetch.manifest_stale"), stale_before);
     ASSERT_TRUE(fn.workingSet);
@@ -437,7 +370,7 @@ TEST(RuntimePrefetchTest, CorruptionRebuildDropsManifestAndReRecords)
     EXPECT_GT(stats.value("prefetch.manifest_hits"), hits_before);
 }
 
-TEST(RuntimePrefetchTest, ManifestPublishedToImageStore)
+TEST(RuntimePrefetchTest, ManifestPublishedOnNextBoot)
 {
     Machine machine(42);
     FunctionRegistry registry(machine);
@@ -451,78 +384,15 @@ TEST(RuntimePrefetchTest, ManifestPublishedToImageStore)
     boot.instance->invoke();
     boot.instance.reset();
     // Publication happens lazily on the next boot's ensureWorkingSet.
-    EXPECT_FALSE(runtime.images().hasManifest("python-hello"));
+    ASSERT_TRUE(fn.workingSet);
+    EXPECT_TRUE(fn.workingSet->dirty());
+    EXPECT_EQ(machine.ctx().stats().value("snapshot.manifests_published"),
+              0);
     evictRestoreState(fn);
     runtime.bootCold(fn);
-    EXPECT_TRUE(runtime.images().hasManifest("python-hello"));
+    EXPECT_FALSE(fn.workingSet->dirty());
     EXPECT_EQ(machine.ctx().stats().value("snapshot.manifests_published"),
               1);
-}
-
-//
-// Platform: reclaiming restore memory, affordable under prefetch.
-//
-
-TEST(PlatformReclaimTest, RefusedWhileInstancesLive)
-{
-    sandbox::Machine machine(42);
-    platform::ServerlessPlatform plat(
-        machine,
-        platform::PlatformConfig{platform::BootStrategy::CatalyzerCold});
-    plat.deploy(apps::appByName("python-hello"));
-    plat.invoke("python-hello"); // retained as a running instance
-    EXPECT_EQ(plat.reclaimFunctionMemory("python-hello"), 0u);
-    EXPECT_EQ(plat.reclaimFunctionMemory("no-such-function"), 0u);
-
-    plat.teardown("python-hello");
-    const std::size_t released =
-        plat.reclaimFunctionMemory("python-hello");
-    EXPECT_GT(released, 0u);
-    auto &fn = plat.registry().artifactsFor(
-        apps::appByName("python-hello"));
-    EXPECT_EQ(fn.sharedBase, nullptr);
-    EXPECT_EQ(fn.separatedImage->file().residentPages(), 0u);
-    EXPECT_FALSE(fn.firstRestoreDone);
-    EXPECT_EQ(machine.ctx().stats().value("platform.base_reclaims"), 1);
-
-    // The function still serves requests afterwards.
-    const auto record = plat.invoke("python-hello");
-    EXPECT_GT(record.endToEnd().toMs(), 0.0);
-}
-
-TEST(PlatformReclaimTest, PolicyReclaimsColdBases)
-{
-    sandbox::Machine machine(42);
-    core::CatalyzerOptions options;
-    options.prefetchWorkingSet = true;
-    platform::PlatformConfig config{
-        platform::BootStrategy::CatalyzerCold};
-    config.retainInstances = false; // instances die after the request
-    platform::ServerlessPlatform plat(machine, config, options);
-    platform::PolicyConfig policy;
-    policy.reclaimColdBases = true;
-    platform::BootPolicyManager mgr(plat, policy);
-
-    plat.deploy(apps::appByName("python-hello"));
-    mgr.invoke("python-hello");
-    ASSERT_NE(plat.registry()
-                  .artifactsFor(apps::appByName("python-hello"))
-                  .sharedBase,
-              nullptr);
-
-    // Traffic decays to the cold floor; the base is then reclaimed.
-    for (int i = 0; i < 10; ++i)
-        mgr.rebalance();
-    EXPECT_GE(machine.ctx().stats().value("platform.base_reclaims"), 1);
-    EXPECT_EQ(plat.registry()
-                  .artifactsFor(apps::appByName("python-hello"))
-                  .sharedBase,
-              nullptr);
-
-    // The next request cold-boots with a prefetched working set.
-    mgr.invoke("python-hello");
-    EXPECT_GT(machine.ctx().stats().value("prefetch.pages_prefetched"),
-              0);
 }
 
 } // namespace

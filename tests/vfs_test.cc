@@ -175,16 +175,16 @@ class OverlayTest : public ::testing::Test
 
 TEST_F(OverlayTest, ReadFallsThroughToLower)
 {
-    FdEntry entry;
-    EXPECT_TRUE(overlay.openRead("/app/ro.txt", &entry));
-    EXPECT_FALSE(overlay.openRead("/nope", &entry));
     EXPECT_TRUE(overlay.exists("/app/ro.txt"));
+    EXPECT_EQ(overlay.sizeOf("/app/ro.txt"), 8192u);
     EXPECT_FALSE(overlay.exists("/nope"));
+    EXPECT_EQ(overlay.sizeOf("/nope"), 0u);
+    EXPECT_EQ(overlay.upperFileCount(), 0u);
 }
 
 TEST_F(OverlayTest, WriteCopiesUp)
 {
-    overlay.openWrite("/app/ro.txt");
+    overlay.write("/app/ro.txt", 0);
     EXPECT_EQ(ctx.stats().value("vfs.overlay_copyups"), 1);
     EXPECT_EQ(overlay.sizeOf("/app/ro.txt"), 8192u);
     EXPECT_EQ(overlay.upperFileCount(), 1u);

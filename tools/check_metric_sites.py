@@ -26,7 +26,7 @@ CATALOG = pathlib.Path("sim") / "metric_catalog.h"
 # literal, possibly wrapped in std::string(...), possibly on the next
 # line.
 CALL = re.compile(
-    r"(?:\.|->|::)\s*(incr|incrGlobal|chargeCounted|observe|observeMs|"
+    r"(?:\.|->|::)\s*(incr|chargeCounted|observe|observeMs|"
     r"observeWindowed|value|findHistogram|findWindowed)\("
     r"\s*(?:std::string\(\s*)?\"")
 
