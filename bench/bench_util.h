@@ -11,6 +11,7 @@
 #ifndef CATALYZER_BENCH_BENCH_UTIL_H
 #define CATALYZER_BENCH_BENCH_UTIL_H
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -18,6 +19,7 @@
 #include <cstring>
 #include <string>
 #include <system_error>
+#include <vector>
 
 #include "sim/logging.h"
 
@@ -91,6 +93,21 @@ inline double
 envDouble(const char *name, double fallback)
 {
     return parseDoubleVar(name, std::getenv(name), fallback);
+}
+
+/**
+ * Instance counts of a scalability sweep to @p max_instances: 0, then
+ * steps of a tenth of the maximum (at least one instance), up to the
+ * maximum.
+ */
+inline std::vector<std::size_t>
+sweepSteps(std::size_t max_instances)
+{
+    const std::size_t step = std::max<std::size_t>(max_instances / 10, 1);
+    std::vector<std::size_t> steps;
+    for (std::size_t n = 0; n <= max_instances; n += step)
+        steps.push_back(n);
+    return steps;
 }
 
 /**

@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "bench_util.h"
@@ -24,8 +23,8 @@ namespace {
 
 /** Boot latency at each instance-count step, booting up to 1000. */
 std::vector<double>
-sweep(platform::BootStrategy strategy, const std::vector<int> &steps,
-      bool server_profile)
+sweep(platform::BootStrategy strategy,
+      const std::vector<std::size_t> &steps, bool server_profile)
 {
     sandbox::Machine machine(
         42, server_profile ? sim::CostModel::serverProfile()
@@ -36,8 +35,8 @@ sweep(platform::BootStrategy strategy, const std::vector<int> &steps,
     plat.prepare(app);
 
     std::vector<double> out;
-    int booted = 0;
-    for (int target : steps) {
+    std::size_t booted = 0;
+    for (std::size_t target : steps) {
         while (booted < target) {
             plat.invoke(app.name);
             ++booted;
@@ -59,8 +58,8 @@ main()
                   "Startup latency (ms) of the DeathStar text service "
                   "with 0-1000 running instances.");
 
-    const std::vector<int> steps = {0, 50, 100, 200, 300, 400, 500,
-                                    600, 700, 800, 900, 1000};
+    const std::vector<std::size_t> steps = {0,   50,  100, 200, 300, 400,
+                                            500, 600, 700, 800, 900, 1000};
     const auto gvr =
         sweep(platform::BootStrategy::GVisorRestore, steps, false);
     const auto cat =
@@ -87,29 +86,27 @@ main()
     // instances (e.g. 10000) on the Catalyzer fork path, timed in host
     // wall-clock. Exercises the extent-based memory substrate at a
     // scale where the old per-page paths took minutes.
-    if (const char *env = std::getenv("FIG15_MAX_INSTANCES")) {
-        const int max_instances = std::atoi(env);
-        if (max_instances > 0) {
-            const auto wall_start = std::chrono::steady_clock::now();
-            std::vector<int> big_steps;
-            for (int n = 0; n <= max_instances; n += max_instances / 10)
-                big_steps.push_back(n);
-            const auto big = sweep(platform::BootStrategy::CatalyzerFork,
-                                   big_steps, false);
-            const double wall_s = std::chrono::duration<double>(
-                                      std::chrono::steady_clock::now() -
-                                      wall_start)
-                                      .count();
-            std::printf("\nstress sweep to %d instances:\n",
-                        max_instances);
-            for (std::size_t i = 0; i < big_steps.size(); ++i)
-                std::printf("  %6d running: %s ms\n", big_steps[i],
-                            sim::fmtMs(big[i]).c_str());
-            std::printf("  wall-clock: %.2f s for %d fork boots "
-                        "(%.0f boots/sec)\n",
-                        wall_s, max_instances + 11,
-                        (max_instances + 11) / wall_s);
-        }
+    const std::size_t max_instances =
+        bench::envSize("FIG15_MAX_INSTANCES", 0);
+    if (max_instances > 0) {
+        const auto wall_start = std::chrono::steady_clock::now();
+        const std::vector<std::size_t> big_steps =
+            bench::sweepSteps(max_instances);
+        const auto big =
+            sweep(platform::BootStrategy::CatalyzerFork, big_steps, false);
+        const double wall_s = std::chrono::duration<double>(
+                                  std::chrono::steady_clock::now() -
+                                  wall_start)
+                                  .count();
+        // Each step boots up to its count, then the measured boot.
+        const std::size_t boots = big_steps.back() + big_steps.size();
+        std::printf("\nstress sweep to %zu instances:\n", max_instances);
+        for (std::size_t i = 0; i < big_steps.size(); ++i)
+            std::printf("  %6zu running: %s ms\n", big_steps[i],
+                        sim::fmtMs(big[i]).c_str());
+        std::printf("  wall-clock: %.2f s for %zu fork boots "
+                    "(%.0f boots/sec)\n",
+                    wall_s, boots, static_cast<double>(boots) / wall_s);
     }
     bench::footer();
     return 0;

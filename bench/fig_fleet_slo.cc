@@ -29,9 +29,9 @@
  *                                    (includes the win.policy.* series)
  *
  * Scale knobs (env): FLEET_FUNCTIONS, FLEET_TENANTS, FLEET_RPS,
- * FLEET_DURATION_SEC, FLEET_MACHINES, FLEET_BUDGET_MIB. CI smoke runs
- * a reduced fleet; the release gate (FIG_FLEET_SLO_ASSERT=1) runs the
- * full defaults and turns the scripted expectations into failures —
+ * FLEET_DURATION_SEC, FLEET_MACHINES. CI smoke runs a reduced fleet;
+ * the release gate (FIG_FLEET_SLO_ASSERT=1) runs the full defaults and
+ * turns the scripted expectations into failures —
  * chiefly that predictive pre-warm beats pure keep-alive on p99.9
  * end-to-end latency in the flash-crowd scenario at equal budget.
  */
@@ -207,7 +207,7 @@ main()
     pop.seed = 1;
     const double duration = envDouble("FLEET_DURATION_SEC", 15.0);
     const std::size_t machines = envSize("FLEET_MACHINES", 8);
-    const double budget_mib = envDouble("FLEET_BUDGET_MIB", 2048.0);
+    const double budget_mib = 2048.0;
     const std::size_t per_rack = machines > 4 ? 4 : machines;
 
     const load::Population population(pop);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 
 #include "guest/syscall_policy.h"
 #include "net/remote_pager.h"
@@ -13,7 +14,6 @@
 
 namespace catalyzer::core {
 
-using sandbox::BootKind;
 using sandbox::BootResult;
 using sandbox::FunctionArtifacts;
 using sandbox::SandboxInstance;
@@ -264,8 +264,7 @@ CatalyzerRuntime::bootRestore(FunctionArtifacts &fn, bool warm,
     // on the path (with the tuned host: PML off, kvcalloc cache on),
     // matching the paper's Catalyzer-restore.
     const bool cold_cache = !warm && !fn.firstRestoreDone;
-    acquireSandbox(b, warm ? BootKind::WarmRestore : BootKind::ColdRestore,
-                   /*zygote=*/warm);
+    acquireSandbox(b, /*zygote=*/warm);
     specialize(b);
     mapImage(b, warm, cold_cache);
     prefetchWorkingSet(b);
@@ -282,7 +281,7 @@ CatalyzerRuntime::bootRestore(FunctionArtifacts &fn, bool warm,
 }
 
 void
-CatalyzerRuntime::acquireSandbox(Boot &b, BootKind kind, bool zygote)
+CatalyzerRuntime::acquireSandbox(Boot &b, bool zygote)
 {
     auto stage = b.report().sandboxStage(
         b.tctx, zygote ? trace::Name("zygote-acquire")
@@ -290,12 +289,12 @@ CatalyzerRuntime::acquireSandbox(Boot &b, BootKind kind, bool zygote)
     if (zygote) {
         Zygote z = zygotes_.acquire(stage.context());
         b.result.instance = std::make_unique<SandboxInstance>(
-            machine_, b.fn, b.app.name + "-" + b.tag, *z.proc, kind);
+            machine_, b.fn, b.app.name + "-" + b.tag, *z.proc);
         b.inst().setGuest(std::move(z.guest));
     } else {
         machine_.ctx().charge(machine_.ctx().costs().parseConfig);
         b.result.instance =
-            sandbox::makeBareInstance(b.fn, kind, b.tag.c_str());
+            sandbox::makeBareInstance(b.fn, b.tag.c_str());
         sandbox::constructGVisorSandbox(b.inst(), ZygotePool::kvmConfig(),
                                         stage.context());
     }
@@ -628,7 +627,7 @@ CatalyzerRuntime::sfork(Boot &b, SandboxInstance &tmpl)
         hostos::HostProcess &child =
             machine_.host().sfork(tmpl.proc(), std::move(child_name));
         b.result.instance = std::make_unique<SandboxInstance>(
-            machine_, b.fn, child.name(), child, BootKind::ForkBoot);
+            machine_, b.fn, child.name(), child);
     }
 
     auto stage = b.report().sandboxStage(b.tctx, "expand");
@@ -673,7 +672,7 @@ CatalyzerRuntime::bootFork(FunctionArtifacts &fn,
         // The template sandbox died (crash, OOM-kill). No retry makes
         // sense — drop it so a later fork boot rebuilds it offline, and
         // fail the fork tier now (degrades to warm).
-        dropTemplate(fn.app().name);
+        fn.templateSandbox.reset();
         machine_.ctx().stats().incr(metrics::kCatalyzerTemplateDeaths);
         throw faults::FaultError(faults::FaultSite::TemplateDeath,
                                  fn.app().name + " template died");
@@ -743,7 +742,7 @@ CatalyzerRuntime::bootRemoteFork(FunctionArtifacts &fn,
     // a local restore would. The mirrored metadata is already local, so
     // the fix-up runs at memory speed. Connections never survive a
     // machine boundary, and the lender owns the I/O cache.
-    acquireSandbox(b, BootKind::ForkBoot, /*zygote=*/true);
+    acquireSandbox(b, /*zygote=*/true);
     specialize(b);
     mapRemoteOverlay(b, src);
     prefetchRemote(b, src);
@@ -874,22 +873,15 @@ CatalyzerRuntime::buildTemplate(FunctionArtifacts &fn,
 SandboxInstance &
 CatalyzerRuntime::ensureTemplate(FunctionArtifacts &fn)
 {
-    auto it = templates_.find(fn.app().name);
-    if (it == templates_.end())
-        it = templates_
-                 .emplace(fn.app().name,
-                          buildTemplate(fn, metrics::kCatalyzerTemplatesBuilt))
-                 .first;
-    return *it->second;
+    if (!fn.templateSandbox)
+        fn.templateSandbox =
+            buildTemplate(fn, metrics::kCatalyzerTemplatesBuilt);
+    return *fn.templateSandbox;
 }
 
 SandboxInstance &
 CatalyzerRuntime::ensureLanguageTemplate(apps::Language lang)
 {
-    auto it = lang_templates_.find(lang);
-    if (it != lang_templates_.end())
-        return *it->second;
-
     static const std::map<apps::Language, const char *> kBaseApp = {
         {apps::Language::C, "c-hello"},
         {apps::Language::Cpp, "ds-uniqueid"},
@@ -900,13 +892,11 @@ CatalyzerRuntime::ensureLanguageTemplate(apps::Language lang)
     };
     FunctionArtifacts &base_fn =
         lang_registry_.artifactsFor(apps::appByName(kBaseApp.at(lang)));
-    return *lang_templates_
-                .emplace(lang,
-                         buildTemplate(base_fn,
-                                       metrics::kCatalyzerLangTemplatesBuilt))
-                .first->second;
+    if (!base_fn.templateSandbox)
+        base_fn.templateSandbox =
+            buildTemplate(base_fn, metrics::kCatalyzerLangTemplatesBuilt);
+    return *base_fn.templateSandbox;
 }
-
 
 void
 CatalyzerRuntime::prepareTemplate(FunctionArtifacts &fn)
@@ -918,30 +908,6 @@ void
 CatalyzerRuntime::prepareLanguageTemplate(apps::Language lang)
 {
     ensureLanguageTemplate(lang);
-}
-
-void
-CatalyzerRuntime::dropTemplate(const std::string &function_name)
-{
-    templates_.erase(function_name);
-}
-
-SandboxInstance *
-CatalyzerRuntime::templateFor(const std::string &function_name)
-{
-    auto it = templates_.find(function_name);
-    return it == templates_.end() ? nullptr : it->second.get();
-}
-
-std::size_t
-CatalyzerRuntime::templateMemoryBytes() const
-{
-    std::size_t bytes = 0;
-    for (const auto &[name, tmpl] : templates_)
-        bytes += tmpl->rssBytes();
-    for (const auto &[lang, tmpl] : lang_templates_)
-        bytes += tmpl->rssBytes();
-    return bytes;
 }
 
 } // namespace catalyzer::core

@@ -16,7 +16,6 @@
 #ifndef CATALYZER_CATALYZER_RUNTIME_H
 #define CATALYZER_CATALYZER_RUNTIME_H
 
-#include <map>
 #include <memory>
 
 #include "apps/app_profile.h"
@@ -160,9 +159,6 @@ class CatalyzerRuntime
     /** Build the language template for @p lang now (offline). */
     void prepareLanguageTemplate(apps::Language lang);
 
-    /** Drop a function's template (frees its memory). */
-    void dropTemplate(const std::string &function_name);
-
     ZygotePool &zygotes() { return zygotes_; }
     snapshot::ImageStore &images() { return images_; }
     const snapshot::ImageStore &images() const { return images_; }
@@ -172,12 +168,11 @@ class CatalyzerRuntime
     /** The machine's fault source (script failures via failNext()). */
     faults::FaultInjector &faults() { return injector_; }
 
-    /** The function's template instance, if prepared. */
-    sandbox::SandboxInstance *
-    templateFor(const std::string &function_name);
-
-    /** Resident memory of all templates (function + language). */
-    std::size_t templateMemoryBytes() const;
+    /** Resident memory of the language templates. */
+    std::size_t languageTemplateBytes() const
+    {
+        return lang_registry_.templateBytes();
+    }
 
   private:
     /** One boot in flight, threaded through the stages below. */
@@ -195,7 +190,7 @@ class CatalyzerRuntime
      * span, one booked duration), does its work and closes it; a boot
      * tier is a list of them.
      */
-    void acquireSandbox(Boot &b, sandbox::BootKind kind, bool zygote);
+    void acquireSandbox(Boot &b, bool zygote);
     void specialize(Boot &b);
     void mapImage(Boot &b, bool warm, bool cold_cache);
     void prefetchWorkingSet(Boot &b);
@@ -243,11 +238,8 @@ class CatalyzerRuntime
     faults::FaultInjector injector_;
     ZygotePool zygotes_;
     snapshot::ImageStore images_;
-    std::map<std::string, std::unique_ptr<sandbox::SandboxInstance>>
-        templates_;
-    std::map<apps::Language, std::unique_ptr<sandbox::SandboxInstance>>
-        lang_templates_;
-    /** Artifacts for the language-base (hello) apps. */
+    /** Artifacts of the language-base (hello) apps: each language
+     *  template lives on its hello app's artifacts. */
     sandbox::FunctionRegistry lang_registry_;
     std::uint64_t boot_seq_ = 0;
 };

@@ -27,6 +27,14 @@ constexpr std::size_t kHottestTracked = 16;
  *  tick's rate). */
 constexpr double kEwmaAlpha = 0.35;
 
+/** @p plat holds a template of @p name. */
+bool
+holdsTemplate(platform::ServerlessPlatform &plat, const std::string &name)
+{
+    const sandbox::FunctionArtifacts *fn = plat.registry().find(name);
+    return fn && fn->templateSandbox;
+}
+
 } // namespace
 
 FleetAutoscaler::FleetAutoscaler(platform::Cluster &cluster,
@@ -74,8 +82,7 @@ bool
 FleetAutoscaler::templateAnywhere(const FleetFunction &fn) const
 {
     for (std::size_t m = 0; m < managers_.size(); ++m) {
-        if (cluster_.platform(m).catalyzer().templateFor(fn.name) !=
-            nullptr)
+        if (holdsTemplate(cluster_.platform(m), fn.name))
             return true;
     }
     return false;
@@ -95,7 +102,6 @@ FleetAutoscaler::buildTemplateOn(const FleetFunction &fn,
                   fn.name.c_str(), machine, err.what());
         return;
     }
-    managers_[machine]->noteExternalTemplate(fn.name);
     managers_[machine]->grantPrewarmCredit(fn.name, kPrewarmCredit);
     // Publish the holder right away: the boot path only syncs the
     // cluster directory when it serves a request, and the whole point
@@ -214,10 +220,7 @@ FleetAutoscaler::crossRackPass()
             const std::size_t rack =
                 cluster_.fabric().rackOf(static_cast<net::NodeId>(m));
             rack_arrivals[rack] += state.perMachine[m];
-            const bool holds =
-                cluster_.platform(m).catalyzer().templateFor(fn.name) !=
-                nullptr;
-            if (holds) {
+            if (holdsTemplate(cluster_.platform(m), fn.name)) {
                 rack_holds[rack] = true;
                 holds_anywhere = true;
             }

@@ -81,12 +81,10 @@ Cluster::Cluster(std::size_t machines, PlacementPolicy policy,
                 ServerlessPlatform &lender = *nodes_[peer].platform;
                 sandbox::FunctionArtifacts *fn =
                     lender.registry().find(name);
-                sandbox::SandboxInstance *tmpl =
-                    lender.catalyzer().templateFor(name);
-                if (!fn || !tmpl || !fn->separatedImage)
+                if (!fn || !fn->templateSandbox || !fn->separatedImage)
                     return std::nullopt;
                 core::RemoteForkSource src;
-                src.templateInstance = tmpl;
+                src.templateInstance = fn->templateSandbox.get();
                 src.image = fn->separatedImage;
                 src.manifest = fn->workingSet;
                 src.fabric = &fabric_;

@@ -1,7 +1,8 @@
 #include "platform/platform.h"
 
-#include <algorithm>
+#include <array>
 #include <cstdlib>
+#include <iterator>
 
 #include "faults/fault_injector.h"
 #include "sim/clock.h"
@@ -16,7 +17,11 @@ using sandbox::SandboxInstance;
 
 namespace {
 
-/** Catalyzer fallback-chain tiers, fastest first. */
+/**
+ * The tiers a request can be served by: the Catalyzer fallback chain,
+ * fastest first, then a keep-alive hit and the two fresh-boot
+ * baselines, which serve under their strategy's name.
+ */
 enum BootTier
 {
     kTierSfork = 0,
@@ -24,6 +29,10 @@ enum BootTier
     kTierWarm,
     kTierCold,
     kTierFresh,
+    kTierReused,
+    kTierGVisor,
+    kTierGVisorRestore,
+    kTierCount,
 };
 
 const char *
@@ -35,8 +44,25 @@ bootTierName(int tier)
       case kTierWarm: return "warm";
       case kTierCold: return "cold";
       case kTierFresh: return "fresh";
+      case kTierReused: return "reused";
+      case kTierGVisor: return bootStrategyName(BootStrategy::GVisor);
+      case kTierGVisorRestore:
+        return bootStrategyName(BootStrategy::GVisorRestore);
     }
     sim::panic("bootTierName: bad tier %d", tier);
+}
+
+/** win.boot_ms.tier.<tier>, resolved once per tier. */
+sim::WindowedHandle
+tierWindow(int tier)
+{
+    static const auto windows = [] {
+        std::array<sim::WindowedHandle, kTierCount> out{};
+        for (int t = 0; t < kTierCount; ++t)
+            out[t] = metrics::kWinBootMsTier.member(bootTierName(t));
+        return out;
+    }();
+    return windows[tier];
 }
 
 /**
@@ -92,34 +118,6 @@ ServerlessPlatform::ServerlessPlatform(sandbox::Machine &machine,
         recorder_.setDumpDirectory(dir);
 }
 
-const ServerlessPlatform::FunctionKeys &
-ServerlessPlatform::functionKeys(const std::string &function_name)
-{
-    auto it = function_keys_.find(function_name);
-    if (it == function_keys_.end()) {
-        std::string span = "invoke/";
-        span += function_name;
-        it = function_keys_
-                 .emplace(function_name,
-                          FunctionKeys{
-                              trace::Name::intern(span),
-                              metrics::kWinBootMsFn.member(function_name)})
-                 .first;
-    }
-    return it->second;
-}
-
-sim::WindowedHandle
-ServerlessPlatform::tierWindow(const std::string &tier)
-{
-    auto it = tier_windows_.find(tier);
-    if (it == tier_windows_.end())
-        it = tier_windows_
-                 .emplace(tier, metrics::kWinBootMsTier.member(tier))
-                 .first;
-    return it->second;
-}
-
 FunctionArtifacts &
 ServerlessPlatform::deploy(const apps::AppProfile &app)
 {
@@ -154,7 +152,7 @@ ServerlessPlatform::prepare(const apps::AppProfile &app)
       default:
         break; // fresh-boot systems need no preparation
     }
-    syncRemoteRegistry(app.name);
+    syncRemoteRegistry(fn);
 }
 
 bool
@@ -167,12 +165,12 @@ ServerlessPlatform::remoteForkAvailable(FunctionArtifacts &fn) const
 }
 
 void
-ServerlessPlatform::syncRemoteRegistry(const std::string &name)
+ServerlessPlatform::syncRemoteRegistry(FunctionArtifacts &fn)
 {
     if (!remote_env_ || !remote_env_->registry)
         return;
-    remote_env_->registry->setTemplate(
-        remote_env_->self, name, runtime_.templateFor(name) != nullptr);
+    remote_env_->registry->setTemplate(remote_env_->self, fn.app().name,
+                                       fn.templateSandbox != nullptr);
 }
 
 void
@@ -182,7 +180,7 @@ ServerlessPlatform::setRemoteEnv(remote::RemoteBootEnv env)
 }
 
 BootResult
-ServerlessPlatform::bootChain(FunctionArtifacts &fn, int tier,
+ServerlessPlatform::bootChain(FunctionArtifacts &fn, int &tier,
                               InvocationRecord &record,
                               trace::TraceContext trace)
 {
@@ -231,8 +229,6 @@ ServerlessPlatform::bootChain(FunctionArtifacts &fn, int tier,
                     sandbox::SandboxSystem::GVisor, fn, trace);
                 break;
             }
-            record.tierServed = bootTierName(std::min(
-                tier, static_cast<int>(kTierFresh)));
             stats.observeMs(metrics::kBootTierServed, tierServedValue(tier));
             stats.observeWindowed(metrics::kWinTierServed,
                                   machine_.ctx().now(),
@@ -262,33 +258,37 @@ ServerlessPlatform::bootChain(FunctionArtifacts &fn, int tier,
 
 BootResult
 ServerlessPlatform::bootNew(FunctionArtifacts &fn,
-                            InvocationRecord &record,
+                            InvocationRecord &record, int &tier,
                             trace::TraceContext trace)
 {
     using sandbox::SandboxSystem;
-    record.tierServed = bootStrategyName(config_.strategy);
     switch (config_.strategy) {
       case BootStrategy::GVisor:
+        tier = kTierGVisor;
         return sandbox::bootSandbox(SandboxSystem::GVisor, fn, trace);
       case BootStrategy::GVisorRestore:
+        tier = kTierGVisorRestore;
         return sandbox::bootSandbox(SandboxSystem::GVisorRestore, fn,
                                     trace);
       case BootStrategy::CatalyzerCold:
-        return bootChain(fn, kTierCold, record, trace);
+        tier = kTierCold;
+        break;
       case BootStrategy::CatalyzerWarm:
-        return bootChain(fn, kTierWarm, record, trace);
+        tier = kTierWarm;
+        break;
       case BootStrategy::CatalyzerFork:
-        return bootChain(fn, kTierSfork, record, trace);
+        tier = kTierSfork;
+        break;
       case BootStrategy::CatalyzerAuto:
-        if (runtime_.templateFor(fn.app().name))
-            return bootChain(fn, kTierSfork, record, trace);
-        if (remoteForkAvailable(fn))
-            return bootChain(fn, kTierRemoteFork, record, trace);
-        if (fn.sharedBase)
-            return bootChain(fn, kTierWarm, record, trace);
-        return bootChain(fn, kTierCold, record, trace);
+        if (fn.templateSandbox)
+            tier = kTierSfork;
+        else if (remoteForkAvailable(fn))
+            tier = kTierRemoteFork;
+        else
+            tier = fn.sharedBase ? kTierWarm : kTierCold;
+        break;
     }
-    sim::panic("unreachable boot strategy");
+    return bootChain(fn, tier, record, trace);
 }
 
 InvocationRecord
@@ -311,14 +311,12 @@ ServerlessPlatform::invoke(const std::string &function_name,
     if (!trace.enabled())
         trace = trace::TraceContext(machine_.tracer(), ctx.clock());
 
-    const FunctionKeys &keys = functionKeys(function_name);
-    trace::ScopedSpan invoke_span(trace, keys.invokeSpan);
+    trace::ScopedSpan invoke_span(trace, fn.invokeSpan);
     invoke_span.attr("strategy", bootStrategyName(config_.strategy));
     const trace::TraceContext tctx = invoke_span.context();
     current_trace_ = tctx.traceId();
 
     InvocationRecord record;
-    record.function = function_name;
 
     // Gateway delivery.
     sim::Stopwatch watch(ctx.clock());
@@ -329,8 +327,10 @@ ServerlessPlatform::invoke(const std::string &function_name,
 
     // Find or boot an instance.
     std::unique_ptr<SandboxInstance> inst;
-    auto idle = idle_.find(function_name);
-    if (config_.reuseIdleInstances && idle != idle_.end()) {
+    int tier = kTierReused;
+    auto idle = config_.reuseIdleInstances ? idle_.find(function_name)
+                                           : idle_.end();
+    if (idle != idle_.end()) {
         // Most-recently-used instance: the warmest caches, and older
         // ones age toward the keep-alive TTL.
         inst = std::move(idle->second.back().instance);
@@ -339,21 +339,19 @@ ServerlessPlatform::invoke(const std::string &function_name,
             idle_.erase(idle);
         --instances_;
         record.reusedInstance = true;
-        record.bootKind = inst->bootKind();
-        record.tierServed = "reused";
         invoke_span.attr("reused", "true");
         ctx.stats().incr(metrics::kPlatformInstanceReuses);
     } else {
-        BootResult boot = bootNew(fn, record, tctx);
+        BootResult boot = bootNew(fn, record, tier, tctx);
         inst = std::move(boot.instance);
-        record.bootKind = inst->bootKind();
         record.bootLatency = inst->bootLatency();
         ctx.stats().incr(metrics::kPlatformBoots);
         // The boot may have built (or dropped) the local template;
         // publish its state so peers can remote-sfork from it. A no-op
         // outside a cluster with remote fork enabled.
-        syncRemoteRegistry(function_name);
+        syncRemoteRegistry(fn);
     }
+    record.tierServed = bootTierName(tier);
     invoke_span.attr("tier", record.tierServed);
 
     // Execute the handler.
@@ -381,9 +379,9 @@ ServerlessPlatform::invoke(const std::string &function_name,
     {
         const sim::SimTime now = ctx.now();
         auto &stats = ctx.stats();
-        stats.observeWindowed(tierWindow(record.tierServed), now,
+        stats.observeWindowed(tierWindow(tier), now,
                               record.bootLatency.toMs());
-        stats.observeWindowed(keys.bootWindow, now,
+        stats.observeWindowed(fn.bootWindow, now,
                               record.bootLatency.toMs());
         stats.observeWindowed(metrics::kWinE2eMs, now,
                               record.endToEnd().toMs());
@@ -467,7 +465,7 @@ ServerlessPlatform::residentBytes() const
         for (const auto &entry : entries)
             bytes += entry.instance->rssBytes();
     }
-    bytes += runtime_.templateMemoryBytes();
+    bytes += registry_.templateBytes() + runtime_.languageTemplateBytes();
     // Cached func-images (chunk tiers + locally cached image files)
     // compete with templates for machine memory; zero unless the
     // remote-image store is in use.

@@ -12,7 +12,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "catalyzer/runtime.h"
@@ -53,8 +52,6 @@ struct PlatformConfig
 /** Outcome of one request through the gateway. */
 struct InvocationRecord
 {
-    std::string function;
-    sandbox::BootKind bootKind = sandbox::BootKind::ColdFresh;
     bool reusedInstance = false;
     /**
      * Boot tier that actually served the request after any fault-driven
@@ -171,25 +168,28 @@ class ServerlessPlatform
     }
 
   private:
+    /** Boot per the configured strategy; sets @p tier to the tier
+     *  that served the boot. */
     sandbox::BootResult bootNew(sandbox::FunctionArtifacts &fn,
-                                InvocationRecord &record,
-                                trace::TraceContext trace = {});
+                                InvocationRecord &record, int &tier,
+                                trace::TraceContext trace);
     /**
      * Boot through the Catalyzer fallback chain starting at @p tier
-     * (sfork → remote-sfork → warm → cold → fresh): a tier that throws
-     * faults::FaultError degrades one tier instead of failing the
-     * request, counting boot.fallback.<from>_<to> and observing the
-     * serving tier into the boot.tier_served histogram. The
-     * remote-sfork tier is skipped (and absent from fallback counter
-     * names) unless a remote env with a template-holding peer exists.
+     * (sfork → remote-sfork → warm → cold → fresh), leaving @p tier at
+     * the tier that served: a tier that throws faults::FaultError
+     * degrades one tier instead of failing the request, counting
+     * boot.fallback.<from>_<to> and observing the serving tier into
+     * the boot.tier_served histogram. The remote-sfork tier is skipped
+     * (and absent from fallback counter names) unless a remote env
+     * with a template-holding peer exists.
      */
     sandbox::BootResult bootChain(sandbox::FunctionArtifacts &fn,
-                                  int tier, InvocationRecord &record,
+                                  int &tier, InvocationRecord &record,
                                   trace::TraceContext trace);
     /** A peer holds this function's template and can lend it. */
     bool remoteForkAvailable(sandbox::FunctionArtifacts &fn) const;
-    /** Publish this machine's template state for @p name cluster-wide. */
-    void syncRemoteRegistry(const std::string &name);
+    /** Publish this machine's template state for @p fn cluster-wide. */
+    void syncRemoteRegistry(sandbox::FunctionArtifacts &fn);
 
     /** A parked keep-alive instance. */
     struct IdleEntry
@@ -197,19 +197,6 @@ class ServerlessPlatform
         std::unique_ptr<sandbox::SandboxInstance> instance;
         sim::SimTime parkedAt;
     };
-
-    /** Observability keys of one function, resolved on its first
-     *  request and reused by every later one. */
-    struct FunctionKeys
-    {
-        /** "invoke/<fn>" */
-        trace::Name invokeSpan;
-        /** win.boot_ms.fn.<fn> */
-        sim::WindowedHandle bootWindow;
-    };
-    const FunctionKeys &functionKeys(const std::string &function_name);
-    /** win.boot_ms.tier.<tier>, resolved on the tier's first use. */
-    sim::WindowedHandle tierWindow(const std::string &tier);
 
     sandbox::Machine &machine_;
     PlatformConfig config_;
@@ -229,8 +216,6 @@ class ServerlessPlatform
      */
     std::size_t instances_ = 0;
     std::optional<remote::RemoteBootEnv> remote_env_;
-    std::unordered_map<std::string, FunctionKeys> function_keys_;
-    std::unordered_map<std::string, sim::WindowedHandle> tier_windows_;
 };
 
 } // namespace catalyzer::platform

@@ -31,23 +31,26 @@ BootPolicyManager::invoke(const std::string &function_name)
     return platform_.invoke(function_name);
 }
 
-void
-BootPolicyManager::observe(const std::string &function_name)
+BootPolicyManager::FunctionState &
+BootPolicyManager::stateOf(const std::string &function_name)
 {
-    functions_[function_name].recentInvocations += 1.0;
+    FunctionState &state = functions_[function_name];
+    if (!state.artifacts)
+        state.artifacts = platform_.registry().find(function_name);
+    return state;
 }
 
 void
-BootPolicyManager::noteExternalTemplate(const std::string &function_name)
+BootPolicyManager::observe(const std::string &function_name)
 {
-    functions_[function_name].hasTemplate = true;
+    stateOf(function_name).recentInvocations += 1.0;
 }
 
 void
 BootPolicyManager::grantPrewarmCredit(const std::string &function_name,
                                       double weight)
 {
-    FunctionState &state = functions_[function_name];
+    FunctionState &state = stateOf(function_name);
     state.recentInvocations = std::max(state.recentInvocations, weight);
 }
 
@@ -60,7 +63,6 @@ BootPolicyManager::setTemplateMemoryBudget(std::size_t bytes)
 std::size_t
 BootPolicyManager::rebalance()
 {
-    auto &runtime = platform_.catalyzer();
     std::size_t builds = 0;
     std::size_t drops = 0;
 
@@ -74,38 +76,32 @@ BootPolicyManager::rebalance()
     // Greedily keep templates for the top scorers within the budget.
     std::size_t used = 0;
     for (const auto &[s, name] : ranked) {
-        FunctionState &state = functions_[name];
+        FunctionState &state = stateOf(name);
         const bool hot = state.recentInvocations >=
                          static_cast<double>(config_.hotThreshold);
         if (hot) {
-            if (!state.hasTemplate) {
+            if (!templateOf(state)) {
                 // Deployed functions (fleet populations included) come
                 // from the registry; the app catalog is the fallback for
                 // names observed before deploy().
-                sandbox::FunctionArtifacts *fn =
-                    platform_.registry().find(name);
-                platform_.catalyzer().prepareTemplate(
-                    fn ? *fn
-                       : platform_.registry().artifactsFor(
-                             apps::appByName(name)));
-                state.hasTemplate = true;
+                if (!state.artifacts)
+                    state.artifacts = &platform_.registry().artifactsFor(
+                        apps::appByName(name));
+                platform_.catalyzer().prepareTemplate(*state.artifacts);
                 ++builds;
             }
-            const auto *tmpl = runtime.templateFor(name);
-            const std::size_t cost = tmpl ? tmpl->rssBytes() : 0;
+            const std::size_t cost = templateOf(state)->rssBytes();
             if (used + cost > config_.templateMemoryBudgetBytes) {
                 // Over budget: this one (and everything colder) goes.
-                runtime.dropTemplate(name);
-                state.hasTemplate = false;
+                state.artifacts->templateSandbox.reset();
                 ++drops;
             } else {
                 used += cost;
                 continue;
             }
         }
-        if (!hot && state.hasTemplate) {
-            runtime.dropTemplate(name);
-            state.hasTemplate = false;
+        if (!hot && templateOf(state)) {
+            state.artifacts->templateSandbox.reset();
             ++drops;
         }
     }
@@ -123,7 +119,7 @@ BootPolicyManager::rebalance()
     // plain metrics snapshots are unchanged byte for byte.
     std::size_t hot_set = 0;
     for (const auto &[name, state] : functions_) {
-        if (state.hasTemplate)
+        if (templateOf(state))
             ++hot_set;
     }
     auto &stats = platform_.machine().ctx().stats();
@@ -141,12 +137,9 @@ std::size_t
 BootPolicyManager::templateMemoryBytes() const
 {
     std::size_t used = 0;
-    auto &runtime = platform_.catalyzer();
     for (const auto &[name, state] : functions_) {
-        if (state.hasTemplate) {
-            if (const auto *tmpl = runtime.templateFor(name))
-                used += tmpl->rssBytes();
-        }
+        if (const sandbox::SandboxInstance *tmpl = templateOf(state))
+            used += tmpl->rssBytes();
     }
     return used;
 }
@@ -156,7 +149,7 @@ BootPolicyManager::templatedFunctions() const
 {
     std::vector<std::string> out;
     for (const auto &[name, state] : functions_) {
-        if (state.hasTemplate)
+        if (templateOf(state))
             out.push_back(name);
     }
     return out;

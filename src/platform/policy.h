@@ -49,13 +49,6 @@ class BootPolicyManager
     void observe(const std::string &function_name);
 
     /**
-     * Adopt a template built outside rebalance() (a fleet autoscaler's
-     * pre-warm): the pool accounts for it and rebalance manages its
-     * lifetime from now on.
-     */
-    void noteExternalTemplate(const std::string &function_name);
-
-    /**
      * Raise a function's traffic counter to at least @p weight so the
      * next rebalances treat it as hot. Used by predictive pre-warm: the
      * build lands *before* the burst, and without the credit the very
@@ -71,15 +64,17 @@ class BootPolicyManager
     /**
      * Re-evaluate the template pool: build templates for the hottest
      * functions while under the memory budget; drop
-     * templates whose functions went cold. Returns the number of
-     * template builds plus drops performed.
+     * templates whose functions went cold. Template presence is read
+     * from each function's artifacts, so a template built elsewhere (a
+     * fleet autoscaler's pre-warm) is managed like one built here.
+     * Returns the number of template builds plus drops performed.
      */
     std::size_t rebalance();
 
-    /** Current template-pool memory. */
+    /** Current template-pool memory of the observed functions. */
     std::size_t templateMemoryBytes() const;
 
-    /** Functions currently holding a template. */
+    /** Observed functions currently holding a template. */
     std::vector<std::string> templatedFunctions() const;
 
     const PolicyConfig &config() const { return config_; }
@@ -88,8 +83,21 @@ class BootPolicyManager
     struct FunctionState
     {
         double recentInvocations = 0.0;
-        bool hasTemplate = false;
+        /** The function's record on this machine; null until it is
+         *  deployed. */
+        sandbox::FunctionArtifacts *artifacts = nullptr;
     };
+
+    /** @p function_name's state, its artifacts resolved if deployed. */
+    FunctionState &stateOf(const std::string &function_name);
+
+    /** @p state's template, or nullptr. */
+    static const sandbox::SandboxInstance *
+    templateOf(const FunctionState &state)
+    {
+        return state.artifacts ? state.artifacts->templateSandbox.get()
+                               : nullptr;
+    }
 
     ServerlessPlatform &platform_;
     PolicyConfig config_;

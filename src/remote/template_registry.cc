@@ -8,13 +8,13 @@ TemplateRegistry::setTemplate(net::NodeId node,
                               bool present)
 {
     if (present)
-        templates_[function_name].insert(node);
+        holders_[function_name].insert(node);
     else {
-        auto it = templates_.find(function_name);
-        if (it != templates_.end()) {
+        auto it = holders_.find(function_name);
+        if (it != holders_.end()) {
             it->second.erase(node);
             if (it->second.empty())
-                templates_.erase(it);
+                holders_.erase(it);
         }
     }
 }
@@ -23,16 +23,16 @@ bool
 TemplateRegistry::hasTemplate(net::NodeId node,
                               const std::string &function_name) const
 {
-    auto it = templates_.find(function_name);
-    return it != templates_.end() && it->second.contains(node);
+    auto it = holders_.find(function_name);
+    return it != holders_.end() && it->second.contains(node);
 }
 
 std::vector<net::NodeId>
 TemplateRegistry::templateHolders(
     const std::string &function_name) const
 {
-    auto it = templates_.find(function_name);
-    if (it == templates_.end())
+    auto it = holders_.find(function_name);
+    if (it == holders_.end())
         return {};
     return {it->second.begin(), it->second.end()};
 }
@@ -59,8 +59,8 @@ std::optional<net::NodeId>
 TemplateRegistry::nearestTemplateHolder(
     const std::string &function_name, net::NodeId from) const
 {
-    auto it = templates_.find(function_name);
-    if (it == templates_.end())
+    auto it = holders_.find(function_name);
+    if (it == holders_.end())
         return std::nullopt;
     return nearest(it->second, from);
 }

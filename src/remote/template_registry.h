@@ -98,7 +98,7 @@ class TemplateRegistry : public net::ReplicaDirectory,
     nearest(const std::set<net::NodeId> &nodes, net::NodeId from) const;
 
     const net::Fabric *fabric_;
-    std::map<std::string, std::set<net::NodeId>> templates_;
+    std::map<std::string, std::set<net::NodeId>> holders_;
     std::map<std::string, std::set<net::NodeId>> replicas_;
     std::map<std::string, KeyPublishState> publishes_;
     std::map<net::ChunkId, std::set<net::NodeId>> chunks_;

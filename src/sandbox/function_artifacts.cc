@@ -2,11 +2,16 @@
 
 #include <cstdio>
 
+#include "sandbox/instance.h"
+#include "sim/metric_catalog.h"
+
 namespace catalyzer::sandbox {
 
 FunctionArtifacts::FunctionArtifacts(Machine &machine,
                                      const apps::AppProfile &app)
-    : machine_(machine), app_(app),
+    : invokeSpan(trace::Name::intern("invoke/" + app.name)),
+      bootWindow(metrics::kWinBootMsFn.member(app.name)),
+      machine_(machine), app_(app),
       request_log_path_("/var/log/" + app.name + ".request.log")
 {
     binary_ = std::make_unique<mem::BackingFile>(
@@ -28,6 +33,8 @@ FunctionArtifacts::FunctionArtifacts(Machine &machine,
     fs_server_ = std::make_unique<vfs::FsServer>(
         machine.ctx(), std::move(rootfs), app.name + "-gofer");
 }
+
+FunctionArtifacts::~FunctionArtifacts() = default;
 
 std::string
 FunctionArtifacts::appFilePath(std::size_t i) const
@@ -52,6 +59,17 @@ FunctionRegistry::find(const std::string &function_name)
 {
     auto it = functions_.find(function_name);
     return it == functions_.end() ? nullptr : it->second.get();
+}
+
+std::size_t
+FunctionRegistry::templateBytes() const
+{
+    std::size_t bytes = 0;
+    for (const auto &[name, fn] : functions_) {
+        if (fn->templateSandbox)
+            bytes += fn->templateSandbox->rssBytes();
+    }
+    return bytes;
 }
 
 } // namespace catalyzer::sandbox

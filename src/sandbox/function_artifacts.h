@@ -1,11 +1,13 @@
 /**
  * @file
  * Per-function shared artifacts: binary, rootfs, FS server, func-images,
- * warm-boot base mapping and the I/O cache.
+ * warm-boot base mapping, the I/O cache and the template sandbox.
  *
  * These are shared by every instance of a function on a machine — the
  * page cache behind the binary and func-image is what makes second boots
- * warm, and the BaseMapping is Catalyzer's shared Base-EPT.
+ * warm, and the BaseMapping is Catalyzer's shared Base-EPT. They are the
+ * one per-machine record of a function: the platform resolves a name to
+ * them once per request, and everything after that reads them.
  */
 
 #ifndef CATALYZER_SANDBOX_FUNCTION_ARTIFACTS_H
@@ -21,17 +23,22 @@
 #include "mem/base_mapping.h"
 #include "prefetch/working_set_manifest.h"
 #include "sandbox/machine.h"
+#include "sim/stats.h"
 #include "snapshot/func_image.h"
+#include "trace/trace.h"
 #include "vfs/fs_server.h"
 #include "vfs/io_connection.h"
 
 namespace catalyzer::sandbox {
+
+class SandboxInstance;
 
 /** Shared, per-function state on one machine. */
 class FunctionArtifacts
 {
   public:
     FunctionArtifacts(Machine &machine, const apps::AppProfile &app);
+    ~FunctionArtifacts();
 
     const apps::AppProfile &app() const { return app_; }
     mem::BackingFile &binary() { return *binary_; }
@@ -42,6 +49,11 @@ class FunctionArtifacts
 
     /** The overlay file every request appends its log line to. */
     const std::string &requestLogPath() const { return request_log_path_; }
+
+    /** "invoke/<fn>": the root span of each request to this function. */
+    const trace::Name invokeSpan;
+    /** win.boot_ms.fn.<fn>: boot latency of each request, windowed. */
+    const sim::WindowedHandle bootWindow;
 
     /** Stock compressed checkpoint (gVisor-restore), built on demand. */
     std::shared_ptr<snapshot::FuncImage> protoImage;
@@ -89,6 +101,15 @@ class FunctionArtifacts
     std::unique_ptr<mem::BackingFile> binary_;
     std::unique_ptr<vfs::FsServer> fs_server_;
     std::string request_log_path_;
+
+  public:
+    /**
+     * The function's template sandbox, the parent of every sfork boot
+     * (Sec. 4.2): built offline by CatalyzerRuntime, null until then and
+     * after it is dropped or dies. Declared last so that it is destroyed
+     * first: its process maps the binary, rootfs and Base-EPT above.
+     */
+    std::unique_ptr<SandboxInstance> templateSandbox;
 };
 
 /** Registry of per-function artifacts on one machine. */
@@ -104,6 +125,9 @@ class FunctionRegistry
     FunctionArtifacts *find(const std::string &function_name);
 
     std::size_t size() const { return functions_.size(); }
+
+    /** Resident memory of every template sandbox in the registry. */
+    std::size_t templateBytes() const;
 
   private:
     Machine &machine_;

@@ -9,24 +9,10 @@
 
 namespace catalyzer::sandbox {
 
-const char *
-bootKindName(BootKind kind)
-{
-    switch (kind) {
-      case BootKind::ColdFresh: return "cold-fresh";
-      case BootKind::ColdRestore: return "cold-restore";
-      case BootKind::WarmRestore: return "warm-restore";
-      case BootKind::ForkBoot: return "fork-boot";
-      case BootKind::Native: return "native";
-    }
-    return "?";
-}
-
 SandboxInstance::SandboxInstance(Machine &machine, FunctionArtifacts &fn,
                                  std::string name,
-                                 hostos::HostProcess &proc, BootKind kind)
-    : machine_(machine), fn_(fn), name_(std::move(name)), proc_(&proc),
-      boot_kind_(kind)
+                                 hostos::HostProcess &proc)
+    : machine_(machine), fn_(fn), name_(std::move(name)), proc_(&proc)
 {
 }
 

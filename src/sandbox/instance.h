@@ -19,18 +19,6 @@
 
 namespace catalyzer::sandbox {
 
-/** How an instance came to exist (paper Fig. 7). */
-enum class BootKind
-{
-    ColdFresh,       ///< booted from scratch (stock path)
-    ColdRestore,     ///< restored from a func-image (no running peers)
-    WarmRestore,     ///< restored sharing a live Base-EPT
-    ForkBoot,        ///< sforked from a template sandbox
-    Native,          ///< no sandbox at all (Table 2's "Native" column)
-};
-
-const char *bootKindName(BootKind kind);
-
 /**
  * One live instance. Owns the guest kernel and rootfs view; the host
  * process is owned by the host kernel and released on destruction.
@@ -39,8 +27,7 @@ class SandboxInstance
 {
   public:
     SandboxInstance(Machine &machine, FunctionArtifacts &fn,
-                    std::string name, hostos::HostProcess &proc,
-                    BootKind kind);
+                    std::string name, hostos::HostProcess &proc);
     ~SandboxInstance();
 
     SandboxInstance(const SandboxInstance &) = delete;
@@ -86,7 +73,6 @@ class SandboxInstance
     std::size_t heapPages() const { return heap_pages_; }
     bool heapOnBase() const { return heap_on_base_; }
 
-    BootKind bootKind() const { return boot_kind_; }
     void setBootLatency(sim::SimTime t) { boot_latency_ = t; }
     sim::SimTime bootLatency() const { return boot_latency_; }
 
@@ -156,7 +142,6 @@ class SandboxInstance
     mem::PageIndex heap_va_ = 0;
     std::size_t heap_pages_ = 0;
     bool heap_on_base_ = false;
-    BootKind boot_kind_;
     sim::SimTime boot_latency_;
     std::size_t invocations_ = 0;
     double prep_fraction_ = 0.0;

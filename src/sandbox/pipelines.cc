@@ -27,12 +27,12 @@ sandboxSystemName(SandboxSystem system)
 }
 
 std::unique_ptr<SandboxInstance>
-makeBareInstance(FunctionArtifacts &fn, BootKind kind, const char *tag)
+makeBareInstance(FunctionArtifacts &fn, const char *tag)
 {
     Machine &m = fn.machine();
     auto &proc = m.host().spawnProcess(fn.app().name + "-" + tag);
     auto inst = std::make_unique<SandboxInstance>(
-        m, fn, fn.app().name + "-" + tag, proc, kind);
+        m, fn, fn.app().name + "-" + tag, proc);
     inst->setGuest(std::make_unique<guest::GuestKernel>(
         m.ctx(), inst->name() + "-kernel"));
     return inst;
@@ -223,8 +223,7 @@ bootRunsc(SandboxSystem system, FunctionArtifacts &fn,
     {
         auto stage = report.sandboxStage(trace, "boot-sandbox-process");
         inst = makeBareInstance(
-            fn, restore ? BootKind::ColdRestore : BootKind::ColdFresh,
-            restore ? "gvr" : ptrace ? "gvpt" : "gvisor");
+            fn, restore ? "gvr" : ptrace ? "gvpt" : "gvisor");
     }
     if (ptrace) {
         auto stage = report.sandboxStage(trace, "create-kernel");
@@ -257,13 +256,13 @@ bootFresh(SandboxSystem system, FunctionArtifacts &fn,
     switch (system) {
       case SandboxSystem::Native: {
         auto stage = report.sandboxStage(tctx, "spawn-process");
-        result.instance = makeBareInstance(fn, BootKind::Native, "native");
+        result.instance = makeBareInstance(fn, "native");
         break;
       }
       case SandboxSystem::Docker: {
         auto stage = report.sandboxStage(tctx, "container-setup");
         ctx.charge(costs.parseConfig);
-        result.instance = makeBareInstance(fn, BootKind::ColdFresh, "docker");
+        result.instance = makeBareInstance(fn, "docker");
         ctx.charge(costs.dockerSetupFixed);
         app_factor = costs.dockerAppInitFactor;
         break;
@@ -271,7 +270,7 @@ bootFresh(SandboxSystem system, FunctionArtifacts &fn,
       case SandboxSystem::HyperContainer: {
         auto stage = report.sandboxStage(tctx, "hypervm-setup");
         ctx.charge(costs.parseConfig);
-        result.instance = makeBareInstance(fn, BootKind::ColdFresh, "hyper");
+        result.instance = makeBareInstance(fn, "hyper");
         ctx.charge(costs.hyperSetupFixed);
         hostos::KvmVm vm(ctx, hostos::KvmConfig{});
         vm.createVm();
@@ -284,7 +283,7 @@ bootFresh(SandboxSystem system, FunctionArtifacts &fn,
         {
             auto stage = report.sandboxStage(tctx, "vmm-init");
             ctx.charge(costs.parseConfig);
-            result.instance = makeBareInstance(fn, BootKind::ColdFresh, "fc");
+            result.instance = makeBareInstance(fn, "fc");
             ctx.charge(costs.firecrackerVmmInit);
             hostos::KvmVm vm(ctx, hostos::KvmConfig{});
             vm.createVm();

@@ -85,7 +85,7 @@ ensureSeparatedImage(FunctionArtifacts &fn);
  * Exposed for the Catalyzer boot paths.
  */
 std::unique_ptr<SandboxInstance>
-makeBareInstance(FunctionArtifacts &fn, BootKind kind, const char *tag);
+makeBareInstance(FunctionArtifacts &fn, const char *tag);
 
 /**
  * gVisor's "create and initialize kernel/platform" step: KVM VM + VCPUs

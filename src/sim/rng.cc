@@ -100,10 +100,4 @@ Rng::heavyTail(double lo, double hi, double alpha)
     return x;
 }
 
-Rng
-Rng::split()
-{
-    return Rng(next64());
-}
-
 } // namespace catalyzer::sim

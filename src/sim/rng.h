@@ -52,9 +52,6 @@ class Rng
      */
     double heavyTail(double lo, double hi, double alpha = 1.5);
 
-    /** Fork an independent stream (for per-sandbox determinism). */
-    Rng split();
-
   private:
     std::uint64_t s_[4];
 };

@@ -211,14 +211,6 @@ StatRegistry::setWindowOrigin(SimTime origin)
     window_origin_set_ = true;
 }
 
-void
-StatRegistry::clear()
-{
-    counters_.clear();
-    series_.clear();
-    windowed_.clear();
-}
-
 std::map<std::string, std::int64_t>
 StatRegistry::all() const
 {

@@ -391,9 +391,6 @@ class StatRegistry
     /** True once setWindowOrigin() declared a measurement origin. */
     bool windowOriginAligned() const { return window_origin_set_; }
 
-    /** Reset every counter and histogram. */
-    void clear();
-
     /** Snapshot of all counters, sorted by name. */
     std::map<std::string, std::int64_t> all() const;
 

@@ -303,14 +303,6 @@ Tracer::spanCount() const
 }
 
 void
-Tracer::clear()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    head_ = 0;
-    count_ = 0;
-}
-
-void
 Tracer::setCapacity(std::size_t capacity)
 {
     std::lock_guard<std::mutex> lock(mu_);

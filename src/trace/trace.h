@@ -173,9 +173,6 @@ class Tracer
 
     std::size_t spanCount() const;
 
-    /** Drop all buffered spans; ids keep increasing. */
-    void clear();
-
     /**
      * Bound the buffer to the @p capacity most recent spans (0 =
      * unbounded). An over-full buffer evicts oldest-first immediately.

@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the bench harnesses' environment-knob parsing: a malformed
- * or negative value must stop the run and name the variable, never
- * wrap, truncate or read as zero.
+ * Tests for the bench harnesses' helpers: environment-knob parsing (a
+ * malformed or negative value must stop the run and name the variable,
+ * never wrap, truncate or read as zero) and sweep step lists.
  */
 
 #include <gtest/gtest.h>
@@ -59,6 +59,20 @@ TEST(BenchEnvTest, NonNumericOrNegativeNumberIsFatal)
                 ::testing::ExitedWithCode(1), "FLEET_RPS");
     EXPECT_EXIT(parseDoubleVar("FLEET_RPS", "inf", 800.0),
                 ::testing::ExitedWithCode(1), "FLEET_RPS");
+}
+
+TEST(BenchSweepTest, StepsAreTenthsOfTheMaximumAndAtLeastOne)
+{
+    EXPECT_EQ(sweepSteps(1000),
+              (std::vector<std::size_t>{0, 100, 200, 300, 400, 500, 600,
+                                        700, 800, 900, 1000}));
+    EXPECT_EQ(sweepSteps(25),
+              (std::vector<std::size_t>{0, 2, 4, 6, 8, 10, 12, 14, 16, 18,
+                                        20, 22, 24}));
+    // Below ten instances a tenth rounds to zero; the step stays one.
+    EXPECT_EQ(sweepSteps(1), (std::vector<std::size_t>{0, 1}));
+    EXPECT_EQ(sweepSteps(9), (std::vector<std::size_t>{0, 1, 2, 3, 4, 5,
+                                                       6, 7, 8, 9}));
 }
 
 } // namespace

@@ -13,7 +13,6 @@
 namespace catalyzer::core {
 namespace {
 
-using sandbox::BootKind;
 using sandbox::BootResult;
 using sandbox::FunctionArtifacts;
 using sandbox::FunctionRegistry;
@@ -67,7 +66,7 @@ TEST_F(CatalyzerTest, ColdBootRestoresFaithfully)
     FunctionArtifacts &f = fn("python-hello");
     BootResult r = runtime.bootCold(f);
     ASSERT_NE(r.instance, nullptr);
-    EXPECT_EQ(r.instance->bootKind(), BootKind::ColdRestore);
+    EXPECT_EQ(r.report.stages().front().name, "construct-sandbox");
     // The guest object graph equals the checkpointed one.
     EXPECT_TRUE(r.instance->guest().state() ==
                 f.separatedImage->state().kernelGraph);
@@ -100,7 +99,7 @@ TEST_F(CatalyzerTest, WarmBootSharesBaseAndBeatsGVisorByOrders)
 {
     FunctionArtifacts &f = fn("java-hello");
     BootResult warm = runtime.bootWarm(f);
-    EXPECT_EQ(warm.instance->bootKind(), BootKind::WarmRestore);
+    EXPECT_EQ(warm.report.stages().front().name, "zygote-acquire");
     // Paper: ~14 ms warm boots for Java.
     EXPECT_LT(warm.report.total().toMs(), 25.0);
     EXPECT_EQ(warm.instance->space().base().get(), f.sharedBase.get());
@@ -129,7 +128,7 @@ TEST_F(CatalyzerTest, WarmUsesIoCacheForStartupConnections)
 TEST_F(CatalyzerTest, ForkBootIsSubMillisecondForC)
 {
     BootResult r = runtime.bootFork(fn("c-hello"));
-    EXPECT_EQ(r.instance->bootKind(), BootKind::ForkBoot);
+    EXPECT_EQ(r.report.stages().front().name, "sfork");
     // The headline result: <1 ms fork boot for C-hello.
     EXPECT_LT(r.report.total().toMs(), 1.0);
     EXPECT_GT(r.instance->guest().threads().totalThreads(), 1);
@@ -148,8 +147,7 @@ TEST_F(CatalyzerTest, TemplateIsReusableForManyForks)
 {
     FunctionArtifacts &f = fn("ds-text");
     runtime.prepareTemplate(f);
-    const auto *tmpl = runtime.templateFor("ds-text");
-    ASSERT_NE(tmpl, nullptr);
+    ASSERT_NE(f.templateSandbox, nullptr);
 
     std::vector<std::unique_ptr<sandbox::SandboxInstance>> children;
     for (int i = 0; i < 16; ++i) {
@@ -158,8 +156,7 @@ TEST_F(CatalyzerTest, TemplateIsReusableForManyForks)
         children.push_back(std::move(r.instance));
     }
     // The template never left the transient state.
-    EXPECT_TRUE(runtime.templateFor("ds-text")
-                    ->guest().threads().transient());
+    EXPECT_TRUE(f.templateSandbox->guest().threads().transient());
 }
 
 TEST_F(CatalyzerTest, ForkChildrenShareMemoryUntilWrites)
@@ -306,9 +303,12 @@ TEST_F(CatalyzerTest, DroppingTemplateFreesIt)
 {
     FunctionArtifacts &f = fn("ruby-hello");
     runtime.prepareTemplate(f);
-    EXPECT_NE(runtime.templateFor("ruby-hello"), nullptr);
-    runtime.dropTemplate("ruby-hello");
-    EXPECT_EQ(runtime.templateFor("ruby-hello"), nullptr);
+    ASSERT_NE(f.templateSandbox, nullptr);
+    const std::size_t processes = machine.host().processCount();
+    const std::size_t frames = machine.host().machineRssPages();
+    f.templateSandbox.reset();
+    EXPECT_EQ(machine.host().processCount(), processes - 1);
+    EXPECT_LT(machine.host().machineRssPages(), frames);
 }
 
 } // namespace

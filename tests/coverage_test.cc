@@ -101,10 +101,6 @@ TEST(LoggingTest, LevelRoundTrips)
 
 TEST(NameTableTest, AllEnumsHaveNames)
 {
-    using sandbox::BootKind;
-    EXPECT_STREQ(sandbox::bootKindName(BootKind::ColdFresh),
-                 "cold-fresh");
-    EXPECT_STREQ(sandbox::bootKindName(BootKind::Native), "native");
     EXPECT_STREQ(sandbox::sandboxSystemName(SandboxSystem::Native),
                  "Native");
     EXPECT_STREQ(apps::languageName(apps::Language::Ruby), "Ruby");

@@ -408,8 +408,8 @@ TEST(FleetAutoscalerTest, PrewarmTriggersOnEwmaAndCountsFalsePositives)
     EXPECT_EQ(scaler.counters().prewarmTriggers, 1u);
     EXPECT_EQ(scaler.counters().prewarmBuilds, 1u);
     EXPECT_NEAR(scaler.ewmaRps(0), 7.0, 1e-9);
-    EXPECT_NE(cluster.platform(0).catalyzer().templateFor(
-                  pop.fn(0).name),
+    EXPECT_NE(cluster.platform(0).registry().find(pop.fn(0).name)
+                  ->templateSandbox,
               nullptr);
     // The build was published to the cluster's template directory, so
     // placement can route to the holder before the first serve.
@@ -448,6 +448,56 @@ TEST(FleetAutoscalerTest, ServedSforkIsNotAFalsePositive)
 
     scaler.finalize();
     EXPECT_EQ(scaler.counters().prewarmFalsePositives, 0u);
+}
+
+TEST(FleetAutoscalerTest, MemoryPressureShrinksThenRegrowsTemplateBudget)
+{
+    const Population pop = makePopulation(3, 10.0);
+    // Retained (not keep-alive) instances: the pressure pass's idle
+    // eviction cannot shed them, so resident memory stays put until
+    // the test tears them down.
+    platform::PlatformConfig pconf;
+    pconf.strategy = platform::BootStrategy::CatalyzerAuto;
+    platform::Cluster cluster(1, platform::PlacementPolicy::RoundRobin,
+                              pconf);
+    pop.deployTo(cluster);
+    platform::ServerlessPlatform &plat = cluster.platform(0);
+    cluster.invokeOn(0, pop.fn(0).name);
+    const std::size_t resident = plat.residentBytes();
+    ASSERT_GT(resident, 0u);
+
+    // One instance fills the whole resident budget: past the 90 % mark.
+    FleetPolicyConfig config;
+    config.reactiveRebalance = true;
+    config.keepAliveTtl = sim::SimTime::zero();
+    config.machineResidentBudgetBytes = resident;
+    const std::size_t ceiling = config.perMachine.templateMemoryBudgetBytes;
+    FleetAutoscaler scaler(cluster, pop, config);
+    auto budget = [&] {
+        return scaler.manager(0).config().templateMemoryBudgetBytes;
+    };
+
+    scaler.tick(500_ms);
+    EXPECT_EQ(scaler.counters().pressureBudgetShrinks, 1u);
+    EXPECT_EQ(budget(), ceiling / 2);
+    scaler.tick(1000_ms);
+    EXPECT_EQ(budget(), ceiling / 4);
+    // The quarter is the floor: pressure that persists shrinks no more.
+    scaler.tick(1500_ms);
+    EXPECT_EQ(scaler.counters().pressureBudgetShrinks, 2u);
+    EXPECT_EQ(budget(), ceiling / 4);
+
+    // Resident memory falls below half the high-water mark: the budget
+    // doubles back each tick up to the configured ceiling.
+    plat.teardown(pop.fn(0).name);
+    ASSERT_EQ(plat.residentBytes(), 0u);
+    scaler.tick(2000_ms);
+    EXPECT_EQ(budget(), ceiling / 2);
+    scaler.tick(2500_ms);
+    EXPECT_EQ(budget(), ceiling);
+    scaler.tick(3000_ms);
+    EXPECT_EQ(budget(), ceiling);
+    EXPECT_EQ(scaler.counters().pressureBudgetShrinks, 2u);
 }
 
 //

@@ -13,7 +13,6 @@
 namespace catalyzer::platform {
 namespace {
 
-using sandbox::BootKind;
 using sandbox::Machine;
 
 TEST(PlatformTest, InvokeBootsAndExecutes)
@@ -59,7 +58,7 @@ TEST(PlatformTest, CatalyzerForkStrategy)
     platform.prepare(apps::appByName("ds-text")); // builds the template
 
     const InvocationRecord rec = platform.invoke("ds-text");
-    EXPECT_EQ(rec.bootKind, BootKind::ForkBoot);
+    EXPECT_EQ(rec.tierServed, "sfork");
     EXPECT_LT(rec.bootLatency.toMs(), 2.0);
 }
 
@@ -72,16 +71,16 @@ TEST(PlatformTest, AutoStrategyEscalates)
 
     // No template, no base: first boot is a cold restore.
     const InvocationRecord first = platform.invoke("python-hello");
-    EXPECT_EQ(first.bootKind, BootKind::ColdRestore);
+    EXPECT_EQ(first.tierServed, "cold");
 
     // A base now exists: warm restore.
     const InvocationRecord second = platform.invoke("python-hello");
-    EXPECT_EQ(second.bootKind, BootKind::WarmRestore);
+    EXPECT_EQ(second.tierServed, "warm");
 
     // With a template prepared: fork boot.
     platform.prepare(apps::appByName("python-hello"));
     const InvocationRecord third = platform.invoke("python-hello");
-    EXPECT_EQ(third.bootKind, BootKind::ForkBoot);
+    EXPECT_EQ(third.tierServed, "sfork");
     EXPECT_LT(third.bootLatency.toMs(), second.bootLatency.toMs());
 }
 

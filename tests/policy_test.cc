@@ -10,7 +10,6 @@
 namespace catalyzer::platform {
 namespace {
 
-using sandbox::BootKind;
 using sandbox::Machine;
 
 class PolicyTest : public ::testing::Test
@@ -26,6 +25,13 @@ class PolicyTest : public ::testing::Test
             platform.deploy(apps::appByName(name));
     }
 
+    /** @p name's template on the platform, or nullptr. */
+    const sandbox::SandboxInstance *
+    templateOf(const char *name)
+    {
+        return platform.registry().find(name)->templateSandbox.get();
+    }
+
     Machine machine;
     ServerlessPlatform platform;
     BootPolicyManager manager;
@@ -35,12 +41,12 @@ TEST_F(PolicyTest, HotNormalFunctionEarnsTemplate)
 {
     for (int i = 0; i < 8; ++i)
         manager.invoke("ds-media"); // cold, then warm boots
-    EXPECT_EQ(platform.catalyzer().templateFor("ds-media"), nullptr);
+    EXPECT_EQ(templateOf("ds-media"), nullptr);
     manager.rebalance();
-    EXPECT_NE(platform.catalyzer().templateFor("ds-media"), nullptr);
+    EXPECT_NE(templateOf("ds-media"), nullptr);
     // Subsequent invocations fork-boot.
     const auto rec = manager.invoke("ds-media");
-    EXPECT_EQ(rec.bootKind, BootKind::ForkBoot);
+    EXPECT_EQ(rec.tierServed, "sfork");
 }
 
 TEST_F(PolicyTest, QuietFunctionGetsNoTemplate)
@@ -49,7 +55,7 @@ TEST_F(PolicyTest, QuietFunctionGetsNoTemplate)
     for (std::size_t i = 1; i < PolicyConfig{}.hotThreshold; ++i)
         manager.observe("python-hello");
     manager.rebalance();
-    EXPECT_EQ(platform.catalyzer().templateFor("python-hello"), nullptr);
+    EXPECT_EQ(templateOf("python-hello"), nullptr);
 }
 
 TEST_F(PolicyTest, ColdFunctionsLoseTheirTemplate)
@@ -57,13 +63,13 @@ TEST_F(PolicyTest, ColdFunctionsLoseTheirTemplate)
     for (int i = 0; i < 8; ++i)
         manager.observe("ds-text");
     manager.rebalance();
-    ASSERT_NE(platform.catalyzer().templateFor("ds-text"), nullptr);
+    ASSERT_NE(templateOf("ds-text"), nullptr);
 
     // No traffic for several windows: the counter decays below the
     // hot threshold and the template is reclaimed.
     manager.rebalance();
     manager.rebalance();
-    EXPECT_EQ(platform.catalyzer().templateFor("ds-text"), nullptr);
+    EXPECT_EQ(templateOf("ds-text"), nullptr);
 }
 
 TEST_F(PolicyTest, BudgetCapsTemplatePool)

@@ -104,17 +104,5 @@ TEST(RngTest, HeavyTailIsSkewedTowardLow)
     EXPECT_GT(low, n / 2);
 }
 
-TEST(RngTest, SplitProducesIndependentStream)
-{
-    Rng a(29);
-    Rng b = a.split();
-    int same = 0;
-    for (int i = 0; i < 64; ++i) {
-        if (a.next64() == b.next64())
-            ++same;
-    }
-    EXPECT_LT(same, 2);
-}
-
 } // namespace
 } // namespace catalyzer::sim

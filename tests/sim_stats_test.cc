@@ -33,8 +33,6 @@ TEST(StatRegistryTest, IncrementAndRead)
     stats.incr("y", -2);
     EXPECT_EQ(stats.value("y"), -2);
     EXPECT_EQ(stats.all().size(), 2u);
-    stats.clear();
-    EXPECT_EQ(stats.value("x"), 0);
 }
 
 TEST(LatencySeriesTest, BasicStatistics)
@@ -127,8 +125,6 @@ TEST(StatRegistryTest, HistogramsObserveAndSnapshot)
     ASSERT_NE(h, nullptr);
     EXPECT_EQ(h->count(), 2u);
     EXPECT_DOUBLE_EQ(h->mean(), 3.0);
-    stats.clear();
-    EXPECT_EQ(stats.findHistogram("boot"), nullptr);
 }
 
 TEST(StatRegistryTest, WriteJsonShape)
@@ -361,9 +357,6 @@ TEST(StatRegistryTest, WindowedSeriesAndTimeSeriesJson)
     EXPECT_NE(out.find("\"p99\""), std::string::npos);
     EXPECT_NE(out.find("\"quote\\\"w\""), std::string::npos);
     EXPECT_EQ(out.find("nan"), std::string::npos);
-
-    stats.clear();
-    EXPECT_EQ(stats.findWindowed("w"), nullptr);
 }
 
 TEST(MetricCatalogTest, NamesAreUniqueAndFullyDeclared)

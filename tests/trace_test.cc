@@ -499,7 +499,7 @@ TEST(TracerTest, SpanCountAndRecentUnderWraparound)
     EXPECT_EQ(tracer.recent(100).size(), 4u);
 }
 
-TEST(TracerTest, IdsStayMonotonicAcrossClearAndEviction)
+TEST(TracerTest, IdsStayMonotonicAcrossEviction)
 {
     Tracer tracer;
     sim::VirtualClock clock;
@@ -510,10 +510,9 @@ TEST(TracerTest, IdsStayMonotonicAcrossClearAndEviction)
         EXPECT_GT(id, last);
         last = id;
     }
-    tracer.clear();
-    EXPECT_EQ(tracer.spanCount(), 0u);
-    const SpanId after = tracer.begin("post-clear", clock.now());
-    EXPECT_GT(after, last); // ids never restart
+    // Four spans were evicted; ids never restart.
+    EXPECT_EQ(tracer.spanCount(), 2u);
+    EXPECT_EQ(last, 6u);
 }
 
 /**
@@ -581,7 +580,6 @@ class DequeTracer
     }
 
     std::size_t spanCount() const { return spans_.size(); }
-    void clear() { spans_.clear(); }
 
     void
     setCapacity(std::size_t capacity)
@@ -649,8 +647,8 @@ TEST(TracerDifferentialTest, RingMatchesDequeModel)
                 "seed " + std::to_string(seed) + " step " +
                 std::to_string(step);
             const std::uint64_t op = pick(100);
-            // Any id up to two past the last issued: live, evicted,
-            // cleared or never issued.
+            // Any id up to two past the last issued: live, evicted or
+            // never issued.
             const SpanId id = pick(issued + 3);
             if (op < 40) {
                 const SimTime start = SimTime::microseconds(
@@ -709,13 +707,10 @@ TEST(TracerDifferentialTest, RingMatchesDequeModel)
                     kCapacities[pick(std::size(kCapacities))];
                 ring.setCapacity(cap);
                 model.setCapacity(cap);
-            } else if (op < 99) {
+            } else {
                 const auto machine = static_cast<std::uint32_t>(pick(3));
                 ring.setMachine(machine);
                 model.setMachine(machine);
-            } else {
-                ring.clear();
-                model.clear();
             }
             ASSERT_EQ(ring.spanCount(), model.spanCount()) << at;
             ASSERT_EQ(ring.droppedCount(), model.droppedCount()) << at;
@@ -1011,7 +1006,7 @@ struct Lender
         FunctionArtifacts &fn = registry.artifactsFor(app);
         runtime.prepareTemplate(fn);
         core::RemoteForkSource src;
-        src.templateInstance = runtime.templateFor(app.name);
+        src.templateInstance = fn.templateSandbox.get();
         src.image = fn.separatedImage;
         src.manifest = fn.workingSet;
         src.fabric = &fabric;

@@ -24,6 +24,8 @@
 #   fig01 ... fig16d          stdout of each of the 16 figure binaries
 #   tab01 ... tab03           stdout of each of the 3 table binaries
 #   fig_prefetch_ablation     stdout
+#   quickstart, social_network, image_service, boot_storm,
+#   cluster_scheduling        stdout of each of the 5 examples
 #
 # Prints every differing file and exits 1 if any differs, 0 otherwise.
 # JOBS sets the build parallelism (default: nproc). TMPDIR picks where the
@@ -56,13 +58,19 @@ paper=(fig01_cdf_ratio fig02_boot_breakdown fig03_design_space
        tab01_syscall_policy tab02_runtime_template tab03_memory_costs
        fig_prefetch_ablation)
 
+# The examples: each drives ServerlessPlatform::invoke and prints only
+# virtual-clock results.
+examples=(quickstart social_network image_service boot_storm
+          cluster_scheduling)
+
 targets=(scorecard trace_report fig_remote_fork fig_fault_matrix
          fig_fleet_slo fig_chain fig_image_dedup fig_slo_window
-         ablation_keepalive ablation_template_budget "${paper[@]}")
+         ablation_keepalive ablation_template_budget "${paper[@]}"
+         "${examples[@]}")
 
 build() { # <source dir> <build dir>
     cmake -S "$1" -B "$2" -DCMAKE_BUILD_TYPE=Release \
-        -DCATALYZER_BUILD_TESTS=OFF -DCATALYZER_BUILD_EXAMPLES=OFF \
+        -DCATALYZER_BUILD_TESTS=OFF -DCATALYZER_BUILD_EXAMPLES=ON \
         >"$2.log" 2>&1
     cmake --build "$2" -j"$jobs" --target "${targets[@]}" >>"$2.log" 2>&1 ||
         { tail -n 30 "$2.log" >&2; exit 1; }
@@ -78,8 +86,8 @@ run() {
     mv "$dir" "$out/$name"
 }
 
-surfaces() { # <bench dir> <out dir>
-    local b=$1 out=$2
+surfaces() { # <build dir> <out dir>
+    local b=$1/bench e=$1/examples out=$2
     mkdir -p "$out"
     run "$out" scorecard "$b/scorecard"
     sed -i '/^wall-clock:/d' "$out/scorecard/stdout.txt"
@@ -102,6 +110,9 @@ surfaces() { # <bench dir> <out dir>
     for name in "${paper[@]}"; do
         run "$out" "$name" "$b/$name"
     done
+    for name in "${examples[@]}"; do
+        run "$out" "example-$name" "$e/$name"
+    done
 }
 
 echo "compare_artifacts: building $rev and the working tree (Release)"
@@ -111,8 +122,8 @@ build "$work/src-old" "$work/build-old"
 build "$repo" "$work/build-new"
 
 echo "compare_artifacts: running surfaces"
-surfaces "$work/build-old/bench" "$work/old"
-surfaces "$work/build-new/bench" "$work/new"
+surfaces "$work/build-old" "$work/old"
+surfaces "$work/build-new" "$work/new"
 
 status=0
 files=0
