@@ -63,7 +63,7 @@ BM_OverlayClone(benchmark::State &state)
     vfs::InodeTree tree;
     for (int i = 0; i < 200; ++i)
         tree.addFile("/app/f" + std::to_string(i), 4096);
-    vfs::FsServer server(ctx, std::move(tree), "gofer");
+    vfs::FsServer server(ctx, std::move(tree));
     vfs::OverlayRootfs overlay(ctx, server);
     for (int i = 0; i < 64; ++i)
         overlay.write("/tmp/w" + std::to_string(i), 512);

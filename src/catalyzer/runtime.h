@@ -162,8 +162,6 @@ class CatalyzerRuntime
     ZygotePool &zygotes() { return zygotes_; }
     snapshot::ImageStore &images() { return images_; }
     const snapshot::ImageStore &images() const { return images_; }
-    const CatalyzerOptions &options() const { return options_; }
-    sandbox::Machine &machine() { return machine_; }
 
     /** The machine's fault source (script failures via failNext()). */
     faults::FaultInjector &faults() { return injector_; }

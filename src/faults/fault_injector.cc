@@ -55,18 +55,6 @@ FaultInjector::FaultInjector(FaultConfig config)
     : config_(config), rng_(kInjectorSeed)
 {}
 
-bool
-FaultInjector::enabled() const
-{
-    for (double p : config_.probability)
-        if (p > 0.0)
-            return true;
-    for (std::uint64_t n : pending_)
-        if (n > 0)
-            return true;
-    return false;
-}
-
 void
 FaultInjector::failNext(FaultSite site, std::uint64_t n)
 {

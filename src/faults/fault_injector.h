@@ -94,10 +94,6 @@ struct FaultConfig
     {
         return probability[static_cast<std::size_t>(site)];
     }
-    double rate(FaultSite site) const
-    {
-        return probability[static_cast<std::size_t>(site)];
-    }
     /** Set every site to the same failure probability. */
     void setAllRates(double p) { probability.fill(p); }
 };
@@ -132,9 +128,6 @@ class FaultInjector
     /** With the default config, a disabled injector: shouldFail() is
      *  false and free until failNext() scripts a failure. */
     explicit FaultInjector(FaultConfig config = {});
-
-    /** True if any probability or scripted failure is armed. */
-    bool enabled() const;
 
     /**
      * Decide whether the next operation at @p site fails: scripted

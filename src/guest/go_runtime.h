@@ -67,7 +67,6 @@ class GoRuntimeModel
 
     bool transient() const { return transient_; }
     int totalThreads() const;
-    const ThreadCensus &census() const { return census_; }
     const ThreadCensus &savedCensus() const { return saved_; }
     bool started() const { return started_; }
 

@@ -54,12 +54,6 @@ GuestKernel::syscall(const std::string &name)
     return true;
 }
 
-std::size_t
-GuestKernel::pendingFds() const
-{
-    return io_.count() - io_.establishedCount();
-}
-
 void
 GuestKernel::reachFuncEntryPoint()
 {

@@ -61,23 +61,11 @@ class GuestKernel
     void setState(objgraph::ObjectGraph state) { state_ = std::move(state); }
 
     vfs::IoConnectionTable &io() { return io_; }
-    const vfs::IoConnectionTable &io() const { return io_; }
-
-    /**
-     * Descriptors whose backing connection is still down: a restored
-     * guest passes every checkpointed fd to the function at once, tagged
-     * as not re-opened until its connection comes up (Sec. 3.3).
-     */
-    std::size_t pendingFds() const;
 
     GoRuntimeModel &threads() { return threads_; }
-    const GoRuntimeModel &threads() const { return threads_; }
 
     int mounts() const { return mounts_; }
     bool initialized() const { return initialized_; }
-    const std::string &name() const { return name_; }
-
-    sim::SimContext &context() { return ctx_; }
 
   private:
     sim::SimContext &ctx_;

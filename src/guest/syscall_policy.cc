@@ -134,14 +134,6 @@ classifySyscall(const std::string &name)
     return it == index.end() ? SyscallClass::Denied : it->second->cls;
 }
 
-const SyscallRule *
-findSyscallRule(const std::string &name)
-{
-    const auto &index = ruleIndex();
-    auto it = index.find(name);
-    return it == index.end() ? nullptr : it->second;
-}
-
 std::vector<std::string>
 syscallsWithClass(SyscallClass cls)
 {

@@ -57,9 +57,6 @@ const std::vector<SyscallRule> &syscallTable();
 /** Classify a syscall by name; unknown names are Denied. */
 SyscallClass classifySyscall(const std::string &name);
 
-/** Rule lookup; nullptr for unlisted (denied) syscalls. */
-const SyscallRule *findSyscallRule(const std::string &name);
-
 /** All syscall names with the given class (test/bench support). */
 std::vector<std::string> syscallsWithClass(SyscallClass cls);
 

@@ -58,7 +58,6 @@ class HostKernel
     std::size_t processCount() const { return procs_.size(); }
 
     mem::FrameStore &frames() { return frames_; }
-    sim::SimContext &context() { return ctx_; }
 
     /** Machine-wide resident pages (all live frames). */
     std::size_t machineRssPages() const { return frames_.liveFrames(); }

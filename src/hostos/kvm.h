@@ -52,11 +52,6 @@ class KvmVm
     /** Register @p n regions (a sandbox registers ~11). */
     void setUserMemoryRegions(int n);
 
-    int vcpus() const { return vcpus_; }
-    int regions() const { return regions_; }
-    bool created() const { return created_; }
-    const KvmConfig &config() const { return config_; }
-
   private:
     sim::SimContext &ctx_;
     KvmConfig config_;

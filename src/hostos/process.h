@@ -36,10 +36,8 @@ class HostProcess
     const std::string &name() const { return space_->name(); }
 
     mem::AddressSpace &space() { return *space_; }
-    const mem::AddressSpace &space() const { return *space_; }
 
     vfs::FdTable &fds() { return fds_; }
-    const vfs::FdTable &fds() const { return fds_; }
 
     /** Number of live OS threads; sfork requires exactly one. */
     int threadCount() const { return thread_count_; }

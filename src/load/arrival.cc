@@ -20,15 +20,6 @@ appendPoissonTimes(sim::Rng &rng, double rate, double duration_sec,
     }
 }
 
-double
-MmppParams::meanRate() const
-{
-    const double cycle = meanOnSec + meanOffSec;
-    if (cycle <= 0.0)
-        return 0.0;
-    return (onRate * meanOnSec + offRate * meanOffSec) / cycle;
-}
-
 MmppParams
 MmppParams::withMeanRate(double mean_rate, double mean_on_sec,
                          double mean_off_sec, double off_fraction)

@@ -46,9 +46,6 @@ struct MmppParams
     double meanOffSec = 4.0;///< mean gap between bursts
     bool startOn = false;
 
-    /** Long-run mean arrival rate of the process. */
-    double meanRate() const;
-
     /**
      * Parameters with the given long-run @p mean_rate, burst duty cycle
      * (@p meanOnSec / (@p meanOnSec + @p meanOffSec)) and

@@ -307,12 +307,6 @@ FleetAutoscaler::finalize()
     }
 }
 
-double
-FleetAutoscaler::ewmaRps(std::size_t fn_index) const
-{
-    return fns_[fn_index].ewmaRps;
-}
-
 std::size_t
 FleetAutoscaler::residentBytes(std::size_t machine) const
 {

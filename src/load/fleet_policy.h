@@ -104,10 +104,6 @@ class FleetAutoscaler
     void finalize();
 
     const FleetPolicyCounters &counters() const { return counters_; }
-    const FleetPolicyConfig &config() const { return config_; }
-
-    /** Current EWMA arrival rate of one function (req/s). */
-    double ewmaRps(std::size_t fn_index) const;
 
     /** Resident bytes on one machine (instances + templates). */
     std::size_t residentBytes(std::size_t machine) const;

@@ -187,12 +187,8 @@ class AddressSpace
     /** The Private-EPT (run-layout diagnostics). */
     const PageTable &privateTable() const { return table_; }
 
-    const std::vector<Vma> &vmas() const { return vmas_; }
     const std::shared_ptr<BaseMapping> &base() const { return base_; }
-    PageIndex baseVaStart() const { return base_va_start_; }
     const std::string &name() const { return name_; }
-
-    sim::SimContext &context() { return ctx_; }
 
     /**
      * Install (or clear, with nullptr) the fault observer. At most one
@@ -200,7 +196,6 @@ class AddressSpace
      * before the space is destroyed. Not inherited across forkCow().
      */
     void setFaultObserver(FaultObserver *observer) { observer_ = observer; }
-    FaultObserver *faultObserver() const { return observer_; }
 
   private:
     const Vma *findVma(PageIndex page) const;

@@ -69,12 +69,6 @@ BackingFile::prefetchFrame(sim::SimContext &ctx, PageIndex page,
     return frame;
 }
 
-bool
-BackingFile::resident(PageIndex page) const
-{
-    return cache_.contains(page);
-}
-
 void
 BackingFile::evict()
 {

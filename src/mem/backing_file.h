@@ -57,15 +57,11 @@ class BackingFile
     FrameId prefetchFrame(sim::SimContext &ctx, PageIndex page,
                           bool *from_cache);
 
-    /** True if @p page is already resident in the page cache. */
-    bool resident(PageIndex page) const;
-
     /** Drop the whole page cache for this file. */
     void evict();
 
     std::size_t npages() const { return npages_; }
     std::size_t residentPages() const { return cache_.size(); }
-    const std::string &name() const { return name_; }
 
   private:
     FrameStore &store_;

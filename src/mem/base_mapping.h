@@ -114,7 +114,6 @@ class BaseMapping
     {
         return bytesForPages(residentPages());
     }
-    const std::string &name() const { return name_; }
 
   private:
     FrameStore &store_;

@@ -122,9 +122,6 @@ class PageTable
                         std::size_t stride, FrameId frame0, bool writable,
                         bool cow);
 
-    /** Remove the entry for @p page if present. */
-    void erase(PageIndex page) { eraseRange(page, 1); }
-
     /** Remove all present entries in [start, start+npages). */
     void eraseRange(PageIndex start, std::size_t npages);
 
@@ -151,14 +148,6 @@ class PageTable
 
     /** Number of stored runs (fragmentation diagnostic). */
     std::size_t runCount() const { return runs_.size(); }
-
-    void
-    clear()
-    {
-        runs_.clear();
-        present_ = 0;
-        invalidateCache();
-    }
 
     /** In-order iteration over runs: fn(PageIndex start, const Run &). */
     template <typename Fn>

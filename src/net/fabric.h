@@ -159,8 +159,6 @@ class StreamLease
     StreamLease(const StreamLease &) = delete;
     StreamLease &operator=(const StreamLease &) = delete;
 
-    NodeId node() const { return node_; }
-
   private:
     Fabric &fabric_;
     NodeId node_;

@@ -65,13 +65,6 @@ checkBackwardRefs(std::uint64_t id, std::span<const std::uint64_t> refs)
 
 } // namespace
 
-const std::vector<ObjectGraph::Node> &
-ObjectGraph::nodes() const
-{
-    static const std::vector<Node> kEmpty;
-    return storage_ ? storage_->nodes : kEmpty;
-}
-
 const std::vector<std::uint64_t> &
 ObjectGraph::refs() const
 {
@@ -118,31 +111,6 @@ ObjectGraph::pointerCount() const
     return static_cast<std::size_t>(
         std::count_if(refs().begin(), refs().end(),
                       [](std::uint64_t r) { return r != 0; }));
-}
-
-std::size_t
-ObjectGraph::payloadBytes() const
-{
-    std::size_t n = 0;
-    for (const Node &node : nodes())
-        n += node.payloadBytes;
-    return n;
-}
-
-bool
-ObjectGraph::checkIntegrity() const
-{
-    const std::size_t n = objectCount();
-    return std::all_of(refs().begin(), refs().end(),
-                       [n](std::uint64_t r) { return r <= n; });
-}
-
-bool
-ObjectGraph::operator==(const ObjectGraph &other) const
-{
-    if (storage_ == other.storage_)
-        return true; // shared storage, structurally equal by definition
-    return nodes() == other.nodes() && refs() == other.refs();
 }
 
 ObjectGraph

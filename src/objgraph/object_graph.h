@@ -144,9 +144,6 @@ class ObjectGraph
     /** Total non-null outgoing references. */
     std::size_t pointerCount() const;
 
-    /** Sum of payload bytes. */
-    std::size_t payloadBytes() const;
-
     /** All objects in id order, as MetaObject views; a view of *this. */
     auto
     objects() const
@@ -156,12 +153,6 @@ class ObjectGraph
                std::views::transform(
                    [this](std::uint64_t id) { return view(id); });
     }
-
-    /** Verify every reference resolves; returns false on dangling ids. */
-    bool checkIntegrity() const;
-
-    /** Structural equality (used to validate restore round trips). */
-    bool operator==(const ObjectGraph &other) const;
 
     /** Synthesize a graph with the given shape, deterministically. */
     static ObjectGraph synthesize(sim::Rng &rng, const GraphSpec &spec);
@@ -175,13 +166,11 @@ class ObjectGraph
         std::uint32_t refCount = 0;
         std::uint32_t payloadBytes = 0;
         ObjectKind kind = ObjectKind::Misc;
-
-        bool operator==(const Node &) const = default;
     };
 
     /**
      * Nodes in id order; each node's refs are the next refCount entries
-     * of refs, so equal graphs have equal arrays.
+     * of refs.
      */
     struct Storage
     {
@@ -189,7 +178,6 @@ class ObjectGraph
         std::vector<std::uint64_t> refs;
     };
 
-    const std::vector<Node> &nodes() const;
     const std::vector<std::uint64_t> &refs() const;
 
     /** The object at @p id, unchecked. */

@@ -46,9 +46,6 @@ class ProtoImage
     std::size_t uncompressedBytes() const { return uncompressed_bytes_; }
     std::size_t compressedBytes() const { return compressed_bytes_; }
 
-    /** The actual encoded structural stream (metadata records). */
-    const std::vector<std::uint8_t> &bytes() const { return bytes_; }
-
   private:
     std::vector<std::uint8_t> bytes_;
     std::size_t record_count_ = 0;

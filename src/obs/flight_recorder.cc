@@ -103,18 +103,4 @@ FlightRecorder::writeIncidentJson(std::ostream &os,
     os << "\n  ]\n}\n";
 }
 
-void
-FlightRecorder::writeJson(std::ostream &os) const
-{
-    os << "{\"machine\": " << machine_ << ", \"captured\": " << seq_
-       << ", \"dropped\": " << dropped_ << ", \"incidents\": [";
-    bool first = true;
-    for (const Incident &incident : incidents_) {
-        os << (first ? "\n" : ",\n");
-        writeIncidentJson(os, incident, machine_);
-        first = false;
-    }
-    os << "]}\n";
-}
-
 } // namespace catalyzer::obs

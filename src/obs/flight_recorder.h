@@ -80,7 +80,6 @@ class FlightRecorder
 
     /** Auto-dump directory; empty disables dumping. */
     void setDumpDirectory(std::string dir);
-    const std::string &dumpDirectory() const { return dump_dir_; }
 
     /** In-memory incidents, oldest first (bounded by kMaxIncidents). */
     const std::deque<Incident> &incidents() const { return incidents_; }
@@ -98,9 +97,6 @@ class FlightRecorder
     static void writeIncidentJson(std::ostream &os,
                                   const Incident &incident,
                                   std::uint32_t machine);
-
-    /** Write all buffered incidents: {"machine": M, "incidents": [...]}. */
-    void writeJson(std::ostream &os) const;
 
   private:
     std::uint32_t machine_;

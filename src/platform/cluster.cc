@@ -321,25 +321,6 @@ Cluster::machine(std::size_t i)
     return *nodes_[i].machine;
 }
 
-std::size_t
-Cluster::totalInstances() const
-{
-    std::size_t n = 0;
-    for (const auto &node : nodes_)
-        n += node.platform->totalInstances();
-    return n;
-}
-
-std::vector<std::size_t>
-Cluster::placementOf(const std::string &function_name) const
-{
-    std::vector<std::size_t> out;
-    out.reserve(nodes_.size());
-    for (const auto &node : nodes_)
-        out.push_back(node.platform->runningCount(function_name));
-    return out;
-}
-
 void
 Cluster::mergeStats(sim::StatRegistry &out) const
 {

@@ -159,13 +159,6 @@ class Cluster
     ServerlessPlatform &platform(std::size_t i);
     sandbox::Machine &machine(std::size_t i);
 
-    /** Total live instances across the fleet. */
-    std::size_t totalInstances() const;
-
-    /** Instances of one function on each machine. */
-    std::vector<std::size_t>
-    placementOf(const std::string &function_name) const;
-
     /** The fleet's network. */
     net::Fabric &fabric() { return fabric_; }
 

@@ -445,15 +445,6 @@ ServerlessPlatform::expireIdle(sim::SimTime ttl)
 }
 
 std::size_t
-ServerlessPlatform::idleCount() const
-{
-    std::size_t n = 0;
-    for (const auto &[name, entries] : idle_)
-        n += entries.size();
-    return n;
-}
-
-std::size_t
 ServerlessPlatform::residentBytes() const
 {
     std::size_t bytes = 0;

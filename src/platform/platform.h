@@ -124,9 +124,6 @@ class ServerlessPlatform
      */
     std::size_t expireIdle(sim::SimTime ttl);
 
-    /** Idle (keep-alive) instances across all functions. */
-    std::size_t idleCount() const;
-
     /**
      * Resident memory attributable to serving: every live instance
      * (running and idle keep-alive) plus all template sandboxes. The
@@ -137,7 +134,6 @@ class ServerlessPlatform
     core::CatalyzerRuntime &catalyzer() { return runtime_; }
     sandbox::FunctionRegistry &registry() { return registry_; }
     sandbox::Machine &machine() { return machine_; }
-    const PlatformConfig &config() const { return config_; }
 
     /**
      * This machine's black-box flight recorder. Always armed: every
@@ -147,10 +143,6 @@ class ServerlessPlatform
      * CATALYZER_FLIGHT_DIR environment variable.
      */
     obs::FlightRecorder &flightRecorder() { return recorder_; }
-    const obs::FlightRecorder &flightRecorder() const
-    {
-        return recorder_;
-    }
 
     /**
      * Join a cluster's remote-fork control plane: the fabric, the
@@ -161,11 +153,6 @@ class ServerlessPlatform
      * registry. Without one the chain is exactly the local four tiers.
      */
     void setRemoteEnv(remote::RemoteBootEnv env);
-
-    const remote::RemoteBootEnv *remoteEnv() const
-    {
-        return remote_env_ ? &*remote_env_ : nullptr;
-    }
 
   private:
     /** Boot per the configured strategy; sets @p tier to the tier

@@ -19,14 +19,6 @@ TemplateRegistry::setTemplate(net::NodeId node,
     }
 }
 
-bool
-TemplateRegistry::hasTemplate(net::NodeId node,
-                              const std::string &function_name) const
-{
-    auto it = holders_.find(function_name);
-    return it != holders_.end() && it->second.contains(node);
-}
-
 std::vector<net::NodeId>
 TemplateRegistry::templateHolders(
     const std::string &function_name) const
@@ -92,13 +84,6 @@ TemplateRegistry::dropReplica(const std::string &key, net::NodeId node)
     }
 }
 
-std::size_t
-TemplateRegistry::replicaCount(const std::string &key) const
-{
-    auto it = replicas_.find(key);
-    return it == replicas_.end() ? 0 : it->second.size();
-}
-
 std::uint64_t
 TemplateRegistry::recordPublish(const std::string &key, net::NodeId node,
                                 std::uint64_t generation)
@@ -147,13 +132,6 @@ TemplateRegistry::dropChunkHolder(net::ChunkId chunk, net::NodeId node)
         if (it->second.empty())
             chunks_.erase(it);
     }
-}
-
-std::size_t
-TemplateRegistry::chunkHolderCount(net::ChunkId chunk) const
-{
-    auto it = chunks_.find(chunk);
-    return it == chunks_.end() ? 0 : it->second.size();
 }
 
 } // namespace catalyzer::remote

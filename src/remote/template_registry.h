@@ -47,9 +47,6 @@ class TemplateRegistry : public net::ReplicaDirectory,
     void setTemplate(net::NodeId node, const std::string &function_name,
                      bool present);
 
-    bool hasTemplate(net::NodeId node,
-                     const std::string &function_name) const;
-
     /** All holders of @p function_name, ascending node id. */
     std::vector<net::NodeId>
     templateHolders(const std::string &function_name) const;
@@ -73,17 +70,12 @@ class TemplateRegistry : public net::ReplicaDirectory,
                                 std::uint64_t generation) override;
     std::uint64_t keyVersion(const std::string &key) const override;
 
-    std::size_t replicaCount(const std::string &key) const;
-
     // net::ChunkDirectory — content-addressed chunk tracking.
     std::optional<net::NodeId>
     nearestChunkHolder(net::ChunkId chunk,
                        net::NodeId from) const override;
     void addChunkHolder(net::ChunkId chunk, net::NodeId node) override;
     void dropChunkHolder(net::ChunkId chunk, net::NodeId node) override;
-
-    std::size_t chunkHolderCount(net::ChunkId chunk) const;
-    std::size_t trackedChunkCount() const { return chunks_.size(); }
 
   private:
     /** Publish history of one blob key (see recordPublish). */

@@ -30,8 +30,8 @@ FunctionArtifacts::FunctionArtifacts(Machine &machine,
         app_layer.addFile("/app/data/conn" + std::to_string(i), 8 << 10);
     rootfs.unionWith(app_layer);
 
-    fs_server_ = std::make_unique<vfs::FsServer>(
-        machine.ctx(), std::move(rootfs), app.name + "-gofer");
+    fs_server_ =
+        std::make_unique<vfs::FsServer>(machine.ctx(), std::move(rootfs));
 }
 
 FunctionArtifacts::~FunctionArtifacts() = default;

@@ -124,8 +124,6 @@ class FunctionRegistry
     /** Look up deployed artifacts by name; nullptr if unknown. */
     FunctionArtifacts *find(const std::string &function_name);
 
-    std::size_t size() const { return functions_.size(); }
-
     /** Resident memory of every template sandbox in the registry. */
     std::size_t templateBytes() const;
 

@@ -52,7 +52,6 @@ class SandboxInstance
     mem::AddressSpace &space() { return proc_->space(); }
 
     guest::GuestKernel &guest() { return *guest_; }
-    const guest::GuestKernel &guest() const { return *guest_; }
     void setGuest(std::unique_ptr<guest::GuestKernel> guest);
 
     vfs::OverlayRootfs *rootfs() { return rootfs_.get(); }
@@ -111,11 +110,6 @@ class SandboxInstance
      * request, e.g. checkpoint warming). Idempotent.
      */
     void finishWorkingSetWindow();
-
-    const prefetch::FaultRecorder *workingSetRecorder() const
-    {
-        return ws_recorder_.get();
-    }
 
     /**
      * Install a fault observer for this instance's whole lifetime (the

@@ -42,12 +42,10 @@ class Machine
     Machine &operator=(const Machine &) = delete;
 
     sim::SimContext &ctx() { return ctx_; }
-    const sim::SimContext &ctx() const { return ctx_; }
     hostos::HostKernel &host() { return host_; }
     mem::FrameStore &frames() { return host_.frames(); }
 
     trace::Tracer &tracer() { return tracer_; }
-    const trace::Tracer &tracer() const { return tracer_; }
 
     /** Cluster node id (0 for standalone machines). */
     std::uint32_t nodeId() const { return node_id_; }

@@ -33,14 +33,11 @@ class SimContext
     {}
 
     VirtualClock &clock() { return clock_; }
-    const VirtualClock &clock() const { return clock_; }
 
     const CostModel &costs() const { return costs_; }
-    CostModel &mutableCosts() { return costs_; }
 
     Rng &rng() { return rng_; }
     StatRegistry &stats() { return stats_; }
-    const StatRegistry &stats() const { return stats_; }
 
     /** Current virtual time. */
     SimTime now() const { return clock_.now(); }
@@ -65,7 +62,7 @@ class SimContext
 
   private:
     VirtualClock clock_;
-    CostModel costs_;
+    const CostModel costs_;
     Rng rng_;
     StatRegistry stats_;
 };

@@ -51,7 +51,6 @@ class ParallelExecutor
     ParallelExecutor(const ParallelExecutor &) = delete;
     ParallelExecutor &operator=(const ParallelExecutor &) = delete;
 
-    int workers() const { return workers_; }
     bool serial() const { return workers_ <= 1; }
 
     /** Run fn(0) .. fn(n-1), returning once all have finished. */

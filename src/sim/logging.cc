@@ -7,7 +7,10 @@ namespace catalyzer::sim {
 
 namespace {
 
-/** Startup verbosity: the environment override, else Warn. */
+/**
+ * The process's verbosity, fixed at startup: CATALYZER_LOG_LEVEL, else
+ * Warn (tests stay quiet).
+ */
 LogLevel
 initialLogLevel()
 {
@@ -15,7 +18,7 @@ initialLogLevel()
                          LogLevel::Warn);
 }
 
-LogLevel global_level = initialLogLevel();
+const LogLevel global_level = initialLogLevel();
 
 void
 vreport(const char *tag, const char *fmt, std::va_list ap)
@@ -48,18 +51,6 @@ parseLogLevel(const char *text, LogLevel fallback)
 }
 
 void
-setLogLevel(LogLevel level)
-{
-    global_level = level;
-}
-
-LogLevel
-logLevel()
-{
-    return global_level;
-}
-
-void
 panic(const char *fmt, ...)
 {
     std::va_list ap;
@@ -87,17 +78,6 @@ warn(const char *fmt, ...)
     std::va_list ap;
     va_start(ap, fmt);
     vreport("warn", fmt, ap);
-    va_end(ap);
-}
-
-void
-inform(const char *fmt, ...)
-{
-    if (global_level < LogLevel::Inform)
-        return;
-    std::va_list ap;
-    va_start(ap, fmt);
-    vreport("info", fmt, ap);
     va_end(ap);
 }
 

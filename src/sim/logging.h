@@ -3,8 +3,8 @@
  * gem5-style status and error reporting.
  *
  * panic() flags an internal library bug and aborts; fatal() flags a user
- * error (bad configuration, invalid arguments) and exits; warn()/inform()
- * report conditions without stopping the run.
+ * error (bad configuration, invalid arguments) and exits; warn() reports
+ * a condition without stopping the run.
  */
 
 #ifndef CATALYZER_SIM_LOGGING_H
@@ -16,7 +16,10 @@
 
 namespace catalyzer::sim {
 
-/** Verbosity levels for runtime messages. */
+/**
+ * Verbosity levels for runtime messages. No message is at Inform, so it
+ * prints what Warn prints.
+ */
 enum class LogLevel { Silent, Warn, Inform, Debug };
 
 /**
@@ -25,16 +28,6 @@ enum class LogLevel { Silent, Warn, Inform, Debug };
  * @p fallback for null or unrecognized input.
  */
 LogLevel parseLogLevel(const char *text, LogLevel fallback);
-
-/**
- * Set the global verbosity; defaults to Warn (tests stay quiet). The
- * CATALYZER_LOG_LEVEL environment variable overrides the default at
- * startup; an explicit setLogLevel() call wins over the environment.
- */
-void setLogLevel(LogLevel level);
-
-/** Current global verbosity. */
-LogLevel logLevel();
 
 /** Report an internal invariant violation and abort. Never returns. */
 [[noreturn]] void panic(const char *fmt, ...)
@@ -46,9 +39,6 @@ LogLevel logLevel();
 
 /** Report a suspicious-but-survivable condition. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Report normal operating status. */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /** Verbose tracing, off by default. */
 void debugLog(const char *fmt, ...) __attribute__((format(printf, 1, 2)));

@@ -490,23 +490,6 @@ LatencySeries::percentile(double p) const
     return s[lo] * (1.0 - frac) + s[lo + 1] * frac;
 }
 
-double
-LatencySeries::cdfAt(double x) const
-{
-    if (samples_.empty())
-        return kNaN;
-    const auto &s = sortedCache();
-    const auto below =
-        std::upper_bound(s.begin(), s.end(), x) - s.begin();
-    return static_cast<double>(below) / static_cast<double>(s.size());
-}
-
-std::vector<double>
-LatencySeries::sorted() const
-{
-    return sortedCache();
-}
-
 } // namespace catalyzer::sim
 
 namespace catalyzer::metrics {

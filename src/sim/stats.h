@@ -24,12 +24,12 @@
 namespace catalyzer::sim {
 
 /**
- * A series of latency samples with percentile and CDF queries.
- * Samples are stored in milliseconds.
+ * A series of latency samples with percentile queries. Samples are
+ * stored in milliseconds.
  *
- * On an empty series every statistic (mean/min/max/percentile/cdfAt)
- * returns quiet NaN — there is no meaningful value to report, and NaN
- * propagates visibly instead of faking a 0 ms latency or an empty CDF.
+ * On an empty series every statistic (mean/min/max/percentile) returns
+ * quiet NaN — there is no meaningful value to report, and NaN
+ * propagates visibly instead of faking a 0 ms latency.
  * JSON snapshots render non-finite values as null.
  */
 class LatencySeries
@@ -51,7 +51,6 @@ class LatencySeries
     }
 
     std::size_t count() const { return samples_.size(); }
-    bool empty() const { return samples_.empty(); }
 
     /** Arithmetic mean; NaN if the series is empty. */
     double mean() const;
@@ -65,12 +64,6 @@ class LatencySeries
      * order statistics. NaN if the series is empty.
      */
     double percentile(double p) const;
-
-    /** Fraction of samples <= x (empirical CDF); NaN if empty. */
-    double cdfAt(double x) const;
-
-    /** Sorted copy of the samples. */
-    std::vector<double> sorted() const;
 
     const std::vector<double> &raw() const { return samples_; }
 
@@ -88,7 +81,7 @@ class LatencySeries
 
     std::vector<double> samples_;
     /**
-     * Cache for percentile/cdfAt/sorted: reporting code asks for p50,
+     * Cache for percentile: reporting code asks for p50,
      * p90 and p99 back to back, and re-sorting the series for each
      * query is quadratic-ish in practice. Invalidated by any add.
      */
@@ -139,9 +132,6 @@ class WindowedHistogram
 
     /** True once setOrigin() declared a measurement origin. */
     bool originAligned() const { return origin_set_; }
-
-    /** The declared origin (zero when unaligned). */
-    SimTime origin() const { return origin_; }
 
     /**
      * Start of window @p index, relative to the origin (equals the
@@ -377,7 +367,6 @@ class StatRegistry
 
     /** Window length used for windowed series created after this call. */
     void setWindowLength(SimTime length) { window_length_ = length; }
-    SimTime windowLength() const { return window_length_; }
 
     /**
      * Align all windowed series created after this call to @p origin

@@ -134,7 +134,6 @@ class TieredChunkCache
 
     std::size_t ramBytes() const { return ram_bytes_; }
     std::size_t ssdBytes() const { return ssd_bytes_; }
-    std::size_t chunkCount() const { return entries_.size(); }
 
   private:
     struct Entry

@@ -349,13 +349,6 @@ ImageStore::publishedRemotely(const std::string &function_name,
     return remote_.contains(key(function_name, format));
 }
 
-bool
-ImageStore::cachedLocally(const std::string &function_name,
-                          ImageFormat format) const
-{
-    return local_.contains(key(function_name, format));
-}
-
 void
 ImageStore::evictLocal(const std::string &function_name,
                        ImageFormat format)

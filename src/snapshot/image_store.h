@@ -70,15 +70,8 @@ class ImageStore
     bool publishedRemotely(const std::string &function_name,
                            ImageFormat format) const;
 
-    /** True if a fetch would be served locally. */
-    bool cachedLocally(const std::string &function_name,
-                       ImageFormat format) const;
-
     /** Evict the local copy (e.g. cache pressure); remote copy stays. */
     void evictLocal(const std::string &function_name, ImageFormat format);
-
-    std::size_t publishedCount() const { return remote_.size(); }
-    std::size_t localCount() const { return local_.size(); }
 
     /** Turn on / tune content-addressed chunking (see chunk_store.h).
      *  Call before the first publish. */
@@ -89,7 +82,6 @@ class ImageStore
                                config.ssdBudgetBytes);
     }
 
-    const ChunkStoreConfig &chunkConfig() const { return chunk_config_; }
     const TieredChunkCache &chunkCache() const { return chunk_cache_; }
 
     /**

@@ -6,12 +6,6 @@
 
 namespace catalyzer::state {
 
-bool
-RegionAttachment::stale() const
-{
-    return store_ != nullptr && store_->version(region_) != version_;
-}
-
 void
 RegionFaultStats::onFaultRange(mem::PageIndex, std::size_t npages,
                                bool, mem::FaultResult result)
@@ -207,10 +201,7 @@ StateRegionStore::attach(const std::string &name, net::NodeId node,
     it->second.base->attach();
 
     RegionAttachment out;
-    out.store_ = this;
-    out.region_ = name;
     out.version_ = it->second.version;
-    out.node_ = node;
     out.file_ = it->second.file;
     out.base_ = it->second.base;
     return out;
@@ -224,7 +215,6 @@ StateRegionStore::detach(RegionAttachment &attachment)
     attachment.base_->detach();
     attachment.base_.reset();
     attachment.file_.reset();
-    attachment.store_ = nullptr;
 }
 
 std::uint64_t
@@ -276,12 +266,6 @@ StateRegionStore::publish(const std::string &name, net::NodeId node,
     }
     it->second = makeReplica(name, region, node, region.version);
     return region.version;
-}
-
-std::uint64_t
-StateRegionStore::version(const std::string &name) const
-{
-    return regionOrDie(name).version;
 }
 
 std::size_t

@@ -18,8 +18,8 @@
  * freezes version 1, attach() maps the sealed region on a node —
  * paying a fabric-priced transfer when that node holds no current
  * replica — and publish() bumps the version from a writer's dirty
- * pages, invalidating every other machine's replica (stale readers
- * detect this through RegionAttachment::stale()).
+ * pages, invalidating every other machine's replica (a stale reader's
+ * RegionAttachment::version() is below the one publish() returned).
  *
  * Everything is strictly pay-for-use: a store that is never constructed
  * or never holds a region charges nothing and emits no counters, so all
@@ -49,8 +49,8 @@ class StateRegionStore;
  * One attached view of a region replica: the shared base to map into an
  * AddressSpace plus the version stamp it was attached under. Handles
  * keep the replica's backing alive, so a publish elsewhere never pulls
- * frames out from under an attached reader — the reader just becomes
- * detectably stale.
+ * frames out from under an attached reader — the reader keeps its old
+ * snapshot, and its version() falls behind the one publish() returned.
  */
 class RegionAttachment
 {
@@ -58,27 +58,15 @@ class RegionAttachment
     RegionAttachment() = default;
 
     bool valid() const { return base_ != nullptr; }
-    const std::string &regionName() const { return region_; }
     std::uint64_t version() const { return version_; }
-    net::NodeId node() const { return node_; }
     std::size_t npages() const { return base_ ? base_->npages() : 0; }
 
     /** The shared layer to AddressSpace::attachBase(). */
     const std::shared_ptr<mem::BaseMapping> &base() const { return base_; }
 
-    /**
-     * True when the store has published a newer version since this
-     * attachment: the reader sees a consistent old snapshot but should
-     * re-attach to observe the new one.
-     */
-    bool stale() const;
-
   private:
     friend class StateRegionStore;
-    const StateRegionStore *store_ = nullptr;
-    std::string region_;
     std::uint64_t version_ = 0;
-    net::NodeId node_ = 0;
     std::shared_ptr<mem::BackingFile> file_;
     std::shared_ptr<mem::BaseMapping> base_;
 };
@@ -170,10 +158,8 @@ class StateRegionStore
                           std::size_t dirty_pages,
                           trace::TraceContext trace = {});
 
-    std::uint64_t version(const std::string &name) const;
     std::size_t regionPages(const std::string &name) const;
     std::size_t regionCount() const { return regions_.size(); }
-    bool empty() const { return regions_.empty(); }
 
     /** Machines holding a current-version replica, ascending. */
     std::vector<net::NodeId> holders(const std::string &name) const;

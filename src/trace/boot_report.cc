@@ -17,12 +17,6 @@ phaseName(BootPhase phase)
 
 } // namespace
 
-const char *
-bootPhaseName(BootPhase phase)
-{
-    return phaseName(phase).c_str();
-}
-
 void
 BootReport::start(const sim::VirtualClock &clock)
 {

@@ -29,9 +29,6 @@ namespace catalyzer::trace {
  */
 enum class BootPhase { SandboxInit, AppInit };
 
-/** "sandbox-init" / "app-init": the value of a stage span's phase. */
-const char *bootPhaseName(BootPhase phase);
-
 /** One booked stage. */
 struct BootStage
 {

@@ -76,7 +76,6 @@ Tracer::begin(Name name, sim::SimTime start, SpanId parent,
         // Full at capacity: the oldest slot becomes the newest.
         head_ = head_ + 1 == ring_.size() ? 0 : head_ + 1;
         --count_;
-        ++dropped_;
     }
     std::size_t pos = head_ + count_;
     if (pos >= ring_.size())
@@ -313,19 +312,11 @@ Tracer::setCapacity(std::size_t capacity)
         const std::size_t drop = count_ - capacity_;
         head_ = (head_ + drop) % ring_.size();
         count_ = capacity_;
-        dropped_ += drop;
     }
     if (ring_.size() > capacity_) {
         linearizeLocked();
         ring_.resize(capacity_);
     }
-}
-
-std::uint64_t
-Tracer::droppedCount() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return dropped_;
 }
 
 void

@@ -138,7 +138,7 @@ struct Span
  * between workloads); setCapacity() turns it into a ring of the most
  * recent spans — the always-on per-machine mode, where the flight
  * recorder wants "what just happened", not full history. Eviction is
- * oldest-first and droppedCount() says how many fell off.
+ * oldest-first.
  */
 class Tracer
 {
@@ -178,9 +178,6 @@ class Tracer
      * unbounded). An over-full buffer evicts oldest-first immediately.
      */
     void setCapacity(std::size_t capacity);
-
-    /** Spans evicted by the capacity ring so far. */
-    std::uint64_t droppedCount() const;
 
     /** Machine (cluster node) id stamped on every span recorded here. */
     void setMachine(std::uint32_t machine);
@@ -254,7 +251,6 @@ class Tracer
     std::size_t count_ = 0;
     SpanId next_id_ = 1;
     std::size_t capacity_ = 0;
-    std::uint64_t dropped_ = 0;
     std::uint32_t machine_ = 0;
     /**
      * Attribute log: every span's attributes as linked entries at

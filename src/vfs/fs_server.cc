@@ -6,8 +6,8 @@
 
 namespace catalyzer::vfs {
 
-FsServer::FsServer(sim::SimContext &ctx, InodeTree rootfs, std::string name)
-    : ctx_(ctx), rootfs_(std::move(rootfs)), name_(std::move(name))
+FsServer::FsServer(sim::SimContext &ctx, InodeTree rootfs)
+    : ctx_(ctx), rootfs_(std::move(rootfs))
 {
 }
 
@@ -17,8 +17,7 @@ FsServer::chargeDup()
     bool expanded = false;
     server_fds_.allocate(FdEntry{FdKind::File, "<dup>", true, true, 0},
                          &expanded);
-    ++granted_;
-    vfs::chargeDup(ctx_, expanded, lazy_dup_);
+    vfs::chargeDup(ctx_, expanded, /*lazy=*/true);
 }
 
 bool

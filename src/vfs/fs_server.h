@@ -30,9 +30,8 @@ class FsServer
     /**
      * @param ctx    Simulation context (costs are charged here).
      * @param rootfs The function's merged root filesystem.
-     * @param name   Diagnostic label.
      */
-    FsServer(sim::SimContext &ctx, InodeTree rootfs, std::string name);
+    FsServer(sim::SimContext &ctx, InodeTree rootfs);
 
     /**
      * Open @p path read-only on behalf of a sandbox: one Gofer RPC plus
@@ -48,32 +47,19 @@ class FsServer
      */
     FdEntry grantLogFile(const std::string &path);
 
-    /**
-     * The lazy-dup optimization (Sec. 6.7): the server hands out an
-     * already-available fd and performs the dup for its own bookkeeping
-     * off the critical path. When disabled, the dup (with its fdtable
-     * expansion tail) is charged synchronously.
-     */
-    void setLazyDup(bool on) { lazy_dup_ = on; }
-    bool lazyDup() const { return lazy_dup_; }
-
     const InodeTree &rootfs() const { return rootfs_; }
-    InodeTree &mutableRootfs() { return rootfs_; }
-    const std::string &name() const { return name_; }
-
-    /** Server-side descriptor count (grows with grants). */
-    std::size_t grantedFds() const { return granted_; }
 
   private:
-    /** Charge one dup on the server's own fd table. */
+    /**
+     * Charge one dup on the server's own fd table, lazily (Sec. 6.7):
+     * the server hands out an already-available fd and performs the dup
+     * for its own bookkeeping off the critical path.
+     */
     void chargeDup();
 
     sim::SimContext &ctx_;
     InodeTree rootfs_;
-    std::string name_;
     FdTable server_fds_;
-    std::size_t granted_ = 0;
-    bool lazy_dup_ = true;
 };
 
 } // namespace catalyzer::vfs

@@ -49,37 +49,6 @@ InodeTree::lookup(const std::string &path) const
     return it == nodes_.end() ? nullptr : &it->second;
 }
 
-std::vector<std::string>
-InodeTree::filesUnder(const std::string &prefix) const
-{
-    std::vector<std::string> out;
-    for (const auto &[path, node] : nodes_) {
-        if (!node.isDir && path.starts_with(prefix))
-            out.push_back(path);
-    }
-    return out;
-}
-
-std::size_t
-InodeTree::fileCount() const
-{
-    std::size_t n = 0;
-    for (const auto &[path, node] : nodes_) {
-        if (!node.isDir)
-            ++n;
-    }
-    return n;
-}
-
-std::size_t
-InodeTree::totalBytes() const
-{
-    std::size_t n = 0;
-    for (const auto &[path, node] : nodes_)
-        n += node.sizeBytes;
-    return n;
-}
-
 void
 InodeTree::unionWith(const InodeTree &overlay)
 {

@@ -44,15 +44,6 @@ class InodeTree
         return lookup(path) != nullptr;
     }
 
-    /** Paths of all regular files under @p prefix. */
-    std::vector<std::string> filesUnder(const std::string &prefix) const;
-
-    /** Total number of regular files. */
-    std::size_t fileCount() const;
-
-    /** Sum of file sizes in bytes. */
-    std::size_t totalBytes() const;
-
     /**
      * Union this tree with @p overlay on top (overlay wins on conflict);
      * used to build function rootfs = base rootfs + app layer.

@@ -1,7 +1,5 @@
 #include "vfs/io_connection.h"
 
-#include <algorithm>
-
 namespace catalyzer::vfs {
 
 std::uint64_t
@@ -26,26 +24,6 @@ IoConnectionTable::cloneFrom(const std::vector<IoConnection> &saved)
     next_id_ = 1;
     for (auto &conn : conns_)
         conn.id = next_id_++;
-}
-
-IoConnection *
-IoConnectionTable::find(std::uint64_t id)
-{
-    auto it = std::find_if(conns_.begin(), conns_.end(),
-                           [id](const IoConnection &c) {
-                               return c.id == id;
-                           });
-    return it == conns_.end() ? nullptr : &*it;
-}
-
-std::size_t
-IoConnectionTable::establishedCount() const
-{
-    return static_cast<std::size_t>(
-        std::count_if(conns_.begin(), conns_.end(),
-                      [](const IoConnection &c) {
-                          return c.established;
-                      }));
 }
 
 void

@@ -55,13 +55,9 @@ class IoConnectionTable
      */
     void cloneFrom(const std::vector<IoConnection> &saved);
 
-    IoConnection *find(std::uint64_t id);
-
     std::vector<IoConnection> &all() { return conns_; }
-    const std::vector<IoConnection> &all() const { return conns_; }
 
     std::size_t count() const { return conns_.size(); }
-    std::size_t establishedCount() const;
 
     /** Mark every connection dis-established (checkpoint/restore edge). */
     void dropAll();

@@ -45,25 +45,6 @@ OverlayRootfs::write(const std::string &path, std::size_t bytes)
                                std::int64_t>(pages, 1));
 }
 
-bool
-OverlayRootfs::exists(const std::string &path) const
-{
-    if (upper_.contains(path))
-        return true;
-    const Inode *node = lower_.rootfs().lookup(path);
-    return node && !node->isDir;
-}
-
-std::size_t
-OverlayRootfs::sizeOf(const std::string &path) const
-{
-    auto it = upper_.find(path);
-    if (it != upper_.end())
-        return it->second;
-    const Inode *node = lower_.rootfs().lookup(path);
-    return (node && !node->isDir) ? node->sizeBytes : 0;
-}
-
 std::unique_ptr<OverlayRootfs>
 OverlayRootfs::clone() const
 {
@@ -71,15 +52,6 @@ OverlayRootfs::clone() const
     child->upper_ = upper_;
     ctx_.chargeCounted(metrics::kVfsOverlayClones, ctx_.costs().overlayFsClone);
     return child;
-}
-
-std::size_t
-OverlayRootfs::upperBytes() const
-{
-    std::size_t total = 0;
-    for (const auto &[path, bytes] : upper_)
-        total += bytes;
-    return total;
 }
 
 } // namespace catalyzer::vfs

@@ -26,8 +26,8 @@ namespace catalyzer::vfs {
  * One sandbox's view of its root filesystem.
  *
  * write() follows overlayfs semantics: the first write copies the file
- * up into memory; reads (exists(), sizeOf()) fall through to the lower
- * layer for files never written. clone() (for sfork) is constant-cost.
+ * up into memory; files never written stay in the lower layer. clone()
+ * (for sfork) is constant-cost.
  */
 class OverlayRootfs
 {
@@ -40,12 +40,6 @@ class OverlayRootfs
      */
     void write(const std::string &path, std::size_t bytes);
 
-    /** True if visible in this view. */
-    bool exists(const std::string &path) const;
-
-    /** Size as seen through the overlay; 0 if absent. */
-    std::size_t sizeOf(const std::string &path) const;
-
     /**
      * sfork support: duplicate the view. The upper layer's pages live in
      * sandbox anonymous memory, which the address-space fork already
@@ -53,11 +47,8 @@ class OverlayRootfs
      */
     std::unique_ptr<OverlayRootfs> clone() const;
 
-    /** Bytes held by the upper layer (memory accounting). */
-    std::size_t upperBytes() const;
-
-    std::size_t upperFileCount() const { return upper_.size(); }
-    FsServer &lower() { return lower_; }
+    /** The upper layer: path -> size of each file written in this view. */
+    const std::map<std::string, std::size_t> &upper() const { return upper_; }
 
   private:
     /** Copy @p path up from the lower layer, or create it empty;

@@ -156,9 +156,6 @@ class WorkflowEngine
     WorkflowResult run(const WorkflowSpec &spec,
                        trace::TraceContext trace = {});
 
-    platform::Cluster &cluster() { return cluster_; }
-    const WorkflowOptions &options() const { return options_; }
-
   private:
     platform::Cluster &cluster_;
     WorkflowOptions options_;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "catalyzer/runtime.h"
+#include "objgraph_testing.h"
 #include "sandbox/pipelines.h"
 
 namespace catalyzer::core {
@@ -68,8 +69,8 @@ TEST_F(CatalyzerTest, ColdBootRestoresFaithfully)
     ASSERT_NE(r.instance, nullptr);
     EXPECT_EQ(r.report.stages().front().name, "construct-sandbox");
     // The guest object graph equals the checkpointed one.
-    EXPECT_TRUE(r.instance->guest().state() ==
-                f.separatedImage->state().kernelGraph);
+    EXPECT_TRUE(objgraph::sameGraph(r.instance->guest().state(),
+                                    f.separatedImage->state().kernelGraph));
     EXPECT_EQ(r.instance->guest().io().count(),
               f.separatedImage->ioTable().size());
     // Heap is served through the shared Base-EPT, not private copies:

@@ -421,7 +421,9 @@ TEST(ChunkStoreTest, EvictedChunksLeaveTheClusterDirectory)
                     machine.ctx().costs(), config.sharedLibFraction)) {
         const bool cached =
             chunks.tierOf(chunk.id) != ChunkTier::None;
-        EXPECT_EQ(directory.chunkHolderCount(chunk.id) > 0, cached);
+        // The store is node 0; ask from node 1 so it is not excluded.
+        EXPECT_EQ(directory.nearestChunkHolder(chunk.id, 1).has_value(),
+                  cached);
         advertised += cached ? 1 : 0;
     }
     EXPECT_GT(advertised, 0u);

@@ -64,7 +64,6 @@ TEST_P(PlatformFuzz, RandomOperationSequenceHoldsInvariants)
         for (const auto &fn2 : functions)
             per_fn += plat.runningCount(fn2);
         EXPECT_EQ(per_fn, plat.totalInstances());
-        EXPECT_LE(plat.idleCount(), plat.totalInstances());
     }
     EXPECT_EQ(machine.ctx().stats().value("platform.invocations"),
               static_cast<std::int64_t>(invocations));

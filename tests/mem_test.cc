@@ -55,9 +55,9 @@ TEST(BackingFileTest, PageCacheFillAndHit)
     SimContext ctx;
     FrameStore store;
     BackingFile file(store, "/img", 16);
-    EXPECT_FALSE(file.resident(3));
+    EXPECT_EQ(file.residentPages(), 0u);
     const FrameId f1 = file.frameFor(ctx, 3, false);
-    EXPECT_TRUE(file.resident(3));
+    EXPECT_EQ(file.residentPages(), 1u); // page 3 is now cached
     const FrameId f2 = file.frameFor(ctx, 3, false);
     EXPECT_EQ(f1, f2);
     EXPECT_EQ(ctx.stats().value("mem.page_cache_hits"), 1);

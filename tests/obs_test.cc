@@ -150,11 +150,6 @@ TEST(FlightRecorderTest, RingBoundsMemoryAndJsonDumps)
               std::string::npos);
     EXPECT_NE(content.str().find("\"site\": \"net_link\""),
               std::string::npos);
-
-    std::ostringstream os;
-    rec.writeJson(os);
-    EXPECT_NE(os.str().find("\"machine\": 1"), std::string::npos);
-    EXPECT_NE(os.str().find("\"incidents\""), std::string::npos);
     std::filesystem::remove_all(dir);
 }
 

@@ -60,9 +60,12 @@ TEST_P(BootPathProperty, OrderingAndFidelity)
 
     // Fidelity: every path restored the exact checkpointed kernel state.
     const auto &truth = fn.separatedImage->state().kernelGraph;
-    EXPECT_TRUE(cold.instance->guest().state() == truth) << GetParam();
-    EXPECT_TRUE(warm.instance->guest().state() == truth) << GetParam();
-    EXPECT_TRUE(fork.instance->guest().state() == truth) << GetParam();
+    EXPECT_TRUE(objgraph::sameGraph(cold.instance->guest().state(), truth))
+        << GetParam();
+    EXPECT_TRUE(objgraph::sameGraph(warm.instance->guest().state(), truth))
+        << GetParam();
+    EXPECT_TRUE(objgraph::sameGraph(fork.instance->guest().state(), truth))
+        << GetParam();
 
     // All instances can serve requests.
     EXPECT_GT(cold.instance->invoke().toNs(), 0);
@@ -180,7 +183,8 @@ TEST(SeparatedImageEdgeCases, NoPointerGraph)
     const auto image = objgraph::SeparatedImage::build(graph);
     EXPECT_EQ(image.relocCount(), 0u);
     EXPECT_EQ(image.pointerPages(), 0u);
-    EXPECT_TRUE(image.reconstruct() == objgraph::deepCopy(graph));
+    EXPECT_TRUE(
+        objgraph::sameGraph(image.reconstruct(), objgraph::deepCopy(graph)));
 }
 
 TEST(SeparatedImageEdgeCases, HubGraph)
@@ -193,7 +197,8 @@ TEST(SeparatedImageEdgeCases, HubGraph)
     }
     const auto image = objgraph::SeparatedImage::build(graph);
     EXPECT_EQ(image.relocCount(), 2000u);
-    EXPECT_TRUE(image.reconstruct() == objgraph::deepCopy(graph));
+    EXPECT_TRUE(
+        objgraph::sameGraph(image.reconstruct(), objgraph::deepCopy(graph)));
 }
 
 TEST(SeparatedImageEdgeCases, LargePayloads)
@@ -209,7 +214,8 @@ TEST(SeparatedImageEdgeCases, LargePayloads)
     }
     const auto image = objgraph::SeparatedImage::build(graph);
     EXPECT_GT(image.arenaPages(), 50u * 16u - 16u);
-    EXPECT_TRUE(image.reconstruct() == objgraph::deepCopy(graph));
+    EXPECT_TRUE(
+        objgraph::sameGraph(image.reconstruct(), objgraph::deepCopy(graph)));
 }
 
 TEST(SeparatedImageEdgeCases, MixedNullAndRealSlots)
@@ -219,7 +225,8 @@ TEST(SeparatedImageEdgeCases, MixedNullAndRealSlots)
     graph.addObject(objgraph::ObjectKind::Misc, 16, {0, a, 0, a, 0});
     const auto image = objgraph::SeparatedImage::build(graph);
     EXPECT_EQ(image.relocCount(), 2u);
-    EXPECT_TRUE(image.reconstruct() == objgraph::deepCopy(graph));
+    EXPECT_TRUE(
+        objgraph::sameGraph(image.reconstruct(), objgraph::deepCopy(graph)));
 }
 
 } // namespace

@@ -58,7 +58,6 @@ TEST(TemplateRegistryTest, ReplicaDirectory)
     EXPECT_FALSE(registry.nearestReplica("img", 0).has_value());
     registry.addReplica("img", 3);
     registry.addReplica("img", 7);
-    EXPECT_EQ(registry.replicaCount("img"), 2u);
     EXPECT_EQ(registry.nearestReplica("img", 0), 3u);
     EXPECT_EQ(registry.nearestReplica("img", 3), 7u);
     registry.dropReplica("img", 3);
@@ -95,8 +94,8 @@ expectBorrowerForksFromPeerTemplate(const core::CatalyzerOptions &options)
     // Only machine 0 prepares a template; prepare() publishes it into
     // the registry.
     cluster.platform(0).prepare(app);
-    EXPECT_TRUE(cluster.registry().hasTemplate(0, "python-django"));
-    EXPECT_FALSE(cluster.registry().hasTemplate(1, "python-django"));
+    EXPECT_EQ(cluster.registry().templateHolders("python-django"),
+              std::vector<net::NodeId>{0});
 
     // Machine 1 has no template, no base, no image — but a peer does:
     // CatalyzerAuto takes the remote-sfork tier.

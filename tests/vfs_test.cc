@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "sim/context.h"
 #include "vfs/dup_model.h"
 #include "vfs/fd_table.h"
@@ -23,12 +26,13 @@ TEST(InodeTreeTest, FilesAndImplicitParents)
 {
     InodeTree tree;
     tree.addFile("/a/b/c.txt", 100);
-    EXPECT_TRUE(tree.exists("/a/b/c.txt"));
+    const Inode *file = tree.lookup("/a/b/c.txt");
+    ASSERT_NE(file, nullptr);
+    EXPECT_FALSE(file->isDir);
+    EXPECT_EQ(file->sizeBytes, 100u);
     const Inode *dir = tree.lookup("/a/b");
     ASSERT_NE(dir, nullptr);
     EXPECT_TRUE(dir->isDir);
-    EXPECT_EQ(tree.fileCount(), 1u);
-    EXPECT_EQ(tree.totalBytes(), 100u);
     EXPECT_FALSE(tree.exists("/a/b/missing.txt"));
     EXPECT_EQ(tree.lookup("/x"), nullptr);
 }
@@ -38,15 +42,6 @@ TEST(InodeTreeTest, BadPathsPanic)
     InodeTree tree;
     EXPECT_DEATH(tree.addFile("relative", 1), "bad path");
     EXPECT_DEATH(tree.addFile("/trailing/", 1), "bad path");
-}
-
-TEST(InodeTreeTest, FilesUnderPrefix)
-{
-    InodeTree tree;
-    tree.addFile("/app/a", 1);
-    tree.addFile("/app/b", 1);
-    tree.addFile("/etc/c", 1);
-    EXPECT_EQ(tree.filesUnder("/app/").size(), 2u);
 }
 
 TEST(InodeTreeTest, UnionOverlayWins)
@@ -138,7 +133,7 @@ TEST(FsServerTest, OpenExistingAndMissing)
     SimContext ctx;
     InodeTree tree;
     tree.addFile("/app/x", 64);
-    FsServer server(ctx, std::move(tree), "gofer");
+    FsServer server(ctx, std::move(tree));
     FdEntry entry;
     EXPECT_TRUE(server.openReadOnly("/app/x", &entry));
     EXPECT_TRUE(entry.readOnly);
@@ -149,7 +144,7 @@ TEST(FsServerTest, OpenExistingAndMissing)
 TEST(FsServerTest, LogGrantCreatesFile)
 {
     SimContext ctx;
-    FsServer server(ctx, InodeTree{}, "gofer");
+    FsServer server(ctx, InodeTree{});
     const FdEntry entry = server.grantLogFile("/var/log/app.log");
     EXPECT_FALSE(entry.readOnly);
     EXPECT_TRUE(server.rootfs().exists("/var/log/app.log"));
@@ -165,7 +160,7 @@ class OverlayTest : public ::testing::Test
     {
         InodeTree tree;
         tree.addFile("/app/ro.txt", 8192);
-        return FsServer(ctx, std::move(tree), "gofer");
+        return FsServer(ctx, std::move(tree));
     }
 
     SimContext ctx;
@@ -173,21 +168,12 @@ class OverlayTest : public ::testing::Test
     OverlayRootfs overlay;
 };
 
-TEST_F(OverlayTest, ReadFallsThroughToLower)
-{
-    EXPECT_TRUE(overlay.exists("/app/ro.txt"));
-    EXPECT_EQ(overlay.sizeOf("/app/ro.txt"), 8192u);
-    EXPECT_FALSE(overlay.exists("/nope"));
-    EXPECT_EQ(overlay.sizeOf("/nope"), 0u);
-    EXPECT_EQ(overlay.upperFileCount(), 0u);
-}
-
 TEST_F(OverlayTest, WriteCopiesUp)
 {
     overlay.write("/app/ro.txt", 0);
     EXPECT_EQ(ctx.stats().value("vfs.overlay_copyups"), 1);
-    EXPECT_EQ(overlay.sizeOf("/app/ro.txt"), 8192u);
-    EXPECT_EQ(overlay.upperFileCount(), 1u);
+    EXPECT_EQ(overlay.upper().at("/app/ro.txt"), 8192u);
+    EXPECT_EQ(overlay.upper().size(), 1u);
     // The lower layer is untouched.
     EXPECT_EQ(server.rootfs().lookup("/app/ro.txt")->sizeBytes, 8192u);
 }
@@ -195,13 +181,14 @@ TEST_F(OverlayTest, WriteCopiesUp)
 TEST_F(OverlayTest, WriteExtendsUpperOnly)
 {
     overlay.write("/tmp/new.log", 100);
-    EXPECT_EQ(overlay.sizeOf("/tmp/new.log"), 100u);
+    EXPECT_EQ(overlay.upper().at("/tmp/new.log"), 100u);
     overlay.write("/tmp/new.log", 50);
-    EXPECT_EQ(overlay.sizeOf("/tmp/new.log"), 150u);
+    EXPECT_EQ(overlay.upper().at("/tmp/new.log"), 150u);
     EXPECT_FALSE(server.rootfs().exists("/tmp/new.log"));
-    EXPECT_TRUE(overlay.exists("/tmp/new.log"));
     overlay.write("/tmp/other.log", 10);
-    EXPECT_EQ(overlay.upperBytes(), 160u);
+    EXPECT_EQ(overlay.upper(),
+              (std::map<std::string, std::size_t>{{"/tmp/new.log", 150},
+                                                   {"/tmp/other.log", 10}}));
 }
 
 TEST_F(OverlayTest, CloneIsIndependent)
@@ -209,8 +196,8 @@ TEST_F(OverlayTest, CloneIsIndependent)
     overlay.write("/tmp/a", 10);
     auto child = overlay.clone();
     child->write("/tmp/a", 5);
-    EXPECT_EQ(overlay.sizeOf("/tmp/a"), 10u);
-    EXPECT_EQ(child->sizeOf("/tmp/a"), 15u);
+    EXPECT_EQ(overlay.upper().at("/tmp/a"), 10u);
+    EXPECT_EQ(child->upper().at("/tmp/a"), 15u);
     EXPECT_EQ(ctx.stats().value("vfs.overlay_clones"), 1);
 }
 
@@ -218,12 +205,11 @@ TEST(IoConnectionTest, AddFindDrop)
 {
     IoConnectionTable table;
     const auto id = table.add(ConnKind::File, "/x", true, false);
-    ASSERT_NE(table.find(id), nullptr);
-    EXPECT_TRUE(table.find(id)->established);
-    EXPECT_EQ(table.establishedCount(), 1u);
+    ASSERT_EQ(table.count(), 1u);
+    EXPECT_EQ(table.all()[0].id, id);
+    EXPECT_TRUE(table.all()[0].established);
     table.dropAll();
-    EXPECT_EQ(table.establishedCount(), 0u);
-    EXPECT_EQ(table.find(999), nullptr);
+    EXPECT_FALSE(table.all()[0].established);
 }
 
 } // namespace

@@ -145,13 +145,13 @@ TEST(PlatformTtlTest, ExpireIdleHonorsAge)
     ServerlessPlatform plat(machine, config);
     plat.prepare(apps::appByName("ds-text"));
     plat.invoke("ds-text");
-    EXPECT_EQ(plat.idleCount(), 1u);
+    EXPECT_EQ(plat.totalInstances(), 1u);
 
     // Young instance survives.
     EXPECT_EQ(plat.expireIdle(10_s), 0u);
     machine.ctx().clock().advance(20_s);
     EXPECT_EQ(plat.expireIdle(10_s), 1u);
-    EXPECT_EQ(plat.idleCount(), 0u);
+    EXPECT_EQ(plat.totalInstances(), 0u);
 }
 
 } // namespace
